@@ -4,8 +4,11 @@
 // as the design choice QUAD's cost hinges on. This bench measures, with
 // google-benchmark, the mark/lookup throughput for the access patterns the
 // wfs kernels actually exhibit — sequential streaming (wav_store), strided
-// scatter (AudioIo frames), small hot working set (fft1d) — plus the
-// memory footprint of the shadow pages and UnMA bitmaps each pattern costs.
+// scatter (AudioIo frames), small hot working set (fft1d), and the chaotic
+// probe/build order of a 16 MiB hash-join table (4096 random pages, so most
+// lookups miss the page directory's last-hit entry and take its probe path)
+// — plus the memory footprint of the shadow pages and UnMA bitmaps each
+// pattern costs.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -65,6 +68,32 @@ void BM_ShadowLookupHot(benchmark::State& state) {
   benchmark::DoNotOptimize(sum);
 }
 BENCHMARK(BM_ShadowLookupHot);
+
+// A QUAD read then write of one 8-byte slot at a random place in a 16 MiB
+// table (4096 pages), the shape of the hashjoin workload's table: shadow
+// lookup, shadow mark and an UnMA insert per access, each on a page that
+// is rarely the one touched last.
+void BM_ShadowChaotic(benchmark::State& state) {
+  constexpr std::uint64_t kTableBytes = 4096 * quad::ShadowMemory::kPageSize;
+  quad::ShadowMemory shadow;
+  AddressSet unma;
+  for (std::uint64_t addr = kBase; addr < kBase + kTableBytes; addr += 8) {
+    shadow.mark_write(addr, 8, 1);
+  }
+  SplitMix64 rng(13);
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    const std::uint64_t addr = kBase + rng.next_below(kTableBytes / 8) * 8;
+    shadow.for_each_producer(addr, 8, [&](quad::ProducerId p, std::uint32_t len) {
+      sum += static_cast<std::uint64_t>(p) * len;
+    });
+    unma.insert_range(addr, 8);
+    shadow.mark_write(addr, 8, 2);
+  }
+  benchmark::DoNotOptimize(sum);
+  state.counters["resident_pages"] = static_cast<double>(shadow.resident_pages());
+}
+BENCHMARK(BM_ShadowChaotic);
 
 void BM_AddressSetInsert(benchmark::State& state) {
   const bool random = state.range(0) != 0;

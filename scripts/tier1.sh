@@ -21,15 +21,20 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 #    sanitizers too, and the engine differential suite runs the compiled
 #    (fused-op) engine against the reference interpreter — including the
 #    trap-at-N prefix contract — with ASan watching the lowered arrays.
+#    The page-directory suites (guest memory, UnMA sets, QUAD shadow) ride
+#    along too: the directory hands out cached raw page pointers, and a
+#    pointer left dangling by a move, clear or shard adoption is exactly
+#    what ASan catches.
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_trace test_trace_v2_codec test_trace_offline_differential \
     test_fuzz_decoders test_trace_salvage test_fault_injection \
     test_session test_session_differential test_session_replay \
     test_session_pipeline \
-    test_support_metrics test_workload_zoo test_engine_differential
+    test_support_metrics test_workload_zoo test_engine_differential \
+    test_support_address_set test_support_paged_memory test_quad_shadow
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential)$'
+    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow)$'
 
 # 2b. Forced-adaptive stress under ASan: replay the whole pipeline parity
 #     suite with the batch controller pinned to its most allocation-churny

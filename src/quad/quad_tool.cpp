@@ -77,9 +77,13 @@ void QuadTool::account_read(AddressState& state, std::uint32_t reader,
         if (producer != kNoProducer) {
           state.incl[producer].out_bytes += run;
           if (!stack_area) state.excl[producer].out_bytes += run;
-          auto& edge = state.bindings[{producer, reader}];
-          edge.bytes += run;
-          edge.unma.insert_range(cursor, run);
+          const std::pair<std::uint32_t, std::uint32_t> key{producer, reader};
+          if (state.last_edge_key != key) {
+            state.last_edge = &state.bindings[key];
+            state.last_edge_key = key;
+          }
+          state.last_edge->bytes += run;
+          state.last_edge->unma.insert_range(cursor, run);
         }
         cursor += run;
       });

@@ -210,6 +210,11 @@ class QuadTool : public session::AnalysisConsumer,
     std::vector<std::uint64_t> global_accesses;
     std::vector<std::uint64_t> global_bytes;
     std::map<std::pair<std::uint32_t, std::uint32_t>, BindingAccum> bindings;
+    /// The edge account_read() touched last (map nodes never move), so a
+    /// run of reads between the same producer and reader skips the lookup.
+    /// No real edge has producer kNoProducer, so the initial key never hits.
+    std::pair<std::uint32_t, std::uint32_t> last_edge_key{kNoProducer, kNoProducer};
+    BindingAccum* last_edge = nullptr;
 
     void init(std::size_t kernels) {
       incl.resize(kernels);

@@ -6,21 +6,12 @@
 
 namespace tq::quad {
 
-ShadowMemory::Page& ShadowMemory::touch_page(std::uint64_t page_no) {
-  auto& slot = pages_[page_no];
-  if (!slot) {
-    slot = std::make_unique<Page>();
-    std::fill(std::begin(slot->producers), std::end(slot->producers), kNoProducer);
-  }
-  return *slot;
-}
-
 void ShadowMemory::mark_write(std::uint64_t addr, std::uint32_t size,
                               ProducerId producer) {
   std::uint64_t cursor = addr;
   std::uint64_t remaining = size;
   while (remaining > 0) {
-    Page& page = touch_page(cursor >> kPageBits);
+    Page& page = pages_.touch(cursor >> kPageBits);
     const std::uint64_t offset = cursor & (kPageSize - 1);
     const std::uint64_t in_page = std::min<std::uint64_t>(remaining, kPageSize - offset);
     std::fill(page.producers + offset, page.producers + offset + in_page, producer);
@@ -31,15 +22,14 @@ void ShadowMemory::mark_write(std::uint64_t addr, std::uint32_t size,
 
 void ShadowMemory::adopt_disjoint(ShadowMemory&& other) {
   if (this == &other) return;
-  for (auto& [page_no, page] : other.pages_) {
-    const bool inserted = pages_.emplace(page_no, std::move(page)).second;
-    TQUAD_CHECK(inserted, "shadow shards overlap: page owned by two shards");
-  }
-  other.pages_.clear();
+  other.pages_.drain([&](std::uint64_t page_no, std::unique_ptr<Page> page) {
+    const bool adopted = pages_.adopt(page_no, std::move(page));
+    TQUAD_CHECK(adopted, "shadow shards overlap: page owned by two shards");
+  });
 }
 
 ProducerId ShadowMemory::producer_of(std::uint64_t addr) const noexcept {
-  const Page* page = find_page(addr >> kPageBits);
+  const Page* page = pages_.find(addr >> kPageBits);
   if (page == nullptr) return kNoProducer;
   return page->producers[addr & (kPageSize - 1)];
 }

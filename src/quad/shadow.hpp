@@ -3,15 +3,16 @@
 // (Ostadzadeh et al., "QUAD — a memory access pattern analyser", ARC 2010,
 // reference [4] of the tQUAD paper).
 //
-// Layout mirrors PagedMemory: a hash map of 4 KiB pages, each holding one
-// 16-bit producer id per byte. Pages materialise on first write; reads of
-// unwritten memory report kNoProducer.
+// Layout mirrors PagedMemory: a PageTable (support/page_table.hpp) of 4 KiB
+// pages, each holding one 16-bit producer id per byte. Pages materialise on
+// first write; reads of unwritten memory report kNoProducer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <iterator>
 
+#include "support/page_table.hpp"
 #include "support/paged_memory.hpp"
 
 namespace tq::quad {
@@ -50,7 +51,7 @@ class ShadowMemory {
     std::uint64_t cursor = addr;
     std::uint64_t remaining = size;
     while (remaining > 0) {
-      const Page* page = find_page(cursor >> kPageBits);
+      const Page* page = pages_.find(cursor >> kPageBits);
       const std::uint64_t offset = cursor & (kPageSize - 1);
       const std::uint64_t in_page = std::min<std::uint64_t>(remaining, kPageSize - offset);
       if (page == nullptr) {
@@ -80,16 +81,11 @@ class ShadowMemory {
 
  private:
   struct Page {
+    Page() { std::fill(std::begin(producers), std::end(producers), kNoProducer); }
     ProducerId producers[kPageSize];
   };
 
-  const Page* find_page(std::uint64_t page_no) const noexcept {
-    auto it = pages_.find(page_no);
-    return it == pages_.end() ? nullptr : it->second.get();
-  }
-  Page& touch_page(std::uint64_t page_no);
-
-  std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+  PageTable<Page> pages_;
 };
 
 }  // namespace tq::quad

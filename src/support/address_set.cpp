@@ -4,19 +4,13 @@
 
 namespace tq {
 
-AddressSet::Bitmap& AddressSet::touch(std::uint64_t page_no) {
-  auto& slot = pages_[page_no];
-  if (!slot) slot = std::make_unique<Bitmap>();
-  return *slot;
-}
-
-void AddressSet::insert_range(std::uint64_t addr, std::uint32_t size) {
+void AddressSet::insert_range_slow(std::uint64_t addr, std::uint32_t size) {
   std::uint64_t remaining = size;
   while (remaining > 0) {
     const std::uint64_t page_no = addr >> kPageBits;
     const std::uint64_t offset = addr & (kPageSize - 1);
     const std::uint64_t in_page = std::min<std::uint64_t>(remaining, kPageSize - offset);
-    Bitmap& bm = touch(page_no);
+    Bitmap& bm = pages_.touch(page_no);
     // Set bits [offset, offset+in_page) word by word.
     std::uint64_t bit = offset;
     std::uint64_t left = in_page;
@@ -48,8 +42,7 @@ std::uint64_t AddressSet::count_range(std::uint64_t addr,
     const std::uint64_t page_no = cursor >> kPageBits;
     const std::uint64_t offset = cursor & (kPageSize - 1);
     const std::uint64_t in_page = std::min<std::uint64_t>(remaining, kPageSize - offset);
-    auto it = pages_.find(page_no);
-    if (it != pages_.end()) {
+    if (const Bitmap* bm = pages_.find(page_no)) {
       std::uint64_t bit = offset;
       std::uint64_t left = in_page;
       while (left > 0) {
@@ -59,7 +52,7 @@ std::uint64_t AddressSet::count_range(std::uint64_t addr,
         const std::uint64_t mask =
             span == 64 ? ~0ull : (((1ull << span) - 1) << bit_in_word);
         total += static_cast<std::uint64_t>(
-            std::popcount(it->second->words[word_idx] & mask));
+            std::popcount(bm->words[word_idx] & mask));
         bit += span;
         left -= span;
       }
@@ -72,34 +65,30 @@ std::uint64_t AddressSet::count_range(std::uint64_t addr,
 
 void AddressSet::merge(AddressSet&& other) {
   if (this == &other) return;
-  for (auto& [page_no, bitmap] : other.pages_) {
-    auto it = pages_.find(page_no);
-    if (it == pages_.end()) {
-      std::uint64_t pop = 0;
+  other.pages_.drain([&](std::uint64_t page_no, std::unique_ptr<Bitmap> bitmap) {
+    if (Bitmap* mine = pages_.find(page_no)) {
       for (std::size_t w = 0; w < kWordsPerPage; ++w) {
-        pop += static_cast<std::uint64_t>(std::popcount(bitmap->words[w]));
-      }
-      population_ += pop;
-      pages_.emplace(page_no, std::move(bitmap));
-    } else {
-      Bitmap& mine = *it->second;
-      for (std::size_t w = 0; w < kWordsPerPage; ++w) {
-        const std::uint64_t before = mine.words[w];
+        const std::uint64_t before = mine->words[w];
         const std::uint64_t after = before | bitmap->words[w];
         population_ += static_cast<std::uint64_t>(std::popcount(after) -
                                                   std::popcount(before));
-        mine.words[w] = after;
+        mine->words[w] = after;
       }
+    } else {
+      for (std::size_t w = 0; w < kWordsPerPage; ++w) {
+        population_ += static_cast<std::uint64_t>(std::popcount(bitmap->words[w]));
+      }
+      pages_.adopt(page_no, std::move(bitmap));
     }
-  }
+  });
   other.clear();
 }
 
 bool AddressSet::contains(std::uint64_t addr) const noexcept {
-  auto it = pages_.find(addr >> kPageBits);
-  if (it == pages_.end()) return false;
+  const Bitmap* bm = pages_.find(addr >> kPageBits);
+  if (bm == nullptr) return false;
   const std::uint64_t offset = addr & (kPageSize - 1);
-  return (it->second->words[offset >> 6] >> (offset & 63)) & 1;
+  return (bm->words[offset >> 6] >> (offset & 63)) & 1;
 }
 
 }  // namespace tq

@@ -2,14 +2,16 @@
 //
 // QUAD and tQUAD report the number of *distinct* byte addresses a kernel has
 // read or written. Addresses cluster heavily (buffers, stack frames), so the
-// set is stored as one bitmap per touched 4 KiB page: ~0.5 KiB of bitmap per
-// resident page, with popcounts cached so `count()` stays O(1).
+// set is stored as one bitmap per touched 4 KiB page, kept in a PageTable
+// (support/page_table.hpp): ~0.5 KiB of bitmap per resident page, with the
+// population cached so `count()` stays O(1).
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <utility>
 
+#include "support/page_table.hpp"
 #include "support/paged_memory.hpp"
 
 namespace tq {
@@ -24,11 +26,31 @@ class AddressSet {
   AddressSet() = default;
   AddressSet(const AddressSet&) = delete;
   AddressSet& operator=(const AddressSet&) = delete;
-  AddressSet(AddressSet&&) noexcept = default;
-  AddressSet& operator=(AddressSet&&) noexcept = default;
+  // A moved-from set is empty and reusable.
+  AddressSet(AddressSet&& other) noexcept
+      : pages_(std::move(other.pages_)),
+        population_(std::exchange(other.population_, 0)) {}
+  AddressSet& operator=(AddressSet&& other) noexcept {
+    pages_ = std::move(other.pages_);
+    population_ = std::exchange(other.population_, 0);
+    return *this;
+  }
 
-  /// Mark the byte range [addr, addr+size) as present.
-  void insert_range(std::uint64_t addr, std::uint32_t size);
+  /// Mark the byte range [addr, addr+size) as present. A range inside one
+  /// 64-bit bitmap word (every aligned access of up to 8 bytes) takes the
+  /// inline path; longer or word-crossing ranges take the general loop.
+  void insert_range(std::uint64_t addr, std::uint32_t size) {
+    const std::uint64_t bit = addr & 63;
+    if (size != 0 && bit + size <= 64) [[likely]] {
+      const std::uint64_t mask = (~0ull >> (64 - size)) << bit;
+      std::uint64_t& word =
+          pages_.touch(addr >> kPageBits).words[(addr & (kPageSize - 1)) >> 6];
+      population_ += static_cast<std::uint64_t>(std::popcount(mask & ~word));
+      word |= mask;
+      return;
+    }
+    insert_range_slow(addr, size);
+  }
 
   /// True if the single byte address is present.
   bool contains(std::uint64_t addr) const noexcept;
@@ -59,9 +81,9 @@ class AddressSet {
     std::uint64_t words[kWordsPerPage] = {};
   };
 
-  Bitmap& touch(std::uint64_t page_no);
+  void insert_range_slow(std::uint64_t addr, std::uint32_t size);
 
-  std::unordered_map<std::uint64_t, std::unique_ptr<Bitmap>> pages_;
+  PageTable<Bitmap> pages_;
   std::uint64_t population_ = 0;
 };
 

@@ -4,15 +4,6 @@
 
 namespace tq {
 
-PagedMemory::Page& PagedMemory::touch_page(std::uint64_t page_no) {
-  auto& slot = pages_[page_no];
-  if (!slot) {
-    slot = std::make_unique<Page>();
-    std::memset(slot->bytes, 0, kPageSize);
-  }
-  return *slot;
-}
-
 void PagedMemory::read(std::uint64_t addr, std::span<std::uint8_t> out) const {
   std::size_t done = 0;
   while (done < out.size()) {
@@ -20,7 +11,7 @@ void PagedMemory::read(std::uint64_t addr, std::span<std::uint8_t> out) const {
     const std::uint64_t offset = (addr + done) & kOffsetMask;
     const std::size_t chunk =
         std::min<std::size_t>(out.size() - done, kPageSize - offset);
-    if (const Page* page = find_page(page_no)) {
+    if (const Page* page = pages_.find(page_no)) {
       std::memcpy(out.data() + done, page->bytes + offset, chunk);
     } else {
       std::memset(out.data() + done, 0, chunk);
@@ -36,7 +27,7 @@ void PagedMemory::write(std::uint64_t addr, std::span<const std::uint8_t> in) {
     const std::uint64_t offset = (addr + done) & kOffsetMask;
     const std::size_t chunk =
         std::min<std::size_t>(in.size() - done, kPageSize - offset);
-    Page& page = touch_page(page_no);
+    Page& page = pages_.touch(page_no);
     std::memcpy(page.bytes + offset, in.data() + done, chunk);
     done += chunk;
   }
@@ -48,7 +39,7 @@ std::uint64_t PagedMemory::load(std::uint64_t addr, unsigned size_bytes) const {
   // Fast path: access within one page.
   const std::uint64_t offset = addr & kOffsetMask;
   if (offset + size_bytes <= kPageSize) {
-    const Page* page = find_page(addr >> kPageBits);
+    const Page* page = pages_.find(addr >> kPageBits);
     if (page == nullptr) return 0;
     std::uint64_t value = 0;
     std::memcpy(&value, page->bytes + offset, size_bytes);
@@ -66,7 +57,7 @@ void PagedMemory::store(std::uint64_t addr, std::uint64_t value, unsigned size_b
                "unsupported store size");
   const std::uint64_t offset = addr & kOffsetMask;
   if (offset + size_bytes <= kPageSize) {
-    Page& page = touch_page(addr >> kPageBits);
+    Page& page = pages_.touch(addr >> kPageBits);
     std::memcpy(page.bytes + offset, &value, size_bytes);
     return;
   }

@@ -1,20 +1,20 @@
 // Sparse paged byte-addressable memory.
 //
 // The guest address space is 64-bit but only a few dozen megabytes are ever
-// touched, so storage is a hash map from page number to a fixed 4 KiB page.
-// Pages materialise zero-filled on first write; reads of untouched memory
-// return zeros (like an OS zero page) so that tools can replay traces
-// without caring about allocation order.
+// touched, so storage is a PageTable (support/page_table.hpp) from page
+// number to a fixed 4 KiB page. Pages materialise zero-filled on first
+// write; reads of untouched memory return zeros (like an OS zero page) so
+// that tools can replay traces without caring about allocation order.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "support/check.hpp"
+#include "support/page_table.hpp"
 
 namespace tq {
 
@@ -57,17 +57,10 @@ class PagedMemory {
 
  private:
   struct Page {
-    std::uint8_t bytes[kPageSize];
+    std::uint8_t bytes[kPageSize];  ///< zero-filled by value-initialisation
   };
 
-  const Page* find_page(std::uint64_t page_no) const noexcept {
-    auto it = pages_.find(page_no);
-    return it == pages_.end() ? nullptr : it->second.get();
-  }
-
-  Page& touch_page(std::uint64_t page_no);
-
-  std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+  PageTable<Page> pages_;
 };
 
 }  // namespace tq

@@ -97,5 +97,52 @@ TEST(ShadowMemory, VisitorOnEmptyPageSingleRun) {
   EXPECT_EQ(runs[0].length, 16u);
 }
 
+TEST(ShadowMemoryAdopt, ProducersSurviveAndSourceIsEmptyAndReusable) {
+  // Two shards own disjoint pages, as the sharded pipeline routes them.
+  ShadowMemory mine;
+  ShadowMemory theirs;
+  for (std::uint64_t page = 0; page < 64; ++page) {
+    ShadowMemory& owner = page % 2 == 0 ? mine : theirs;
+    owner.mark_write(page * ShadowMemory::kPageSize + 8, 16,
+                     static_cast<ProducerId>(page));
+  }
+  const std::uint64_t theirs_last = 63 * ShadowMemory::kPageSize + 8;
+  mine.adopt_disjoint(std::move(theirs));
+
+  EXPECT_EQ(mine.resident_pages(), 64u);
+  for (std::uint64_t page = 0; page < 64; ++page) {
+    const std::uint64_t base = page * ShadowMemory::kPageSize;
+    EXPECT_EQ(mine.producer_of(base + 7), kNoProducer);
+    EXPECT_EQ(mine.producer_of(base + 8), static_cast<ProducerId>(page));
+    EXPECT_EQ(mine.producer_of(base + 23), static_cast<ProducerId>(page));
+    EXPECT_EQ(mine.producer_of(base + 24), kNoProducer);
+  }
+
+  // The source is empty, and a write to the page it touched last lands in a
+  // fresh page of its own, not in the adopted one.
+  EXPECT_EQ(theirs.resident_pages(), 0u);
+  EXPECT_EQ(theirs.producer_of(theirs_last), kNoProducer);
+  theirs.mark_write(theirs_last, 4, 500);
+  EXPECT_EQ(theirs.resident_pages(), 1u);
+  EXPECT_EQ(theirs.producer_of(theirs_last), 500);
+  EXPECT_EQ(mine.producer_of(theirs_last), 63);
+
+  // Adopting into an empty shadow, and adopting an empty one, both work.
+  ShadowMemory fresh;
+  fresh.adopt_disjoint(std::move(theirs));
+  EXPECT_EQ(fresh.producer_of(theirs_last), 500);
+  mine.adopt_disjoint(std::move(theirs));
+  EXPECT_EQ(mine.resident_pages(), 64u);
+}
+
+TEST(ShadowMemoryAdoptDeathTest, PageOwnedByTwoShardsTripsTheCheck) {
+  ShadowMemory a;
+  ShadowMemory b;
+  a.mark_write(0x5000, 4, 1);
+  b.mark_write(0x9000, 4, 2);
+  b.mark_write(0x5ff0, 4, 2);  // same page as a's write
+  EXPECT_DEATH(a.adopt_disjoint(std::move(b)), "shadow shards overlap");
+}
+
 }  // namespace
 }  // namespace tq::quad

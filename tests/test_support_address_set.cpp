@@ -98,6 +98,111 @@ TEST_P(AddressSetRandomized, MatchesReferenceSet) {
   }
 }
 
+std::size_t pages_of(const std::set<std::uint64_t>& model) {
+  std::set<std::uint64_t> pages;
+  for (std::uint64_t a : model) pages.insert(a >> AddressSet::kPageBits);
+  return pages.size();
+}
+
+void expect_matches(const AddressSet& set, const std::set<std::uint64_t>& model) {
+  ASSERT_EQ(set.count(), model.size());
+  ASSERT_EQ(set.resident_pages(), pages_of(model));
+  for (std::uint64_t a : model) {
+    ASSERT_TRUE(set.contains(a)) << a;
+    if (!model.contains(a + 1)) {
+      ASSERT_FALSE(set.contains(a + 1)) << a + 1;
+    }
+  }
+}
+
+// Property: the page directory's ownership edges — growth through many
+// rehashes, merge of disjoint and overlapping pages, clear(), and reuse of
+// a moved-from or drained set — keep the set equal to a std::set reference.
+// Each edge is followed by an insert on the page touched last, which lands
+// in the wrong place (or in freed memory) if a last-hit entry survived it.
+TEST_P(AddressSetRandomized, PageDirectoryOwnershipMatchesReference) {
+  SplitMix64 rng(GetParam());
+  AddressSet set;
+  std::set<std::uint64_t> model;
+  std::uint64_t last = 0;
+  auto insert = [&](AddressSet& target, std::set<std::uint64_t>& ref,
+                    std::uint64_t addr, std::uint32_t size) {
+    target.insert_range(addr, size);
+    for (std::uint64_t a = addr; a < addr + size; ++a) ref.insert(a);
+  };
+  auto scattered = [&] {
+    // 1M pages of address space, so nearly every insert opens a new page.
+    return (rng.next_below(1 << 20) << AddressSet::kPageBits) +
+           rng.next_below(AddressSet::kPageSize);
+  };
+  for (int op = 0; op < 300; ++op) {
+    const std::uint64_t kind = rng.next_below(16);
+    if (kind < 8) {
+      // A burst over fresh pages: the directory grows through its rehashes.
+      for (int i = 0; i < 32; ++i) {
+        last = scattered();
+        insert(set, model, last, 1 + static_cast<std::uint32_t>(rng.next_below(16)));
+      }
+    } else if (kind < 12) {
+      // Merge a set whose pages partly overlap this one's and partly not.
+      AddressSet other;
+      std::set<std::uint64_t> other_model;
+      for (int i = 0; i < 16; ++i) {
+        std::uint64_t addr = scattered();
+        if (!model.empty() && rng.next_below(2) == 0) {
+          auto it = model.lower_bound(addr);
+          addr = it == model.end() ? *model.begin() : *it;
+        }
+        insert(other, other_model, addr, 1 + static_cast<std::uint32_t>(rng.next_below(24)));
+      }
+      const std::uint64_t other_last = *other_model.rbegin();
+      set.merge(std::move(other));
+      model.insert(other_model.begin(), other_model.end());
+      ASSERT_EQ(other.count(), 0u);
+      ASSERT_EQ(other.resident_pages(), 0u);
+      ASSERT_FALSE(other.contains(other_last));
+      std::set<std::uint64_t> reuse_model;
+      insert(other, reuse_model, other_last, 4);
+      expect_matches(other, reuse_model);
+      expect_matches(set, model);
+    } else if (kind < 14) {
+      // Move out, reuse the moved-from set, then merge the two back.
+      AddressSet moved(std::move(set));
+      expect_matches(moved, model);
+      ASSERT_EQ(set.count(), 0u);
+      ASSERT_EQ(set.resident_pages(), 0u);
+      std::set<std::uint64_t> reuse_model;
+      insert(set, reuse_model, last, 8);
+      expect_matches(set, reuse_model);
+      expect_matches(moved, model);
+      set.merge(std::move(moved));
+      model.insert(reuse_model.begin(), reuse_model.end());
+      expect_matches(set, model);
+    } else if (kind < 15) {
+      // Move-assign into a non-empty set: its old pages are dropped.
+      AddressSet target;
+      target.insert_range(last ^ (1ull << 40), 8);
+      target = std::move(set);
+      expect_matches(target, model);
+      ASSERT_EQ(set.resident_pages(), 0u);
+      std::set<std::uint64_t> reuse_model;
+      insert(set, reuse_model, last, 8);
+      expect_matches(set, reuse_model);
+      expect_matches(target, model);
+      set = std::move(target);
+      expect_matches(set, model);
+    } else {
+      set.clear();
+      model.clear();
+      ASSERT_FALSE(set.contains(last));
+      insert(set, model, last, 8);
+      expect_matches(set, model);
+    }
+    ASSERT_EQ(set.count(), model.size());
+  }
+  expect_matches(set, model);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, AddressSetRandomized,
                          ::testing::Values(7, 21, 42, 1001));
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <set>
 
 #include "support/paged_memory.hpp"
 #include "support/rng.hpp"
@@ -115,6 +116,80 @@ TEST_P(PagedMemoryRandomized, AgreesWithReferenceModel) {
       ASSERT_EQ(got, want) << "addr " << addr << " size " << size;
     }
   }
+}
+
+using ByteModel = std::map<std::uint64_t, std::uint8_t>;
+
+void expect_matches(const PagedMemory& mem, const ByteModel& model) {
+  std::set<std::uint64_t> pages;
+  for (const auto& [addr, byte] : model) {
+    pages.insert(addr >> PagedMemory::kPageBits);
+    ASSERT_EQ(mem.load(addr, 1), byte) << addr;
+  }
+  ASSERT_EQ(mem.resident_pages(), pages.size());
+}
+
+void store(PagedMemory& mem, ByteModel& model, std::uint64_t addr,
+           std::uint64_t value, unsigned size) {
+  mem.store(addr, value, size);
+  for (unsigned b = 0; b < size; ++b) {
+    model[addr + b] = static_cast<std::uint8_t>(value >> (8 * b));
+  }
+}
+
+// Property: the page directory's ownership edges — growth through many
+// rehashes, clear(), and reuse of a moved-from memory — keep it equal to a
+// byte-level reference. Each edge is followed by a store to the page touched
+// last, which lands in the wrong memory (or in freed memory) if a last-hit
+// entry survived the edge.
+TEST_P(PagedMemoryRandomized, PageDirectoryOwnershipMatchesReference) {
+  SplitMix64 rng(GetParam());
+  PagedMemory mem;
+  ByteModel model;
+  std::uint64_t last = 0;
+  for (int op = 0; op < 200; ++op) {
+    const std::uint64_t kind = rng.next_below(12);
+    if (kind < 8) {
+      // A burst over fresh pages (some straddling two) grows the directory.
+      for (int i = 0; i < 32; ++i) {
+        last = (rng.next_below(1 << 20) << PagedMemory::kPageBits) +
+               rng.next_below(PagedMemory::kPageSize);
+        store(mem, model, last, rng.next(), 1u << rng.next_below(4));
+      }
+    } else if (kind < 10) {
+      // Move out, reuse the moved-from memory, then move it back.
+      PagedMemory moved(std::move(mem));
+      expect_matches(moved, model);
+      ASSERT_EQ(mem.resident_pages(), 0u);
+      ASSERT_EQ(mem.load(last, 1), 0u);
+      ByteModel reuse_model;
+      store(mem, reuse_model, last, rng.next(), 8);
+      expect_matches(mem, reuse_model);
+      expect_matches(moved, model);
+      mem = std::move(moved);
+      expect_matches(mem, model);
+      ASSERT_EQ(moved.resident_pages(), 0u);
+      reuse_model.clear();
+      store(moved, reuse_model, last, rng.next(), 8);
+      expect_matches(moved, reuse_model);
+      expect_matches(mem, model);
+    } else if (kind < 11) {
+      // Reads never materialise pages.
+      for (int i = 0; i < 32; ++i) {
+        const std::uint64_t addr = rng.next_below(std::uint64_t{1} << 32);
+        auto it = model.find(addr);
+        ASSERT_EQ(mem.load(addr, 1), it == model.end() ? 0u : it->second);
+      }
+      expect_matches(mem, model);
+    } else {
+      mem.clear();
+      model.clear();
+      ASSERT_EQ(mem.load(last, 1), 0u);
+      store(mem, model, last, rng.next(), 8);
+      expect_matches(mem, model);
+    }
+  }
+  expect_matches(mem, model);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PagedMemoryRandomized,
