@@ -68,9 +68,12 @@ using Batch = std::vector<PipelineEvent>;
 //    accepted push reports what it saw (SpscRing::PushFeedback) and the
 //    controller resizes within [batch_events_min, batch_events_max]: a
 //    stalled push or an empty-ring push means the per-push cost dominates,
-//    so batches grow; a queue building up shrinks them back. The forced
-//    schedules drive the size through its whole range so tests can prove
-//    batch boundaries never leak into reports.
+//    so batches grow; a queue building up shrinks them back. By default
+//    the ceiling is the starting size: a buffer keeps its largest capacity
+//    while it circulates, so a higher ceiling lets the peak memory of a run
+//    follow how deep the thread schedule happened to queue large batches.
+//    The forced schedules drive the size through its whole range so tests
+//    can prove batch boundaries never leak into reports.
 //
 // Only the VM thread touches cap_/counters; cross-thread traffic goes
 // through the two rings, which lock internally. Drops on a closed data ring
@@ -91,7 +94,7 @@ class BatchChannel {
                    ? options.batch_events_min
                    : std::max<std::size_t>(1, cap_ / 16);
     if (min_cap_ > cap_) min_cap_ = cap_;
-    max_cap_ = options.batch_events_max > 0 ? options.batch_events_max : 8 * cap_;
+    max_cap_ = options.batch_events_max > 0 ? options.batch_events_max : cap_;
     if (max_cap_ < cap_) max_cap_ = cap_;
     ring_.set_capacity_limit(ring_limit(options));
     batch_.reserve(cap_);

@@ -66,7 +66,7 @@ struct PipelineOptions {
   unsigned access_shards = 0;     ///< shards for sharded consumers; 0 = auto
   AdaptiveBatch adaptive = AdaptiveBatch::kOccupancy;
   std::size_t batch_events_min = 0;  ///< adaptive floor; 0 = batch_events/16
-  std::size_t batch_events_max = 0;  ///< adaptive ceiling; 0 = 8*batch_events
+  std::size_t batch_events_max = 0;  ///< adaptive ceiling; 0 = batch_events
   /// Ring capacity auto-tune ceiling, in batches; 0 = 4*ring_batches. Set
   /// equal to ring_batches to pin the capacity (backpressure tests do).
   std::size_t ring_batches_max = 0;

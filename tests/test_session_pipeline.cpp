@@ -53,6 +53,9 @@ PipelineOptions parallel_options(unsigned workers, std::size_t batch_events = 25
   options.mode = PipelineMode::kParallel;
   options.workers = workers;
   options.batch_events = batch_events;
+  // Above the default ceiling (the starting size), so the forced grow and
+  // cycle schedules of the tier-1 stress legs still resize every lane.
+  options.batch_events_max = 8 * batch_events;
   options.ring_batches = ring_batches;
   options.access_shards = access_shards;
   return options;
@@ -560,6 +563,28 @@ TEST(PipelineAdaptive, ForcedShrinkKeepsParityAndShrinks) {
 
   const PipelineStats stats = run.session.pipeline_stats();
   EXPECT_GT(stats.batch_shrinks, 0u);
+  EXPECT_EQ(stats.batch_grows, 0u);
+}
+
+// By default the starting batch size is also the ceiling: a lane's buffers
+// never outgrow it, so the run's peak memory does not depend on how deep
+// the schedule queued batches. Even the forced grow schedule stays put.
+TEST(PipelineAdaptive, DefaultCeilingIsTheStartingSize) {
+  ForceAdaptiveEnvGuard guard;
+  Reference ref("histogram");
+  workloads::Instance guest = make_guest("histogram");
+  SessionConfig config;
+  config.pipeline.mode = PipelineMode::kParallel;
+  config.pipeline.workers = 2;
+  config.pipeline.batch_events = 64;
+  config.pipeline.adaptive = AdaptiveBatch::kForceGrow;
+  SessionRun run(guest.program, config, kAllTools);
+  const vm::RunOutcome outcome = run.session.run_live(guest.host);
+  EXPECT_EQ(outcome.retired, ref.outcome.retired);
+  expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
+
+  const PipelineStats stats = run.session.pipeline_stats();
+  EXPECT_GT(stats.batches_published, 0u);
   EXPECT_EQ(stats.batch_grows, 0u);
 }
 
