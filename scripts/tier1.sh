@@ -36,13 +36,6 @@ cmake --build --preset asan-ubsan -j "$(nproc)" --target \
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
     -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow)$'
 
-# 2b. Forced-adaptive stress under ASan: replay the whole pipeline parity
-#     suite with the batch controller pinned to its most allocation-churny
-#     schedule (grow doubles every lane's buffers; the freelist and the
-#     recycled-buffer clears get the sanitizer treatment).
-TQ_PIPELINE_FORCE_ADAPTIVE=grow \
-    ./build-asan/tests/test_session_pipeline > /dev/null
-
 # 3. ThreadSanitizer on everything that spawns threads: the parallel
 #    analysis pipeline (rings, doorbells, shard merge, drain barrier,
 #    push-racing-close shutdown), the thread pool / SPSC ring primitives,
@@ -58,13 +51,6 @@ cmake --build --preset tsan -j "$(nproc)" --target \
     test_workload_zoo test_trace_offline_differential test_engine_differential
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
     -R '^(test_support_thread_pool|test_support_metrics|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_trace|test_fault_injection|test_support_crc32c|test_workload_zoo|test_trace_offline_differential|test_engine_differential)$'
-
-# 3b. Forced-adaptive stress under TSan: the cycle schedule walks every lane
-#     through grow and shrink transitions while workers drain concurrently —
-#     the controller's resize decisions must stay data-race-free against the
-#     worker-side recycle path.
-TQ_PIPELINE_FORCE_ADAPTIVE=cycle \
-    ./build-tsan/tests/test_session_pipeline > /dev/null
 
 # 4. Farm smoke under ASan: the supervisor's fork/exec/waitpid plumbing and
 #    the sidecar/manifest codecs run sanitized end to end — a two-worker

@@ -4,11 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
-#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -54,31 +51,11 @@ using Batch = std::vector<PipelineEvent>;
 
 // ---------------------------------------------------------------------------
 // BatchChannel: the producer->worker transport every lane is built on. It
-// owns the staging batch, the data ring, a reverse freelist ring, and the
-// adaptive batch-size controller:
-//
-//  * The freelist runs opposite to the data ring (worker produces via
-//    recycle(), the VM thread consumes in flush()), so steady state
-//    circulates a fixed set of buffers instead of heap-allocating every
-//    published batch. Buffer lifetimes never cross the drain barrier in a
-//    way the barrier doesn't already order, and a full/closed freelist just
-//    frees the buffer — both sides stay non-blocking.
-//
-//  * `PipelineOptions::batch_events` is only the starting batch size. Each
-//    accepted push reports what it saw (SpscRing::PushFeedback) and the
-//    controller resizes within [batch_events_min, batch_events_max]: a
-//    stalled push or an empty-ring push means the per-push cost dominates,
-//    so batches grow; a queue building up shrinks them back. By default
-//    the ceiling is the starting size: a buffer keeps its largest capacity
-//    while it circulates, so a higher ceiling lets the peak memory of a run
-//    follow how deep the thread schedule happened to queue large batches.
-//    The forced schedules drive the size through its whole range so tests
-//    can prove batch boundaries never leak into reports.
-//
-// Only the VM thread touches cap_/counters; cross-thread traffic goes
-// through the two rings, which lock internally. Drops on a closed data ring
-// (abort path) deliberately skip adapt(): a dying run must not steer the
-// controller.
+// owns the staging batch and the data ring. The VM thread cuts batches of
+// exactly `batch_events` and pushes them into a ring of `ring_batches`
+// slots, blocking while it is full; the worker frees each batch once it has
+// applied it. Only the VM thread touches the staging batch; cross-thread
+// traffic goes through the ring, which locks internally.
 
 template <typename Rec>
 class BatchChannel {
@@ -86,17 +63,8 @@ class BatchChannel {
   using Buffer = std::vector<Rec>;
 
   explicit BatchChannel(const PipelineOptions& options)
-      : policy_(options.adaptive),
-        cap_(options.batch_events > 0 ? options.batch_events : 1),
-        ring_(options.ring_batches > 0 ? options.ring_batches : 1),
-        free_(ring_limit(options) + 2) {
-    min_cap_ = options.batch_events_min > 0
-                   ? options.batch_events_min
-                   : std::max<std::size_t>(1, cap_ / 16);
-    if (min_cap_ > cap_) min_cap_ = cap_;
-    max_cap_ = options.batch_events_max > 0 ? options.batch_events_max : cap_;
-    if (max_cap_ < cap_) max_cap_ = cap_;
-    ring_.set_capacity_limit(ring_limit(options));
+      : cap_(options.batch_events > 0 ? options.batch_events : 1),
+        ring_(options.ring_batches > 0 ? options.ring_batches : 1) {
     batch_.reserve(cap_);
   }
 
@@ -109,21 +77,13 @@ class BatchChannel {
     return batch_.back();
   }
 
-  /// Publish the staging batch (no-op when empty). Reuses a recycled buffer
-  /// when the worker has returned one; adapts the batch size from what the
-  /// push observed.
+  /// Publish the staging batch (no-op when empty).
   void flush() {
     if (batch_.empty()) return;
     Buffer staging;
-    if (free_.try_pop(staging)) {
-      ++freelist_hits_;
-    } else {
-      ++freelist_misses_;
-    }
     staging.swap(batch_);
     batch_.reserve(cap_);
-    typename SpscRing<Buffer>::PushFeedback feedback;
-    if (ring_.push(std::move(staging), &feedback)) adapt(feedback);
+    ring_.push(std::move(staging));
   }
 
   void close() { ring_.close(); }
@@ -133,15 +93,7 @@ class BatchChannel {
 
   bool try_pop(Buffer& out) { return ring_.try_pop(out); }
   bool done() const { return ring_.done(); }
-  std::size_t ring_capacity() const { return ring_.capacity(); }
-
-  /// Hand a drained buffer back to the producer. Clears on the worker (the
-  /// records are trivially destructible, so this is just a size reset) and
-  /// never blocks: a full freelist frees the buffer right here.
-  void recycle(Buffer&& buffer) {
-    buffer.clear();
-    free_.try_push(std::move(buffer));
-  }
+  std::size_t ring_capacity() const noexcept { return ring_.capacity(); }
 
   // -- post-run introspection --
 
@@ -154,78 +106,13 @@ class BatchChannel {
     if (rs.occupancy_high_water > stats.ring_occupancy_high_water) {
       stats.ring_occupancy_high_water = rs.occupancy_high_water;
     }
-    stats.ring_capacity_grows += rs.capacity_grows;
-    stats.batch_grows += grows_;
-    stats.batch_shrinks += shrinks_;
-    stats.freelist_hits += freelist_hits_;
-    stats.freelist_misses += freelist_misses_;
-    ++stats.rings;  // data ring only; the freelist is plumbing, not payload
+    ++stats.rings;
   }
 
  private:
-  static std::size_t ring_limit(const PipelineOptions& options) {
-    const std::size_t base = options.ring_batches > 0 ? options.ring_batches : 1;
-    return options.ring_batches_max > 0 ? options.ring_batches_max : 4 * base;
-  }
-
-  void adapt(const typename SpscRing<Buffer>::PushFeedback& feedback) {
-    switch (policy_) {
-      case AdaptiveBatch::kOff:
-        break;
-      case AdaptiveBatch::kOccupancy:
-        // Stalled: the push rate outruns the ring; bigger batches cut the
-        // push (lock + wake) frequency. Empty ring: the worker drains
-        // between pushes, so bigger batches cost nothing and amortize
-        // better. A standing queue: the worker is the bottleneck — back off
-        // so occupancy (and peak memory) stays bounded while it catches up.
-        if (feedback.stalled || feedback.was_empty) {
-          grow();
-        } else if (feedback.depth_after >= 2) {
-          shrink();
-        }
-        break;
-      case AdaptiveBatch::kForceGrow:
-        grow();
-        break;
-      case AdaptiveBatch::kForceShrink:
-        shrink();
-        break;
-      case AdaptiveBatch::kForceCycle:
-        if (rising_) {
-          grow();
-          if (cap_ == max_cap_) rising_ = false;
-        } else {
-          shrink();
-          if (cap_ == min_cap_) rising_ = true;
-        }
-        break;
-    }
-  }
-
-  void grow() {
-    if (cap_ >= max_cap_) return;
-    cap_ = std::min(cap_ * 2, max_cap_);
-    ++grows_;
-  }
-
-  void shrink() {
-    if (cap_ <= min_cap_) return;
-    cap_ = std::max(cap_ / 2, min_cap_);
-    ++shrinks_;
-  }
-
-  const AdaptiveBatch policy_;
-  std::size_t cap_;
-  std::size_t min_cap_ = 1;
-  std::size_t max_cap_ = 1;
-  bool rising_ = true;
+  const std::size_t cap_;
   Buffer batch_;
   SpscRing<Buffer> ring_;
-  SpscRing<Buffer> free_;
-  std::uint64_t grows_ = 0;
-  std::uint64_t shrinks_ = 0;
-  std::uint64_t freelist_hits_ = 0;
-  std::uint64_t freelist_misses_ = 0;
 };
 
 /// What a worker thread drains: pump() applies whatever is queued, and once
@@ -350,7 +237,6 @@ class EventLane final : public LaneBase, public Drainable {
         wm.batch_events->observe(batch.size());
       }
       apply(batch);
-      channel_.recycle(std::move(batch));
       progress = true;
     }
     if (!drained() && channel_.done()) mark_drained();
@@ -427,7 +313,6 @@ class AccessShard final : public Drainable {
       for (const ShardRecord& record : batch) {
         sharded_.apply_access_shard(shard_, record.event, record.count_access);
       }
-      channel_.recycle(std::move(batch));
       progress = true;
     }
     if (!drained() && channel_.done()) mark_drained();
@@ -544,32 +429,6 @@ unsigned effective_workers(const PipelineOptions& options) {
   return hw > 0 ? hw : 1;
 }
 
-/// TQ_PIPELINE_FORCE_ADAPTIVE overrides the batch controller policy for a
-/// whole process — the tier-1 stress hook that replays every pipeline test
-/// under the forced schedules. Unknown values are noted and ignored rather
-/// than fatal: a typo in a CI matrix must not mask the actual test result.
-void apply_forced_adaptive(PipelineOptions& options) {
-  const char* forced = std::getenv("TQ_PIPELINE_FORCE_ADAPTIVE");
-  if (forced == nullptr || *forced == '\0') return;
-  const std::string_view value(forced);
-  if (value == "off") {
-    options.adaptive = AdaptiveBatch::kOff;
-  } else if (value == "occupancy") {
-    options.adaptive = AdaptiveBatch::kOccupancy;
-  } else if (value == "grow") {
-    options.adaptive = AdaptiveBatch::kForceGrow;
-  } else if (value == "shrink") {
-    options.adaptive = AdaptiveBatch::kForceShrink;
-  } else if (value == "cycle") {
-    options.adaptive = AdaptiveBatch::kForceCycle;
-  } else {
-    std::fprintf(stderr,
-                 "note: ignoring unknown TQ_PIPELINE_FORCE_ADAPTIVE value "
-                 "'%s' (want off|occupancy|grow|shrink|cycle)\n",
-                 forced);
-  }
-}
-
 }  // namespace
 
 ParallelPipeline::ParallelPipeline(const PipelineOptions& options,
@@ -577,7 +436,6 @@ ParallelPipeline::ParallelPipeline(const PipelineOptions& options,
     : options_(options), metrics_(metrics), workers_(effective_workers(options)) {
   TQUAD_CHECK(options.mode == PipelineMode::kParallel,
               "ParallelPipeline constructed in serial mode");
-  apply_forced_adaptive(options_);
   // Auto shard count: match the workers (the access stream is the heaviest
   // lane), but keep at least one shard and avoid silly fan-out.
   access_shards_ = options.access_shards != 0 ? options.access_shards : workers_;

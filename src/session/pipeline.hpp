@@ -46,30 +46,12 @@ enum class PipelineMode : std::uint8_t {
   kParallel = 1,  ///< consumers drain SPSC event rings on worker threads
 };
 
-/// Batch-size controller policy for the lanes. kOccupancy is the production
-/// policy; the forced schedules exist so tests can drive the batch size
-/// through its whole range deterministically and prove reports stay
-/// byte-identical regardless of how batches were cut.
-enum class AdaptiveBatch : std::uint8_t {
-  kOff = 0,        ///< fixed batch_events, the pre-adaptive behavior
-  kOccupancy = 1,  ///< grow/shrink from observed ring occupancy (default)
-  kForceGrow = 2,  ///< test schedule: grow to batch_events_max and stay
-  kForceShrink = 3,  ///< test schedule: shrink to batch_events_min and stay
-  kForceCycle = 4,   ///< test schedule: alternate grow-to-max / shrink-to-min
-};
-
 struct PipelineOptions {
   PipelineMode mode = PipelineMode::kSerial;
   unsigned workers = 0;           ///< drain threads; 0 = hardware_concurrency
-  std::size_t batch_events = 4096;  ///< starting batch size, in events
-  std::size_t ring_batches = 8;     ///< starting ring capacity, in batches
+  std::size_t batch_events = 4096;  ///< events per published batch
+  std::size_t ring_batches = 8;     ///< ring capacity, in batches
   unsigned access_shards = 0;     ///< shards for sharded consumers; 0 = auto
-  AdaptiveBatch adaptive = AdaptiveBatch::kOccupancy;
-  std::size_t batch_events_min = 0;  ///< adaptive floor; 0 = batch_events/16
-  std::size_t batch_events_max = 0;  ///< adaptive ceiling; 0 = batch_events
-  /// Ring capacity auto-tune ceiling, in batches; 0 = 4*ring_batches. Set
-  /// equal to ring_batches to pin the capacity (backpressure tests do).
-  std::size_t ring_batches_max = 0;
 };
 
 /// Post-run introspection (bench, tests, and the metrics registry): how
@@ -82,11 +64,12 @@ struct PipelineStats {
   std::uint64_t dropped_after_close = 0;  ///< pushes refused by abort close
   std::uint64_t ring_occupancy_high_water = 0;  ///< max batches queued, any ring
   std::uint64_t shard_fold_ns = 0;  ///< merge_shards() time at the drain barrier
-  std::uint64_t batch_grows = 0;    ///< adaptive batch-size growth steps
-  std::uint64_t batch_shrinks = 0;  ///< adaptive batch-size shrink steps
-  std::uint64_t freelist_hits = 0;    ///< published batches that reused a buffer
-  std::uint64_t freelist_misses = 0;  ///< published batches freshly allocated
-  std::uint64_t ring_capacity_grows = 0;  ///< ring auto-tune growth steps
+  // Always 0: the transport has a fixed batch size, a fixed ring capacity
+  // and no buffer reuse. Kept only because the benchmark harness still
+  // reads these three fields.
+  std::uint64_t batch_grows = 0;
+  std::uint64_t ring_capacity_grows = 0;
+  std::uint64_t freelist_hits = 0;
   unsigned rings = 0;
   unsigned workers = 0;
   unsigned access_shards = 0;

@@ -139,11 +139,6 @@ void ProfileSession::publish_metrics() {
   registry.add("pipeline.producer_stall_ns", stats.producer_stall_ns);
   registry.add("pipeline.dropped_after_close", stats.dropped_after_close);
   registry.add("pipeline.shard_fold_ns", stats.shard_fold_ns);
-  registry.add("pipeline.batch.grows", stats.batch_grows);
-  registry.add("pipeline.batch.shrinks", stats.batch_shrinks);
-  registry.add("pipeline.freelist.hits", stats.freelist_hits);
-  registry.add("pipeline.freelist.misses", stats.freelist_misses);
-  registry.add("pipeline.ring.capacity_grows", stats.ring_capacity_grows);
   registry.max_gauge("pipeline.ring.occupancy_high_water",
                      stats.ring_occupancy_high_water);
   registry.set_gauge("pipeline.rings", stats.rings);

@@ -5,22 +5,18 @@
 // The ring is deliberately mutex+condvar based rather than lock-free: the
 // session pipeline pushes *batches* of thousands of events, so queue
 // operations are off the hot path, and a locked ring is trivially correct
-// under ThreadSanitizer. Capacity starts at the constructed value; a full
-// ring first blocks the producer (`push`), which is exactly the
-// backpressure the live-analysis pipeline wants — the guest VM slows down
-// instead of the process growing without bound. When the owner opted in
-// with `set_capacity_limit`, repeat stalls instead grow the ring (doubling
-// up to the limit) before blocking resumes: one stall is noise, a stall
-// pattern means the ring is simply too small for the workload's burst
-// shape, and a bounded growth costs less than parking the producer.
+// under ThreadSanitizer. Capacity is fixed at construction; a full ring
+// blocks the producer (`push`), which is exactly the backpressure the
+// live-analysis pipeline wants — the guest VM slows down instead of the
+// process growing without bound.
 //
-// Threading contract: exactly one producer thread calls push/try_push,
-// exactly one consumer thread calls try_pop. `close` is idempotent and may
-// be called from any thread (the abort path closes from the publisher
-// while a producer may be blocked in push): a push that races or follows
-// close is a defined outcome — it returns false, the value is dropped, and
-// the drop is counted — so shutdown never trips an assertion or deadlocks
-// a blocked producer.
+// Threading contract: exactly one producer thread calls push, exactly one
+// consumer thread calls try_pop. `close` is idempotent and may be called
+// from any thread (the abort path closes from the publisher while a
+// producer may be blocked in push): a push that races or follows close is
+// a defined outcome — it returns false, the value is dropped, and the drop
+// is counted — so shutdown never trips an assertion or deadlocks a blocked
+// producer.
 #pragma once
 
 #include <atomic>
@@ -94,44 +90,21 @@ class Doorbell {
 template <typename T>
 class SpscRing {
  public:
-  explicit SpscRing(std::size_t capacity)
-      : slots_(capacity), capacity_limit_(capacity) {
+  explicit SpscRing(std::size_t capacity) : slots_(capacity) {
     TQUAD_CHECK(capacity > 0, "SpscRing capacity must be positive");
   }
 
   /// Attach the consumer-side doorbell. Must happen before the first push.
   void set_doorbell(Doorbell* bell) { bell_ = bell; }
 
-  /// Opt into capacity auto-tune: after the first observed stall, a push
-  /// that finds the ring full grows it (doubling, up to `limit` slots)
-  /// instead of blocking; at the limit, blocking backpressure resumes. Call
-  /// before the first push. A limit at or below the current capacity keeps
-  /// the ring fixed.
-  void set_capacity_limit(std::size_t limit) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (limit > capacity_limit_) capacity_limit_ = limit;
-  }
-
-  /// What one push observed, reported back to the producer so a batching
-  /// layer can adapt without extra locking (the fields are filled from
-  /// state already read under the push's own critical section).
-  struct PushFeedback {
-    std::size_t depth_after = 0;  ///< values queued right after the insert
-    bool stalled = false;         ///< the push slept on a full ring
-    bool was_empty = false;       ///< insert was the empty->non-empty edge
-  };
-
   /// Producer: enqueue `value`, blocking while the ring is full
-  /// (backpressure) unless capacity auto-tune still has headroom. Returns
-  /// true once enqueued. A push against a closed ring — including a close
-  /// that lands while the producer is blocked on a full ring — drops the
-  /// value, counts it in dropped_after_close(), and returns false; that
-  /// makes the trap/abort shutdown path a defined outcome instead of an
-  /// assertion or a deadlock.
-  bool push(T value, PushFeedback* feedback = nullptr) {
+  /// (backpressure). Returns true once enqueued. A push against a closed
+  /// ring — including a close that lands while the producer is blocked on a
+  /// full ring — drops the value, counts it in dropped_after_close(), and
+  /// returns false; that makes the trap/abort shutdown path a defined
+  /// outcome instead of an assertion or a deadlock.
+  bool push(T value) {
     bool was_empty = false;
-    bool stalled = false;
-    std::size_t depth = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       // Wait accounting contract: push_waits counts every *sleep episode*
@@ -139,12 +112,7 @@ class SpscRing {
       // finds the ring full again re-enters the loop and is counted again,
       // so the counters match reality instead of "at most one per call".
       while (size_ == slots_.size() && !closed_) {
-        if (slots_.size() < capacity_limit_ && push_waits_ > 0) {
-          grow_locked();
-          break;
-        }
         ++push_waits_;
-        stalled = true;
         const auto stall_start = std::chrono::steady_clock::now();
         space_cv_.wait(lock,
                        [&] { return size_ < slots_.size() || closed_; });
@@ -155,41 +123,16 @@ class SpscRing {
       }
       if (closed_) {
         ++dropped_after_close_;
-        if (feedback != nullptr) *feedback = PushFeedback{0, stalled, false};
         return false;
       }
-      was_empty = size_ == 0;
-      slots_[(head_ + size_) % slots_.size()] = std::move(value);
-      ++size_;
-      ++pushes_;
-      if (size_ > occupancy_high_water_) occupancy_high_water_ = size_;
-      depth = size_;
-    }
-    // Ring the doorbell only on the empty->non-empty edge: while the ring
-    // stays non-empty the worker cannot be asleep waiting on it.
-    if (was_empty && bell_ != nullptr) bell_->ring();
-    if (feedback != nullptr) *feedback = PushFeedback{depth, stalled, was_empty};
-    return true;
-  }
-
-  /// Producer: non-blocking enqueue. A full ring returns false without
-  /// waiting or growing; a closed ring drops and counts like push. Used for
-  /// reverse-direction freelists, where a refused value is simply freed.
-  bool try_push(T value) {
-    bool was_empty = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) {
-        ++dropped_after_close_;
-        return false;
-      }
-      if (size_ == slots_.size()) return false;
       was_empty = size_ == 0;
       slots_[(head_ + size_) % slots_.size()] = std::move(value);
       ++size_;
       ++pushes_;
       if (size_ > occupancy_high_water_) occupancy_high_water_ = size_;
     }
+    // Ring the doorbell only on the empty->non-empty edge: while the ring
+    // stays non-empty the worker cannot be asleep waiting on it.
     if (was_empty && bell_ != nullptr) bell_->ring();
     return true;
   }
@@ -228,11 +171,8 @@ class SpscRing {
     return closed_ && size_ == 0;
   }
 
-  /// Current capacity in slots (grows under capacity auto-tune).
-  std::size_t capacity() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return slots_.size();
-  }
+  /// Capacity in slots, fixed at construction.
+  std::size_t capacity() const noexcept { return slots_.size(); }
 
   /// Post-run introspection counters, consistent under one lock.
   struct Stats {
@@ -241,8 +181,6 @@ class SpscRing {
     std::uint64_t stall_ns = 0;     ///< producer wall time blocked on space
     std::uint64_t dropped_after_close = 0;  ///< pushes refused by close
     std::uint64_t occupancy_high_water = 0;  ///< max queued values seen
-    std::uint64_t capacity_grows = 0;  ///< auto-tune growth steps taken
-    std::uint64_t capacity = 0;        ///< final capacity in slots
   };
 
   Stats stats() const {
@@ -253,8 +191,6 @@ class SpscRing {
     s.stall_ns = stall_ns_;
     s.dropped_after_close = dropped_after_close_;
     s.occupancy_high_water = occupancy_high_water_;
-    s.capacity_grows = capacity_grows_;
-    s.capacity = slots_.size();
     return s;
   }
 
@@ -278,24 +214,9 @@ class SpscRing {
   }
 
  private:
-  /// Re-lay the circular buffer into a larger allocation (mutex held).
-  /// Safe against the consumer: head_/size_ are only read under the mutex.
-  void grow_locked() {
-    std::size_t next = slots_.size() * 2;
-    if (next > capacity_limit_) next = capacity_limit_;
-    std::vector<T> bigger(next);
-    for (std::size_t i = 0; i < size_; ++i) {
-      bigger[i] = std::move(slots_[(head_ + i) % slots_.size()]);
-    }
-    slots_.swap(bigger);
-    head_ = 0;
-    ++capacity_grows_;
-  }
-
   mutable std::mutex mutex_;
   std::condition_variable space_cv_;
   std::vector<T> slots_;
-  std::size_t capacity_limit_ = 0;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
   bool closed_ = false;
@@ -304,7 +225,6 @@ class SpscRing {
   std::uint64_t stall_ns_ = 0;
   std::uint64_t dropped_after_close_ = 0;
   std::uint64_t occupancy_high_water_ = 0;
-  std::uint64_t capacity_grows_ = 0;
   Doorbell* bell_ = nullptr;
 };
 

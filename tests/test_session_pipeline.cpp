@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <thread>
@@ -53,48 +52,10 @@ PipelineOptions parallel_options(unsigned workers, std::size_t batch_events = 25
   options.mode = PipelineMode::kParallel;
   options.workers = workers;
   options.batch_events = batch_events;
-  // Above the default ceiling (the starting size), so the forced grow and
-  // cycle schedules of the tier-1 stress legs still resize every lane.
-  options.batch_events_max = 8 * batch_events;
   options.ring_batches = ring_batches;
   options.access_shards = access_shards;
   return options;
 }
-
-/// Pin the transport exactly at the configured sizes: no batch resizing
-/// (min == max == start, so every controller policy — including one forced
-/// via TQ_PIPELINE_FORCE_ADAPTIVE — is a clamped no-op) and no ring growth.
-/// The backpressure-torture tests need this: their point is a ring that
-/// stays squeezed.
-PipelineOptions pin_transport(PipelineOptions options) {
-  options.batch_events_min = options.batch_events;
-  options.batch_events_max = options.batch_events;
-  options.ring_batches_max = options.ring_batches;
-  return options;
-}
-
-/// Scoped removal of TQ_PIPELINE_FORCE_ADAPTIVE, for tests that assert the
-/// stats of one specific controller schedule (tier1 replays this whole
-/// binary with the knob set; those runs must not flip a pinned schedule).
-class ForceAdaptiveEnvGuard {
- public:
-  ForceAdaptiveEnvGuard() {
-    const char* value = std::getenv(kName);
-    if (value != nullptr) {
-      saved_ = value;
-      had_value_ = true;
-    }
-    ::unsetenv(kName);
-  }
-  ~ForceAdaptiveEnvGuard() {
-    if (had_value_) ::setenv(kName, saved_.c_str(), 1);
-  }
-
- private:
-  static constexpr const char* kName = "TQ_PIPELINE_FORCE_ADAPTIVE";
-  std::string saved_;
-  bool had_value_ = false;
-};
 
 /// One session plus the masked subset of consumers.
 struct SessionRun {
@@ -254,9 +215,9 @@ TEST_P(PipelineBackpressureZoo, CapacityOneParity) {
   Reference ref(GetParam());
   workloads::Instance guest = make_guest(GetParam());
   SessionConfig config;
-  config.pipeline = pin_transport(parallel_options(
+  config.pipeline = parallel_options(
       /*workers=*/2, /*batch_events=*/1, /*ring_batches=*/1,
-      /*access_shards=*/2));
+      /*access_shards=*/2);
   SessionRun run(guest.program, config, kAllTools);
   const vm::RunOutcome outcome = run.session.run_live(guest.host);
   EXPECT_EQ(outcome.status, ref.outcome.status);
@@ -264,10 +225,12 @@ TEST_P(PipelineBackpressureZoo, CapacityOneParity) {
   expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
 
   // Single-event batches in depth-1 rings: the publisher must have hit a
-  // full ring at least once on any workload with thousands of events.
+  // full ring at least once on any workload with thousands of events, and
+  // no ring ever held more than its one slot.
   const PipelineStats stats = run.session.pipeline_stats();
   EXPECT_GT(stats.batches_published, 0u);
   EXPECT_GT(stats.backpressure_waits, 0u);
+  EXPECT_LE(stats.ring_occupancy_high_water, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, PipelineBackpressureZoo,
@@ -291,9 +254,9 @@ TEST(PipelineBackpressure, HistogramFaultCapacityOne) {
   const std::vector<std::uint8_t> serial_trace = serial.recorder->take_encoded();
 
   SessionConfig parallel_config = fault_config;
-  parallel_config.pipeline = pin_transport(parallel_options(
+  parallel_config.pipeline = parallel_options(
       /*workers=*/2, /*batch_events=*/1, /*ring_batches=*/1,
-      /*access_shards=*/2));
+      /*access_shards=*/2);
   workloads::Instance parallel_guest = make_guest("histogram");
   SessionRun parallel(parallel_guest.program, parallel_config, kAllTools);
   const vm::RunOutcome outcome = parallel.session.run_live(parallel_guest.host);
@@ -493,18 +456,6 @@ TEST(PipelineMetrics, RegistryAttachedKeepsParityAndCountsBatches) {
   };
   EXPECT_EQ(counter("pipeline.batches_published"),
             run.session.pipeline_stats().batches_published);
-  // Every flush consults the freelist exactly once (hit or miss) before its
-  // push is accepted, so on a clean run the two sides tie out.
-  EXPECT_EQ(counter("pipeline.freelist.hits") +
-                counter("pipeline.freelist.misses"),
-            counter("pipeline.batches_published"));
-  // The adaptive counters are always published, even when zero.
-  EXPECT_EQ(counter("pipeline.batch.grows"),
-            run.session.pipeline_stats().batch_grows);
-  EXPECT_EQ(counter("pipeline.batch.shrinks"),
-            run.session.pipeline_stats().batch_shrinks);
-  EXPECT_EQ(counter("pipeline.ring.capacity_grows"),
-            run.session.pipeline_stats().ring_capacity_grows);
   EXPECT_EQ(counter("session.events.access"),
             run.session.attribution().event_counts().accesses);
   EXPECT_GT(counter("session.events.tick"), 0u);
@@ -519,105 +470,6 @@ TEST(PipelineMetrics, RegistryAttachedKeepsParityAndCountsBatches) {
   }
   EXPECT_TRUE(found_hist);
 }
-
-// ---------------------------------------------------------------------------
-// Adaptivity invariance: the batch controller may resize lanes however it
-// likes — reports must stay byte-identical to serial. Forced schedules pin
-// each controller branch so the assertions are deterministic; the EnvGuard
-// keeps an outer TQ_PIPELINE_FORCE_ADAPTIVE (tier1 stress legs) from
-// flipping the schedule under us.
-
-TEST(PipelineAdaptive, ForcedGrowKeepsParityAndGrows) {
-  ForceAdaptiveEnvGuard guard;
-  Reference ref("histogram");
-  workloads::Instance guest = make_guest("histogram");
-  SessionConfig config;
-  config.pipeline = parallel_options(/*workers=*/2, /*batch_events=*/8,
-                                     /*ring_batches=*/2, /*access_shards=*/2);
-  config.pipeline.adaptive = AdaptiveBatch::kForceGrow;
-  config.pipeline.batch_events_max = 1024;
-  SessionRun run(guest.program, config, kAllTools);
-  const vm::RunOutcome outcome = run.session.run_live(guest.host);
-  EXPECT_EQ(outcome.retired, ref.outcome.retired);
-  expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
-
-  const PipelineStats stats = run.session.pipeline_stats();
-  EXPECT_GT(stats.batch_grows, 0u);
-  EXPECT_EQ(stats.batch_shrinks, 0u);
-  // Recycled buffers come back through the freelist once the lanes warm up.
-  EXPECT_GT(stats.freelist_hits, 0u);
-}
-
-TEST(PipelineAdaptive, ForcedShrinkKeepsParityAndShrinks) {
-  ForceAdaptiveEnvGuard guard;
-  Reference ref("histogram");
-  workloads::Instance guest = make_guest("histogram");
-  SessionConfig config;
-  config.pipeline = parallel_options(/*workers=*/2, /*batch_events=*/256,
-                                     /*ring_batches=*/2, /*access_shards=*/2);
-  config.pipeline.adaptive = AdaptiveBatch::kForceShrink;
-  SessionRun run(guest.program, config, kAllTools);
-  const vm::RunOutcome outcome = run.session.run_live(guest.host);
-  EXPECT_EQ(outcome.retired, ref.outcome.retired);
-  expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
-
-  const PipelineStats stats = run.session.pipeline_stats();
-  EXPECT_GT(stats.batch_shrinks, 0u);
-  EXPECT_EQ(stats.batch_grows, 0u);
-}
-
-// By default the starting batch size is also the ceiling: a lane's buffers
-// never outgrow it, so the run's peak memory does not depend on how deep
-// the schedule queued batches. Even the forced grow schedule stays put.
-TEST(PipelineAdaptive, DefaultCeilingIsTheStartingSize) {
-  ForceAdaptiveEnvGuard guard;
-  Reference ref("histogram");
-  workloads::Instance guest = make_guest("histogram");
-  SessionConfig config;
-  config.pipeline.mode = PipelineMode::kParallel;
-  config.pipeline.workers = 2;
-  config.pipeline.batch_events = 64;
-  config.pipeline.adaptive = AdaptiveBatch::kForceGrow;
-  SessionRun run(guest.program, config, kAllTools);
-  const vm::RunOutcome outcome = run.session.run_live(guest.host);
-  EXPECT_EQ(outcome.retired, ref.outcome.retired);
-  expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
-
-  const PipelineStats stats = run.session.pipeline_stats();
-  EXPECT_GT(stats.batches_published, 0u);
-  EXPECT_EQ(stats.batch_grows, 0u);
-}
-
-class PipelineAdaptiveZoo : public ::testing::TestWithParam<std::string> {};
-
-// The nastiest transport: every lane cycling its batch size through the
-// whole [min, max] range over a capacity-1 ring that is pinned so the
-// auto-tuner cannot relieve the pressure. Pure adaptivity + backpressure.
-TEST_P(PipelineAdaptiveZoo, ForcedCycleCapacityOneParity) {
-  ForceAdaptiveEnvGuard guard;
-  Reference ref(GetParam());
-  workloads::Instance guest = make_guest(GetParam());
-  SessionConfig config;
-  config.pipeline = parallel_options(/*workers=*/2, /*batch_events=*/16,
-                                     /*ring_batches=*/1, /*access_shards=*/2);
-  config.pipeline.adaptive = AdaptiveBatch::kForceCycle;
-  config.pipeline.batch_events_min = 1;
-  config.pipeline.batch_events_max = 64;
-  config.pipeline.ring_batches_max = 1;  // pin: no capacity relief
-  SessionRun run(guest.program, config, kAllTools);
-  const vm::RunOutcome outcome = run.session.run_live(guest.host);
-  EXPECT_EQ(outcome.retired, ref.outcome.retired);
-  expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
-
-  const PipelineStats stats = run.session.pipeline_stats();
-  EXPECT_GT(stats.batch_grows, 0u);
-  EXPECT_GT(stats.batch_shrinks, 0u);
-  EXPECT_EQ(stats.ring_capacity_grows, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Zoo, PipelineAdaptiveZoo,
-                         ::testing::ValuesIn(workloads::workload_names()),
-                         [](const auto& info) { return info.param; });
 
 TEST(PipelineReplay, StreamReplayParallel) {
   Reference ref("stream");

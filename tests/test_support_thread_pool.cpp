@@ -304,60 +304,8 @@ TEST(Doorbell, RingStressNeverLosesWakeups) {
   EXPECT_GT(wakeups.load(), 0u);
 }
 
-// PushFeedback reports what each push observed — the empty->non-empty edge
-// and post-insert depth feed the lanes' adaptive batch controller — and
-// try_push is the non-blocking variant the freelists use: a full ring
-// refuses without counting a drop, a closed ring drops and counts.
-TEST(SpscRing, PushFeedbackAndTryPush) {
-  SpscRing<int> ring(4);
-  SpscRing<int>::PushFeedback feedback;
-  ASSERT_TRUE(ring.push(1, &feedback));
-  EXPECT_TRUE(feedback.was_empty);
-  EXPECT_EQ(feedback.depth_after, 1u);
-  EXPECT_FALSE(feedback.stalled);
-  ASSERT_TRUE(ring.push(2, &feedback));
-  EXPECT_FALSE(feedback.was_empty);
-  EXPECT_EQ(feedback.depth_after, 2u);
-  ASSERT_TRUE(ring.try_push(3));
-  ASSERT_TRUE(ring.try_push(4));
-  EXPECT_FALSE(ring.try_push(5));  // full: refused, not a drop
-  EXPECT_EQ(ring.stats().dropped_after_close, 0u);
-  ring.close();
-  EXPECT_FALSE(ring.try_push(6));  // closed: dropped and counted
-  EXPECT_EQ(ring.stats().dropped_after_close, 1u);
-}
-
-// Capacity auto-tune: the first full-ring encounter blocks (one stall is
-// noise), but once a stall has been observed further full encounters grow
-// the ring — doubling up to the limit — instead of parking the producer.
-// FIFO order must survive the circular-buffer re-lay.
-TEST(SpscRing, CapacityGrowsAfterFirstStall) {
-  SpscRing<int> ring(1);
-  ring.set_capacity_limit(4);
-  ASSERT_TRUE(ring.push(1));  // full at the starting capacity
-  std::thread consumer([&] {
-    while (ring.push_waits() == 0) std::this_thread::yield();
-    int out = 0;
-    EXPECT_TRUE(ring.try_pop(out));
-  });
-  ASSERT_TRUE(ring.push(2));  // stalls until the consumer frees the slot
-  consumer.join();
-  ASSERT_TRUE(ring.push(3));  // full again, stall on record: grows 1 -> 2
-  ASSERT_TRUE(ring.push(4));  // full again: grows 2 -> 4
-  const auto stats = ring.stats();
-  EXPECT_EQ(stats.capacity_grows, 2u);
-  EXPECT_EQ(stats.capacity, 4u);
-  EXPECT_EQ(stats.push_waits, 1u);
-  int out = 0;
-  for (int expected = 2; expected <= 4; ++expected) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, expected);
-  }
-  EXPECT_FALSE(ring.try_pop(out));
-}
-
-// A limit at the constructed capacity keeps the ring fixed: every full
-// encounter blocks, forever, and the wait accounting reflects each episode.
+// Every full encounter blocks, and the wait accounting reflects each
+// episode.
 TEST(SpscRing, WaitAccountingAccumulatesAcrossStalls) {
   SpscRing<int> ring(1);
   ASSERT_TRUE(ring.push(0));
@@ -376,7 +324,6 @@ TEST(SpscRing, WaitAccountingAccumulatesAcrossStalls) {
   EXPECT_EQ(stats.push_waits, 3u);
   EXPECT_GE(stats.stall_ns, 1'000'000u);  // three >=5 ms sleeps behind it
   EXPECT_EQ(stats.occupancy_high_water, 1u);
-  EXPECT_EQ(stats.capacity_grows, 0u);
 }
 
 // occupancy_high_water reflects real queue depth even when close races the
