@@ -13,7 +13,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "tquad/report.hpp"
@@ -41,10 +41,12 @@ int main(int argc, char** argv) {
                    "setFrames max B/i", "fft1d max B/i"});
   for (const std::uint64_t interval : intervals) {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = interval});
+    session::ProfileSession session(run.artifacts.program);
+    tquad::TQuadTool tool(run.artifacts.program,
+                          tquad::Options{.slice_interval = interval});
+    session.add_consumer(tool);
     const auto t0 = std::chrono::steady_clock::now();
-    engine.run();
+    session.run_live(run.host);
     const auto t1 = std::chrono::steady_clock::now();
     const double seconds = std::chrono::duration<double>(t1 - t0).count();
 

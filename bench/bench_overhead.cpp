@@ -4,8 +4,9 @@
 // versus native execution, depending on the time-slice interval and the
 // stack-area option. Our equivalents:
 //   * "native execution"      -> the golden model (compiled C++);
-//   * "instrumented execution"-> the VM running the guest under tQUAD/QUAD.
-// The VM itself contributes a baseline interpretation cost, so the bench
+//   * "instrumented execution"-> the VM running the guest under tQUAD/QUAD,
+//     one ProfileSession on the default compiled engine.
+// The VM itself contributes a baseline execution cost, so the bench
 // reports both the tool-over-VM factor (what instrumentation adds) and the
 // tool-over-native factor (the paper's measurement).
 //
@@ -19,7 +20,6 @@
 #include <thread>
 
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
 #include "quad/quad_tool.hpp"
 #include "session/session.hpp"
 #include "support/metrics.hpp"
@@ -35,6 +35,14 @@ namespace {
 
 using namespace tq;
 
+/// Profile `run` with `tool` alone: a one-tool ProfileSession on the default
+/// (compiled) engine. Returns the retired instruction count.
+std::uint64_t profile_alone(wfs::WfsRun& run, session::AnalysisConsumer& tool) {
+  session::ProfileSession profile(run.artifacts.program);
+  profile.add_consumer(tool);
+  return profile.run_live(run.host).retired;
+}
+
 void BM_GoldenModel(benchmark::State& state) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   const wfs::WavData input = wfs::make_test_signal(cfg.input_samples());
@@ -49,7 +57,7 @@ void BM_VmNative(benchmark::State& state) {
   std::uint64_t retired = 0;
   for (auto _ : state) {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    vm::Machine machine(run.artifacts.program, run.host);
+    vm::CompiledMachine machine(run.artifacts.program, run.host);
     retired = machine.run().retired;
   }
   state.counters["instr/s"] = benchmark::Counter(
@@ -63,9 +71,9 @@ void BM_VmTquad(benchmark::State& state) {
   std::uint64_t retired = 0;
   for (auto _ : state) {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = slice});
-    retired = engine.run().retired;
+    tquad::TQuadTool tool(run.artifacts.program,
+                          tquad::Options{.slice_interval = slice});
+    retired = profile_alone(run, tool);
     benchmark::DoNotOptimize(tool.total_retired());
   }
   state.counters["instr/s"] = benchmark::Counter(
@@ -78,9 +86,8 @@ void BM_VmQuad(benchmark::State& state) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   for (auto _ : state) {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    quad::QuadTool tool(engine);
-    engine.run();
+    quad::QuadTool tool(run.artifacts.program);
+    profile_alone(run, tool);
     benchmark::DoNotOptimize(tool.kernel_count());
   }
 }
@@ -90,9 +97,8 @@ void BM_VmGprof(benchmark::State& state) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   for (auto _ : state) {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    gprof::GprofTool tool(engine, {});
-    engine.run();
+    gprof::GprofTool tool(run.artifacts.program);
+    profile_alone(run, tool);
     benchmark::DoNotOptimize(tool.total_retired());
   }
 }
@@ -132,28 +138,28 @@ void print_headline_slowdowns() {
     benchmark::DoNotOptimize(wfs::run_golden(cfg, input));
   });
   std::uint64_t retired = 0;
+  // Uninstrumented baseline on the same (compiled) engine the profiled rows
+  // use, so "vs plain VM" is the cost the tools add.
   const double native_s = time_once([&] {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    vm::Machine machine(run.artifacts.program, run.host);
+    vm::CompiledMachine machine(run.artifacts.program, run.host);
     retired = machine.run().retired;
   });
   const double tquad_fine_s = time_once([&] {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = 5000});
-    engine.run();
+    tquad::TQuadTool tool(run.artifacts.program, tquad::Options{.slice_interval = 5000});
+    profile_alone(run, tool);
   });
   const double tquad_coarse_s = time_once([&] {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = 10'000'000});
-    engine.run();
+    tquad::TQuadTool tool(run.artifacts.program,
+                          tquad::Options{.slice_interval = 10'000'000});
+    profile_alone(run, tool);
   });
   const double quad_s = time_once([&] {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    quad::QuadTool tool(engine);
-    engine.run();
+    quad::QuadTool tool(run.artifacts.program);
+    profile_alone(run, tool);
   });
 
   std::printf("\n== headline slowdowns (standard configuration, %s instructions) ==\n",
@@ -176,8 +182,10 @@ void print_headline_slowdowns() {
 }
 
 /// One-shot single-pass-vs-three-pass comparison on the standard
-/// configuration, with a machine-readable BENCH_session.json for CI.
-/// Returns false if the combined session fails the 1.8x speedup floor.
+/// configuration, with a machine-readable BENCH_session.json for CI. Both
+/// sides run on the same (default compiled) engine: three one-tool sessions
+/// against one session feeding all three tools. Returns false if the
+/// combined session fails the 1.8x speedup floor.
 bool print_session_speedup() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
   const tquad::Options tquad_options{.slice_interval = 5000};
@@ -192,21 +200,18 @@ bool print_session_speedup() {
     const double three = time_once([&] {
       {
         wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-        pin::Engine engine(run.artifacts.program, run.host);
-        tquad::TQuadTool tool(engine, tquad_options);
-        retired = engine.run().retired;
+        tquad::TQuadTool tool(run.artifacts.program, tquad_options);
+        retired = profile_alone(run, tool);
       }
       {
         wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-        pin::Engine engine(run.artifacts.program, run.host);
-        quad::QuadTool tool(engine);
-        engine.run();
+        quad::QuadTool tool(run.artifacts.program);
+        profile_alone(run, tool);
       }
       {
         wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-        pin::Engine engine(run.artifacts.program, run.host);
-        gprof::GprofTool tool(engine, {});
-        engine.run();
+        gprof::GprofTool tool(run.artifacts.program);
+        profile_alone(run, tool);
       }
     });
 

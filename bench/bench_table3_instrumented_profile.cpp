@@ -10,9 +10,9 @@
 #include <map>
 
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
 #include "quad/instrumented_profile.hpp"
 #include "quad/quad_tool.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "wfs/runner.hpp"
@@ -37,17 +37,15 @@ int main(int argc, char** argv) {
   const wfs::WfsConfig cfg =
       cli.flag("tiny") ? wfs::WfsConfig::tiny() : wfs::WfsConfig::standard();
 
-  // Baseline profile (Table I basis) from an uninstrumented-cost run.
-  wfs::WfsRun base_run = wfs::prepare_wfs_run(cfg);
-  pin::Engine base_engine(base_run.artifacts.program, base_run.host);
-  gprof::GprofTool base_tool(base_engine, {});
-  base_engine.run();
-
-  // QUAD run for the access mix.
-  wfs::WfsRun quad_run = wfs::prepare_wfs_run(cfg);
-  pin::Engine quad_engine(quad_run.artifacts.program, quad_run.host);
-  quad::QuadTool quad_tool(quad_engine);
-  quad_engine.run();
+  // One run feeds both the baseline profile (Table I basis) and QUAD's
+  // per-kernel access mix.
+  wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
+  session::ProfileSession session(run.artifacts.program);
+  gprof::GprofTool base_tool(run.artifacts.program);
+  quad::QuadTool quad_tool(run.artifacts.program);
+  session.add_consumer(base_tool);
+  session.add_consumer(quad_tool);
+  session.run_live(run.host);
 
   quad::CostModel model;
   model.per_memory_stub = static_cast<std::uint64_t>(cli.integer("stub_cost"));

@@ -15,7 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "tquad/consensus.hpp"
@@ -67,26 +67,29 @@ int main(int argc, char** argv) {
   const wfs::WfsConfig cfg =
       cli.flag("tiny") ? wfs::WfsConfig::tiny() : wfs::WfsConfig::standard();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::Options options;
-  options.slice_interval = static_cast<std::uint64_t>(cli.integer("slice"));
-  tquad::TQuadTool tool(engine, options);
-  engine.run();
+  const vm::Program& program = run.artifacts.program;
+  const auto slice = static_cast<std::uint64_t>(cli.integer("slice"));
+  // One run feeds every slice setting the table needs: the main pass, two
+  // consensus passes at neighbouring intervals, and the burst-resolution
+  // pass at 500 instructions (see the peak check below).
+  session::ProfileSession session(program);
+  tquad::TQuadTool tool(program, tquad::Options{.slice_interval = slice});
+  tquad::TQuadTool half_tool(program, tquad::Options{.slice_interval = slice / 2});
+  tquad::TQuadTool double_tool(program, tquad::Options{.slice_interval = slice * 2});
+  tquad::TQuadTool fine_tool(program, tquad::Options{.slice_interval = 500});
+  session.add_consumer(tool);
+  session.add_consumer(half_tool);
+  session.add_consumer(double_tool);
+  session.add_consumer(fine_tool);
+  session.run_live(run.host);
 
   // The paper averages the bandwidth columns "over several passes with
   // different time slices" and prints "<" bounds where passes disagree;
-  // run two more passes at neighbouring intervals for the consensus.
+  // the two neighbouring intervals supply the extra passes.
   tquad::BandwidthConsensus consensus(0.10);
   consensus.add_pass(tool);
-  for (const std::uint64_t extra :
-       {options.slice_interval / 2, options.slice_interval * 2}) {
-    wfs::WfsRun pass_run = wfs::prepare_wfs_run(cfg);
-    pin::Engine pass_engine(pass_run.artifacts.program, pass_run.host);
-    tquad::TQuadTool pass_tool(pass_engine,
-                               tquad::Options{.slice_interval = extra});
-    pass_engine.run();
-    consensus.add_pass(pass_tool);
-  }
+  consensus.add_pass(half_tool);
+  consensus.add_pass(double_tool);
   std::vector<tquad::BandwidthConsensus::Row> consensus_rows = consensus.rows();
   auto consensus_row =
       [&](std::uint32_t kernel) -> const tquad::BandwidthConsensus::Row* {
@@ -103,7 +106,7 @@ int main(int argc, char** argv) {
   std::printf("slice interval %llu instructions; %llu time slices measured; "
               "bandwidth columns averaged over %llu passes ('<' marks "
               "pass-inconsistent upper bounds, as in the paper)\n\n",
-              static_cast<unsigned long long>(options.slice_interval),
+              static_cast<unsigned long long>(slice),
               static_cast<unsigned long long>(slices),
               static_cast<unsigned long long>(consensus.passes()));
 
@@ -126,7 +129,7 @@ int main(int argc, char** argv) {
     for (auto k : phase.kernels) {
       if (tool.kernel_name(k) == "main") continue;  // driver, not a kernel
       const auto stats = tquad::bandwidth_stats(tool.bandwidth().kernel(k),
-                                                options.slice_interval);
+                                                slice);
       aggregate += stats.max_rw_incl;
       global_max_bpi = std::max(global_max_bpi, stats.max_rw_incl);
       if (tool.kernel_name(k) == "AudioIo_setFrames") {
@@ -182,29 +185,23 @@ int main(int argc, char** argv) {
               save_span_fraction * 100.0);
 
   // Burst-resolution peak: at this scaled-down workload a copy burst is
-  // shorter than a 5000-instruction slice, diluting the peak; re-measure
-  // with slices matched to the burst length (still within the paper's
+  // shorter than a 5000-instruction slice, diluting the peak; the fine pass
+  // uses slices matched to the burst length (still within the paper's
   // 5e3..1e8 sweep, relative to run length).
-  {
-    wfs::WfsRun fine_run = wfs::prepare_wfs_run(cfg);
-    pin::Engine fine_engine(fine_run.artifacts.program, fine_run.host);
-    tquad::TQuadTool fine_tool(fine_engine, tquad::Options{.slice_interval = 500});
-    fine_engine.run();
-    double set_peak = 0.0;
-    double other_peak = 0.0;
-    for (std::uint32_t k = 0; k < fine_tool.kernel_count(); ++k) {
-      if (!fine_tool.reported(k) || fine_tool.kernel_name(k) == "main") continue;
-      const auto stats =
-          tquad::bandwidth_stats(fine_tool.bandwidth().kernel(k), 500);
-      if (fine_tool.kernel_name(k) == "AudioIo_setFrames") {
-        set_peak = stats.max_rw_incl;
-      } else {
-        other_peak = std::max(other_peak, stats.max_rw_incl);
-      }
+  double set_peak = 0.0;
+  double other_peak = 0.0;
+  for (std::uint32_t k = 0; k < fine_tool.kernel_count(); ++k) {
+    if (!fine_tool.reported(k) || fine_tool.kernel_name(k) == "main") continue;
+    const auto stats =
+        tquad::bandwidth_stats(fine_tool.bandwidth().kernel(k), 500);
+    if (fine_tool.kernel_name(k) == "AudioIo_setFrames") {
+      set_peak = stats.max_rw_incl;
+    } else {
+      other_peak = std::max(other_peak, stats.max_rw_incl);
     }
-    std::printf("  at burst resolution (slice 500): setFrames %.1f B/instr vs next "
-                "%.1f — %.1fx dominance\n",
-                set_peak, other_peak, other_peak > 0 ? set_peak / other_peak : 0.0);
   }
+  std::printf("  at burst resolution (slice 500): setFrames %.1f B/instr vs next "
+              "%.1f — %.1fx dominance\n",
+              set_peak, other_peak, other_peak > 0 ? set_peak / other_peak : 0.0);
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "session/session.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/crc32c.hpp"
@@ -17,7 +18,6 @@
 #include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
-#include "vm/machine.hpp"
 #include "workloads/workloads.hpp"
 
 namespace {
@@ -32,9 +32,10 @@ double seconds_since(Clock::time_point start) {
 trace::Trace record_stream_trace(std::uint32_t elements, std::uint32_t iterations) {
   const workloads::StreamArtifacts stream = workloads::build_stream(elements, iterations);
   vm::HostEnv host;
+  session::ProfileSession session(stream.program);
   trace::TraceRecorder recorder(stream.program);
-  vm::Machine machine(stream.program, host);
-  machine.run(&recorder);
+  session.add_consumer(recorder);
+  session.run_live(host);
   return recorder.take();
 }
 

@@ -10,8 +10,10 @@
 //   ./build/examples/phase_explorer              # wfs tiny workload
 //   ./build/examples/phase_explorer -standard    # full workload
 #include <cstdio>
+#include <memory>
+#include <vector>
 
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "tquad/phase.hpp"
@@ -32,12 +34,21 @@ int main(int argc, char** argv) {
   const wfs::WfsConfig cfg =
       cli.flag("standard") ? wfs::WfsConfig::standard() : wfs::WfsConfig::tiny();
 
+  // One run feeds a tQUAD pass per slice interval.
   const std::uint64_t intervals[] = {500, 5'000, 50'000, 500'000};
+  wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
+  session::ProfileSession session(run.artifacts.program);
+  std::vector<std::unique_ptr<tquad::TQuadTool>> tools;
   for (const std::uint64_t interval : intervals) {
-    wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = interval});
-    engine.run();
+    tools.push_back(std::make_unique<tquad::TQuadTool>(
+        run.artifacts.program, tquad::Options{.slice_interval = interval}));
+    session.add_consumer(*tools.back());
+  }
+  session.run_live(run.host);
+
+  for (const auto& pass : tools) {
+    const tquad::TQuadTool& tool = *pass;
+    const std::uint64_t interval = tool.options().slice_interval;
     const auto phases = tquad::detect_phases(tool);
     std::printf("== slice interval %s: %llu slices, %zu phases ==\n",
                 format_count(interval).c_str(),

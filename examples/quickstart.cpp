@@ -1,14 +1,14 @@
 // Quickstart: profile a small guest program with tQUAD in ~60 lines.
 //
 //   1. Write a guest program with the gasm builder (or load a TQIM image).
-//   2. Wire a minipin Engine and attach the TQuadTool.
+//   2. Open a ProfileSession and register the TQuadTool on it.
 //   3. Run, then read flat profile, per-kernel bandwidth and activity spans.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "tquad/report.hpp"
 #include "tquad/tquad_tool.hpp"
 
@@ -49,13 +49,14 @@ int main() {
   main_fn.halt();
   vm::Program program = prog.build("main");
 
-  // -- 2. engine + tool ------------------------------------------------------
+  // -- 2. session + tool -----------------------------------------------------
   vm::HostEnv host;
-  pin::Engine engine(program, host);
-  tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = 10'000});
+  session::ProfileSession session(program);
+  tquad::TQuadTool tool(program, tquad::Options{.slice_interval = 10'000});
+  session.add_consumer(tool);
 
   // -- 3. run and report -----------------------------------------------------
-  const vm::RunResult result = engine.run();
+  const vm::RunOutcome result = session.run_live(host);
   std::printf("retired %s instructions\n\n", format_count(result.retired).c_str());
   std::fputs(tquad::flat_profile_table(tool).to_ascii().c_str(), stdout);
 

@@ -16,8 +16,8 @@
 #include <cstdio>
 
 #include "cluster/cluster.hpp"
-#include "minipin/minipin.hpp"
 #include "quad/quad_tool.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
 #include "tquad/report.hpp"
@@ -38,12 +38,14 @@ int main(int argc, char** argv) {
   const wfs::WfsConfig cfg =
       cli.flag("standard") ? wfs::WfsConfig::standard() : wfs::WfsConfig::tiny();
 
-  // One engine, both tools (minipin composes them on a single run).
+  // One session, both tools, a single run.
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  quad::QuadTool quad_tool(engine);
-  tquad::TQuadTool tq_tool(engine, tquad::Options{.slice_interval = 2000});
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  quad::QuadTool quad_tool(run.artifacts.program);
+  tquad::TQuadTool tq_tool(run.artifacts.program, tquad::Options{.slice_interval = 2000});
+  session.add_consumer(quad_tool);
+  session.add_consumer(tq_tool);
+  session.run_live(run.host);
 
   std::uint64_t run_instr = 0;
   for (std::uint32_t k = 0; k < quad_tool.kernel_count(); ++k) {

@@ -9,8 +9,8 @@
 #include <cstdio>
 
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
 #include "quad/quad_tool.hpp"
+#include "session/session.hpp"
 #include "support/ascii_chart.hpp"
 #include "support/cli.hpp"
 #include "tquad/phase.hpp"
@@ -33,40 +33,36 @@ int main(int argc, char** argv) {
   const wfs::WfsConfig cfg =
       cli.flag("tiny") ? wfs::WfsConfig::tiny() : wfs::WfsConfig::standard();
 
+  // One session runs all three tools on a single execution.
+  wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
+  const vm::Program& program = run.artifacts.program;
+  session::ProfileSession session(program);
+  gprof::GprofTool gprof_tool(program);
+  quad::QuadTool quad_tool(program);
+  tquad::TQuadTool tool(
+      program,
+      tquad::Options{.slice_interval = static_cast<std::uint64_t>(cli.integer("slice"))});
+  session.add_consumer(gprof_tool);
+  session.add_consumer(quad_tool);
+  session.add_consumer(tool);
+  session.run_live(run.host);
+
   // --- step 1: gprof-style flat profile (find the top kernels) --------------
   std::printf("=== step 1: flat profile (gsim) ===\n");
-  {
-    wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    gprof::GprofTool tool(engine, {});
-    engine.run();
-    std::fputs(tool.flat_profile_table().to_ascii().c_str(), stdout);
-  }
+  std::fputs(gprof_tool.flat_profile_table().to_ascii().c_str(), stdout);
 
   // --- step 2: QUAD data-communication overview ------------------------------
   std::printf("\n=== step 2: QUAD producer/consumer bindings (top 10 by bytes) ===\n");
-  {
-    wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-    pin::Engine engine(run.artifacts.program, run.host);
-    quad::QuadTool tool(engine);
-    engine.run();
-    const auto edges = tool.bindings();
-    for (std::size_t i = 0; i < edges.size() && i < 10; ++i) {
-      std::printf("  %-24s -> %-24s %s\n",
-                  tool.kernel_name(edges[i].producer).c_str(),
-                  tool.kernel_name(edges[i].consumer).c_str(),
-                  format_bytes(edges[i].bytes).c_str());
-    }
+  const auto edges = quad_tool.bindings();
+  for (std::size_t i = 0; i < edges.size() && i < 10; ++i) {
+    std::printf("  %-24s -> %-24s %s\n",
+                quad_tool.kernel_name(edges[i].producer).c_str(),
+                quad_tool.kernel_name(edges[i].consumer).c_str(),
+                format_bytes(edges[i].bytes).c_str());
   }
 
   // --- step 3: tQUAD temporal bandwidth + phases -----------------------------
   std::printf("\n=== step 3: tQUAD temporal analysis ===\n");
-  wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::Options options;
-  options.slice_interval = static_cast<std::uint64_t>(cli.integer("slice"));
-  tquad::TQuadTool tool(engine, options);
-  engine.run();
 
   std::printf("kernel activity over time (read+write bytes per slice):\n");
   std::vector<ChartSeries> series;

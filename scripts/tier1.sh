@@ -12,15 +12,16 @@ cmake --build --preset default -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 # 2. ASan+UBSan on the trace stack and the session layer: codec
-#    round-trips, differential sweeps (including single-pass-vs-standalone
-#    and replay-vs-live equivalence), the decoder fuzzers and the v2.1
+#    round-trips, differential sweeps (including replay-vs-live
+#    equivalence), the decoder fuzzers and the v2.1
 #    corruption/salvage suite (the tests most likely to walk off a buffer),
 #    plus the fault-injection differential harness.
 #    The workload-zoo suites ride along so every registered memory shape
 #    (hash-join scatter, phase-sharp buffers, ...) is exercised under the
 #    sanitizers too, and the engine differential suite runs the compiled
 #    (fused-op) engine against the reference interpreter — including the
-#    trap-at-N prefix contract — with ASan watching the lowered arrays.
+#    trap-at-N prefix contract and the non-default library policies — with
+#    ASan watching the lowered arrays.
 #    The page-directory suites (guest memory, UnMA sets, QUAD shadow) ride
 #    along too: the directory hands out cached raw page pointers, and a
 #    pointer left dangling by a move, clear or shard adoption is exactly
@@ -29,12 +30,11 @@ cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_trace test_trace_v2_codec test_trace_offline_differential \
     test_fuzz_decoders test_trace_salvage test_fault_injection \
-    test_session test_session_differential test_session_replay \
-    test_session_pipeline \
+    test_session test_session_replay test_session_pipeline \
     test_support_metrics test_workload_zoo test_engine_differential \
     test_support_address_set test_support_paged_memory test_quad_shadow
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow)$'
+    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow)$'
 
 # 3. ThreadSanitizer on everything that spawns threads: the parallel
 #    analysis pipeline (rings, doorbells, shard merge, drain barrier,
@@ -46,11 +46,11 @@ ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
     test_support_thread_pool test_support_metrics test_session \
-    test_session_differential test_session_replay test_session_pipeline \
+    test_session_replay test_session_pipeline \
     test_trace test_fault_injection test_support_crc32c \
     test_workload_zoo test_trace_offline_differential test_engine_differential
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-    -R '^(test_support_thread_pool|test_support_metrics|test_session|test_session_differential|test_session_replay|test_session_pipeline|test_trace|test_fault_injection|test_support_crc32c|test_workload_zoo|test_trace_offline_differential|test_engine_differential)$'
+    -R '^(test_support_thread_pool|test_support_metrics|test_session|test_session_replay|test_session_pipeline|test_trace|test_fault_injection|test_support_crc32c|test_workload_zoo|test_trace_offline_differential|test_engine_differential)$'
 
 # 4. Farm smoke under ASan: the supervisor's fork/exec/waitpid plumbing and
 #    the sidecar/manifest codecs run sanitized end to end — a two-worker

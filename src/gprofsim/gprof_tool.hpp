@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "minipin/minipin.hpp"
 #include "session/events.hpp"
 #include "tquad/callstack.hpp"
 #include "support/table.hpp"
@@ -50,12 +49,10 @@ struct FlatRow {
   double total_ms_per_call = 0.0; ///< "total ms/call" (inclusive)
 };
 
-/// The profiler tool. Construct before the run (standalone with an Engine,
-/// or session mode with a Program plus ProfileSession::add_consumer — use
-/// the same library policy as the session); query afterwards.
+/// The profiler tool. Register with ProfileSession::add_consumer before the
+/// run (use the same library policy as the session); query afterwards.
 class GprofTool : public session::AnalysisConsumer {
  public:
-  GprofTool(pin::Engine& engine, Options options = {});
   GprofTool(const vm::Program& program, Options options = {});
 
   GprofTool(const GprofTool&) = delete;
@@ -98,8 +95,8 @@ class GprofTool : public session::AnalysisConsumer {
     return program_.functions()[kernel].name;
   }
 
-  // session::AnalysisConsumer (session mode). Memory accesses carry nothing
-  // a call-graph profile uses.
+  // session::AnalysisConsumer. Memory accesses carry nothing a call-graph
+  // profile uses.
   unsigned event_interests() const override {
     return kEnterInterest | kTickInterest | kRetInterest;
   }
@@ -110,28 +107,14 @@ class GprofTool : public session::AnalysisConsumer {
   void on_session_end(std::uint64_t total_retired) override;
   void on_finish(const vm::RunOutcome& outcome) override { outcome_ = outcome; }
 
-  /// How the observed run ended (session mode; kHalted for a clean run).
+  /// How the observed run ended (kHalted for a clean run).
   /// A trapped/truncated outcome means the profile is a valid prefix.
   const vm::RunOutcome& outcome() const noexcept { return outcome_; }
 
  private:
-  static void enter_fc(void* tool, const pin::RtnArgs& args);
-  static void on_ret(void* tool, const pin::InsArgs& args);
-  static void on_instr_tick(void* tool, const pin::InsArgs& args);
-
-  void instrument_rtn(pin::Rtn& rtn);
-  void instrument_ins(pin::Ins& ins);
-
-  // Mode-independent accounting.
-  void account_enter(std::uint32_t func, std::uint32_t caller, bool tracked,
-                     std::uint64_t retired);
-  void account_tick(std::uint32_t func, bool tracked, std::uint64_t retired);
-  void account_ret(std::uint32_t func, bool tracked, std::uint64_t retired);
-  void account_fini(std::uint64_t retired);
-
   const vm::Program& program_;
   Options options_;
-  tquad::CallStack stack_;  ///< standalone attribution; static tables in session mode
+  std::vector<bool> tracked_;  ///< flat_profile() rows under the library policy
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> edges_;
   std::vector<std::uint64_t> self_instrs_;
   std::vector<std::uint64_t> samples_;

@@ -4,54 +4,18 @@
 #include <sstream>
 
 #include "support/metrics.hpp"
-#include "vm/stack_addr.hpp"
 
 namespace tq::quad {
 
 QuadTool::QuadTool(const vm::Program& program, Options options)
-    : program_(program), stack_(program, options.library_policy) {
+    : program_(program),
+      tracked_(tquad::tracked_functions(program, options.library_policy)) {
   const std::size_t n = program.functions().size();
   TQUAD_CHECK(n < kNoProducer, "too many functions for 16-bit producer ids");
   state_.init(n);
   instrs_.assign(n, 0);
   calls_.assign(n, 0);
   mem_refs_.assign(n, 0);
-}
-
-QuadTool::QuadTool(pin::Engine& engine, Options options)
-    : QuadTool(engine.program(), options) {
-  engine.add_rtn_instrument_function([this](pin::Rtn& rtn) { instrument_rtn(rtn); });
-  engine.add_ins_instrument_function([this](pin::Ins& ins) { instrument_ins(ins); });
-}
-
-void QuadTool::instrument_rtn(pin::Rtn& rtn) {
-  rtn.insert_entry_call(&QuadTool::enter_fc, this);
-}
-
-void QuadTool::instrument_ins(pin::Ins& ins) {
-  ins.insert_call(&QuadTool::on_instr_tick, this);
-  if (ins.is_memory_read()) {
-    ins.insert_predicated_call(&QuadTool::on_read, this);
-  }
-  if (ins.is_memory_write()) {
-    ins.insert_predicated_call(&QuadTool::on_write, this);
-  }
-  if (ins.is_ret()) {
-    ins.insert_predicated_call(&QuadTool::on_ret, this);
-  }
-}
-
-// ---- mode-independent accounting ----------------------------------------------
-
-void QuadTool::account_enter(std::uint32_t func, bool tracked) {
-  if (tracked) ++calls_[func];
-}
-
-void QuadTool::account_tick(std::uint32_t kernel, std::uint32_t read_size,
-                            std::uint32_t write_size) {
-  if (kernel == tquad::kNoKernel) return;
-  ++instrs_[kernel];
-  if (read_size != 0 || write_size != 0) ++mem_refs_[kernel];
 }
 
 void QuadTool::account_read(AddressState& state, std::uint32_t reader,
@@ -103,50 +67,14 @@ void QuadTool::account_write(AddressState& state, std::uint32_t writer,
   state.shadow.mark_write(ea, size, static_cast<ProducerId>(writer));
 }
 
-// ---- standalone trampolines -----------------------------------------------------
-
-void QuadTool::enter_fc(void* tool, const pin::RtnArgs& args) {
-  auto& self = *static_cast<QuadTool*>(tool);
-  self.stack_.on_enter(args.func);
-  self.account_enter(args.func, self.stack_.tracked(args.func));
-}
-
-void QuadTool::on_instr_tick(void* tool, const pin::InsArgs& args) {
-  auto& self = *static_cast<QuadTool*>(tool);
-  self.account_tick(self.stack_.top(), args.read_size, args.write_size);
-}
-
-void QuadTool::on_read(void* tool, const pin::InsArgs& args) {
-  if (args.is_prefetch) return;
-  auto& self = *static_cast<QuadTool*>(tool);
-  const std::uint32_t reader = self.stack_.top();
-  if (reader == tquad::kNoKernel) return;
-  account_read(self.state_, reader, args.read_ea, args.read_size,
-               vm::is_stack_addr(args.read_ea, args.sp), true);
-}
-
-void QuadTool::on_write(void* tool, const pin::InsArgs& args) {
-  if (args.is_prefetch) return;
-  auto& self = *static_cast<QuadTool*>(tool);
-  const std::uint32_t writer = self.stack_.top();
-  if (writer == tquad::kNoKernel) return;
-  account_write(self.state_, writer, args.write_ea, args.write_size,
-                vm::is_stack_addr(args.write_ea, args.sp), true);
-}
-
-void QuadTool::on_ret(void* tool, const pin::InsArgs& args) {
-  auto& self = *static_cast<QuadTool*>(tool);
-  self.stack_.on_ret(args.func);
-}
-
-// ---- session-mode consumer ------------------------------------------------------
-
 void QuadTool::on_kernel_enter(const session::EnterEvent& event) {
-  account_enter(event.func, event.tracked);
+  if (event.tracked) ++calls_[event.func];
 }
 
 void QuadTool::on_tick(const session::TickEvent& event) {
-  account_tick(event.kernel, event.read_size, event.write_size);
+  if (event.kernel == tquad::kNoKernel) return;
+  ++instrs_[event.kernel];
+  if (event.read_size != 0 || event.write_size != 0) ++mem_refs_[event.kernel];
 }
 
 void QuadTool::on_tick_run(const session::TickRunEvent& run) {
@@ -156,15 +84,7 @@ void QuadTool::on_tick_run(const session::TickRunEvent& run) {
 }
 
 void QuadTool::on_access(const session::AccessEvent& event) {
-  if (event.is_prefetch) return;  // QUAD never traces prefetch touches
-  if (event.kernel == tquad::kNoKernel) return;
-  if (event.is_read) {
-    account_read(state_, event.kernel, event.ea, event.size, event.is_stack,
-                 true);
-  } else {
-    account_write(state_, event.kernel, event.ea, event.size, event.is_stack,
-                  true);
-  }
+  QuadTool::apply_access_shard(0, event, true);  // serial: shard 0 is state_
 }
 
 // ---- sharded access accounting (parallel pipeline) ------------------------------

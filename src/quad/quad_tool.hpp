@@ -1,4 +1,4 @@
-// The QUAD memory-access-pattern analyser as a minipin tool.
+// The QUAD memory-access-pattern analyser as a ProfileSession consumer.
 //
 // QUAD (reference [4] of the tQUAD paper) reveals quantitative data
 // communication between kernels: for every kernel it reports
@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "minipin/minipin.hpp"
 #include "quad/shadow.hpp"
 #include "session/events.hpp"
 #include "support/address_set.hpp"
@@ -94,15 +93,13 @@ struct QuadOptions {
   tquad::LibraryPolicy library_policy = tquad::LibraryPolicy::kExclude;
 };
 
-/// The QUAD tool. Construct before the run (standalone with an Engine, or
-/// session mode with a Program plus ProfileSession::add_consumer — use the
-/// same library policy as the session); query afterwards.
+/// The QUAD tool. Register with ProfileSession::add_consumer before the run
+/// (use the same library policy as the session); query afterwards.
 class QuadTool : public session::AnalysisConsumer,
                  public session::ShardedAccessConsumer {
  public:
   using Options = QuadOptions;
 
-  QuadTool(pin::Engine& engine, Options options = {});
   QuadTool(const vm::Program& program, Options options = {});
 
   QuadTool(const QuadTool&) = delete;
@@ -112,7 +109,7 @@ class QuadTool : public session::AnalysisConsumer,
   const std::string& kernel_name(std::uint32_t kernel) const {
     return program_.functions()[kernel].name;
   }
-  bool reported(std::uint32_t kernel) const noexcept { return stack_.tracked(kernel); }
+  bool reported(std::uint32_t kernel) const noexcept { return tracked_[kernel]; }
 
   /// Counters with stack accesses included / excluded.
   const KernelCounters& including_stack(std::uint32_t kernel) const {
@@ -148,9 +145,9 @@ class QuadTool : public session::AnalysisConsumer,
   std::string qdu_graph_dot() const;
 
   const ShadowMemory& shadow() const noexcept { return state_.shadow; }
-  const tquad::CallStack& callstack() const noexcept { return stack_; }
 
-  // session::AnalysisConsumer (session mode). No return accounting.
+  // session::AnalysisConsumer. No return accounting; QUAD never traces
+  // prefetch touches.
   unsigned event_interests() const override {
     return kEnterInterest | kTickInterest | kAccessInterest;
   }
@@ -175,7 +172,7 @@ class QuadTool : public session::AnalysisConsumer,
     return static_cast<unsigned>(shards_.size()) + 1;
   }
 
-  /// How the observed run ended (session mode; kHalted for a clean run).
+  /// How the observed run ended (kHalted for a clean run).
   /// A trapped/truncated outcome means the profile is a valid prefix.
   const vm::RunOutcome& outcome() const noexcept { return outcome_; }
 
@@ -184,15 +181,6 @@ class QuadTool : public session::AnalysisConsumer,
   void publish_metrics(metrics::Registry& registry) const;
 
  private:
-  static void enter_fc(void* tool, const pin::RtnArgs& args);
-  static void on_read(void* tool, const pin::InsArgs& args);
-  static void on_write(void* tool, const pin::InsArgs& args);
-  static void on_ret(void* tool, const pin::InsArgs& args);
-  static void on_instr_tick(void* tool, const pin::InsArgs& args);
-
-  void instrument_rtn(pin::Rtn& rtn);
-  void instrument_ins(pin::Ins& ins);
-
   struct BindingAccum {
     std::uint64_t bytes = 0;
     AddressSet unma;
@@ -224,12 +212,9 @@ class QuadTool : public session::AnalysisConsumer,
     }
   };
 
-  // Mode-independent accounting. `count_access` is false for the
-  // continuation pieces of a page-split access, so the per-access counter
-  // increments exactly once per original access.
-  void account_enter(std::uint32_t func, bool tracked);
-  void account_tick(std::uint32_t kernel, std::uint32_t read_size,
-                    std::uint32_t write_size);
+  // Per-address accounting into one shard's state. `count_access` is false
+  // for the continuation pieces of a page-split access, so the per-access
+  // counter increments exactly once per original access.
   static void account_read(AddressState& state, std::uint32_t reader,
                            std::uint64_t ea, std::uint32_t size,
                            bool stack_area, bool count_access);
@@ -238,7 +223,7 @@ class QuadTool : public session::AnalysisConsumer,
                             bool stack_area, bool count_access);
 
   const vm::Program& program_;
-  tquad::CallStack stack_;  ///< standalone attribution; static tables in session mode
+  std::vector<bool> tracked_;  ///< reported() table under the library policy
   AddressState state_;      ///< serial accounting, and shard 0 in parallel mode
   std::vector<std::unique_ptr<AddressState>> shards_;  ///< shards 1..N-1
   std::vector<std::uint64_t> instrs_;

@@ -1,6 +1,6 @@
 // The shared kernel-attribution service.
 //
-// Exactly one CallStack per run, owned here, replacing the per-tool copies:
+// Exactly one CallStack per run, owned here — no tool keeps its own:
 // event sources (the live minipin engine or a trace replay) push the raw
 // enter/tick/access/ret stream through input_*(), KernelAttribution stamps
 // each event with the current attribution state, and every registered

@@ -33,7 +33,7 @@ struct EnterEvent {
 
 /// One retired instruction, including predicated-off ones. `read_size` /
 /// `write_size` are the architectural operand widths (populated even when
-/// the predicate was off, matching pin::InsArgs).
+/// the predicate was off, matching vm::ProbeArgs).
 struct TickEvent {
   std::uint32_t func = 0;    ///< function whose instruction retired
   std::uint32_t kernel = 0;  ///< attribution top (kNoKernel while suspended)
@@ -83,7 +83,7 @@ struct RetEvent {
   bool tracked = false;
 };
 
-/// A profiling tool in session mode: pure accounting over attributed events.
+/// A profiling tool: pure accounting over attributed events.
 /// Within one instruction, accesses come read before write, then the
 /// return; routine entries land after their call instruction's events.
 /// Ticks arrive either exactly (on_tick, in stream position) or batched

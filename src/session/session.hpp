@@ -12,9 +12,10 @@
 //              ├─> gprof::GprofTool
 //              └─> trace::TraceRecorder
 //
-// Consumers constructed in session mode must use the same library policy as
-// the session: the shared stack is the single source of attribution truth,
-// and a tool's own policy only feeds its static reported()/tracked() tables.
+// Tools are consumers only: none keeps its own call stack. Each must be
+// built with the same library policy as the session — the shared stack is
+// the single source of attribution truth, and a tool's own policy only
+// feeds its static reported() table.
 #pragma once
 
 #include <chrono>

@@ -2,15 +2,22 @@
 
 namespace tq::tquad {
 
-CallStack::CallStack(const vm::Program& program, LibraryPolicy policy)
-    : policy_(policy) {
+std::vector<bool> tracked_functions(const vm::Program& program, LibraryPolicy policy) {
   const auto& functions = program.functions();
-  tracked_.resize(functions.size());
-  excluded_.resize(functions.size());
+  std::vector<bool> tracked(functions.size());
   for (std::size_t i = 0; i < functions.size(); ++i) {
-    const bool main_image = functions[i].image == vm::ImageKind::kMain;
-    tracked_[i] = main_image || policy == LibraryPolicy::kTrack;
-    excluded_[i] = !main_image && policy == LibraryPolicy::kExclude;
+    tracked[i] = functions[i].image == vm::ImageKind::kMain ||
+                 policy == LibraryPolicy::kTrack;
+  }
+  return tracked;
+}
+
+CallStack::CallStack(const vm::Program& program, LibraryPolicy policy)
+    : tracked_(tracked_functions(program, policy)), policy_(policy) {
+  // Untracked routines are pushed as suspension markers under kExclude.
+  excluded_.resize(tracked_.size());
+  for (std::size_t i = 0; i < tracked_.size(); ++i) {
+    excluded_[i] = !tracked_[i] && policy == LibraryPolicy::kExclude;
   }
   frames_.reserve(64);
 }

@@ -35,6 +35,10 @@ enum class LibraryPolicy : std::uint8_t {
 /// Sentinel kernel id meaning "no attributable kernel".
 inline constexpr std::uint32_t kNoKernel = 0xffffffffu;
 
+/// Per-function "pushed and reported" table under `policy`: main-image
+/// routines always, library routines only under kTrack.
+std::vector<bool> tracked_functions(const vm::Program& program, LibraryPolicy policy);
+
 /// Dynamically maintained call stack of kernel (function) ids.
 class CallStack {
  public:

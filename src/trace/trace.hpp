@@ -4,13 +4,13 @@
 // (slow) instrumented guest pays for every analysis. This module decouples
 // them, the way production DBI setups do (Pin's logger/replayer tools):
 //
-//   * TraceRecorder is an ExecListener that captures the profiler-relevant
-//     event stream — routine entries/returns and memory accesses, each
-//     pre-attributed to the kernel on top of the call stack and pre-classified
-//     stack/global — serialisable to the "TQTR" file family: v1 is a flat
-//     28-bytes/event array, v2 (trace_v2.hpp) a block-compressed layout
-//     ~4-6x smaller that also enables block-parallel replay. Readers
-//     auto-detect the version.
+//   * TraceRecorder is a ProfileSession consumer that captures the
+//     profiler-relevant event stream — routine entries/returns and memory
+//     accesses, each pre-attributed to the kernel on top of the call stack
+//     and pre-classified stack/global — serialisable to the "TQTR" file
+//     family: v1 is a flat 28-bytes/event array, v2 (trace_v2.hpp) a
+//     block-compressed layout ~4-6x smaller that also enables
+//     block-parallel replay. Readers auto-detect the version.
 //   * replay() feeds a recorded trace back into any TraceSink, so many
 //     analyses run from one guest execution.
 //   * OfflineBandwidth aggregates a trace into the same per-kernel
@@ -31,7 +31,7 @@
 #include "support/thread_pool.hpp"
 #include "tquad/bandwidth.hpp"
 #include "tquad/callstack.hpp"
-#include "vm/machine.hpp"
+#include "vm/program.hpp"
 
 namespace tq::metrics {
 class Registry;
@@ -108,8 +108,9 @@ class TraceV2View;    // trace_v2.hpp
 
 /// Records the profiler-relevant event stream of one guest run.
 ///
-/// Attribution follows the same call-stack rules as the online tools
-/// (tquad::CallStack with the given library policy); accesses with no
+/// Attribution comes from the session's shared call stack: the recorder
+/// keeps no attribution state, and `policy` only names the policy the trace
+/// is recorded under, so it must equal the session's. Accesses with no
 /// attributable kernel are recorded with kernel = kNoKernel16 so offline
 /// consumers can choose to keep or drop them.
 ///
@@ -117,26 +118,15 @@ class TraceV2View;    // trace_v2.hpp
 /// them out). In kV2 mode they stream through a TraceV2Writer block encoder
 /// as they happen — memory stays proportional to the *compressed* trace —
 /// and take_encoded() returns the finished file image.
-///
-/// The recorder runs as a vm::ExecListener (standalone, its own CallStack)
-/// or as a session::AnalysisConsumer on a ProfileSession sharing one run —
-/// and thus one attribution pass — with the other tools. Both modes emit
-/// byte-identical traces for the same run and library policy.
-class TraceRecorder final : public vm::ExecListener,
-                            public session::AnalysisConsumer {
+class TraceRecorder final : public session::AnalysisConsumer {
  public:
   TraceRecorder(const vm::Program& program,
                 tquad::LibraryPolicy policy = tquad::LibraryPolicy::kExclude,
                 TraceFormat format = TraceFormat::kV1);
   ~TraceRecorder() override;  // out-of-line: TraceV2Writer is incomplete here
 
-  // vm::ExecListener (standalone mode).
-  void on_rtn_enter(std::uint32_t func) override;
-  void on_instr(const vm::InstrEvent& event) override;
-  void on_program_end(std::uint64_t retired) override;
-
-  // session::AnalysisConsumer (session mode). Ticks carry nothing a trace
-  // stores — the retired counters on the other records imply them.
+  // session::AnalysisConsumer. Ticks carry nothing a trace stores — the
+  // retired counters on the other records imply them.
   unsigned event_interests() const override {
     return kEnterInterest | kAccessInterest | kRetInterest;
   }
@@ -168,7 +158,6 @@ class TraceRecorder final : public vm::ExecListener,
  private:
   void push(const Record& record);
 
-  tquad::CallStack stack_;  ///< standalone attribution; idle in session mode
   Trace trace_;
   std::unique_ptr<TraceV2Writer> writer_;   ///< non-null in kV2 mode
   std::vector<std::uint8_t> encoded_;       ///< sealed v2 image (finalize())

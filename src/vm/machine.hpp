@@ -1,6 +1,6 @@
 // The interpreter core: executes a Program and streams retirement events to
 // an ExecListener — the substrate on which the minipin DBI layer, and thus
-// the QUAD/tQUAD tools, are built.
+// the session's reference (interpreter) event source, are built.
 //
 // Design notes:
 //   * One architectural memory access per instruction (RISC); calls write

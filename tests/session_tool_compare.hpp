@@ -1,8 +1,9 @@
 // Deep-equality assertions over finished profiling tools, shared by the
-// session differential sweep (session vs standalone) and the fault-injection
-// suite (faulted prefix vs budget-truncated prefix). Each comparator walks
-// every externally observable counter of its tool, so "equal" means the two
-// runs are indistinguishable to any report.
+// engine differential matrix (compiled vs interpreter), the pipeline suite
+// (parallel vs serial dispatch) and the fault-injection suite (faulted
+// prefix vs budget-truncated prefix). Each comparator walks every externally
+// observable counter of its tool, so "equal" means the two runs are
+// indistinguishable to any report.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "wfs/runner.hpp"
 
 namespace tq::cluster {
@@ -98,9 +98,10 @@ TEST(ClusterEdges, MergingNeverIncreasesInterBytes) {
 TEST(ClusterWfs, PipelineNeighboursClusterTogether) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  quad::QuadTool tool(engine);
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  quad::QuadTool tool(run.artifacts.program);
+  session.add_consumer(tool);
+  session.run_live(run.host);
 
   ClusterOptions options;
   options.target_clusters = 4;
@@ -118,9 +119,10 @@ TEST(ClusterWfs, PipelineNeighboursClusterTogether) {
 TEST(ClusterWfs, DescribeNamesKernels) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  quad::QuadTool tool(engine);
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  quad::QuadTool tool(run.artifacts.program);
+  session.add_consumer(tool);
+  session.run_live(run.host);
   const Clustering result = cluster_kernels(tool, ClusterOptions{.target_clusters = 3});
   const std::string text = describe_clustering(tool, result);
   EXPECT_NE(text.find("cluster 1:"), std::string::npos);

@@ -4,7 +4,9 @@
 // non-empty tool combination, serial and parallel dispatch, and under
 // injected traps, the compiled engine's tool state must equal the
 // interpreter reference exactly — and a trap at N must equal the budget-N
-// truncated prefix (the PARTIAL contract holds across engines).
+// truncated prefix (the PARTIAL contract holds across engines). The tool
+// matrix also runs wfs under the two non-default library policies, so
+// every attribution path is covered.
 //
 // The engine edge contracts are pinned here for BOTH engines: run() is
 // single-shot, budget == retired is a clean boundary, and a fully disarmed
@@ -126,17 +128,51 @@ struct InterpReference {
 // transcript of every attributed event), the other comparators walk every
 // externally observable counter.
 
-class EngineMatrixZoo : public ::testing::TestWithParam<std::string> {};
+/// One matrix input: a zoo workload under a library policy. Every workload
+/// runs under the default kExclude; wfs, the only workload with library
+/// routines (libc_*), also runs under kAttributeToCaller and kTrack.
+struct MatrixCase {
+  std::string workload;
+  tquad::LibraryPolicy policy = tquad::LibraryPolicy::kExclude;
+};
+
+std::vector<MatrixCase> matrix_cases() {
+  std::vector<MatrixCase> cases;
+  for (const std::string& name : workloads::workload_names()) {
+    cases.push_back({name});
+  }
+  cases.push_back({"wfs", tquad::LibraryPolicy::kAttributeToCaller});
+  cases.push_back({"wfs", tquad::LibraryPolicy::kTrack});
+  return cases;
+}
+
+std::string matrix_case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
+  switch (info.param.policy) {
+    case tquad::LibraryPolicy::kAttributeToCaller:
+      return info.param.workload + "_caller";
+    case tquad::LibraryPolicy::kTrack:
+      return info.param.workload + "_track";
+    case tquad::LibraryPolicy::kExclude:
+      break;
+  }
+  return info.param.workload;
+}
+
+class EngineMatrixZoo : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(EngineMatrixZoo, CompiledEqualsInterp) {
-  InterpReference ref(GetParam());
+  const MatrixCase& input = GetParam();
+  SessionConfig config;
+  config.library_policy = input.policy;
+  InterpReference ref(input.workload, config);
+  config.engine = vm::EngineKind::kCompiled;
   for (unsigned bits = 1; bits < 16; ++bits) {
     const ToolMask mask{(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0,
                         (bits & 8) != 0};
     SCOPED_TRACE("tool mask bits=" + std::to_string(bits));
-    workloads::Instance guest = make_guest(GetParam());
+    workloads::Instance guest = make_guest(input.workload);
     ASSERT_EQ(ref.guest.program.serialize(), guest.program.serialize());
-    SessionRun run(guest.program, engine_config(vm::EngineKind::kCompiled), mask);
+    SessionRun run(guest.program, config, mask);
     const vm::RunOutcome outcome = run.session.run_live(guest.host);
     EXPECT_EQ(outcome.status, ref.outcome.status);
     EXPECT_EQ(outcome.retired, ref.outcome.retired);
@@ -144,9 +180,8 @@ TEST_P(EngineMatrixZoo, CompiledEqualsInterp) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Zoo, EngineMatrixZoo,
-                         ::testing::ValuesIn(workloads::workload_names()),
-                         [](const auto& info) { return info.param; });
+INSTANTIATE_TEST_SUITE_P(Zoo, EngineMatrixZoo, ::testing::ValuesIn(matrix_cases()),
+                         matrix_case_name);
 
 // ---------------------------------------------------------------------------
 // Parallel dispatch on top of the compiled engine: batched event emission

@@ -3,7 +3,7 @@
 
 #include "gasm/builder.hpp"
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 
 namespace tq::gprof {
 namespace {
@@ -33,14 +33,17 @@ vm::Program make_workload() {
 struct ProfRun {
   vm::Program program;
   vm::HostEnv host;
-  std::unique_ptr<pin::Engine> engine;
+  std::unique_ptr<session::ProfileSession> session;
   std::unique_ptr<GprofTool> tool;
 
   explicit ProfRun(vm::Program prog, Options options = {})
       : program(std::move(prog)) {
-    engine = std::make_unique<pin::Engine>(program, host);
-    tool = std::make_unique<GprofTool>(*engine, options);
-    engine->run();
+    session::SessionConfig config;
+    config.library_policy = options.library_policy;
+    session = std::make_unique<session::ProfileSession>(program, config);
+    tool = std::make_unique<GprofTool>(program, options);
+    session->add_consumer(*tool);
+    session->run_live(host);
   }
   std::uint32_t id(const std::string& name) const { return *program.find(name); }
 };

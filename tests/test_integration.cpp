@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "quad/quad_tool.hpp"
 #include "tquad/phase.hpp"
 #include "tquad/report.hpp"
@@ -16,16 +16,19 @@ namespace tq {
 namespace {
 
 TEST(Integration, ThreeToolsComposeOnOneEngine) {
-  // Pin runs one tool per process; minipin happily multiplexes — all three
-  // tools attach their instrumentation to the same engine and must observe
+  // Pin runs one tool per process; a ProfileSession multiplexes — all three
+  // tools consume the same attributed event stream and must observe
   // identical, correct data from a single run.
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tq_tool(engine, tquad::Options{.slice_interval = 1000});
-  quad::QuadTool quad_tool(engine);
-  gprof::GprofTool gprof_tool(engine, {});
-  const vm::RunResult result = engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  tquad::TQuadTool tq_tool(run.artifacts.program, tquad::Options{.slice_interval = 1000});
+  quad::QuadTool quad_tool(run.artifacts.program);
+  gprof::GprofTool gprof_tool(run.artifacts.program);
+  session.add_consumer(tq_tool);
+  session.add_consumer(quad_tool);
+  session.add_consumer(gprof_tool);
+  const vm::RunOutcome result = session.run_live(run.host);
 
   EXPECT_EQ(tq_tool.total_retired(), result.retired);
   EXPECT_EQ(gprof_tool.total_retired(), result.retired);
@@ -40,10 +43,12 @@ TEST(Integration, TquadAndQuadAgreeOnBytes) {
   // accesses through independent data paths.
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tq_tool(engine, tquad::Options{.slice_interval = 5000});
-  quad::QuadTool quad_tool(engine);
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  tquad::TQuadTool tq_tool(run.artifacts.program, tquad::Options{.slice_interval = 5000});
+  quad::QuadTool quad_tool(run.artifacts.program);
+  session.add_consumer(tq_tool);
+  session.add_consumer(quad_tool);
+  session.run_live(run.host);
 
   for (std::uint32_t k = 0; k < tq_tool.kernel_count(); ++k) {
     if (!tq_tool.reported(k)) continue;
@@ -58,10 +63,12 @@ TEST(Integration, TquadAndQuadAgreeOnBytes) {
 TEST(Integration, GprofAndTquadAgreeOnCallsAndInstructions) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tq_tool(engine, tquad::Options{});
-  gprof::GprofTool gprof_tool(engine, {});
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  tquad::TQuadTool tq_tool(run.artifacts.program, tquad::Options{});
+  gprof::GprofTool gprof_tool(run.artifacts.program);
+  session.add_consumer(tq_tool);
+  session.add_consumer(gprof_tool);
+  session.run_live(run.host);
   for (std::uint32_t k = 0; k < tq_tool.kernel_count(); ++k) {
     if (!tq_tool.reported(k)) continue;
     EXPECT_EQ(tq_tool.activity(k).calls, gprof_tool.calls(k))
@@ -73,9 +80,10 @@ TEST(Integration, InstructionConservation) {
   // Attributed + unattributed instruction counts cover the whole run.
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tool(engine, tquad::Options{});
-  const vm::RunResult result = engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  tquad::TQuadTool tool(run.artifacts.program, tquad::Options{});
+  session.add_consumer(tool);
+  const vm::RunOutcome result = session.run_live(run.host);
   std::uint64_t attributed = 0;
   for (std::uint32_t k = 0; k < tool.kernel_count(); ++k) {
     attributed += tool.activity(k).instructions;
@@ -104,10 +112,13 @@ TEST(Integration, ByteConservationAgainstGroundTruth) {
   }
 
   vm::HostEnv host;
-  pin::Engine engine(art.program, host);
-  tquad::TQuadTool tool(engine,
+  session::SessionConfig config;
+  config.library_policy = tquad::LibraryPolicy::kTrack;
+  session::ProfileSession session(art.program, config);
+  tquad::TQuadTool tool(art.program,
                         tquad::Options{.library_policy = tquad::LibraryPolicy::kTrack});
-  engine.run();
+  session.add_consumer(tool);
+  session.run_live(host);
   std::uint64_t attributed_reads = 0;
   std::uint64_t attributed_writes = 0;
   for (std::uint32_t k = 0; k < tool.kernel_count(); ++k) {
@@ -123,9 +134,10 @@ TEST(Integration, QuadOutNeverExceedsConsumedBytes) {
   // == bytes read from produced locations <= total IN bytes.
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  quad::QuadTool tool(engine);
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  quad::QuadTool tool(run.artifacts.program);
+  session.add_consumer(tool);
+  session.run_live(run.host);
   std::uint64_t total_out = 0;
   std::uint64_t total_in = 0;
   for (std::uint32_t k = 0; k < tool.kernel_count(); ++k) {
@@ -141,9 +153,10 @@ TEST(Integration, QuadOutNeverExceedsConsumedBytes) {
 TEST(Integration, PhasesCoverEveryActiveKernelOnWfs) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  tquad::TQuadTool tool(engine, tquad::Options{.slice_interval = 500});
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  tquad::TQuadTool tool(run.artifacts.program, tquad::Options{.slice_interval = 500});
+  session.add_consumer(tool);
+  session.run_live(run.host);
   const auto phases = tquad::detect_phases(tool);
   std::size_t member_count = 0;
   for (const auto& phase : phases) member_count += phase.kernels.size();

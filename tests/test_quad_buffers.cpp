@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "quad/buffer_report.hpp"
 #include "support/address_set.hpp"
 #include "wfs/runner.hpp"
@@ -73,9 +73,10 @@ TEST(BufferReport, AttributesAccessesToNamedBuffers) {
   ASSERT_EQ(program.globals().size(), 2u);
 
   vm::HostEnv host;
-  pin::Engine engine(program, host);
-  QuadTool tool(engine);
-  engine.run();
+  session::ProfileSession session(program);
+  QuadTool tool(program);
+  session.add_consumer(tool);
+  session.run_live(host);
 
   const auto rows = buffer_report(tool, program);
   const auto worker_id = *program.find("worker");
@@ -111,9 +112,10 @@ TEST(BufferReport, WfsBufferSignatures) {
   // The buffer-level view behind the paper's Table II narrative.
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  QuadTool tool(engine);
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  QuadTool tool(run.artifacts.program);
+  session.add_consumer(tool);
+  session.run_live(run.host);
   const auto rows = buffer_report(tool, run.artifacts.program);
   auto find = [&](const char* kernel, const char* buffer) -> const BufferRow* {
     for (const auto& row : rows) {
@@ -145,9 +147,10 @@ TEST(BufferReport, WfsBufferSignatures) {
 TEST(BufferReport, TableRendersAndFilters) {
   const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  QuadTool tool(engine);
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  QuadTool tool(run.artifacts.program);
+  session.add_consumer(tool);
+  session.run_live(run.host);
   const std::string all = buffer_table(tool, run.artifacts.program).to_ascii();
   EXPECT_NE(all.find("fft1d"), std::string::npos);
   EXPECT_NE(all.find("frames"), std::string::npos);

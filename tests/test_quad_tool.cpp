@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "quad/instrumented_profile.hpp"
 #include "quad/quad_tool.hpp"
 
@@ -17,14 +17,17 @@ using gasm::SP;
 struct QuadRun {
   vm::Program program;
   vm::HostEnv host;
-  std::unique_ptr<pin::Engine> engine;
+  std::unique_ptr<session::ProfileSession> session;
   std::unique_ptr<QuadTool> tool;
 
   explicit QuadRun(vm::Program prog, QuadOptions options = {})
       : program(std::move(prog)) {
-    engine = std::make_unique<pin::Engine>(program, host);
-    tool = std::make_unique<QuadTool>(*engine, options);
-    engine->run();
+    session::SessionConfig config;
+    config.library_policy = options.library_policy;
+    session = std::make_unique<session::ProfileSession>(program, config);
+    tool = std::make_unique<QuadTool>(program, options);
+    session->add_consumer(*tool);
+    session->run_live(host);
   }
   std::uint32_t id(const std::string& name) const { return *program.find(name); }
 };

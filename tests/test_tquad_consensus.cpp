@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "tquad/consensus.hpp"
 
 namespace tq::tquad {
@@ -32,9 +32,10 @@ vm::Program steady_program() {
 void run_pass(const vm::Program& program, std::uint64_t slice,
               BandwidthConsensus& consensus) {
   vm::HostEnv host;
-  pin::Engine engine(program, host);
-  TQuadTool tool(engine, Options{.slice_interval = slice});
-  engine.run();
+  session::ProfileSession session(program);
+  TQuadTool tool(program, Options{.slice_interval = slice});
+  session.add_consumer(tool);
+  session.run_live(host);
   consensus.add_pass(tool);
 }
 

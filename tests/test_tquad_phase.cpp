@@ -9,7 +9,7 @@
 #include <map>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "tquad/phase.hpp"
 #include "tquad/tquad_tool.hpp"
 
@@ -57,14 +57,15 @@ vm::Program make_staged_program(const std::vector<StageSpec>& stages) {
 struct PhaseRun {
   vm::Program program;
   vm::HostEnv host;
-  std::unique_ptr<pin::Engine> engine;
+  std::unique_ptr<session::ProfileSession> session;
   std::unique_ptr<TQuadTool> tool;
 
   explicit PhaseRun(vm::Program prog, std::uint64_t slice = kSlice)
       : program(std::move(prog)) {
-    engine = std::make_unique<pin::Engine>(program, host);
-    tool = std::make_unique<TQuadTool>(*engine, Options{.slice_interval = slice});
-    engine->run();
+    session = std::make_unique<session::ProfileSession>(program);
+    tool = std::make_unique<TQuadTool>(program, Options{.slice_interval = slice});
+    session->add_consumer(*tool);
+    session->run_live(host);
   }
 };
 

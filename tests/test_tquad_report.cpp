@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "tquad/report.hpp"
 #include "tquad/tquad_tool.hpp"
 
@@ -38,14 +38,15 @@ TEST(CpuModel, PaperDefaults) {
 struct ReportRun {
   vm::Program program;
   vm::HostEnv host;
-  std::unique_ptr<pin::Engine> engine;
+  std::unique_ptr<session::ProfileSession> session;
   std::unique_ptr<TQuadTool> tool;
 
   explicit ReportRun(vm::Program prog, std::uint64_t slice = 100)
       : program(std::move(prog)) {
-    engine = std::make_unique<pin::Engine>(program, host);
-    tool = std::make_unique<TQuadTool>(*engine, Options{.slice_interval = slice});
-    engine->run();
+    session = std::make_unique<session::ProfileSession>(program);
+    tool = std::make_unique<TQuadTool>(program, Options{.slice_interval = slice});
+    session->add_consumer(*tool);
+    session->run_live(host);
   }
 };
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gasm/builder.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "tquad/tquad_tool.hpp"
@@ -47,9 +47,10 @@ vm::Program make_mixed_program() {
 
 Trace record_trace(const vm::Program& program) {
   vm::HostEnv host;
+  session::ProfileSession session(program);
   TraceRecorder recorder(program);
-  vm::Machine machine(program, host);
-  machine.run(&recorder);
+  session.add_consumer(recorder);
+  session.run_live(host);
   return recorder.take();
 }
 
@@ -150,9 +151,10 @@ TEST_P(OfflineEquivalence, OfflineEqualsOnline) {
 
   // Online run.
   vm::HostEnv host1;
-  pin::Engine engine(program, host1);
-  tquad::TQuadTool online(engine, tquad::Options{.slice_interval = slice});
-  engine.run();
+  session::ProfileSession session(program);
+  tquad::TQuadTool online(program, tquad::Options{.slice_interval = slice});
+  session.add_consumer(online);
+  session.run_live(host1);
 
   // Offline from a recorded trace.
   const Trace trace = record_trace(program);
@@ -206,17 +208,15 @@ TEST_P(ParallelEquivalence, ParallelEqualsSequential) {
 INSTANTIATE_TEST_SUITE_P(Pools, ParallelEquivalence, ::testing::Values(1, 2, 3, 7));
 
 TEST(OfflineBandwidth, WfsTraceMatchesOnline) {
-  // Integration: the full (tiny) wfs run, online vs offline.
-  const wfs::WfsConfig cfg = wfs::WfsConfig::tiny();
-  wfs::WfsRun online_run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(online_run.artifacts.program, online_run.host);
-  tquad::TQuadTool online(engine, tquad::Options{.slice_interval = 500});
-  engine.run();
-
-  wfs::WfsRun trace_run = wfs::prepare_wfs_run(cfg);
-  TraceRecorder recorder(trace_run.artifacts.program);
-  vm::Machine machine(trace_run.artifacts.program, trace_run.host);
-  machine.run(&recorder);
+  // Integration: the full (tiny) wfs run, online vs offline — one session
+  // feeds the online tool and records the trace.
+  wfs::WfsRun run = wfs::prepare_wfs_run(wfs::WfsConfig::tiny());
+  session::ProfileSession session(run.artifacts.program);
+  tquad::TQuadTool online(run.artifacts.program, tquad::Options{.slice_interval = 500});
+  TraceRecorder recorder(run.artifacts.program);
+  session.add_consumer(online);
+  session.add_consumer(recorder);
+  session.run_live(run.host);
   const Trace trace = recorder.take();
 
   OfflineBandwidth offline(trace.kernel_count, 500);

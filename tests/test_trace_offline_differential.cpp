@@ -8,7 +8,7 @@
 #include <string>
 #include <tuple>
 
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
@@ -48,17 +48,16 @@ void expect_matches_online(const tquad::TQuadTool& online,
   }
 }
 
-/// Online run and trace-recording run on fresh hosts; then every offline
-/// path must reproduce the online counters exactly.
-void check_program(const vm::Program& program, vm::HostEnv& online_host,
-                   vm::HostEnv& trace_host, std::uint64_t slice) {
-  pin::Engine engine(program, online_host);
-  tquad::TQuadTool online(engine, tquad::Options{.slice_interval = slice});
-  engine.run();
-
+/// One session runs the online tool and records the trace; then every
+/// offline path must reproduce the online counters exactly.
+void check_program(const vm::Program& program, vm::HostEnv& host,
+                   std::uint64_t slice) {
+  session::ProfileSession session(program);
+  tquad::TQuadTool online(program, tquad::Options{.slice_interval = slice});
   TraceRecorder recorder(program);
-  vm::Machine machine(program, trace_host);
-  machine.run(&recorder);
+  session.add_consumer(online);
+  session.add_consumer(recorder);
+  session.run_live(host);
   const Trace trace = recorder.take();
 
   ThreadPool pool(3);
@@ -97,11 +96,8 @@ class OfflineDifferential
 TEST_P(OfflineDifferential, OfflineEqualsOnline) {
   const workloads::Entry& entry =
       workloads::find_workload(std::get<0>(GetParam()));
-  workloads::Instance online_run = entry.build();
-  workloads::Instance trace_run = entry.build();
-  ASSERT_EQ(online_run.program.serialize(), trace_run.program.serialize());
-  check_program(online_run.program, online_run.host, trace_run.host,
-                std::get<1>(GetParam()));
+  workloads::Instance run = entry.build();
+  check_program(run.program, run.host, std::get<1>(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,10 +6,10 @@
 #include <cstring>
 
 #include "gasm/builder.hpp"
+#include "session/session.hpp"
 #include "support/rng.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
-#include "vm/machine.hpp"
 
 namespace tq::trace {
 namespace {
@@ -18,6 +18,14 @@ using gasm::ProgramBuilder;
 using gasm::R;
 
 constexpr std::uint32_t kKernels = 17;
+
+/// Run `program` once with `recorder` as the only session consumer.
+void record(const vm::Program& program, TraceRecorder& recorder) {
+  vm::HostEnv host;
+  session::ProfileSession session(program);
+  session.add_consumer(recorder);
+  session.run_live(host);
+}
 
 /// Adversarial but *valid* stream: zero and max-u64 retired/ea jumps,
 /// unattributed 0xffff kernels, prefetch flags, odd access sizes that force
@@ -161,18 +169,14 @@ TEST(V2Writer, StreamingRecorderMatchesBatchEncoder) {
   const vm::Program program = prog.build("main");
 
   auto run = [&](TraceFormat format) {
-    vm::HostEnv host;
     TraceRecorder recorder(program, tquad::LibraryPolicy::kExclude, format);
-    vm::Machine machine(program, host);
-    machine.run(&recorder);
+    record(program, recorder);
     return recorder.take_encoded();
   };
   const auto streamed = run(TraceFormat::kV2);
   const Trace buffered = [&] {
-    vm::HostEnv host;
     TraceRecorder recorder(program);
-    vm::Machine machine(program, host);
-    machine.run(&recorder);
+    record(program, recorder);
     return recorder.take();
   }();
   EXPECT_GT(buffered.records.size(), 500u);
@@ -247,10 +251,8 @@ TEST(V2Size, CompressesTheMixedProgramTrace) {
   });
   main_fn.halt();
   const vm::Program program = prog.build("main");
-  vm::HostEnv host;
   TraceRecorder recorder(program);
-  vm::Machine machine(program, host);
-  machine.run(&recorder);
+  record(program, recorder);
   const Trace trace = recorder.take();
   const auto v1 = trace.serialize();
   const auto v2 = serialize_v2(trace);

@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "gprofsim/gprof_tool.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "wfs/runner.hpp"
 
 namespace tq::wfs {
@@ -27,9 +27,10 @@ class WfsTopology : public ::testing::TestWithParam<WfsConfig> {};
 TEST_P(WfsTopology, CallCountRelationsHold) {
   const WfsConfig cfg = GetParam();
   WfsRun run = prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  gprof::GprofTool tool(engine, {});
-  engine.run();
+  session::ProfileSession session(run.artifacts.program);
+  gprof::GprofTool tool(run.artifacts.program);
+  session.add_consumer(tool);
+  session.run_live(run.host);
   auto calls = [&](const char* name) {
     return tool.calls(*run.artifacts.program.find(name));
   };

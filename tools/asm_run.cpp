@@ -13,7 +13,7 @@
 #include <sstream>
 
 #include "gasm/asm_parser.hpp"
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/cli.hpp"
 #include "tquad/phase.hpp"
 #include "tquad/report.hpp"
@@ -74,12 +74,14 @@ int main(int argc, char** argv) {
     // (3) tells scripts the run did not complete.
     vm::RunOutcome result;
     if (cli.flag("profile")) {
-      pin::Engine engine(program, host);
+      session::SessionConfig config;
+      config.instruction_budget = static_cast<std::uint64_t>(cli.integer("budget"));
+      session::ProfileSession session(program, config);
       tquad::TQuadTool tool(
-          engine, tquad::Options{.slice_interval =
-                                     static_cast<std::uint64_t>(cli.integer("slice"))});
-      engine.set_instruction_budget(static_cast<std::uint64_t>(cli.integer("budget")));
-      result = engine.run();
+          program, tquad::Options{.slice_interval =
+                                      static_cast<std::uint64_t>(cli.integer("slice"))});
+      session.add_consumer(tool);
+      result = session.run_live(host);
       if (!result.complete()) {
         std::fprintf(stderr, "asm_run: %s\n", result.summary().c_str());
       }
