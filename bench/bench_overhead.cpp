@@ -488,9 +488,10 @@ bool print_metrics_overhead() {
 /// Two measurements on the standard wfs configuration:
 ///   * end-to-end: a full tQUAD profiling session (slice 5000) — guest
 ///     execution, attribution, and tool accounting included. This is the
-///     gated number (floor 2.5x, target 3x): the compiled engine removes
-///     the per-instruction trampolines and batches tick emission, but still
-///     pays the shared per-access event cost.
+///     gated number (floor 2.5x, target 3x): the compiled engine batches
+///     the ticks between two attribution boundaries into one span where
+///     the interpreter emits one per instruction, but both pay the shared
+///     per-access event cost.
 ///   * bare: the uninstrumented VM, where fused-op threaded dispatch runs
 ///     free of any event traffic — the engine's raw dispatch win.
 bool print_jit_speedup() {
@@ -502,7 +503,7 @@ bool print_jit_speedup() {
 
   // Workload construction (program build + host wiring) is hoisted out of
   // every timed region: the measurement is the profiling run itself —
-  // lowering/instrumentation, guest execution, attribution, and tool
+  // lowering, guest execution, attribution, and tool
   // accounting — exactly what an -engine switch changes for a loaded image.
   const auto run_session = [&](vm::EngineKind kind) {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);

@@ -1,16 +1,21 @@
-// Writing your own analysis tool against the minipin API — the same way the
-// paper's tools are written against Pin.
+// Writing your own analysis tool: an AnalysisConsumer on a ProfileSession —
+// the seam tQUAD, QUAD and gprof are written against, as the paper's tools
+// are written against Pin.
 //
-// The example tool is a *working-set tracker*: for every kernel it measures
-// how many distinct cache lines (64-byte blocks) the kernel touches, how
-// often it revisits them, and flags streaming kernels (many lines, few
-// revisits) versus resident kernels (few lines, many revisits). This is the
-// kind of decision input the paper's DWB partitioning flow needs: a resident
-// kernel maps well to on-chip buffers, a streaming kernel does not.
+// The example tool is a *working-set tracker*. Becker and Chakraborty's
+// Valgrind working-set tool (arXiv 1902.11028) defines the working set as
+// the set of memory blocks referenced within a fixed window of execution.
+// Here the block is a 64-byte cache line and the window is everything one
+// kernel executes: for every kernel the tool counts the distinct lines it
+// touches and how often it revisits them, and flags streaming kernels (many
+// lines, few revisits) versus resident kernels (few lines, many revisits).
+// This is the kind of decision input the paper's DWB partitioning flow
+// needs: a resident kernel maps well to on-chip buffers, a streaming kernel
+// does not.
 #include <cstdio>
 #include <vector>
 
-#include "minipin/minipin.hpp"
+#include "session/session.hpp"
 #include "support/address_set.hpp"
 #include "support/cli.hpp"
 #include "support/table.hpp"
@@ -21,35 +26,40 @@ namespace {
 
 using namespace tq;
 
-/// A pintool-style analysis tool built on minipin.
-class WorkingSetTool {
+constexpr tquad::LibraryPolicy kPolicy = tquad::LibraryPolicy::kExclude;
+
+/// Accesses arrive already attributed to the kernel on top of the session's
+/// call stack, so the tool keeps no stack of its own.
+class WorkingSetTool final : public session::AnalysisConsumer {
  public:
-  explicit WorkingSetTool(pin::Engine& engine)
-      : engine_(engine),
-        stack_(engine.program(), tquad::LibraryPolicy::kExclude),
-        lines_(engine.program().functions().size()),
-        touches_(engine.program().functions().size(), 0) {
-    engine.add_rtn_instrument_function([this](pin::Rtn& rtn) {
-      rtn.insert_entry_call(&WorkingSetTool::on_entry, this);
-    });
-    engine.add_ins_instrument_function([this](pin::Ins& ins) {
-      if (ins.references_memory()) {
-        ins.insert_predicated_call(&WorkingSetTool::on_access, this);
-      }
-      if (ins.is_ret()) {
-        ins.insert_predicated_call(&WorkingSetTool::on_ret, this);
-      }
-    });
+  explicit WorkingSetTool(const vm::Program& program)
+      : program_(program),
+        tracked_(tquad::tracked_functions(program, kPolicy)),
+        lines_(program.functions().size()),
+        touches_(program.functions().size(), 0) {}
+
+  unsigned event_interests() const override { return kAccessInterest; }
+
+  // Prefetch touches count: they bring the line in like any read.
+  void on_access(const session::AccessEvent& event) override {
+    if (event.kernel == tquad::kNoKernel || event.size == 0) return;
+    // Track distinct 64-byte lines; one insert per touched line.
+    const std::uint64_t first = event.ea >> 6;
+    const std::uint64_t last = (event.ea + event.size - 1) >> 6;
+    for (std::uint64_t line = first; line <= last; ++line) {
+      lines_[event.kernel].insert_range(line, 1);  // line-granular set
+      ++touches_[event.kernel];
+    }
   }
 
   void report() const {
     TextTable table({"kernel", "cache lines", "touches", "revisit factor", "class"});
     for (std::uint32_t k = 0; k < lines_.size(); ++k) {
       const std::uint64_t lines = lines_[k].count();
-      if (lines == 0 || !stack_.tracked(k)) continue;
+      if (lines == 0 || !tracked_[k]) continue;
       const double revisit =
           static_cast<double>(touches_[k]) / static_cast<double>(lines);
-      table.add_row({engine_.program().functions()[k].name, format_count(lines),
+      table.add_row({program_.functions()[k].name, format_count(lines),
                      format_count(touches_[k]), format_fixed(revisit, 1),
                      revisit > 32.0  ? "resident (map on-chip)"
                      : revisit > 4.0 ? "mixed"
@@ -59,32 +69,8 @@ class WorkingSetTool {
   }
 
  private:
-  static void on_entry(void* tool, const pin::RtnArgs& args) {
-    static_cast<WorkingSetTool*>(tool)->stack_.on_enter(args.func);
-  }
-  static void on_ret(void* tool, const pin::InsArgs& args) {
-    static_cast<WorkingSetTool*>(tool)->stack_.on_ret(args.func);
-  }
-  static void on_access(void* tool, const pin::InsArgs& args) {
-    auto& self = *static_cast<WorkingSetTool*>(tool);
-    const std::uint32_t kernel = self.stack_.top();
-    if (kernel == tquad::kNoKernel) return;
-    // Track distinct 64-byte lines; one insert per touched line.
-    for (int side = 0; side < 2; ++side) {
-      const std::uint64_t ea = side == 0 ? args.read_ea : args.write_ea;
-      const std::uint32_t size = side == 0 ? args.read_size : args.write_size;
-      if (size == 0) continue;
-      const std::uint64_t first = ea >> 6;
-      const std::uint64_t last = (ea + size - 1) >> 6;
-      for (std::uint64_t line = first; line <= last; ++line) {
-        self.lines_[kernel].insert_range(line, 1);  // line-granular set
-        ++self.touches_[kernel];
-      }
-    }
-  }
-
-  pin::Engine& engine_;
-  tquad::CallStack stack_;
+  const vm::Program& program_;
+  std::vector<bool> tracked_;
   std::vector<AddressSet> lines_;
   std::vector<std::uint64_t> touches_;
 };
@@ -92,7 +78,7 @@ class WorkingSetTool {
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli("custom_tool: a working-set tracker written against minipin");
+  CliParser cli("custom_tool: a working-set tracker written as a session consumer");
   cli.add_flag("standard", false, "use the standard (larger) workload");
   try {
     cli.parse(argc, argv);
@@ -103,9 +89,12 @@ int main(int argc, char** argv) {
   const wfs::WfsConfig cfg =
       cli.flag("standard") ? wfs::WfsConfig::standard() : wfs::WfsConfig::tiny();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  pin::Engine engine(run.artifacts.program, run.host);
-  WorkingSetTool tool(engine);
-  const vm::RunResult result = engine.run();
+  session::SessionConfig config;
+  config.library_policy = kPolicy;
+  session::ProfileSession session(run.artifacts.program, config);
+  WorkingSetTool tool(run.artifacts.program);
+  session.add_consumer(tool);
+  const vm::RunOutcome result = session.run_live(run.host);
   std::printf("working-set classification after %s instructions:\n\n",
               format_count(result.retired).c_str());
   tool.report();

@@ -25,16 +25,18 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 #    The page-directory suites (guest memory, UnMA sets, QUAD shadow) ride
 #    along too: the directory hands out cached raw page pointers, and a
 #    pointer left dangling by a move, clear or shard adoption is exactly
-#    what ASan catches.
+#    what ASan catches. The interpreter's unit suite covers its event
+#    emitter (the reference stream the compiled engine is checked against).
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_trace test_trace_v2_codec test_trace_offline_differential \
     test_fuzz_decoders test_trace_salvage test_fault_injection \
     test_session test_session_replay test_session_pipeline \
     test_support_metrics test_workload_zoo test_engine_differential \
-    test_support_address_set test_support_paged_memory test_quad_shadow
+    test_support_address_set test_support_paged_memory test_quad_shadow \
+    test_vm_machine
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow)$'
+    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow|test_vm_machine)$'
 
 # 3. ThreadSanitizer on everything that spawns threads: the parallel
 #    analysis pipeline (rings, doorbells, shard merge, drain barrier,

@@ -1,7 +1,7 @@
 // The shared kernel-attribution service.
 //
 // Exactly one CallStack per run, owned here — no tool keeps its own:
-// event sources (the live minipin engine or a trace replay) push the raw
+// event sources (a live engine or a trace replay) push the raw
 // enter/tick/access/ret stream through input_*(), KernelAttribution stamps
 // each event with the current attribution state, and every registered
 // AnalysisConsumer sees the same attributed stream. The input methods are
@@ -91,27 +91,12 @@ class KernelAttribution {
   /// are accumulated into contiguous runs here and delivered through
   /// AnalysisConsumer::on_tick_run at the next attribution boundary. The
   /// run's kernel/tracked stamps stay valid for its whole span because
-  /// routine entries and returns always flush first; `mem` marks a tick
-  /// whose instruction carries a read or write operand (the accesses
-  /// themselves still go through input_access exactly).
-  void input_batch_tick(std::uint32_t func, std::uint64_t retired, bool mem) {
-    if (run_count_ != 0 && func == run_func_) {
-      ++run_count_;
-      run_mem_ += mem ? 1 : 0;
-      return;
-    }
-    flush_run();
-    run_func_ = func;
-    run_start_ = retired;
-    run_count_ = 1;
-    run_mem_ = mem ? 1 : 0;
-  }
-
-  /// A whole pre-batched span at once: `count` contiguous ticks in `func`
-  /// starting at `first_retired`, `mem_count` of which carried a memory
-  /// operand (the compiled engine's batched emission — it accumulates the
-  /// ticks between two attribution boundaries itself, so the per-tick call
-  /// disappears from the hot path entirely).
+  /// routine entries and returns always flush first. This adds a span of
+  /// `count` contiguous ticks in `func` starting at `first_retired`, of
+  /// which `mem_count` carried a read or write operand (the accesses
+  /// themselves still go through input_access exactly). The interpreter
+  /// passes one-tick spans; the compiled engine batches the ticks between
+  /// two attribution boundaries itself.
   void input_batch_tick_span(std::uint32_t func, std::uint64_t first_retired,
                              std::uint64_t count, std::uint64_t mem_count) {
     if (count == 0) return;
@@ -240,7 +225,7 @@ class KernelAttribution {
   std::vector<AnalysisConsumer*> ret_consumers_;
   EventCounts counts_;
 
-  // Pending tick run (see input_batch_tick).
+  // Pending tick run (see input_batch_tick_span).
   std::uint32_t run_func_ = 0;
   std::uint64_t run_start_ = 0;
   std::uint64_t run_count_ = 0;

@@ -5,7 +5,7 @@
 #include "support/check.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
-#include "vm/stack_addr.hpp"
+#include "vm/compiled.hpp"
 
 namespace tq::session {
 
@@ -13,11 +13,11 @@ namespace tq::session {
 
 namespace {
 
-/// The compiled engine's event sink: forwards the batched stream straight
-/// into the attribution service. Tick spans land on the attribution's
-/// pending-run accumulator (input_batch_tick_span), so consumers see
-/// TickRunEvents flushed at exactly the boundaries — routine entry, return,
-/// end of input — where the interpreter-backed trampolines flush them.
+/// Forwards an engine's event stream straight into the attribution service.
+/// Tick spans land on the attribution's pending-run accumulator
+/// (input_batch_tick_span), so consumers see TickRunEvents flushed at the
+/// attribution boundaries — routine entry, return, end of input — whether
+/// the engine emitted one-tick spans (interp) or batched ones (compiled).
 class AttributionSink final : public vm::EventSink {
  public:
   explicit AttributionSink(KernelAttribution& attribution)
@@ -52,111 +52,20 @@ LiveEngineSource::LiveEngineSource(const vm::Program& program, vm::HostEnv& host
                                    vm::EngineKind engine)
     : program_(program) {
   if (engine == vm::EngineKind::kCompiled) {
-    compiled_.emplace(program, host);
+    engine_ = std::make_unique<vm::CompiledMachine>(program, host);
   } else {
-    pin_.emplace(program, host);
+    engine_ = std::make_unique<vm::Machine>(program, host);
   }
-  guest().set_instruction_budget(instruction_budget);
-}
-
-void LiveEngineSource::input_read(KernelAttribution& sink, const pin::InsArgs& args) {
-  sink.input_access(args.func, args.pc, args.retired, args.read_ea, args.read_size,
-                    /*is_read=*/true, vm::is_stack_addr(args.read_ea, args.sp),
-                    args.is_prefetch);
-}
-
-void LiveEngineSource::input_write(KernelAttribution& sink, const pin::InsArgs& args) {
-  sink.input_access(args.func, args.pc, args.retired, args.write_ea,
-                    args.write_size, /*is_read=*/false,
-                    vm::is_stack_addr(args.write_ea, args.sp),
-                    /*is_prefetch=*/false);
-}
-
-// Event order within one instruction follows the paper's pintool shape:
-// accesses read before write, then the return; the access/return parts are
-// predicated (skipped when the instruction did not execute). Every tick —
-// memory or not, executed or not — joins the attribution's batched run;
-// only its memory-operand bit is recorded (from the architectural operand
-// widths, so predicated-off instructions count, as an unpredicated
-// per-instruction analysis call would see them).
-
-void LiveEngineSource::on_tick(void* attribution, const pin::InsArgs& args) {
-  static_cast<KernelAttribution*>(attribution)
-      ->input_batch_tick(args.func, args.retired, /*mem=*/false);
-}
-
-void LiveEngineSource::tick_read(void* attribution, const pin::InsArgs& args) {
-  auto& sink = *static_cast<KernelAttribution*>(attribution);
-  sink.input_batch_tick(args.func, args.retired,
-                        (args.read_size | args.write_size) != 0);
-  if (args.executed) input_read(sink, args);
-}
-
-void LiveEngineSource::tick_write(void* attribution, const pin::InsArgs& args) {
-  auto& sink = *static_cast<KernelAttribution*>(attribution);
-  sink.input_batch_tick(args.func, args.retired,
-                        (args.read_size | args.write_size) != 0);
-  if (args.executed) input_write(sink, args);
-}
-
-void LiveEngineSource::tick_read_write(void* attribution, const pin::InsArgs& args) {
-  auto& sink = *static_cast<KernelAttribution*>(attribution);
-  sink.input_batch_tick(args.func, args.retired,
-                        (args.read_size | args.write_size) != 0);
-  if (args.executed) {
-    input_read(sink, args);
-    input_write(sink, args);
-  }
-}
-
-void LiveEngineSource::tick_ret(void* attribution, const pin::InsArgs& args) {
-  auto& sink = *static_cast<KernelAttribution*>(attribution);
-  sink.input_batch_tick(args.func, args.retired,
-                        (args.read_size | args.write_size) != 0);
-  if (args.executed) {
-    input_read(sink, args);  // the implicit return-address pop
-    sink.input_ret(args.func, args.pc, args.retired);
-  }
-}
-
-void LiveEngineSource::enter_fc(void* attribution, const pin::RtnArgs& args) {
-  static_cast<KernelAttribution*>(attribution)->input_enter(args.func, args.retired);
+  engine_->set_instruction_budget(instruction_budget);
 }
 
 vm::RunOutcome LiveEngineSource::run(KernelAttribution& attribution) {
   TQUAD_CHECK(!ran_, "LiveEngineSource::run is single-shot; construct a fresh one");
   ran_ = true;
-  if (compiled_) {
-    // The fast path: the engine batches ticks into spans and emits
-    // accesses/enters/returns directly — no per-instruction callbacks.
-    AttributionSink sink(attribution);
-    const vm::RunOutcome outcome = compiled_->run(sink);
-    attribution.input_finish(outcome);
-    return outcome;
-  }
-  KernelAttribution* sink = &attribution;
-  pin_->add_rtn_instrument_function([sink](pin::Rtn& rtn) {
-    rtn.insert_entry_call(&LiveEngineSource::enter_fc, sink);
-  });
-  pin_->add_ins_instrument_function([sink](pin::Ins& ins) {
-    const bool reads = ins.is_memory_read() || ins.is_prefetch();
-    const bool writes = ins.is_memory_write();
-    if (ins.is_ret()) {
-      ins.insert_call(&LiveEngineSource::tick_ret, sink);
-    } else if (reads && writes) {
-      ins.insert_call(&LiveEngineSource::tick_read_write, sink);
-    } else if (reads) {
-      ins.insert_call(&LiveEngineSource::tick_read, sink);
-    } else if (writes) {
-      ins.insert_call(&LiveEngineSource::tick_write, sink);
-    } else {
-      ins.insert_call(&LiveEngineSource::on_tick, sink);
-    }
-  });
-  // input_finish runs after the engine returns (not as a fini callback) so
-  // the structured outcome — including trap details — reaches every
-  // consumer on the trap and truncation paths too.
-  const vm::RunOutcome outcome = pin_->run();
+  AttributionSink sink(attribution);
+  const vm::RunOutcome outcome = engine_->run(sink);
+  // input_finish runs after the engine returns so the structured outcome —
+  // including trap details — reaches every consumer on every path.
   attribution.input_finish(outcome);
   return outcome;
 }

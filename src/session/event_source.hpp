@@ -2,8 +2,9 @@
 //
 // Two implementations of one interface, so every tool runs online or
 // offline without code changes:
-//   * LiveEngineSource — instruments a minipin Engine and executes the
-//     guest, forwarding entries / ticks / accesses / returns as they retire;
+//   * LiveEngineSource — executes the guest on either engine, forwarding its
+//     vm::EventSink stream (entries / ticks / accesses / returns, as they
+//     retire) into the attribution service;
 //   * TraceReplaySource — reconstructs the same event stream from a recorded
 //     TQTR trace (v1 or v2, auto-detected), including the per-instruction
 //     ticks the trace does not store explicitly (see event_source.cpp).
@@ -11,13 +12,14 @@
 
 #include <csignal>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <span>
 
-#include "minipin/minipin.hpp"
 #include "session/attribution.hpp"
 #include "trace/trace_v2.hpp"
+#include "vm/engine.hpp"
 #include "vm/host_env.hpp"
+#include "vm/machine.hpp"
 #include "vm/program.hpp"
 
 namespace tq::session {
@@ -33,13 +35,12 @@ class EventSource {
   virtual vm::RunOutcome run(KernelAttribution& attribution) = 0;
 };
 
-/// Executes the guest once, forwarding its event stream into the
-/// attribution service. Single-shot, like the engines it owns. With
+/// Executes the guest once, forwarding its vm::EventSink stream into the
+/// attribution service. Single-shot, like the engine it owns. With
 /// EngineKind::kCompiled (the default) the guest runs on the fused-op
-/// threaded-dispatch engine, which emits batched profiling events straight
-/// into the attribution (vm::EventSink); with EngineKind::kInterp it runs
-/// under minipin instrumentation with per-instruction trampolines. Both
-/// paths produce byte-identical consumer-visible event streams.
+/// threaded-dispatch engine, which batches ticks into spans; with
+/// EngineKind::kInterp it runs on the reference interpreter, which emits
+/// one-tick spans. Both produce byte-identical consumer-visible streams.
 class LiveEngineSource final : public EventSource {
  public:
   LiveEngineSource(const vm::Program& program, vm::HostEnv& host,
@@ -48,52 +49,21 @@ class LiveEngineSource final : public EventSource {
 
   /// Arm deterministic fault injection on the underlying engine.
   void set_fault_plan(const vm::FaultPlan& plan) noexcept {
-    guest().set_fault_plan(plan);
+    engine_->set_fault_plan(plan);
   }
 
   /// Arm cooperative interruption on the underlying engine (see
   /// vm::GuestEngine::set_interrupt_flag).
   void set_interrupt_flag(const volatile std::sig_atomic_t* flag) noexcept {
-    guest().set_interrupt_flag(flag);
-  }
-
-  /// Live progress for heartbeats: instructions retired so far. Exact at
-  /// attribution boundaries; the compiled engine keeps its counter in a
-  /// register between them.
-  std::uint64_t retired_now() const noexcept { return guest().retired(); }
-
-  vm::EngineKind engine_kind() const noexcept {
-    return pin_ ? vm::EngineKind::kInterp : vm::EngineKind::kCompiled;
+    engine_->set_interrupt_flag(flag);
   }
 
   const vm::Program& program() const noexcept override { return program_; }
   vm::RunOutcome run(KernelAttribution& attribution) override;
 
  private:
-  // Fused per-instruction trampolines for the interpreter path, chosen at
-  // instrument time by the instruction's static shape (memory read/write,
-  // return). One indirect call per instruction instead of one per concern
-  // keeps the single-pass dispatch cheap however many tools subscribe.
-  static void on_tick(void* attribution, const pin::InsArgs& args);
-  static void tick_read(void* attribution, const pin::InsArgs& args);
-  static void tick_write(void* attribution, const pin::InsArgs& args);
-  static void tick_read_write(void* attribution, const pin::InsArgs& args);
-  static void tick_ret(void* attribution, const pin::InsArgs& args);
-  static void enter_fc(void* attribution, const pin::RtnArgs& args);
-
-  static void input_read(KernelAttribution& sink, const pin::InsArgs& args);
-  static void input_write(KernelAttribution& sink, const pin::InsArgs& args);
-
-  vm::GuestEngine& guest() noexcept {
-    return pin_ ? pin_->guest() : static_cast<vm::GuestEngine&>(*compiled_);
-  }
-  const vm::GuestEngine& guest() const noexcept {
-    return const_cast<LiveEngineSource*>(this)->guest();
-  }
-
   const vm::Program& program_;
-  std::optional<pin::Engine> pin_;
-  std::optional<vm::CompiledMachine> compiled_;
+  std::unique_ptr<vm::GuestEngine> engine_;
   bool ran_ = false;
 };
 

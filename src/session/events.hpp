@@ -21,8 +21,8 @@
 namespace tq::session {
 
 /// Routine entry. Fires after the call instruction's own tick/access events
-/// (mirroring vm::ExecListener::on_rtn_enter), and once at program start for
-/// the entry function.
+/// (mirroring vm::EventSink::on_enter), and once at program start for the
+/// entry function.
 struct EnterEvent {
   std::uint32_t func = 0;    ///< entered routine
   std::uint32_t caller = 0;  ///< attribution top *before* the push (kNoKernel if none)
@@ -33,7 +33,7 @@ struct EnterEvent {
 
 /// One retired instruction, including predicated-off ones. `read_size` /
 /// `write_size` are the architectural operand widths (populated even when
-/// the predicate was off, matching vm::ProbeArgs).
+/// the predicate was off).
 struct TickEvent {
   std::uint32_t func = 0;    ///< function whose instruction retired
   std::uint32_t kernel = 0;  ///< attribution top (kNoKernel while suspended)

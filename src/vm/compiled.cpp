@@ -1,12 +1,11 @@
-// The threaded-dispatch executor. One templated loop, three modes:
+// The threaded-dispatch executor. One templated loop, two modes:
 //   kNative — no instrumentation (the paper's "native execution" baseline);
-//   kProbed — pre-resolved minipin analysis probes, dispatched per op;
-//   kSinked — batched profiling events for the session fast path.
+//   kSinked — batched profiling events into a vm::EventSink.
 //
 // Exactness is the whole game: each handler replicates the interpreter's
 // per-instruction sequence — stop checks (budget / trap_at) first, then the
-// predicate, then event/probe delivery computed from *pre-execution*
-// register state, then the retire, then execution (whose traps count the
+// predicate, then the retire, then event delivery computed from
+// *pre-execution* register state, then execution (whose traps count the
 // faulting instruction as retired) — so the two engines are byte-identical
 // to every observer. See machine.cpp run_loop for the reference ordering.
 #include "vm/compiled.hpp"
@@ -120,67 +119,20 @@ void CompiledMachine::do_sys(std::int64_t imm) {
   }
 }
 
-const CompiledRoutine& CompiledMachine::routine_for_entry(
-    std::uint32_t func, ProbeProvider* probes) {
+const CompiledRoutine& CompiledMachine::routine_for_entry(std::uint32_t func) {
   CompiledRoutine& rtn = routines_[func];
   if (!rtn.lowered) [[unlikely]] {
-    ProbeProvider::RoutineProbes tables;
-    if (probes != nullptr) tables = probes->instrument(func);
-    rtn = lower_routine(program_, func, tables.per_ins);
-    rtn.entry_probes = tables.entry_probes;
+    rtn = lower_routine(program_, func);
     ++lowered_count_;
     fused_pairs_ += rtn.fused;
   }
   return rtn;
 }
 
-void CompiledMachine::dispatch_probes(const COp& op, std::uint32_t func,
-                                      std::uint64_t read_ea,
-                                      std::uint32_t read_size,
-                                      std::uint64_t write_ea,
-                                      std::uint32_t write_size,
-                                      bool is_prefetch, bool executed,
-                                      std::uint64_t retired) const {
-  ProbeArgs args;
-  args.ip = (static_cast<std::uint64_t>(func) << 32) | op.pc;
-  args.func = func;
-  args.pc = op.pc;
-  args.read_ea = read_ea;
-  args.read_size = read_size;
-  args.write_ea = write_ea;
-  args.write_size = write_size;
-  args.is_prefetch = is_prefetch;
-  args.executed = executed;
-  args.sp = cpu_.sp_value();
-  args.retired = retired;
-  for (std::uint16_t k = 0; k < op.probe_count; ++k) {
-    const InsProbe& call = op.probes[k];
-    if (call.predicated_only && !executed) continue;
-    call.fn(call.tool, args);
-  }
-}
+RunOutcome CompiledMachine::run() { return start(nullptr); }
+RunOutcome CompiledMachine::run(EventSink& sink) { return start(&sink); }
 
-void CompiledMachine::dispatch_entry_probes(const CompiledRoutine& rtn,
-                                            std::uint32_t func,
-                                            std::uint64_t retired) const {
-  if (rtn.entry_probes == nullptr || rtn.entry_probes->empty()) return;
-  EntryArgs args;
-  args.func = func;
-  args.name = &program_.functions()[func].name;
-  args.image = program_.functions()[func].image;
-  args.retired = retired;
-  for (const EntryProbe& call : *rtn.entry_probes) {
-    call.fn(call.tool, args);
-  }
-}
-
-RunOutcome CompiledMachine::run() { return start(nullptr, nullptr); }
-RunOutcome CompiledMachine::run(ProbeProvider& probes) {
-  return start(&probes, nullptr);
-}
-RunOutcome CompiledMachine::run(EventSink& sink) { return start(nullptr, &sink); }
-
-RunOutcome CompiledMachine::start(ProbeProvider* probes, EventSink* sink) {
+RunOutcome CompiledMachine::start(EventSink* sink) {
   TQUAD_CHECK(!ran_,
               "CompiledMachine::run is single-shot; construct a fresh "
               "CompiledMachine");
@@ -188,9 +140,8 @@ RunOutcome CompiledMachine::start(ProbeProvider* probes, EventSink* sink) {
   for (const DataInit& init : program_.data()) {
     memory_.write(init.addr, init.bytes);
   }
-  if (sink != nullptr) return exec<Mode::kSinked>(nullptr, sink);
-  if (probes != nullptr) return exec<Mode::kProbed>(probes, nullptr);
-  return exec<Mode::kNative>(nullptr, nullptr);
+  if (sink != nullptr) return exec<Mode::kSinked>(sink);
+  return exec<Mode::kNative>(nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -210,7 +161,7 @@ RunOutcome CompiledMachine::start(ProbeProvider* probes, EventSink* sink) {
 // extra test stays branch-predicted free) and tick accounting for the
 // (first) instruction of an op. `membit` is the static has-memory-operand
 // flag the batched tick records — predicated-off instructions count, exactly
-// as the interpreter-side trampolines see them.
+// as in the interpreter's one-tick spans.
 #define TQ_HEAD(membit)                                                \
   if (retired >= stop_at || (irq != nullptr && *irq != 0)) [[unlikely]] { \
     cpu_.pc = op->pc;                                                  \
@@ -231,21 +182,15 @@ RunOutcome CompiledMachine::start(ProbeProvider* probes, EventSink* sink) {
     ++span_count;                                                      \
   }
 
-// Predicate evaluation, probe dispatch (with pre-execution operand state),
-// retire, and the predicated-off skip to the fall-through op.
-#define TQ_PRE(rea, rsz, wea, wsz, pf)                                 \
-  bool executed = true;                                                \
-  if (op->flags != 0) [[unlikely]] executed = r[op->pr] != 0;          \
-  if constexpr (M == Mode::kProbed) {                                  \
-    if (op->probes != nullptr) [[unlikely]] {                          \
-      dispatch_probes(*op, cur_func, (rea), (rsz), (wea), (wsz), (pf), \
-                      executed, retired);                              \
-    }                                                                  \
-  }                                                                    \
-  ++retired;                                                           \
-  if (!executed) [[unlikely]] {                                        \
-    ++i;                                                               \
-    TQ_NEXT();                                                         \
+// Predicate evaluation, retire, and the predicated-off skip to the
+// fall-through op.
+#define TQ_PRE()                                              \
+  bool executed = true;                                       \
+  if (op->flags != 0) [[unlikely]] executed = r[op->pr] != 0; \
+  ++retired;                                                  \
+  if (!executed) [[unlikely]] {                               \
+    ++i;                                                      \
+    TQ_NEXT();                                                \
   }
 
 // Flush the pending tick span (kSinked) at an attribution boundary. Spans
@@ -266,7 +211,7 @@ RunOutcome CompiledMachine::start(ProbeProvider* probes, EventSink* sink) {
 // Switch the current routine (lowering it on first entry).
 #define TQ_SET_ROUTINE(func_id)                         \
   do {                                                  \
-    rtn = &routine_for_entry((func_id), probes);        \
+    rtn = &routine_for_entry(func_id);                  \
     ops = rtn->ops.data();                              \
     pc2op = rtn->pc_to_op.data();                       \
   } while (0)
@@ -274,14 +219,14 @@ RunOutcome CompiledMachine::start(ProbeProvider* probes, EventSink* sink) {
 #define TQ_ALU(name, stmt) \
   TQ_CASE(name) {          \
     TQ_HEAD(false)         \
-    TQ_PRE(0, 0, 0, 0, false) \
+    TQ_PRE()               \
     stmt;                  \
     ++i;                   \
     TQ_NEXT();             \
   }
 
 template <CompiledMachine::Mode M>
-RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
+RunOutcome CompiledMachine::exec(EventSink* sink) {
   cpu_.func = program_.entry();
   cpu_.pc = 0;
   cpu_.sp() = kStackBase;
@@ -314,9 +259,6 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
   try {
     TQ_SET_ROUTINE(cur_func);
     if constexpr (M == Mode::kSinked) sink->on_enter(cur_func, 0);
-    if constexpr (M == Mode::kProbed) {
-      dispatch_entry_probes(*rtn, cur_func, 0);
-    }
     check_entry_fault();
 
 #if TQ_CGOTO
@@ -342,19 +284,18 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
 
     TQ_CASE(kNop) {
       TQ_HEAD(false)
-      TQ_PRE(0, 0, 0, 0, false)
+      TQ_PRE()
       ++i;
       TQ_NEXT();
     }
 
     TQ_CASE(kHalt) {
       TQ_HEAD(false)
-      TQ_PRE(0, 0, 0, 0, false)
+      TQ_PRE()
       cpu_.func = cur_func;
       cpu_.pc = op->pc;
       retired_ = retired;
       TQ_FLUSH_SPAN()
-      if constexpr (M == Mode::kProbed) probes->on_end(retired);
       {
         RunOutcome out;
         out.retired = retired;
@@ -368,7 +309,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
 
     TQ_CASE(kDivS) {
       TQ_HEAD(false)
-      TQ_PRE(0, 0, 0, 0, false)
+      TQ_PRE()
       const auto num = static_cast<std::int64_t>(r[op->ra]);
       const auto den = static_cast<std::int64_t>(r[op->rb]);
       if (den == 0) [[unlikely]] TQ_TRAP("integer division by zero");
@@ -378,7 +319,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     }
     TQ_CASE(kRemS) {
       TQ_HEAD(false)
-      TQ_PRE(0, 0, 0, 0, false)
+      TQ_PRE()
       const auto num = static_cast<std::int64_t>(r[op->ra]);
       const auto den = static_cast<std::int64_t>(r[op->rb]);
       if (den == 0) [[unlikely]] TQ_TRAP("integer remainder by zero");
@@ -442,7 +383,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     TQ_CASE(kLoad) {
       TQ_HEAD(op->size != 0)
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      TQ_PRE(ea, op->size, 0, 0, false)
+      TQ_PRE()
       if constexpr (M == Mode::kSinked) {
         sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
                         is_stack_addr(ea, r[isa::kSp]), false);
@@ -454,7 +395,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     TQ_CASE(kLoadS) {
       TQ_HEAD(op->size != 0)
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      TQ_PRE(ea, op->size, 0, 0, false)
+      TQ_PRE()
       if constexpr (M == Mode::kSinked) {
         sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
                         is_stack_addr(ea, r[isa::kSp]), false);
@@ -471,7 +412,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     TQ_CASE(kStore) {
       TQ_HEAD(op->size != 0)
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      TQ_PRE(0, 0, ea, op->size, false)
+      TQ_PRE()
       if constexpr (M == Mode::kSinked) {
         sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, false,
                         is_stack_addr(ea, r[isa::kSp]), false);
@@ -483,7 +424,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     TQ_CASE(kFLoad) {
       TQ_HEAD(op->size != 0)
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      TQ_PRE(ea, op->size, 0, 0, false)
+      TQ_PRE()
       if constexpr (M == Mode::kSinked) {
         sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
                         is_stack_addr(ea, r[isa::kSp]), false);
@@ -495,7 +436,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     TQ_CASE(kFStore) {
       TQ_HEAD(op->size != 0)
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      TQ_PRE(0, 0, ea, op->size, false)
+      TQ_PRE()
       if constexpr (M == Mode::kSinked) {
         sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, false,
                         is_stack_addr(ea, r[isa::kSp]), false);
@@ -507,7 +448,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     TQ_CASE(kFLoad4) {
       TQ_HEAD(op->size != 0)
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      TQ_PRE(ea, op->size, 0, 0, false)
+      TQ_PRE()
       if constexpr (M == Mode::kSinked) {
         sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
                         is_stack_addr(ea, r[isa::kSp]), false);
@@ -522,7 +463,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     TQ_CASE(kFStore4) {
       TQ_HEAD(op->size != 0)
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      TQ_PRE(0, 0, ea, op->size, false)
+      TQ_PRE()
       if constexpr (M == Mode::kSinked) {
         sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, false,
                         is_stack_addr(ea, r[isa::kSp]), false);
@@ -537,7 +478,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     TQ_CASE(kPrefetch) {
       TQ_HEAD(op->size != 0)
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      TQ_PRE(ea, op->size, 0, 0, true)
+      TQ_PRE()
       if constexpr (M == Mode::kSinked) {
         sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
                         is_stack_addr(ea, r[isa::kSp]), true);
@@ -550,7 +491,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       TQ_HEAD(op->size != 0)
       const std::uint64_t rea = r[op->ra];
       const std::uint64_t wea = r[op->rd];
-      TQ_PRE(rea, op->size, wea, op->size, false)
+      TQ_PRE()
       if constexpr (M == Mode::kSinked) {
         sink->on_access(cur_func, op->pc, retired - 1, rea, op->size, true,
                         is_stack_addr(rea, r[isa::kSp]), false);
@@ -569,19 +510,19 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
 
     TQ_CASE(kJmp) {
       TQ_HEAD(false)
-      TQ_PRE(0, 0, 0, 0, false)
+      TQ_PRE()
       i = op->target;
       TQ_NEXT();
     }
     TQ_CASE(kBrZ) {
       TQ_HEAD(false)
-      TQ_PRE(0, 0, 0, 0, false)
+      TQ_PRE()
       i = (r[op->ra] == 0) ? op->target : i + 1;
       TQ_NEXT();
     }
     TQ_CASE(kBrNZ) {
       TQ_HEAD(false)
-      TQ_PRE(0, 0, 0, 0, false)
+      TQ_PRE()
       i = (r[op->ra] != 0) ? op->target : i + 1;
       TQ_NEXT();
     }
@@ -590,7 +531,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       TQ_HEAD(true)
       const std::uint64_t sp_before = r[isa::kSp];
       const std::uint64_t wea = sp_before - 8;
-      TQ_PRE(0, 0, wea, 8, false)
+      TQ_PRE()
       if constexpr (M == Mode::kSinked) {
         sink->on_access(cur_func, op->pc, retired - 1, wea, 8, false,
                         is_stack_addr(wea, sp_before), false);
@@ -608,9 +549,6 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       retired_ = retired;
       TQ_SET_ROUTINE(callee);
       if constexpr (M == Mode::kSinked) sink->on_enter(callee, retired - 1);
-      if constexpr (M == Mode::kProbed) {
-        dispatch_entry_probes(*rtn, callee, retired - 1);
-      }
       check_entry_fault();
       i = 0;
       TQ_NEXT();
@@ -618,7 +556,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     TQ_CASE(kRet) {
       TQ_HEAD(true)
       const std::uint64_t sp_before = r[isa::kSp];
-      TQ_PRE(sp_before, 8, 0, 0, false)
+      TQ_PRE()
       if constexpr (M == Mode::kSinked) {
         sink->on_access(cur_func, op->pc, retired - 1, sp_before, 8, true,
                         is_stack_addr(sp_before, sp_before), false);
@@ -651,7 +589,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
 
     TQ_CASE(kSys) {
       TQ_HEAD(false)
-      TQ_PRE(0, 0, 0, 0, false)
+      TQ_PRE()
       cpu_.func = cur_func;
       cpu_.pc = op->pc;
       retired_ = retired;
@@ -669,7 +607,7 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
       trap("pc past end of function");
     }
 
-    // ---- superinstructions (probe-free, unpredicated by construction) ----
+    // ---- superinstructions (unpredicated by construction) ----
 
     TQ_CASE(kFuseAddIAddI) {
       TQ_HEAD(false)
@@ -771,7 +709,6 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     retired_ = retired;
     if (irq != nullptr && *irq != 0) {
       TQ_FLUSH_SPAN()
-      if constexpr (M == Mode::kProbed) probes->on_end(retired);
       RunOutcome out;
       out.status = RunStatus::kInterrupted;
       out.retired = retired;
@@ -779,7 +716,6 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     }
     if (budget_ != 0 && retired >= budget_) {
       TQ_FLUSH_SPAN()
-      if constexpr (M == Mode::kProbed) probes->on_end(retired);
       RunOutcome out;
       out.status = RunStatus::kTruncated;
       out.retired = retired;
@@ -792,7 +728,6 @@ RunOutcome CompiledMachine::exec(ProbeProvider* probes, EventSink* sink) {
     // Guest-attributable fault: flush what the consumers are owed, then
     // return the structured outcome — the same contract as Machine::run.
     TQ_FLUSH_SPAN()
-    if constexpr (M == Mode::kProbed) probes->on_end(retired_);
     RunOutcome out;
     out.status = RunStatus::kTrapped;
     out.retired = retired_;

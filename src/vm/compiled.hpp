@@ -1,17 +1,13 @@
-// The compiled execution engine: guest routines are lowered — together with
-// whatever instrumentation is already subscribed — into flat arrays of fused
-// op structs executed by a tight computed-goto/threaded dispatch loop.
+// The compiled execution engine: guest routines are lowered into flat arrays
+// of fused ops, run by a tight computed-goto/threaded dispatch loop.
 //
 // What lowering buys over the interpreter (see lower.cpp for the pass):
-//   * superinstructions: common probe-free pairs (compare+branch, addi+addi,
-//     ...) retire two guest instructions per dispatch;
-//   * pre-resolved analysis-callback lists: each COp carries a pointer into
-//     the subscriber table, so an uninstrumented instruction costs one null
-//     check — no virtual ExecListener hop, no InsArgs construction;
+//   * superinstructions: common unpredicated pairs (compare+branch,
+//     addi+addi, ...) retire two guest instructions per dispatch;
 //   * pre-resolved control flow: branch targets are op-array indices, and a
 //     synthetic trailing op materialises the "pc past end of function" trap
 //     so the loop needs no per-instruction bounds check;
-//   * batched memory-event emission (EventSink mode): per-instruction ticks
+//   * batched event emission (run(EventSink&)): per-instruction ticks
 //     accumulate into spans flushed at attribution boundaries, with the
 //     SP/stack-range classification inlined at the access site.
 //
@@ -27,7 +23,6 @@
 #include "vm/engine.hpp"
 #include "vm/host_env.hpp"
 #include "vm/machine.hpp"
-#include "vm/probe.hpp"
 #include "vm/program.hpp"
 #include "vm/run_outcome.hpp"
 
@@ -67,7 +62,7 @@ enum class COpId : std::uint8_t {
       kCount_,
 };
 
-/// One lowered op. 48 bytes; a fused op carries its second instruction's
+/// One lowered op. 40 bytes; a fused op carries its second instruction's
 /// fields in rd2/ra2/imm2 (the chosen pairs never need rb2 or a size2).
 struct COp {
   COpId id = COpId::kNop;
@@ -79,13 +74,12 @@ struct COp {
   std::uint8_t flags = 0;  ///< isa::kFlagPredicated, if set
   std::uint8_t rd2 = 0;    ///< fused second destination
   std::uint8_t ra2 = 0;    ///< fused second source
-  std::uint16_t probe_count = 0;
   std::uint32_t pc = 0;      ///< original pc of the (first) instruction
   std::uint32_t target = 0;  ///< branch target as an op-array index
   std::int64_t imm = 0;
-  std::int64_t imm2 = 0;               ///< fused second immediate
-  const InsProbe* probes = nullptr;    ///< pre-resolved callback list
+  std::int64_t imm2 = 0;     ///< fused second immediate
 };
+static_assert(sizeof(COp) == 40, "keep the lowered op at five words");
 
 /// One routine lowered to threaded-dispatch form. `pc_to_op[pc]` maps every
 /// original instruction index (plus the one-past-the-end slot) to its op;
@@ -95,13 +89,11 @@ struct CompiledRoutine {
   std::uint32_t fused = 0;  ///< pairs fused away in this routine
   std::vector<COp> ops;
   std::vector<std::uint32_t> pc_to_op;
-  const std::vector<EntryProbe>* entry_probes = nullptr;
 };
 
 /// The compiled engine. Same contract as vm::Machine: bind a validated
 /// Program and a HostEnv, run() once; budgets, fault plans and outcomes are
-/// identical. Routines are lowered lazily on first dynamic entry, which is
-/// also when the ProbeProvider (if any) instruments them.
+/// identical. Routines are lowered lazily on first dynamic entry.
 class CompiledMachine final : public GuestEngine {
  public:
   CompiledMachine(const Program& program, HostEnv& host);
@@ -109,12 +101,9 @@ class CompiledMachine final : public GuestEngine {
   /// Uninstrumented run (the "native execution" baseline).
   RunOutcome run();
 
-  /// Run with per-instruction analysis probes lowered into the op stream
-  /// (the minipin-backed path).
-  RunOutcome run(ProbeProvider& probes);
-
-  /// Run emitting batched profiling events (the session fast path).
-  RunOutcome run(EventSink& sink);
+  /// Profiled run: the interpreter's event stream, with the ticks between
+  /// two attribution boundaries batched into one span.
+  RunOutcome run(EventSink& sink) override;
 
   // GuestEngine.
   void set_instruction_budget(std::uint64_t budget) noexcept override {
@@ -139,22 +128,14 @@ class CompiledMachine final : public GuestEngine {
   std::uint64_t fused_pairs() const noexcept { return fused_pairs_; }
 
  private:
-  enum class Mode { kNative, kProbed, kSinked };
+  enum class Mode { kNative, kSinked };
 
   template <Mode M>
-  RunOutcome exec(ProbeProvider* probes, EventSink* sink);
-  RunOutcome start(ProbeProvider* probes, EventSink* sink);
+  RunOutcome exec(EventSink* sink);
+  RunOutcome start(EventSink* sink);
 
-  /// Lower (and, with a provider, instrument) a routine on first entry.
-  const CompiledRoutine& routine_for_entry(std::uint32_t func,
-                                           ProbeProvider* probes);
-
-  void dispatch_probes(const COp& op, std::uint32_t func, std::uint64_t read_ea,
-                       std::uint32_t read_size, std::uint64_t write_ea,
-                       std::uint32_t write_size, bool is_prefetch,
-                       bool executed, std::uint64_t retired) const;
-  void dispatch_entry_probes(const CompiledRoutine& rtn, std::uint32_t func,
-                             std::uint64_t retired) const;
+  /// Lower a routine on first entry.
+  const CompiledRoutine& routine_for_entry(std::uint32_t func);
 
   [[noreturn]] void trap(const std::string& why) const;
   void check_entry_fault();

@@ -5,12 +5,15 @@
 // observable behaviour — RunOutcome semantics, instruction budgets, the
 // FaultPlan triggers and the exact-prefix PARTIAL/trap contract all carry
 // over unchanged. GuestEngine is the shared surface callers program
-// against; EngineKind selects the implementation at the minipin / session /
-// CLI layers (`-engine interp|compiled`).
+// against; EngineKind selects the implementation at the session and CLI
+// layers (`-engine interp|compiled`).
 #pragma once
 
 #include <csignal>
 #include <cstdint>
+
+#include "vm/probe.hpp"
+#include "vm/run_outcome.hpp"
 
 namespace tq::vm {
 
@@ -26,13 +29,18 @@ enum class EngineKind : std::uint8_t {
 /// "interp" / "compiled".
 const char* engine_kind_name(EngineKind kind) noexcept;
 
-/// The execution-engine contract shared by Machine and CompiledMachine.
-/// run() itself is not part of the seam — the two engines take different
-/// instrumentation hooks (ExecListener vs. ProbeProvider/EventSink) — but
-/// budgets, fault plans and post-run inspection are identical.
+/// The execution-engine contract shared by Machine and CompiledMachine:
+/// the profiled run, budgets, fault plans and post-run inspection.
 class GuestEngine {
  public:
   virtual ~GuestEngine() = default;
+
+  /// Execute from the program entry, emitting the profiling event stream
+  /// into `sink`, until kHalt, a guest trap, a budget cut or an interrupt —
+  /// all RunOutcome statuses, not exceptions. The events delivered before a
+  /// non-halt outcome are an exact prefix of the full run's. Host errors
+  /// throw. Single-shot, like the bare run() each engine also offers.
+  virtual RunOutcome run(EventSink& sink) = 0;
 
   /// Stop the run gracefully (RunStatus::kTruncated) once this many
   /// instructions retire. Zero (default) means unlimited.

@@ -65,15 +65,9 @@ bool fused_is_branch(COpId id) noexcept {
   }
 }
 
-bool has_probes(const std::vector<std::vector<InsProbe>>* per_ins,
-                std::uint32_t pc) noexcept {
-  return per_ins != nullptr && pc < per_ins->size() && !(*per_ins)[pc].empty();
-}
-
 }  // namespace
 
-CompiledRoutine lower_routine(const Program& program, std::uint32_t func,
-                              const std::vector<std::vector<InsProbe>>* per_ins) {
+CompiledRoutine lower_routine(const Program& program, std::uint32_t func) {
   const std::vector<Instr>& code = program.functions()[func].code;
   const auto size = static_cast<std::uint32_t>(code.size());
   CompiledRoutine rtn;
@@ -113,15 +107,10 @@ CompiledRoutine lower_routine(const Program& program, std::uint32_t func,
     op.pr = ins.pr;
     op.flags = ins.flags;
     op.imm = ins.imm;
-    if (has_probes(per_ins, pc)) {
-      op.probes = (*per_ins)[pc].data();
-      op.probe_count = static_cast<std::uint16_t>((*per_ins)[pc].size());
-    }
 
     COpId fused = COpId::kCount_;
-    if (pc + 1 < size && !ins.predicated() && op.probes == nullptr &&
-        !entry_point[pc + 1] && !code[pc + 1].predicated() &&
-        !has_probes(per_ins, pc + 1)) {
+    if (pc + 1 < size && !ins.predicated() && !entry_point[pc + 1] &&
+        !code[pc + 1].predicated()) {
       fused = fuse_pair(ins, code[pc + 1]);
     }
     if (fused != COpId::kCount_) {

@@ -1,21 +1,15 @@
-// The lowering pass: one routine's decoded isa::Instr stream plus its
-// subscribed instrumentation, down to the compiled engine's fused-op form.
+// The lowering pass: one routine's decoded isa::Instr stream down to the
+// compiled engine's fused-op form.
 #pragma once
 
 #include <cstdint>
 
 #include "vm/compiled.hpp"
-#include "vm/probe.hpp"
 #include "vm/program.hpp"
 
 namespace tq::vm {
 
-/// Lower `func` of `program`. `per_ins` is the routine's subscriber table
-/// (indexed by pc; may be null or shorter than the code when nothing is
-/// subscribed) — instructions with probes are never fused, and each COp's
-/// probe list pointer resolves into it, so the table must outlive the
-/// returned routine.
-CompiledRoutine lower_routine(const Program& program, std::uint32_t func,
-                              const std::vector<std::vector<InsProbe>>* per_ins);
+/// Lower `func` of `program`.
+CompiledRoutine lower_routine(const Program& program, std::uint32_t func);
 
 }  // namespace tq::vm

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "support/check.hpp"
+#include "vm/stack_addr.hpp"
 
 namespace tq::vm {
 
@@ -26,8 +27,8 @@ void Machine::trap(const std::string& why) const {
                   why, cpu_.func, cpu_.pc);
 }
 
-// FaultPlan function-entry trigger. Runs right after on_rtn_enter fired for
-// the entered routine, so the event stream up to the trap matches a clean
+// FaultPlan function-entry trigger. Runs right after the entered routine's
+// on_enter event, so the event stream up to the trap matches a clean
 // run cut at the same retired count.
 void Machine::check_entry_fault() {
   if (fault_.fail_func == FaultPlan::kNoFunc || cpu_.func != fault_.fail_func)
@@ -99,17 +100,20 @@ void Machine::do_sys(const Instr& ins) {
   }
 }
 
-RunOutcome Machine::run(ExecListener* listener) {
+RunOutcome Machine::run() { return start(nullptr); }
+RunOutcome Machine::run(EventSink& sink) { return start(&sink); }
+
+RunOutcome Machine::start(EventSink* sink) {
   TQUAD_CHECK(!ran_, "Machine::run is single-shot; construct a fresh Machine");
   ran_ = true;
   for (const DataInit& init : program_.data()) {
     memory_.write(init.addr, init.bytes);
   }
   try {
-    return listener ? run_loop<true>(listener) : run_loop<false>(nullptr);
+    return sink ? run_loop<true>(sink) : run_loop<false>(nullptr);
   } catch (const TrapError& err) {
     // Guest-attributable fault: a structured outcome, not a host error. The
-    // listener still sees on_program_end so tools flush their partial state.
+    // events delivered so far are the exact prefix up to the trap.
     RunOutcome out;
     out.status = RunStatus::kTrapped;
     out.retired = retired_;
@@ -119,20 +123,60 @@ RunOutcome Machine::run(ExecListener* listener) {
                             : "<bad function>";
     out.trap_func = err.func();
     out.trap_pc = err.pc();
-    if (listener) listener->on_program_end(retired_);
     return out;
   }
 }
 
+// One instruction's events, from pre-execution state (the retired stamp and
+// SP before it retires): its one-tick span, whose memory bit comes from the
+// static operand widths so a predicated-off instruction counts too; then,
+// only if it executed, its reads, its writes and its return.
+void Machine::emit_instr(EventSink& sink, const Instr& ins, bool executed) {
+  const std::uint32_t func = cpu_.func;
+  const std::uint32_t pc = cpu_.pc;
+  const std::uint64_t sp = cpu_.sp_value();
+  const auto access = [&](std::uint64_t ea, std::uint32_t size, bool is_read,
+                          bool is_prefetch) {
+    sink.on_access(func, pc, retired_, ea, size, is_read,
+                   is_stack_addr(ea, sp), is_prefetch);
+  };
+  const auto& r = cpu_.regs;
+  switch (ins.op) {
+    case Op::kCall:  // pushes the 8-byte return address
+      sink.on_tick_span(func, retired_, 1, 1);
+      if (executed) access(sp - 8, 8, false, false);
+      return;
+    case Op::kRet:  // pops it
+      sink.on_tick_span(func, retired_, 1, 1);
+      if (executed) {
+        access(sp, 8, true, false);
+        sink.on_ret(func, pc, retired_);
+      }
+      return;
+    case Op::kMovs:
+      sink.on_tick_span(func, retired_, 1, ins.size != 0 ? 1 : 0);
+      if (executed) {
+        access(r[ins.ra], ins.size, true, false);
+        access(r[ins.rd], ins.size, false, false);
+      }
+      return;
+    default:
+      break;
+  }
+  const bool mem = isa::references_memory(ins.op);
+  sink.on_tick_span(func, retired_, 1, mem && ins.size != 0 ? 1 : 0);
+  if (mem && executed) {
+    access(r[ins.ra] + static_cast<std::uint64_t>(ins.imm), ins.size,
+           !isa::is_memory_write(ins.op), isa::is_prefetch(ins.op));
+  }
+}
+
 template <bool kTraced>
-RunOutcome Machine::run_loop(ExecListener* listener) {
+RunOutcome Machine::run_loop(EventSink* sink) {
   cpu_.func = program_.entry();
   cpu_.pc = 0;
   cpu_.sp() = kStackBase;
-  if constexpr (kTraced) {
-    listener->on_program_start(program_);
-    listener->on_rtn_enter(cpu_.func);
-  }
+  if constexpr (kTraced) sink->on_enter(cpu_.func, 0);
   check_entry_fault();
   const Function* fn = &program_.functions()[cpu_.func];
   auto& r = cpu_.regs;
@@ -146,7 +190,6 @@ RunOutcome Machine::run_loop(ExecListener* listener) {
     if (interrupt_ != nullptr && *interrupt_ != 0) [[unlikely]] {
       // Cooperative interruption (SIGINT/SIGTERM flag): stop at a retirement
       // boundary so the events delivered so far are a valid prefix.
-      if constexpr (kTraced) listener->on_program_end(retired_);
       RunOutcome out;
       out.status = RunStatus::kInterrupted;
       out.retired = retired_;
@@ -154,7 +197,6 @@ RunOutcome Machine::run_loop(ExecListener* listener) {
     }
     if (budget_ != 0 && retired_ >= budget_) [[unlikely]] {
       // Graceful truncation: the events so far are a valid prefix.
-      if constexpr (kTraced) listener->on_program_end(retired_);
       RunOutcome out;
       out.status = RunStatus::kTruncated;
       out.retired = retired_;
@@ -167,37 +209,7 @@ RunOutcome Machine::run_loop(ExecListener* listener) {
     }
     const bool executed = !ins.predicated() || r[ins.pr] != 0;
 
-    if constexpr (kTraced) {
-      InstrEvent ev;
-      ev.func = cpu_.func;
-      ev.pc = cpu_.pc;
-      ev.ins = &ins;
-      ev.sp = cpu_.sp_value();
-      ev.retired = retired_;
-      ev.executed = executed;
-      if (isa::references_memory(ins.op)) {
-        if (ins.op == Op::kCall) {
-          ev.write = MemRef{cpu_.sp_value() - 8, 8};
-        } else if (ins.op == Op::kRet) {
-          ev.read = MemRef{cpu_.sp_value(), 8};
-        } else if (ins.op == Op::kMovs) {
-          ev.read = MemRef{r[ins.ra], ins.size};
-          ev.write = MemRef{r[ins.rd], ins.size};
-        } else {
-          const MemRef ref{r[ins.ra] + static_cast<std::uint64_t>(ins.imm), ins.size};
-          if (isa::is_memory_read(ins.op)) ev.read = ref;
-          if (isa::is_memory_write(ins.op)) ev.write = ref;
-          if (isa::is_prefetch(ins.op)) {
-            ev.read = ref;
-            ev.prefetch = true;
-          }
-        }
-      }
-      if (ins.op == Op::kCall && executed) {
-        ev.callee = static_cast<std::uint32_t>(ins.imm);
-      }
-      listener->on_instr(ev);
-    }
+    if constexpr (kTraced) emit_instr(*sink, ins, executed);
 
     ++retired_;
     if (!executed) {
@@ -209,7 +221,6 @@ RunOutcome Machine::run_loop(ExecListener* listener) {
       case Op::kNop:
         break;
       case Op::kHalt: {
-        if constexpr (kTraced) listener->on_program_end(retired_);
         RunOutcome out;
         out.retired = retired_;
         return out;
@@ -385,7 +396,7 @@ RunOutcome Machine::run_loop(ExecListener* listener) {
         cpu_.func = static_cast<std::uint32_t>(ins.imm);
         cpu_.pc = 0;
         fn = &program_.functions()[cpu_.func];
-        if constexpr (kTraced) listener->on_rtn_enter(cpu_.func);
+        if constexpr (kTraced) sink->on_enter(cpu_.func, retired_ - 1);
         check_entry_fault();
         continue;
       }
@@ -415,7 +426,7 @@ RunOutcome Machine::run_loop(ExecListener* listener) {
   }
 }
 
-template RunOutcome Machine::run_loop<false>(ExecListener*);
-template RunOutcome Machine::run_loop<true>(ExecListener*);
+template RunOutcome Machine::run_loop<false>(EventSink*);
+template RunOutcome Machine::run_loop<true>(EventSink*);
 
 }  // namespace tq::vm

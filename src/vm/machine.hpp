@@ -1,6 +1,6 @@
-// The interpreter core: executes a Program and streams retirement events to
-// an ExecListener — the substrate on which the minipin DBI layer, and thus
-// the session's reference (interpreter) event source, are built.
+// The interpreter core: executes a Program and, in a profiled run, streams
+// its events into a vm::EventSink — the reference engine the compiled one is
+// checked against, and the session's `-engine interp` event source.
 //
 // Design notes:
 //   * One architectural memory access per instruction (RISC); calls write
@@ -32,50 +32,6 @@ struct Cpu {
 
   std::uint64_t& sp() noexcept { return regs[isa::kSp]; }
   std::uint64_t sp_value() const noexcept { return regs[isa::kSp]; }
-};
-
-/// One memory operand of an instruction. `size == 0` means absent. Plain
-/// loads/stores have one operand; kMovs (string move) has both; kCall has a
-/// write (return-address push) and kRet a read (pop).
-struct MemRef {
-  std::uint64_t ea = 0;    ///< effective byte address
-  std::uint32_t size = 0;  ///< access width in bytes (0 = no operand)
-};
-
-/// Everything a DBI layer needs to know about one retired instruction.
-struct InstrEvent {
-  std::uint32_t func = 0;            ///< function id (the IP's image half)
-  std::uint32_t pc = 0;              ///< instruction index (the IP's offset)
-  const isa::Instr* ins = nullptr;   ///< decoded instruction
-  std::uint64_t sp = 0;              ///< SP *before* execution
-  std::uint64_t retired = 0;         ///< instructions retired before this one
-  bool executed = true;              ///< false when predicated off
-  bool prefetch = false;             ///< `read` is a prefetch touch
-  MemRef read;                       ///< read operand, if any
-  MemRef write;                      ///< write operand, if any
-  std::uint32_t callee = kNoCallee;  ///< target function for executed calls
-
-  static constexpr std::uint32_t kNoCallee = 0xffffffffu;
-};
-
-/// Observer of guest execution. Implemented by the minipin engine; may also
-/// be implemented directly for lightweight ad-hoc tools and tests.
-class ExecListener {
- public:
-  virtual ~ExecListener() = default;
-
-  /// Before the first instruction. The program outlives the run.
-  virtual void on_program_start(const Program& program) { (void)program; }
-
-  /// A routine is entered (program entry, or an executed call). Fires after
-  /// the call instruction's own on_instr event.
-  virtual void on_rtn_enter(std::uint32_t func) { (void)func; }
-
-  /// Every retired instruction, including predicated-off ones.
-  virtual void on_instr(const InstrEvent& event) = 0;
-
-  /// After kHalt; `retired` is the final instruction count.
-  virtual void on_program_end(std::uint64_t retired) { (void)retired; }
 };
 
 /// Guest trap: unrecoverable runtime fault (bad descriptor, stack overflow,
@@ -132,13 +88,14 @@ class Machine : public GuestEngine {
   /// `program` and `host` must outlive the Machine.
   Machine(const Program& program, HostEnv& host);
 
-  /// Execute from the program entry until kHalt, a guest trap, or budget
-  /// exhaustion — all three are RunOutcome statuses, not exceptions, and on
-  /// every path `listener->on_program_end()` fires so tools can flush what
-  /// they observed. Host/tool errors still throw. If `listener` is null the
-  /// uninstrumented fast path runs (the "native execution" baseline of the
-  /// paper's overhead numbers). Can be called once per Machine.
-  RunOutcome run(ExecListener* listener = nullptr);
+  /// Uninstrumented run (the "native execution" baseline of the paper's
+  /// overhead numbers). Same outcomes as run(EventSink&); single-shot.
+  RunOutcome run();
+
+  /// Profiled run. Per retired instruction — predicated-off ones included —
+  /// one one-tick span; then, if it executed, its reads, its writes and its
+  /// return; after an executed call, the callee's entry (see GuestEngine).
+  RunOutcome run(EventSink& sink) override;
 
   /// Stop the run gracefully (RunStatus::kTruncated) once this many
   /// instructions retire. Zero (default) means unlimited.
@@ -165,8 +122,10 @@ class Machine : public GuestEngine {
   }
 
  private:
+  RunOutcome start(EventSink* sink);
   template <bool kTraced>
-  RunOutcome run_loop(ExecListener* listener);
+  RunOutcome run_loop(EventSink* sink);
+  void emit_instr(EventSink& sink, const isa::Instr& ins, bool executed);
 
   [[noreturn]] void trap(const std::string& why) const;
   void check_entry_fault();

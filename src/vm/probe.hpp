@@ -1,102 +1,19 @@
 // The instrumentation seam between the VM's execution engines and the
-// minipin DBI layer (and, below it, the session's attribution service).
+// session's attribution service.
 //
-// The interpreter streams vm::InstrEvent through the virtual ExecListener;
-// the compiled engine instead consumes *pre-resolved* callback tables — flat
-// arrays of function pointers attached per static instruction — so that an
-// instruction with no subscribers costs a single null check instead of a
-// virtual dispatch. The types here are the lowering contract:
-//
-//   * ProbeArgs / EntryArgs   — the argument bundles analysis routines see
-//     (minipin's InsArgs / RtnArgs are aliases of these, so the same tool
-//     callbacks run unchanged under either engine);
-//   * InsProbe / EntryProbe   — one subscribed analysis call;
-//   * ProbeProvider           — hands the engine a routine's finalized
-//     tables on its first dynamic entry (the instrument-once lifecycle);
-//   * EventSink               — the session fast path: instead of per-
-//     instruction probes, the engine batches tick spans and emits accesses /
-//     enters / returns directly, in exactly the order the interpreter-backed
-//     trampolines would have produced.
+// Both engines (vm::Machine and vm::CompiledMachine) take one EventSink and
+// emit the same stream into it: routine entries, tick spans, executed
+// accesses and returns, in the interpreter's reference order. The
+// interpreter emits one-tick spans; the compiled engine batches the ticks
+// between two attribution boundaries into one span. Tools never see this
+// layer directly — they are session::AnalysisConsumers downstream of it.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
-
-#include "vm/program.hpp"
 
 namespace tq::vm {
 
-/// Argument bundle delivered to instruction-level analysis routines.
-/// Field-for-field the bundle minipin's tools were written against.
-struct ProbeArgs {
-  std::uint64_t ip = 0;          ///< (function id << 32) | instruction index
-  std::uint32_t func = 0;        ///< function id
-  std::uint32_t pc = 0;          ///< instruction index within the function
-  std::uint64_t read_ea = 0;     ///< read operand address (read_size != 0)
-  std::uint32_t read_size = 0;   ///< read width in bytes (0 = no read)
-  std::uint64_t write_ea = 0;    ///< write operand address (write_size != 0)
-  std::uint32_t write_size = 0;  ///< write width in bytes (0 = no write)
-  bool is_prefetch = false;      ///< tQUAD's analysis routines bail on this
-  bool executed = true;          ///< false when the predicate was off
-  std::uint64_t sp = 0;          ///< REG_STACK_PTR before the instruction
-  std::uint64_t retired = 0;     ///< instructions retired before this one
-};
-
-/// Argument bundle delivered to routine-entry analysis calls.
-struct EntryArgs {
-  std::uint32_t func = 0;
-  const std::string* name = nullptr;  ///< routine name
-  ImageKind image = ImageKind::kMain;
-  std::uint64_t retired = 0;
-};
-
-/// Analysis routines are plain functions with a tool pointer (no
-/// std::function on the hot path).
-using ProbeFn = void (*)(void* tool, const ProbeArgs& args);
-using EntryFn = void (*)(void* tool, const EntryArgs& args);
-
-/// One subscribed instruction-level analysis call.
-struct InsProbe {
-  ProbeFn fn;
-  void* tool;
-  bool predicated_only;  ///< skip when the instruction did not execute
-};
-
-/// One subscribed routine-entry analysis call.
-struct EntryProbe {
-  EntryFn fn;
-  void* tool;
-};
-
-/// Supplies per-routine subscription tables to the compiled engine. The
-/// engine calls instrument() exactly once per routine, on its first dynamic
-/// entry — the same lazy instrument-once / analyse-many lifecycle the
-/// interpreter path drives through ExecListener::on_rtn_enter. The returned
-/// vectors must stay valid (and unmodified) for the rest of the run.
-class ProbeProvider {
- public:
-  virtual ~ProbeProvider() = default;
-
-  struct RoutineProbes {
-    /// Per-pc analysis calls; null or empty inner vectors mean "no probes".
-    const std::vector<std::vector<InsProbe>>* per_ins = nullptr;
-    /// Calls fired on every dynamic entry of the routine.
-    const std::vector<EntryProbe>* entry_probes = nullptr;
-  };
-
-  /// First dynamic entry of `func`: run instrumentation, return the tables.
-  virtual RoutineProbes instrument(std::uint32_t func) = 0;
-
-  /// End of run on every path (halt, trap, truncation); `retired` is final.
-  virtual void on_end(std::uint64_t retired) = 0;
-};
-
-/// The session fast path: raw profiling events batched at attribution
-/// granularity. The compiled engine accumulates the per-instruction ticks
-/// between two attribution boundaries (routine entry / return / end of run)
-/// into one span and emits accesses individually, preserving the exact
-/// event order of the interpreter-backed trampolines.
+/// Raw profiling events at attribution granularity.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -106,7 +23,7 @@ class EventSink {
 
   /// `count` contiguous ticks in `func` starting at `first_retired`, of
   /// which `mem_count` carried a memory operand (by static operand widths,
-  /// so predicated-off instructions count — same as the live trampolines).
+  /// so predicated-off instructions count too).
   virtual void on_tick_span(std::uint32_t func, std::uint64_t first_retired,
                             std::uint64_t count, std::uint64_t mem_count) = 0;
 

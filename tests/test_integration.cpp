@@ -93,22 +93,27 @@ TEST(Integration, InstructionConservation) {
 
 TEST(Integration, ByteConservationAgainstGroundTruth) {
   // The sum of per-kernel attributed bytes equals an independent raw count
-  // of all memory traffic (direct ExecListener, no tools).
+  // of all memory traffic (the interpreter's raw event stream, no tools).
   const workloads::StreamArtifacts art = workloads::build_stream(256, 2);
 
-  struct RawCounter : vm::ExecListener {
+  struct RawCounter : vm::EventSink {
     std::uint64_t read_bytes = 0;
     std::uint64_t write_bytes = 0;
-    void on_instr(const vm::InstrEvent& ev) override {
-      if (!ev.executed || ev.prefetch) return;
-      read_bytes += ev.read.size;
-      write_bytes += ev.write.size;
+    void on_enter(std::uint32_t, std::uint64_t) override {}
+    void on_tick_span(std::uint32_t, std::uint64_t, std::uint64_t,
+                      std::uint64_t) override {}
+    void on_access(std::uint32_t, std::uint32_t, std::uint64_t, std::uint64_t,
+                   std::uint32_t size, bool is_read, bool,
+                   bool is_prefetch) override {
+      if (is_prefetch) return;
+      (is_read ? read_bytes : write_bytes) += size;
     }
+    void on_ret(std::uint32_t, std::uint32_t, std::uint64_t) override {}
   } raw;
   {
     vm::HostEnv host;
     vm::Machine machine(art.program, host);
-    machine.run(&raw);
+    machine.run(raw);
   }
 
   vm::HostEnv host;

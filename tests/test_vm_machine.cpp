@@ -19,7 +19,7 @@ using gasm::SP;
 /// post-mortem register/memory inspection.
 template <typename Body>
 std::pair<RunResult, std::unique_ptr<Machine>> run_program(HostEnv& host, Body&& body,
-                                                           ExecListener* listener = nullptr) {
+                                                           EventSink* sink = nullptr) {
   ProgramBuilder prog;
   auto& f = prog.begin_function("main");
   body(prog, f);
@@ -31,7 +31,7 @@ std::pair<RunResult, std::unique_ptr<Machine>> run_program(HostEnv& host, Body&&
     std::unique_ptr<Program> prog;
   };
   auto machine = std::make_unique<Bundle>(std::move(program), host);
-  const RunResult result = machine->run(listener);
+  const RunResult result = sink ? machine->run(*sink) : machine->run();
   return {result, std::unique_ptr<Machine>(machine.release())};
 }
 
@@ -436,35 +436,52 @@ TEST(MachineTrap, RunIsSingleShot) {
 // ---- event stream --------------------------------------------------------------------------
 
 /// Records every event for post-hoc assertions.
-class RecordingListener : public ExecListener {
+class RecordingSink : public EventSink {
  public:
-  struct Rec {
+  struct Tick {
     std::uint32_t func;
-    std::uint32_t pc;
-    isa::Op op;
-    bool executed;
-    MemRef read;
-    MemRef write;
-    bool prefetch;
-    std::uint64_t sp;
     std::uint64_t retired;
-    std::uint32_t callee;
+    std::uint64_t mem_count;
   };
-  std::vector<Rec> events;
-  std::vector<std::uint32_t> entries;
-  std::uint64_t final_retired = 0;
+  struct Access {
+    std::uint64_t retired;
+    std::uint64_t ea;
+    std::uint32_t size;
+    bool is_read;
+    bool is_stack;
+    bool is_prefetch;
+  };
+  struct Enter {
+    std::uint32_t func;
+    std::uint64_t retired;
+  };
+  std::vector<Tick> ticks;
+  std::vector<Access> accesses;
+  std::vector<Enter> entries;
+  std::vector<std::uint64_t> rets;  ///< retired stamps
 
-  void on_rtn_enter(std::uint32_t func) override { entries.push_back(func); }
-  void on_instr(const InstrEvent& ev) override {
-    events.push_back(Rec{ev.func, ev.pc, ev.ins->op, ev.executed, ev.read, ev.write,
-                         ev.prefetch, ev.sp, ev.retired, ev.callee});
+  void on_enter(std::uint32_t func, std::uint64_t retired) override {
+    entries.push_back(Enter{func, retired});
   }
-  void on_program_end(std::uint64_t retired) override { final_retired = retired; }
+  void on_tick_span(std::uint32_t func, std::uint64_t first_retired,
+                    std::uint64_t count, std::uint64_t mem_count) override {
+    // The interpreter emits exactly one tick per span.
+    EXPECT_EQ(count, 1u);
+    ticks.push_back(Tick{func, first_retired, mem_count});
+  }
+  void on_access(std::uint32_t, std::uint32_t, std::uint64_t retired,
+                 std::uint64_t ea, std::uint32_t size, bool is_read,
+                 bool is_stack, bool is_prefetch) override {
+    accesses.push_back(Access{retired, ea, size, is_read, is_stack, is_prefetch});
+  }
+  void on_ret(std::uint32_t, std::uint32_t, std::uint64_t retired) override {
+    rets.push_back(retired);
+  }
 };
 
 TEST(MachineEvents, StreamCoversEveryInstructionInOrder) {
   HostEnv host;
-  RecordingListener listener;
+  RecordingSink sink;
   auto [result, machine] = run_program(host, [](ProgramBuilder& prog, auto& f) {
     const auto buf = prog.alloc_global("buf", 32);
     f.movi(R{1}, static_cast<std::int64_t>(buf));
@@ -472,26 +489,32 @@ TEST(MachineEvents, StreamCoversEveryInstructionInOrder) {
     f.store(R{1}, 8, R{2}, 4);
     f.load(R{3}, R{1}, 8, 4);
     f.prefetch(R{1}, 0, 8);
-  }, &listener);
-  ASSERT_EQ(listener.events.size(), result.retired);
-  // retired counts are 0..n-1 in order.
-  for (std::size_t i = 0; i < listener.events.size(); ++i) {
-    EXPECT_EQ(listener.events[i].retired, i);
+  }, &sink);
+  ASSERT_EQ(sink.ticks.size(), result.retired);
+  // Retired stamps are 0..n-1 in order; only the memory ops carry the bit.
+  for (std::size_t i = 0; i < sink.ticks.size(); ++i) {
+    EXPECT_EQ(sink.ticks[i].retired, i);
+    EXPECT_EQ(sink.ticks[i].mem_count, i >= 2 && i <= 4 ? 1u : 0u) << i;
   }
-  EXPECT_EQ(listener.final_retired, result.retired);
-  // The store event carries a write ref, no read ref.
-  const auto& st = listener.events[2];
-  EXPECT_EQ(st.op, isa::Op::kStore);
-  EXPECT_EQ(st.write.size, 4u);
-  EXPECT_EQ(st.read.size, 0u);
-  // The load carries a read ref at the same address.
-  const auto& ld = listener.events[3];
-  EXPECT_EQ(ld.read.size, 4u);
-  EXPECT_EQ(ld.read.ea, st.write.ea);
+  ASSERT_EQ(sink.accesses.size(), 3u);
+  // The store is a 4-byte write.
+  const auto& st = sink.accesses[0];
+  EXPECT_EQ(st.retired, 2u);
+  EXPECT_FALSE(st.is_read);
+  EXPECT_EQ(st.size, 4u);
+  // The load reads the same address.
+  const auto& ld = sink.accesses[1];
+  EXPECT_EQ(ld.retired, 3u);
+  EXPECT_TRUE(ld.is_read);
+  EXPECT_EQ(ld.size, 4u);
+  EXPECT_EQ(ld.ea, st.ea);
   // The prefetch is flagged.
-  const auto& pf = listener.events[4];
-  EXPECT_TRUE(pf.prefetch);
-  EXPECT_EQ(pf.read.size, 8u);
+  const auto& pf = sink.accesses[2];
+  EXPECT_TRUE(pf.is_prefetch);
+  EXPECT_TRUE(pf.is_read);
+  EXPECT_EQ(pf.size, 8u);
+  EXPECT_FALSE(st.is_prefetch);
+  EXPECT_FALSE(ld.is_prefetch);
 }
 
 TEST(MachineEvents, CallAndRetCarryStackRefsAndEntryOrder) {
@@ -503,29 +526,45 @@ TEST(MachineEvents, CallAndRetCarryStackRefsAndEntryOrder) {
   main_fn.call("callee");
   main_fn.halt();
   Program program = prog.build("main");
-  RecordingListener listener;
+  RecordingSink sink;
   Machine machine(program, host);
-  machine.run(&listener);
-  // Entries: main (program start), then callee.
+  machine.run(sink);
+  // Entries: main (program start), then callee, stamped with the call's
+  // retired count.
   const auto main_id = *program.find("main");
   const auto callee_id = *program.find("callee");
-  ASSERT_EQ(listener.entries.size(), 2u);
-  EXPECT_EQ(listener.entries[0], main_id);
-  EXPECT_EQ(listener.entries[1], callee_id);
-  // The call writes 8 bytes just below the pre-call SP; ret reads them back.
-  const auto& call_ev = listener.events[0];
-  EXPECT_EQ(call_ev.op, isa::Op::kCall);
-  EXPECT_EQ(call_ev.write.size, 8u);
-  EXPECT_EQ(call_ev.write.ea, call_ev.sp - 8);
-  EXPECT_EQ(call_ev.callee, callee_id);
-  const auto& ret_ev = listener.events[1];
-  EXPECT_EQ(ret_ev.op, isa::Op::kRet);
-  EXPECT_EQ(ret_ev.read.ea, call_ev.write.ea);
+  ASSERT_EQ(sink.entries.size(), 2u);
+  EXPECT_EQ(sink.entries[0].func, main_id);
+  EXPECT_EQ(sink.entries[0].retired, 0u);
+  EXPECT_EQ(sink.entries[1].func, callee_id);
+  EXPECT_EQ(sink.entries[1].retired, 0u);
+  // The call writes 8 stack bytes just below the initial SP; ret reads them
+  // back, then reports the return.
+  ASSERT_EQ(sink.accesses.size(), 2u);
+  const auto& push = sink.accesses[0];
+  EXPECT_FALSE(push.is_read);
+  EXPECT_EQ(push.size, 8u);
+  EXPECT_EQ(push.ea, kStackBase - 8);
+  EXPECT_TRUE(push.is_stack);
+  const auto& pop = sink.accesses[1];
+  EXPECT_TRUE(pop.is_read);
+  EXPECT_EQ(pop.size, 8u);
+  EXPECT_EQ(pop.ea, push.ea);
+  EXPECT_EQ(pop.retired, 1u);
+  ASSERT_EQ(sink.rets.size(), 1u);
+  EXPECT_EQ(sink.rets[0], 1u);
+  // Both carry the memory bit; the ticks name main, callee, main.
+  ASSERT_EQ(sink.ticks.size(), 3u);
+  EXPECT_EQ(sink.ticks[0].func, main_id);
+  EXPECT_EQ(sink.ticks[0].mem_count, 1u);
+  EXPECT_EQ(sink.ticks[1].func, callee_id);
+  EXPECT_EQ(sink.ticks[1].mem_count, 1u);
+  EXPECT_EQ(sink.ticks[2].func, main_id);
 }
 
-TEST(MachineEvents, PredicatedOffStillRetiresButMarkedNotExecuted) {
+TEST(MachineEvents, PredicatedOffStillTicksButMakesNoAccess) {
   HostEnv host;
-  RecordingListener listener;
+  RecordingSink sink;
   auto [result, machine] = run_program(host, [](ProgramBuilder& prog, auto& f) {
     const auto buf = prog.alloc_global("buf", 16);
     f.movi(R{1}, static_cast<std::int64_t>(buf));
@@ -533,29 +572,37 @@ TEST(MachineEvents, PredicatedOffStillRetiresButMarkedNotExecuted) {
     f.movi(R{3}, 99);
     f.store(R{1}, 0, R{3}, 8);
     f.predicate_last(R{2});
-  }, &listener);
-  const auto& st = listener.events[3];
-  EXPECT_EQ(st.op, isa::Op::kStore);
-  EXPECT_FALSE(st.executed);
-  // The store did not happen architecturally.
+  }, &sink);
+  // The store still retires, with its memory bit from the static width...
+  ASSERT_EQ(sink.ticks.size(), result.retired);
+  EXPECT_EQ(sink.ticks[3].retired, 3u);
+  EXPECT_EQ(sink.ticks[3].mem_count, 1u);
+  // ...but produces no access and does not happen architecturally.
+  EXPECT_TRUE(sink.accesses.empty());
   EXPECT_EQ(machine->memory().load(machine->cpu().regs[1], 8), 0u);
 }
 
 TEST(MachineEvents, MovsCarriesBothRefs) {
   HostEnv host;
-  RecordingListener listener;
+  RecordingSink sink;
   auto [result, machine] = run_program(host, [](ProgramBuilder& prog, auto& f) {
     const auto src = prog.alloc_global("src", 64);
     const auto dst = prog.alloc_global("dst", 64);
     f.movi(R{1}, static_cast<std::int64_t>(dst));
     f.movi(R{2}, static_cast<std::int64_t>(src));
     f.movs(R{1}, R{2}, 32);
-  }, &listener);
-  const auto& mv = listener.events[2];
-  EXPECT_EQ(mv.op, isa::Op::kMovs);
-  EXPECT_EQ(mv.read.size, 32u);
-  EXPECT_EQ(mv.write.size, 32u);
-  EXPECT_NE(mv.read.ea, mv.write.ea);
+  }, &sink);
+  // One read, then one write, both stamped with the movs.
+  ASSERT_EQ(sink.accesses.size(), 2u);
+  const auto& rd = sink.accesses[0];
+  const auto& wr = sink.accesses[1];
+  EXPECT_TRUE(rd.is_read);
+  EXPECT_FALSE(wr.is_read);
+  EXPECT_EQ(rd.retired, 2u);
+  EXPECT_EQ(wr.retired, 2u);
+  EXPECT_EQ(rd.size, 32u);
+  EXPECT_EQ(wr.size, 32u);
+  EXPECT_NE(rd.ea, wr.ea);
 }
 
 }  // namespace
