@@ -1,11 +1,13 @@
-// TQTR codec benchmark: v1 (flat 28-byte records) versus v2 (block-compressed,
-// delta + varint) on the stream workload — the trace shape the paper's tool
+// TQTR codec benchmark: the block-compressed v2 format (delta + varint)
+// against the raw record volume (records x kRecordDiskBytes, the packed
+// field sizes) on the stream workload — the trace shape the paper's tool
 // would produce when profiling a bandwidth-bound kernel.
 //
-// Reports bytes/event and the compression ratio (the PR's acceptance bar is
-// v2 >= 4x smaller than v1 on this workload, enforced with TQUAD_CHECK),
-// encode/decode throughput, and sequential-v1 versus block-parallel-v2
-// offline aggregation time with a totals-equality cross-check.
+// Reports bytes/event and the compression ratio (the acceptance bar is v2 >=
+// 4x smaller than the raw volume on this workload, enforced with
+// TQUAD_CHECK), encode/decode throughput, the per-block CRC overhead gate,
+// and whole-range versus block-parallel aggregation time with a
+// totals-equality cross-check.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -36,13 +38,13 @@ trace::Trace record_stream_trace(std::uint32_t elements, std::uint32_t iteration
   trace::TraceRecorder recorder(stream.program);
   session.add_consumer(recorder);
   session.run_live(host);
-  return recorder.take();
+  return trace::TraceV2View::open(recorder.take_encoded()).decode_all();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  CliParser cli("bench_trace_codec: TQTR v1 vs v2 size and throughput");
+  CliParser cli("bench_trace_codec: TQTR v2 size and throughput");
   cli.add_int("elements", 4096, "stream vector length (f64 elements)");
   cli.add_int("iterations", 4, "stream benchmark repetitions");
   cli.add_int("slice", 5000, "slice interval for the aggregation timing");
@@ -63,35 +65,26 @@ int main(int argc, char** argv) {
 
     // -- Size -------------------------------------------------------------
     auto start = Clock::now();
-    const auto v1 = trace.serialize();
-    const double v1_encode = seconds_since(start);
-    start = Clock::now();
     const auto v2 = trace::serialize_v2(trace, block);
     const double v2_encode = seconds_since(start);
-
     start = Clock::now();
-    const trace::Trace v1_back = trace::Trace::deserialize(v1);
-    const double v1_decode = seconds_since(start);
-    start = Clock::now();
-    const trace::Trace v2_back = trace::Trace::deserialize(v2);
+    const trace::Trace v2_back = trace::TraceV2View::open(v2).decode_all();
     const double v2_decode = seconds_since(start);
-    TQUAD_CHECK(v1_back.records.size() == trace.records.size(), "v1 round trip");
     TQUAD_CHECK(v2_back.records.size() == trace.records.size(), "v2 round trip");
 
-    const double ratio = static_cast<double>(v1.size()) / static_cast<double>(v2.size());
+    const double raw = static_cast<double>(trace.records.size() * trace::kRecordDiskBytes);
+    const double ratio = raw / static_cast<double>(v2.size());
     TextTable table({"format", "bytes", "bytes/event", "encode Mev/s", "decode Mev/s"});
-    table.add_row({"v1 flat", format_count(v1.size()),
-                   format_fixed(static_cast<double>(v1.size()) / events, 2),
-                   format_fixed(events / v1_encode / 1e6, 1),
-                   format_fixed(events / v1_decode / 1e6, 1)});
+    table.add_row({"raw records", format_count(static_cast<std::uint64_t>(raw)),
+                   format_fixed(raw / events, 2), "-", "-"});
     table.add_row({"v2 blocked", format_count(v2.size()),
                    format_fixed(static_cast<double>(v2.size()) / events, 2),
                    format_fixed(events / v2_encode / 1e6, 1),
                    format_fixed(events / v2_decode / 1e6, 1)});
     std::fputs(table.to_ascii().c_str(), stdout);
-    std::printf("\ncompression ratio (v1/v2): %.2fx (block capacity %u)\n\n",
+    std::printf("\ncompression ratio (raw/v2): %.2fx (block capacity %u)\n\n",
                 ratio, block);
-    TQUAD_CHECK(ratio >= 4.0, "v2 must be >= 4x smaller than v1 on stream");
+    TQUAD_CHECK(ratio >= 4.0, "v2 must be >= 4x smaller than the raw records on stream");
 
     // -- CRC overhead gate -------------------------------------------------
     // v2.1 verifies a CRC-32C per block on the streaming decode path; the
@@ -145,28 +138,41 @@ int main(int argc, char** argv) {
                 "v2.1 decode with verification lost records");
 
     // -- Aggregation ------------------------------------------------------
-    start = Clock::now();
-    trace::OfflineBandwidth sequential(trace.kernel_count, slice);
-    sequential.aggregate(trace);
-    const double seq_time = seconds_since(start);
-
-    ThreadPool pool(static_cast<unsigned>(cli.integer("threads")));
     const trace::TraceV2View view = trace::TraceV2View::open(v2);
     start = Clock::now();
-    trace::OfflineBandwidth parallel(trace.kernel_count, slice);
-    parallel.aggregate_parallel(view, pool);
+    tquad::BandwidthRecorder whole(view.kernel_count(), slice);
+    trace::aggregate_blocks(view, 0, view.block_count(), whole);
+    whole.finish();
+    const double whole_time = seconds_since(start);
+
+    ThreadPool pool(static_cast<unsigned>(cli.integer("threads")));
+    start = Clock::now();
+    std::vector<tquad::BandwidthRecorder> shards(
+        pool.size(), tquad::BandwidthRecorder(view.kernel_count(), slice));
+    // The trace was encoded above and already decoded clean, so the pool
+    // tasks cannot throw.
+    parallel_for_blocks(pool, 0, view.block_count(),
+                        [&](std::uint64_t lo, std::uint64_t hi, unsigned shard) {
+                          trace::aggregate_blocks(view, lo, hi, shards[shard]);
+                        });
+    std::vector<tquad::KernelBandwidth> parallel(view.kernel_count());
+    for (tquad::BandwidthRecorder& shard : shards) {
+      shard.finish();
+      for (std::uint32_t k = 0; k < view.kernel_count(); ++k) {
+        parallel[k].merge(shard.kernel(k));
+      }
+    }
     const double par_time = seconds_since(start);
 
-    for (std::uint32_t k = 0; k < trace.kernel_count; ++k) {
-      TQUAD_CHECK(sequential.kernel(k).totals.read_incl ==
-                          parallel.kernel(k).totals.read_incl &&
-                      sequential.kernel(k).totals.write_incl ==
-                          parallel.kernel(k).totals.write_incl,
-                  "parallel v2 aggregation diverged from sequential v1");
+    for (std::uint32_t k = 0; k < view.kernel_count(); ++k) {
+      TQUAD_CHECK(whole.kernel(k).totals.read_incl == parallel[k].totals.read_incl &&
+                      whole.kernel(k).totals.write_incl ==
+                          parallel[k].totals.write_incl,
+                  "block-parallel aggregation diverged from the whole range");
     }
-    std::printf("offline aggregation at slice %llu: v1 sequential %.1f Mev/s, "
-                "v2 block-parallel %.1f Mev/s (totals identical)\n",
-                static_cast<unsigned long long>(slice), events / seq_time / 1e6,
+    std::printf("aggregation at slice %llu: whole range %.1f Mev/s, "
+                "block-parallel %.1f Mev/s (totals identical)\n",
+                static_cast<unsigned long long>(slice), events / whole_time / 1e6,
                 events / par_time / 1e6);
     return 0;
   } catch (const Error& err) {

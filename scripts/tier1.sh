@@ -2,7 +2,7 @@
 # Tier-1 gate: the standard build + full test suite, then the trace/codec
 # surface again under ASan+UBSan (the decoders chew untrusted bytes, so they
 # get the sanitizer treatment on every run), then the codec bench, which
-# asserts the v2-vs-v1 compression floor.
+# asserts the v2 compression floor.
 # Usage: scripts/tier1.sh   (from the repository root)
 set -e
 
@@ -81,8 +81,10 @@ farm_status=0
 grep -q "1 quarantined" "$FARM_WORK/farm.stdout"
 grep -q "fleet bandwidth" "$FARM_WORK/fleet.out"
 
-# 5. Codec bench: fails if v2 is not >= 4x smaller than v1 on stream or if
-#    v2.1 per-block CRC verification costs >= 5% on streaming decode.
+# 5. Codec bench: fails if v2 is not >= 4x smaller than the raw record
+#    volume (records x 28 B of packed fields) on stream, if v2.1 per-block
+#    CRC verification costs >= 5% on streaming decode, or if block-parallel
+#    aggregation totals differ from the whole range.
 ./build/bench/bench_trace_codec
 
 # 6. Workload-zoo signature bench: gates every registered workload's

@@ -1,6 +1,7 @@
 #include "farm/supervisor.hpp"
 
 #include <fcntl.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -152,10 +153,16 @@ void Supervisor::spawn(JobState& job) {
   }
 
   const std::string capture = stderr_path(job.spec.id, attempt);
+  const pid_t supervisor = ::getpid();
   const pid_t pid = ::fork();
   TQUAD_CHECK(pid >= 0, std::string("fork failed: ") + std::strerror(errno));
   if (pid == 0) {
     // Child. Only async-signal-safe calls until execv.
+    // Die with the supervisor: a worker ignores SIGTERM (drain contract)
+    // and a hung one would otherwise outlive a SIGKILLed supervisor. The
+    // getppid() re-check covers a supervisor that died before the prctl.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != supervisor) ::_exit(127);
     if (options_.rss_mb > 0) {
       struct rlimit limit;
       limit.rlim_cur = options_.rss_mb << 20;

@@ -32,27 +32,14 @@ void GprofTool::on_kernel_enter(const session::EnterEvent& event) {
   }
 }
 
-void GprofTool::on_tick(const session::TickEvent& event) {
-  // Exact self attribution: the function whose instruction is executing.
-  ++self_instrs_[event.func];
-  // PC sampling at the fixed period.
-  if (event.retired + 1 >= next_sample_) {
-    next_sample_ += options_.sample_period;
-    if (event.tracked) {
-      ++samples_[event.func];
-    }
-    ++total_samples_;
-  }
-}
-
 void GprofTool::on_tick_run(const session::TickRunEvent& run) {
   self_instrs_[run.func] += run.count;
   // Closed-form PC sampling over [first_retired, first_retired + count). In
   // a sequential tick stream next_sample_ > first_retired always holds on
   // entry (each processed tick leaves next_sample_ at least two ahead of
   // it), so the sample points inside the run are exactly next_sample_ - 1,
-  // next_sample_ - 1 + period, ... — the same ones the per-tick on_tick
-  // loop would hit.
+  // next_sample_ - 1 + period, ... — the same ones sampling each tick in
+  // turn would hit.
   const std::uint64_t last = run.first_retired + run.count;  // max (retired + 1)
   if (last >= next_sample_) {
     const std::uint64_t hits = (last - next_sample_) / options_.sample_period + 1;

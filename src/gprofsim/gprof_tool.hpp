@@ -101,7 +101,6 @@ class GprofTool : public session::AnalysisConsumer {
     return kEnterInterest | kTickInterest | kRetInterest;
   }
   void on_kernel_enter(const session::EnterEvent& event) override;
-  void on_tick(const session::TickEvent& event) override;
   void on_tick_run(const session::TickRunEvent& run) override;
   void on_kernel_ret(const session::RetEvent& event) override;
   void on_session_end(std::uint64_t total_retired) override;

@@ -71,12 +71,6 @@ void QuadTool::on_kernel_enter(const session::EnterEvent& event) {
   if (event.tracked) ++calls_[event.func];
 }
 
-void QuadTool::on_tick(const session::TickEvent& event) {
-  if (event.kernel == tquad::kNoKernel) return;
-  ++instrs_[event.kernel];
-  if (event.read_size != 0 || event.write_size != 0) ++mem_refs_[event.kernel];
-}
-
 void QuadTool::on_tick_run(const session::TickRunEvent& run) {
   if (run.kernel == tquad::kNoKernel) return;
   instrs_[run.kernel] += run.count;

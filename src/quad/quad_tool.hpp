@@ -152,7 +152,6 @@ class QuadTool : public session::AnalysisConsumer,
     return kEnterInterest | kTickInterest | kAccessInterest;
   }
   void on_kernel_enter(const session::EnterEvent& event) override;
-  void on_tick(const session::TickEvent& event) override;
   void on_tick_run(const session::TickRunEvent& run) override;
   void on_access(const session::AccessEvent& event) override;
   void on_finish(const vm::RunOutcome& outcome) override { outcome_ = outcome; }

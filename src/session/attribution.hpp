@@ -22,7 +22,7 @@ namespace tq::session {
 /// not per instruction), so the bookkeeping stays off the per-tick path.
 struct EventCounts {
   std::uint64_t enters = 0;
-  std::uint64_t ticks = 0;      ///< total instruction ticks (exact + batched)
+  std::uint64_t ticks = 0;      ///< total instruction ticks
   std::uint64_t tick_runs = 0;  ///< TickRunEvents delivered
   std::uint64_t accesses = 0;
   std::uint64_t rets = 0;
@@ -95,8 +95,9 @@ class KernelAttribution {
   /// `count` contiguous ticks in `func` starting at `first_retired`, of
   /// which `mem_count` carried a read or write operand (the accesses
   /// themselves still go through input_access exactly). The interpreter
-  /// passes one-tick spans; the compiled engine batches the ticks between
-  /// two attribution boundaries itself.
+  /// and trace replay pass one-tick spans (replay also passes its silent
+  /// gaps whole); the compiled engine batches the ticks between two
+  /// attribution boundaries itself.
   void input_batch_tick_span(std::uint32_t func, std::uint64_t first_retired,
                              std::uint64_t count, std::uint64_t mem_count) {
     if (count == 0) return;
@@ -110,36 +111,6 @@ class KernelAttribution {
     run_start_ = first_retired;
     run_count_ = count;
     run_mem_ = mem_count;
-  }
-
-  /// `count` contiguous ticks with no memory operands at once (the replay
-  /// source's silent gaps).
-  void input_batch_ticks(std::uint32_t func, std::uint64_t retired,
-                         std::uint64_t count) {
-    if (count == 0) return;
-    if (run_count_ != 0 && func == run_func_) {
-      run_count_ += count;
-      return;
-    }
-    flush_run();
-    run_func_ = func;
-    run_start_ = retired;
-    run_count_ = count;
-    run_mem_ = 0;
-  }
-
-  void input_tick(std::uint32_t func, std::uint64_t retired,
-                  std::uint32_t read_size, std::uint32_t write_size) {
-    flush_run();
-    TickEvent event;
-    event.func = func;
-    event.kernel = top_;
-    event.retired = retired;
-    event.read_size = read_size;
-    event.write_size = write_size;
-    event.tracked = tracked_[func] != 0;
-    ++counts_.ticks;
-    for (AnalysisConsumer* consumer : tick_consumers_) consumer->on_tick(event);
   }
 
   void input_access(std::uint32_t func, std::uint32_t pc, std::uint64_t retired,

@@ -1,7 +1,5 @@
 #include "session/event_source.hpp"
 
-#include <algorithm>
-
 #include "support/check.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
@@ -80,11 +78,11 @@ namespace {
 /// accesses, returns); the per-instruction ticks in between are implicit in
 /// the retired counters. The feeder buffers records sharing one retired
 /// value (one instruction plus any routine entry it triggers — groups can
-/// span v2 block boundaries), emits the missing "silent" ticks for the gaps
+/// span block boundaries), emits the missing "silent" ticks for the gaps
 /// using a plain function stack maintained from enter/ret records, and
-/// dispatches each group in live order: the instruction's tick before its
-/// first record, accesses and returns in record order, entries where the
-/// recorder placed them.
+/// dispatches each group in live order: the instruction's one-tick span
+/// before its first record (the span the interpreter emits), accesses and
+/// returns in record order, entries where the recorder placed them.
 class ReplayFeeder {
  public:
   ReplayFeeder(KernelAttribution& attribution, std::uint32_t function_count)
@@ -118,8 +116,8 @@ class ReplayFeeder {
 
   void emit_silent_ticks_until(std::uint64_t retired) {
     if (next_tick_ >= retired) return;
-    attribution_.input_batch_ticks(current_func(), next_tick_,
-                                   retired - next_tick_);
+    attribution_.input_batch_tick_span(current_func(), next_tick_,
+                                       retired - next_tick_, 0);
     next_tick_ = retired;
   }
 
@@ -128,19 +126,21 @@ class ReplayFeeder {
     emit_silent_ticks_until(group_retired_);
 
     // The group's instruction (if any record belongs to one — a group can
-    // also be a bare program-entry kEnter): its function and operand widths.
+    // also be a bare program-entry kEnter): its function, and whether it
+    // carried a memory operand.
     std::uint32_t tick_func = 0;
-    std::uint32_t read_size = 0;
-    std::uint32_t write_size = 0;
     bool has_instr = false;
+    bool has_read_or_write = false;
     for (const trace::Record& record : group_) {
       if (record.kind == trace::EventKind::kEnter) continue;
       if (!has_instr) {
         has_instr = true;
         tick_func = record.func;
       }
-      if (record.kind == trace::EventKind::kRead) read_size = record.size;
-      if (record.kind == trace::EventKind::kWrite) write_size = record.size;
+      if (record.kind == trace::EventKind::kRead ||
+          record.kind == trace::EventKind::kWrite) {
+        has_read_or_write = true;
+      }
     }
 
     bool tick_emitted = false;
@@ -153,7 +153,8 @@ class ReplayFeeder {
       }
       if (!tick_emitted) {
         tick_emitted = true;
-        attribution_.input_tick(tick_func, group_retired_, read_size, write_size);
+        attribution_.input_batch_tick_span(tick_func, group_retired_, 1,
+                                           has_read_or_write ? 1 : 0);
         next_tick_ = group_retired_ + 1;
       }
       switch (record.kind) {
@@ -199,54 +200,29 @@ vm::RunOutcome TraceReplaySource::run(KernelAttribution& attribution) {
       static_cast<std::uint32_t>(program_.functions().size());
   ReplayFeeder feeder(attribution, function_count);
   vm::RunOutcome outcome;
-  if (trace::is_v2_image(bytes_)) {
-    const trace::TraceV2View view =
-        salvage_ ? trace::TraceV2View::salvage(bytes_, &salvage_report_)
-                 : trace::TraceV2View::open(bytes_);
-    if (view.kernel_count() != function_count) {
-      TQUAD_THROW("trace was recorded from a different image (kernel count mismatch)");
-    }
-    std::size_t fed = 0;
-    for (std::size_t b = 0; b < view.block_count(); ++b) {
-      if (interrupt_ != nullptr && *interrupt_ != 0) break;
-      const std::vector<trace::Record> records = view.decode_block(b);
-      feeder.feed(records);
-      fed = b + 1;
-    }
-    if (fed < view.block_count()) {
-      // Interrupted between blocks: the blocks fed so far are a valid
-      // prefix; the last fed record's instruction counts as retired.
-      outcome.status = vm::RunStatus::kInterrupted;
-      outcome.retired = fed == 0 ? 0 : view.block(fed - 1).last_retired + 1;
-    } else {
-      outcome.retired = view.total_retired();
-      // A salvaged stream with losses is an incomplete profile; say so.
-      if (salvage_ && !salvage_report_.clean()) {
-        outcome.status = vm::RunStatus::kTruncated;
-      }
-    }
+  const trace::TraceV2View view =
+      salvage_ ? trace::TraceV2View::salvage(bytes_, &salvage_report_)
+               : trace::TraceV2View::open(bytes_);
+  if (view.kernel_count() != function_count) {
+    TQUAD_THROW("trace was recorded from a different image (kernel count mismatch)");
+  }
+  std::size_t fed = 0;
+  for (std::size_t b = 0; b < view.block_count(); ++b) {
+    if (interrupt_ != nullptr && *interrupt_ != 0) break;
+    const std::vector<trace::Record> records = view.decode_block(b);
+    feeder.feed(records);
+    fed = b + 1;
+  }
+  if (fed < view.block_count()) {
+    // Interrupted between blocks: the blocks fed so far are a valid
+    // prefix; the last fed record's instruction counts as retired.
+    outcome.status = vm::RunStatus::kInterrupted;
+    outcome.retired = fed == 0 ? 0 : view.block(fed - 1).last_retired + 1;
   } else {
-    if (salvage_) {
-      TQUAD_THROW("salvage replay supports TQTR v2 traces only");
-    }
-    const trace::Trace trace = trace::Trace::deserialize(bytes_);
-    if (trace.kernel_count != function_count) {
-      TQUAD_THROW("trace was recorded from a different image (kernel count mismatch)");
-    }
-    const std::span<const trace::Record> records(trace.records);
-    constexpr std::size_t kChunk = 65536;  // v1 interrupt granularity
-    std::size_t fed = 0;
-    while (fed < records.size()) {
-      if (interrupt_ != nullptr && *interrupt_ != 0) break;
-      const std::size_t n = std::min(kChunk, records.size() - fed);
-      feeder.feed(records.subspan(fed, n));
-      fed += n;
-    }
-    if (fed < records.size()) {
-      outcome.status = vm::RunStatus::kInterrupted;
-      outcome.retired = fed == 0 ? 0 : records[fed - 1].retired + 1;
-    } else {
-      outcome.retired = trace.total_retired;
+    outcome.retired = view.total_retired();
+    // A salvaged stream with losses is an incomplete profile; say so.
+    if (salvage_ && !salvage_report_.clean()) {
+      outcome.status = vm::RunStatus::kTruncated;
     }
   }
   feeder.finish(outcome);

@@ -6,8 +6,8 @@
 //     vm::EventSink stream (entries / ticks / accesses / returns, as they
 //     retire) into the attribution service;
 //   * TraceReplaySource — reconstructs the same event stream from a recorded
-//     TQTR trace (v1 or v2, auto-detected), including the per-instruction
-//     ticks the trace does not store explicitly (see event_source.cpp).
+//     TQTR v2 trace, including the per-instruction ticks the trace does not
+//     store explicitly (see event_source.cpp).
 #pragma once
 
 #include <csignal>
@@ -67,24 +67,25 @@ class LiveEngineSource final : public EventSource {
   bool ran_ = false;
 };
 
-/// Replays a recorded TQTR byte image (v1 flat or v2 blocked, auto-detected
-/// from the header) as a live-equivalent event stream. The trace must have
-/// been recorded from `program` (kernel counts are cross-checked); v2
-/// traces stream block-by-block, so memory stays bounded.
+/// Replays a recorded TQTR v2 byte image as a live-equivalent event stream
+/// (other versions throw tq::Error). The trace must have been recorded from
+/// `program` (kernel counts are cross-checked); it streams block-by-block,
+/// so memory stays bounded.
 ///
 /// Attribution is re-derived from the recorded enter/ret events — the
 /// pre-attributed kernel fields in the records are ignored — so a trace can
-/// replay under any library policy. One caveat: predicated-off instructions
-/// leave no records, so replayed TickEvents carry zero operand widths for
-/// them (see docs/FORMATS.md, "Replaying full profiles").
+/// replay under any library policy. Ticks arrive as tick runs, like live.
+/// One caveat: predicated-off instructions leave no records, so their
+/// replayed ticks never count toward a run's mem_count (see
+/// docs/FORMATS.md, "Replaying full profiles").
 class TraceReplaySource final : public EventSource {
  public:
   TraceReplaySource(std::span<const std::uint8_t> bytes, const vm::Program& program,
                     bool salvage = false);
 
-  /// Arm cooperative interruption: the replay checks the flag between v2
-  /// blocks (and between v1 record chunks) and stops with kInterrupted; the
-  /// events fed so far are a valid prefix.
+  /// Arm cooperative interruption: the replay checks the flag between
+  /// blocks and stops with kInterrupted; the events fed so far are a valid
+  /// prefix.
   void set_interrupt_flag(const volatile std::sig_atomic_t* flag) noexcept {
     interrupt_ = flag;
   }
@@ -93,7 +94,7 @@ class TraceReplaySource final : public EventSource {
   vm::RunOutcome run(KernelAttribution& attribution) override;
 
   /// After a salvage-mode run: what the decoder recovered vs. dropped
-  /// (zero-valued when the trace was clean). v2-only.
+  /// (zero-valued when the trace was clean).
   const trace::SalvageReport& salvage_report() const noexcept {
     return salvage_report_;
   }

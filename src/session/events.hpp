@@ -31,18 +31,6 @@ struct EnterEvent {
   bool tracked = false;      ///< `func` is reported under the library policy
 };
 
-/// One retired instruction, including predicated-off ones. `read_size` /
-/// `write_size` are the architectural operand widths (populated even when
-/// the predicate was off).
-struct TickEvent {
-  std::uint32_t func = 0;    ///< function whose instruction retired
-  std::uint32_t kernel = 0;  ///< attribution top (kNoKernel while suspended)
-  std::uint64_t retired = 0; ///< instructions retired before this one
-  std::uint32_t read_size = 0;
-  std::uint32_t write_size = 0;
-  bool tracked = false;      ///< `func` is reported under the library policy
-};
-
 /// One executed memory access (reads, writes, and prefetch touches).
 struct AccessEvent {
   std::uint32_t func = 0;    ///< function executing the instruction
@@ -59,11 +47,12 @@ struct AccessEvent {
 /// A run of `count` consecutive ticks sharing one attribution state: one
 /// function, one kernel, retired counters `first_retired` .. `first_retired
 /// + count - 1`. The attribution layer accumulates ticks into runs and
-/// flushes at the next attribution boundary (routine entry, return, an
-/// exact input_tick, or session end), so a run is delivered *after* any
-/// access events its instructions produced. `mem_count` says how many of
-/// the ticks carried memory operands (architecturally — predicated-off
-/// instructions included), without recording which ones.
+/// flushes at the next attribution boundary (routine entry, return, or
+/// session end), so a run is delivered *after* any access events its
+/// instructions produced. `mem_count` says how many of the ticks carried
+/// memory operands (architecturally — predicated-off instructions included
+/// on a live run; a replayed trace only knows the ones that left records),
+/// without recording which ones.
 struct TickRunEvent {
   std::uint32_t func = 0;
   std::uint32_t kernel = 0;         ///< attribution top for the whole run
@@ -86,16 +75,16 @@ struct RetEvent {
 /// A profiling tool: pure accounting over attributed events.
 /// Within one instruction, accesses come read before write, then the
 /// return; routine entries land after their call instruction's events.
-/// Ticks arrive either exactly (on_tick, in stream position) or batched
-/// (on_tick_run, at the next attribution boundary — possibly after the
-/// access events of the instructions it covers). Accounting that needs a
-/// per-tick stream position must come from on_access/on_kernel_* events.
+/// Ticks arrive batched (on_tick_run, at the next attribution boundary —
+/// possibly after the access events of the instructions it covers).
+/// Accounting that needs a per-tick stream position must come from
+/// on_access/on_kernel_* events.
 class AnalysisConsumer {
  public:
   /// Event kinds a consumer subscribes to (see event_interests()).
   enum EventInterest : unsigned {
     kEnterInterest = 1u << 0,
-    kTickInterest = 1u << 1,   ///< on_tick and on_tick_run
+    kTickInterest = 1u << 1,   ///< on_tick_run
     kAccessInterest = 1u << 2,
     kRetInterest = 1u << 3,
     kAllEvents = (1u << 4) - 1,
@@ -111,27 +100,13 @@ class AnalysisConsumer {
   virtual unsigned event_interests() const { return kAllEvents; }
 
   virtual void on_kernel_enter(const EnterEvent& event) { (void)event; }
-  virtual void on_tick(const TickEvent& event) { (void)event; }
   virtual void on_access(const AccessEvent& event) { (void)event; }
   virtual void on_kernel_ret(const RetEvent& event) { (void)event; }
 
-  /// A batched tick run (see TickRunEvent): tool totals must come out as
-  /// if on_tick() had been called `run.count` times with consecutive
-  /// retired counters, `run.mem_count` of them carrying memory operands.
-  /// Hot tools override this with O(1) accounting. The default expands the
-  /// run tick by tick; the expansion cannot know which ticks carried the
-  /// memory operands, so every expanded TickEvent has zero operand widths.
-  virtual void on_tick_run(const TickRunEvent& run) {
-    TickEvent event;
-    event.func = run.func;
-    event.kernel = run.kernel;
-    event.retired = run.first_retired;
-    event.tracked = run.tracked;
-    for (std::uint64_t i = 0; i < run.count; ++i) {
-      on_tick(event);
-      ++event.retired;
-    }
-  }
+  /// A batched tick run (see TickRunEvent): `run.count` ticks with
+  /// consecutive retired counters, `run.mem_count` of them carrying memory
+  /// operands. Tools account it in O(1).
+  virtual void on_tick_run(const TickRunEvent& run) { (void)run; }
 
   /// End of the run; `total_retired` is the final instruction count.
   virtual void on_session_end(std::uint64_t total_retired) { (void)total_retired; }

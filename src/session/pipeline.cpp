@@ -33,12 +33,11 @@ struct WorkerMetrics {
 // event.
 
 struct PipelineEvent {
-  enum class Kind : std::uint8_t { kEnter, kTick, kTickRun, kAccess, kRet, kEnd };
+  enum class Kind : std::uint8_t { kEnter, kTickRun, kAccess, kRet, kEnd };
 
   Kind kind = Kind::kEnd;
   union Payload {
     EnterEvent enter;
-    TickEvent tick;
     TickRunEvent run;
     AccessEvent access;
     RetEvent ret;
@@ -185,10 +184,6 @@ class EventLane final : public LaneBase, public Drainable {
     PipelineEvent& slot = append(PipelineEvent::Kind::kEnter);
     slot.u.enter = event;
   }
-  void on_tick(const TickEvent& event) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kTick);
-    slot.u.tick = event;
-  }
   void on_tick_run(const TickRunEvent& run) override {
     PipelineEvent& slot = append(PipelineEvent::Kind::kTickRun);
     slot.u.run = run;
@@ -255,9 +250,6 @@ class EventLane final : public LaneBase, public Drainable {
       switch (event.kind) {
         case PipelineEvent::Kind::kEnter:
           target_.on_kernel_enter(event.u.enter);
-          break;
-        case PipelineEvent::Kind::kTick:
-          target_.on_tick(event.u.tick);
           break;
         case PipelineEvent::Kind::kTickRun:
           target_.on_tick_run(event.u.run);

@@ -70,9 +70,6 @@ class HeartbeatPrinter final : public AnalysisConsumer {
   void arm(std::uint64_t every);
 
   unsigned event_interests() const override { return kTickInterest; }
-  void on_tick(const TickEvent& event) override {
-    pulse_to(event.retired + 1);
-  }
   void on_tick_run(const TickRunEvent& run) override {
     pulse_to(run.first_retired + run.count);
   }
@@ -109,10 +106,10 @@ class ProfileSession {
   /// Execute the guest once under live instrumentation.
   vm::RunOutcome run_live(vm::HostEnv& host);
 
-  /// Replay a recorded TQTR byte image (v1 or v2, auto-detected). With
-  /// `salvage`, corrupt or truncated v2 blocks are skipped instead of
-  /// failing the replay (see TraceV2View::salvage); the recovery details
-  /// are in salvage_report() afterwards.
+  /// Replay a recorded TQTR v2 byte image; any other version throws
+  /// tq::Error. With `salvage`, corrupt or truncated blocks are skipped
+  /// instead of failing the replay (see TraceV2View::salvage); the recovery
+  /// details are in salvage_report() afterwards.
   vm::RunOutcome replay(std::span<const std::uint8_t> trace_bytes,
                         bool salvage = false);
 

@@ -13,14 +13,6 @@ void TQuadTool::on_kernel_enter(const session::EnterEvent& event) {
   if (event.tracked) ++activity_[event.func].calls;
 }
 
-void TQuadTool::on_tick(const session::TickEvent& event) {
-  if (event.kernel == kNoKernel) {
-    ++unattributed_;
-    return;
-  }
-  ++activity_[event.kernel].instructions;
-}
-
 void TQuadTool::on_tick_run(const session::TickRunEvent& run) {
   if (run.kernel == kNoKernel) {
     unattributed_ += run.count;

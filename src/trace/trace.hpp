@@ -3,33 +3,21 @@
 // Online profiling couples analysis cost to execution: every run of the
 // (slow) instrumented guest pays for every analysis. This module decouples
 // them, the way production DBI setups do (Pin's logger/replayer tools):
-//
-//   * TraceRecorder is a ProfileSession consumer that captures the
-//     profiler-relevant event stream — routine entries/returns and memory
-//     accesses, each pre-attributed to the kernel on top of the call stack
-//     and pre-classified stack/global — serialisable to the "TQTR" file
-//     family: v1 is a flat 28-bytes/event array, v2 (trace_v2.hpp) a
-//     block-compressed layout ~4-6x smaller that also enables
-//     block-parallel replay. Readers auto-detect the version.
-//   * replay() feeds a recorded trace back into any TraceSink, so many
-//     analyses run from one guest execution.
-//   * OfflineBandwidth aggregates a trace into the same per-kernel
-//     per-slice counters tquad::BandwidthRecorder produces online — either
-//     sequentially or sharded across a ThreadPool (records are
-//     pre-attributed, so aggregation is embarrassingly parallel; partial
-//     slices at shard boundaries merge by addition). v2 traces shard by
-//     whole blocks straight from the encoded bytes.
+// TraceRecorder is a ProfileSession consumer that captures the
+// profiler-relevant event stream — routine entries/returns and memory
+// accesses, each pre-attributed to the kernel on top of the call stack and
+// pre-classified stack/global — and streams it into the block-compressed
+// "TQTR" v2 file (trace_v2.hpp). Recorded traces come back through
+// session::TraceReplaySource (full profiles) or trace::aggregate_blocks
+// (the per-kernel bandwidth series, block-parallel).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <type_traits>
 #include <vector>
 
 #include "session/events.hpp"
-#include "support/thread_pool.hpp"
-#include "tquad/bandwidth.hpp"
 #include "tquad/callstack.hpp"
 #include "vm/program.hpp"
 
@@ -53,9 +41,9 @@ enum : std::uint8_t {
   kFlagPrefetch = 1u << 1,   ///< the access is a prefetch touch
 };
 
-/// One trace record. Serialised field-by-field (kRecordDiskBytes on disk in
-/// v1, delta/varint-coded in v2), so the formats never depend on host struct
-/// padding; little-endian hosts only, like the rest of the image formats.
+/// One trace record, delta/varint-coded field by field on disk (trace_v2.hpp),
+/// so the format never depends on host struct padding; little-endian hosts
+/// only, like the rest of the image formats.
 struct Record {
   std::uint64_t retired;  ///< instruction count before the event
   std::uint64_t ea;       ///< effective address (or entered function id)
@@ -68,8 +56,8 @@ struct Record {
   std::uint8_t reserved;
 };
 
-/// On-disk size of one v1 record: the packed field sizes, independent of
-/// host padding.
+/// Packed size of one record's fields, independent of host padding: the
+/// raw-equivalent volume the v2 compression ratio is measured against.
 inline constexpr std::size_t kRecordDiskBytes = 28;
 static_assert(sizeof(Record::retired) + sizeof(Record::ea) + sizeof(Record::pc) +
                   sizeof(Record::kernel) + sizeof(Record::func) +
@@ -81,30 +69,21 @@ static_assert(std::is_trivially_copyable_v<Record>, "Record must stay POD");
 
 inline constexpr std::uint16_t kNoKernel16 = 0xffff;
 
-/// On-disk trace container formats (the version field of the shared "TQTR"
-/// magic). Readers auto-detect; writers pick via this enum.
+/// The TQTR container format a recorder writes. Version 2 (trace_v2.hpp) is
+/// the only one; readers reject every other version with tq::Error.
 enum class TraceFormat : std::uint32_t {
-  kV1 = 1,  ///< flat record array, kRecordDiskBytes/event
-  kV2 = 2,  ///< block-compressed, delta/varint coded (trace_v2.hpp)
+  kV2 = 2,  ///< block-compressed, delta/varint coded
 };
 
-/// A recorded trace plus the metadata needed to interpret it.
+/// A decoded trace: the records plus the metadata needed to interpret them
+/// (TraceV2View::decode_all(); serialize_v2() encodes one).
 struct Trace {
   std::vector<Record> records;
   std::uint64_t total_retired = 0;
   std::uint32_t kernel_count = 0;
-
-  /// Serialise to the flat TQTR v1 byte format (field-by-field; see
-  /// serialize_v2() in trace_v2.hpp for the compressed container).
-  std::vector<std::uint8_t> serialize() const;
-
-  /// Decode a TQTR image of either version, auto-detected from the header
-  /// (throws tq::Error on malformed input).
-  static Trace deserialize(std::span<const std::uint8_t> bytes);
 };
 
 class TraceV2Writer;  // trace_v2.hpp
-class TraceV2View;    // trace_v2.hpp
 
 /// Records the profiler-relevant event stream of one guest run.
 ///
@@ -114,15 +93,14 @@ class TraceV2View;    // trace_v2.hpp
 /// attributable kernel are recorded with kernel = kNoKernel16 so offline
 /// consumers can choose to keep or drop them.
 ///
-/// In TraceFormat::kV1 mode records are buffered in memory (take() hands
-/// them out). In kV2 mode they stream through a TraceV2Writer block encoder
-/// as they happen — memory stays proportional to the *compressed* trace —
-/// and take_encoded() returns the finished file image.
+/// Records stream through a TraceV2Writer block encoder as they happen —
+/// memory stays proportional to the *compressed* trace — and take_encoded()
+/// returns the finished file image.
 class TraceRecorder final : public session::AnalysisConsumer {
  public:
   TraceRecorder(const vm::Program& program,
                 tquad::LibraryPolicy policy = tquad::LibraryPolicy::kExclude,
-                TraceFormat format = TraceFormat::kV1);
+                TraceFormat format = TraceFormat::kV2);
   ~TraceRecorder() override;  // out-of-line: TraceV2Writer is incomplete here
 
   // session::AnalysisConsumer. Ticks carry nothing a trace stores — the
@@ -142,12 +120,7 @@ class TraceRecorder final : public session::AnalysisConsumer {
   /// recorded up to a fault is a complete, replayable file.
   void finalize();
 
-  /// Take the finished in-memory trace (v1 mode only; the recorder is
-  /// spent). In v2 mode the records were streamed out — use take_encoded().
-  Trace take();
-
-  /// Serialise the finished trace in the recorder's format (call after the
-  /// run; the recorder is spent).
+  /// The finished file image (call after the run; the recorder is spent).
   std::vector<std::uint8_t> take_encoded();
 
   /// Self-observability: records/bytes written, the raw-equivalent volume
@@ -158,59 +131,14 @@ class TraceRecorder final : public session::AnalysisConsumer {
  private:
   void push(const Record& record);
 
-  Trace trace_;
-  std::unique_ptr<TraceV2Writer> writer_;   ///< non-null in kV2 mode
-  std::vector<std::uint8_t> encoded_;       ///< sealed v2 image (finalize())
+  std::unique_ptr<TraceV2Writer> writer_;
+  std::vector<std::uint8_t> encoded_;  ///< sealed image (finalize())
+  std::uint64_t total_retired_ = 0;
   std::uint64_t last_retired_ = 0;
   std::uint64_t records_written_ = 0;
-  std::uint64_t encoded_bytes_ = 0;   ///< set by take_encoded()/finalize()
-  std::uint64_t blocks_written_ = 0;  ///< v2 only
+  std::uint64_t encoded_bytes_ = 0;   ///< set by finalize()
+  std::uint64_t blocks_written_ = 0;
   bool finalized_ = false;
-};
-
-/// Consumer interface for replay().
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void on_record(const Record& record) = 0;
-  virtual void on_end(const Trace& trace) { (void)trace; }
-};
-
-/// Feed every record of `trace` to `sink` in order.
-void replay(const Trace& trace, TraceSink& sink);
-
-/// Offline per-kernel per-slice aggregation, equivalent to the online
-/// tquad::BandwidthRecorder for the same run and slice interval.
-class OfflineBandwidth {
- public:
-  OfflineBandwidth(std::uint32_t kernel_count, std::uint64_t slice_interval);
-
-  /// Sequential aggregation.
-  void aggregate(const Trace& trace);
-
-  /// Sharded aggregation on `pool`: each worker accumulates a disjoint
-  /// record range, partial slices merge by addition. Results are identical
-  /// to the sequential path.
-  void aggregate_parallel(const Trace& trace, ThreadPool& pool);
-
-  /// Block-parallel aggregation straight from an encoded v2 image: workers
-  /// decode and accumulate whole blocks (bounded memory, no flat Record
-  /// array), using the block index for work division. Results are identical
-  /// to the sequential path. Decode errors rethrow as tq::Error.
-  void aggregate_parallel(const TraceV2View& view, ThreadPool& pool);
-
-  std::uint64_t slice_interval() const noexcept { return slice_interval_; }
-  const tquad::KernelBandwidth& kernel(std::uint32_t id) const;
-  std::size_t kernel_count() const noexcept { return kernels_.size(); }
-  std::uint64_t max_slice() const noexcept { return max_slice_; }
-
- private:
-  void merge_partial(std::uint32_t kernel,
-                     std::vector<tquad::SliceSample>&& samples);
-
-  std::vector<tquad::KernelBandwidth> kernels_;
-  std::uint64_t slice_interval_;
-  std::uint64_t max_slice_ = 0;
 };
 
 }  // namespace tq::trace

@@ -199,14 +199,16 @@ namespace {
 /// scan). Shared by the strict and salvage open paths — both insist on a
 /// sane file header; nothing is recoverable without one.
 TraceV2View::HeaderFields parse_file_header(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kV2FileHeaderBytes) {
-    TQUAD_THROW("TQTR v2 trace too short for a header");
-  }
+  if (bytes.size() < 8) TQUAD_THROW("TQTR trace too short for a header");
   wire::ByteReader header(bytes);
   if (header.u32() != kMagic) TQUAD_THROW("not a TQTR trace (bad magic)");
   const std::uint32_t version = header.u32();
   if ((version & 0xffffu) != kV2VersionMajor) {
-    TQUAD_THROW("not a TQTR v2 trace");
+    TQUAD_THROW("unsupported TQTR version " + std::to_string(version & 0xffffu) +
+                " (only version 2 is read)");
+  }
+  if (bytes.size() < kV2FileHeaderBytes) {
+    TQUAD_THROW("TQTR v2 trace too short for a header");
   }
   TraceV2View::HeaderFields fields;
   fields.minor = version >> 16;
@@ -502,27 +504,26 @@ Trace TraceV2View::decode_all() const {
   return trace;
 }
 
-std::size_t TraceV2View::first_block_at(std::uint64_t retired) const {
-  // Blocks are ordered by retired count; find the first whose range can
-  // still contain `retired`.
-  const auto it = std::lower_bound(
-      blocks_.begin(), blocks_.end(), retired,
-      [](const BlockInfo& info, std::uint64_t r) { return info.last_retired < r; });
-  return static_cast<std::size_t>(it - blocks_.begin());
-}
-
-std::uint64_t replay_range(const TraceV2View& view, std::uint64_t lo,
-                           std::uint64_t hi, TraceSink& sink) {
-  std::uint64_t delivered = 0;
-  for (std::size_t b = view.first_block_at(lo); b < view.block_count(); ++b) {
-    if (view.block(b).first_retired >= hi) break;
-    for (const Record& record : view.decode_block(b)) {
-      if (record.retired < lo || record.retired >= hi) continue;
-      sink.on_record(record);
-      ++delivered;
+std::uint64_t aggregate_blocks(const TraceV2View& view, std::size_t lo,
+                               std::size_t hi, tquad::BandwidthRecorder& recorder) {
+  TQUAD_CHECK(lo <= hi && hi <= view.block_count(), "block range out of bounds");
+  TQUAD_CHECK(recorder.kernel_count() == view.kernel_count(),
+              "recorder kernel count differs from the trace");
+  std::uint64_t decoded = 0;
+  for (std::size_t b = lo; b < hi; ++b) {
+    const std::vector<Record> records = view.decode_block(b);
+    decoded += records.size();
+    for (const Record& record : records) {
+      if (record.kind != EventKind::kRead && record.kind != EventKind::kWrite) {
+        continue;
+      }
+      if (record.kernel == kNoKernel16 || (record.flags & kFlagPrefetch)) continue;
+      recorder.on_access(record.kernel, record.retired, record.size,
+                         record.kind == EventKind::kRead,
+                         (record.flags & kFlagStackArea) != 0);
     }
   }
-  return delivered;
+  return decoded;
 }
 
 }  // namespace tq::trace

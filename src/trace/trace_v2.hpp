@@ -1,8 +1,8 @@
-// TQTR v2: block-compressed trace container.
+// TQTR v2: block-compressed trace container, the only TQTR version.
 //
-// v1 stores 28 bytes per event; at production trace sizes (1e9+ events) that
-// dominates both disk and replay time. v2 groups records into fixed-capacity
-// blocks, each independently decodable:
+// A flat 28-byte record per event would dominate both disk and replay time
+// at production trace sizes (1e9+ events). v2 groups records into
+// fixed-capacity blocks, each independently decodable:
 //
 //   * per-block delta/varint coding — `retired`, `ea`, and `pc` as zigzag
 //     deltas (ea keeps one previous-address register per event kind, so read
@@ -12,8 +12,7 @@
 //   * a 32-byte block header carrying first/last retired count, record and
 //     payload byte counts, and an approximate kernel-membership bloom;
 //   * a file-level index of block offsets, so consumers can shard whole
-//     blocks across a ThreadPool or seek to a retired-count range without
-//     decoding the prefix.
+//     blocks across threads or processes (aggregate_blocks below).
 //
 // Layout details in docs/FORMATS.md. Writers stream: TraceV2Writer holds one
 // open block plus the already-encoded bytes, never the full Record array.
@@ -24,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "tquad/bandwidth.hpp"
 #include "trace/trace.hpp"
 
 namespace tq::trace {
@@ -167,13 +167,8 @@ class TraceV2View {
   /// kernel bloom, payload byte count).
   std::vector<Record> decode_block(std::size_t i) const;
 
-  /// Decode every block into a flat Trace (the v1-compatible shape).
+  /// Decode every block into a flat Trace.
   Trace decode_all() const;
-
-  /// Index of the first block that may contain records with
-  /// `record.retired >= retired` (blocks are ordered by retired count as
-  /// recorded); block_count() if none.
-  std::size_t first_block_at(std::uint64_t retired) const;
 
   /// Parsed file-header fields (an implementation detail shared between the
   /// strict and salvage open paths).
@@ -202,11 +197,15 @@ class TraceV2View {
   std::uint64_t record_count_ = 0;
 };
 
-/// Replay only the records with `lo <= record.retired < hi`, using the block
-/// index to skip everything else (no prefix decode). Calls sink.on_record()
-/// per matching record — on_end() is not invoked, as there is no full Trace.
-/// Returns the number of records delivered.
-std::uint64_t replay_range(const TraceV2View& view, std::uint64_t lo,
-                           std::uint64_t hi, TraceSink& sink);
+/// Account the memory records of blocks [lo, hi) of `view` into `recorder`
+/// under each record's recorded kernel field: the per-kernel, per-slice
+/// series tquad::TQuadTool builds online, without rebuilding the call stack,
+/// so any block range aggregates on its own and ranges fold back together
+/// with tquad::KernelBandwidth::merge. Unattributed records and prefetch
+/// touches are skipped, as online. `recorder` must span view.kernel_count()
+/// kernels; the caller finish()es it. Returns the number of records decoded.
+/// Decode errors throw tq::Error.
+std::uint64_t aggregate_blocks(const TraceV2View& view, std::size_t lo,
+                               std::size_t hi, tquad::BandwidthRecorder& recorder);
 
 }  // namespace tq::trace

@@ -20,19 +20,51 @@ test -s flat.csv && test -s run.tqtr && test -s out.wav
 grep -q "task clustering" quad.txt
 grep -q "digraph QDU" qdu.dot
 test -s quad.csv
-# Trace formats: default trace is v2 (blocked) and must replay offline with
-# kernel names; an explicit v1 trace replays to the same table.
+# Traces are TQTR v2 (blocked) and must replay offline with kernel names;
+# the block-parallel aggregation gives the same table on any thread count.
 "$TOOLS/tquad_cli" -replay run.tqtr -image wfs.tqim -slice 2000 > replay_v2.txt
 grep -q "replayed v2 trace" replay_v2.txt
 grep -q "wav_store" replay_v2.txt
-"$TOOLS/tquad_cli" -image wfs.tqim -in in.wav -trace run_v1.tqtr \
-    -trace-format v1 -report flat > /dev/null
-"$TOOLS/tquad_cli" -replay run_v1.tqtr -image wfs.tqim -slice 2000 > replay_v1.txt
-grep -q "replayed v1 trace" replay_v1.txt
-# Same events either way: the per-kernel tables must be identical.
-tail -n +2 replay_v2.txt > table_v2.txt
-tail -n +2 replay_v1.txt > table_v1.txt
-cmp table_v2.txt table_v1.txt
+"$TOOLS/tquad_cli" -replay run.tqtr -image wfs.tqim -slice 2000 -threads 1 \
+    > replay_t1.txt
+cmp replay_v2.txt replay_t1.txt
+# A version-1 trace (the retired flat format: a 32-byte header of magic,
+# version 1, kernel count, record size 28, total retired and record count)
+# is rejected with a typed error naming the version, by plain replay and by
+# session replay alike.
+{
+  printf 'TQTR\001\000\000\000'                       # magic, version 1
+  printf '\002\000\000\000\034\000\000\000'           # 2 kernels, 28 B/record
+  printf '\000\000\000\000\000\000\000\000'           # total retired
+  printf '\000\000\000\000\000\000\000\000'           # record count
+} > run_v1.tqtr
+test "$(wc -c < run_v1.tqtr)" -eq 32
+for replay_args in "" "-image wfs.tqim -tools tquad"; do
+  status=0
+  # shellcheck disable=SC2086  # word-split the optional arguments
+  "$TOOLS/tquad_cli" -replay run_v1.tqtr $replay_args > /dev/null 2> v1_err.txt \
+      || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "version-1 replay ($replay_args) exit $status, want 1" >&2
+    exit 1
+  fi
+  grep -q "unsupported TQTR version 1" v1_err.txt
+done
+# A farm job on it fails cleanly (exit 1, not a signal) and is quarantined,
+# whether it aggregates blocks (no image) or replays a session (-image).
+for farm_args in "" "-image wfs.tqim"; do
+  status=0
+  rm -rf v1_farm
+  # shellcheck disable=SC2086
+  "$TOOLS/tquad_farm" -traces run_v1.tqtr -state v1_farm -max-attempts 1 \
+      $farm_args > v1_farm.txt 2>&1 || status=$?
+  if [ "$status" -ne 3 ]; then
+    echo "farm on a version-1 trace ($farm_args) exit $status, want 3" >&2
+    exit 1
+  fi
+  grep -q "QUARANTINED after 1 attempts (exit 1)" v1_farm.txt
+  grep -q "unsupported TQTR version 1" v1_farm/job0.attempt1.stderr
+done
 # quad_cli records traces too.
 "$TOOLS/quad_cli" -image wfs.tqim -in in.wav -trace quad_run.tqtr > /dev/null
 test -s quad_run.tqtr

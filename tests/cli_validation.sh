@@ -46,7 +46,7 @@ expect_error "unknown -report" -- \
     "$TOOLS/tquad_cli" -image wfs.tqim -report bogus
 expect_error "unknown -libs policy" -- \
     "$TOOLS/tquad_cli" -image wfs.tqim -libs sometimes
-expect_error "unknown -trace-format" -- \
+expect_error "unknown option '-trace-format'" -- \
     "$TOOLS/tquad_cli" -image wfs.tqim -trace t.tqtr -trace-format v3
 expect_error "unknown tool 'bogus'" -- \
     "$TOOLS/tquad_cli" -image wfs.tqim -tools bogus
@@ -68,7 +68,7 @@ expect_error "option -budget must be a positive integer (got -1)" -- \
     "$TOOLS/quad_cli" -image wfs.tqim -budget -1
 expect_error "option -clusters must not be negative (got -2)" -- \
     "$TOOLS/quad_cli" -image wfs.tqim -clusters -2
-expect_error "unknown -trace-format" -- \
+expect_error "unknown option '-trace-format'" -- \
     "$TOOLS/quad_cli" -image wfs.tqim -trace t.tqtr -trace-format flat
 
 # Multi-tool session: one pass produces all three reports plus a trace.

@@ -6,8 +6,9 @@
 #      and produces a merged report BYTE-IDENTICAL to the clean run's;
 #   3. sharding a v2 trace into block-range jobs merges to the same fleet
 #      report as one whole-trace job;
-#   4. a farm killed mid-run resumes from its checkpoint manifest and the
-#      final report is byte-identical to an uninterrupted run;
+#   4. a farm killed mid-run leaves no worker behind, resumes from its
+#      checkpoint manifest, and the final report is byte-identical to an
+#      uninterrupted run;
 #   5. -resume with mismatched job specs is refused (exit 1).
 #
 # Usage: farm_chaos.sh <tool-dir> <work-dir>
@@ -110,6 +111,19 @@ while [ "$i" -lt 200 ]; do
 done
 kill -9 "$pid" 2> /dev/null || true  # may already have finished; that's fine
 wait "$pid" 2> /dev/null || true
+# Workers die with their supervisor, hung ones included (they ignore
+# SIGTERM, so nothing else would reap them). Allow the kernel a moment to
+# deliver the death signal.
+orphans="tquad_farm -worker .*-sidecar resume_state/"
+i=0
+while pgrep -f "$orphans" > /dev/null; do
+  i=$((i + 1))
+  if [ "$i" -ge 40 ]; then
+    pkill -9 -f "$orphans" || true
+    fail "a worker outlived its SIGKILLed supervisor"
+  fi
+  sleep 0.05
+done
 grep -q '"event":"done"' resume_state/manifest.jsonl || \
   fail "supervisor died before any job checkpointed"
 "$TOOLS/tquad_farm" -traces multi.tqtr -state resume_state -slice 2000 \

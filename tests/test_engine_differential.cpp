@@ -68,7 +68,7 @@ struct SessionRun {
       session.add_consumer(*gprof_tool);
     }
     if (mask.trace) {
-      recorder.emplace(program, config.library_policy, trace::TraceFormat::kV2);
+      recorder.emplace(program, config.library_policy);
       session.add_consumer(*recorder);
     }
   }

@@ -39,8 +39,7 @@ struct SessionRun {
                 options.sample_period = kSamplePeriod;
                 return options;
               }()),
-        recorder(program, tquad::LibraryPolicy::kExclude,
-                 trace::TraceFormat::kV2) {
+        recorder(program) {
     session.add_consumer(tquad);
     session.add_consumer(quad);
     session.add_consumer(gprof);

@@ -25,6 +25,11 @@ std::vector<std::uint8_t> random_bytes(SplitMix64& rng, std::size_t size) {
   return bytes;
 }
 
+/// Strict decode of a whole TQTR image, the way every reader opens one.
+trace::Trace decode_trace(std::span<const std::uint8_t> bytes) {
+  return trace::TraceV2View::open(bytes).decode_all();
+}
+
 /// A small, valid, multi-block TQTR v2 image with a known layout (block
 /// capacity 64, v2.1 with per-block CRC by default), used as the seed for
 /// mutation/corruption fuzzing.
@@ -81,7 +86,7 @@ TEST_P(DecoderFuzz, TraceDeserializeNeverCrashes) {
   for (int round = 0; round < 200; ++round) {
     const auto bytes = random_bytes(rng, rng.next_below(512));
     try {
-      (void)trace::Trace::deserialize(bytes);
+      (void)decode_trace(bytes);
     } catch (const Error&) {
     }
   }
@@ -104,10 +109,6 @@ TEST_P(DecoderFuzz, TraceV2OpenNeverCrashes) {
       for (std::size_t b = 0; b < view.block_count(); ++b) {
         (void)view.decode_block(b);
       }
-    } catch (const Error&) {
-    }
-    try {
-      (void)trace::Trace::deserialize(bytes);
     } catch (const Error&) {
     }
     try {
@@ -182,7 +183,7 @@ TEST(DecoderFuzzMutation, FlippedV2Traces) {
           static_cast<std::uint8_t>(1u << rng.next_below(8));
     }
     try {
-      const trace::Trace t = trace::Trace::deserialize(mutated);
+      const trace::Trace t = decode_trace(mutated);
       // A surviving image must still be internally consistent: declared
       // counts honoured, every record well-formed.
       for (const trace::Record& record : t.records) {
@@ -199,10 +200,10 @@ TEST(DecoderFuzzMutation, TruncatedV2AtEveryLength) {
   // v2 requires the blocks to end exactly at the index and the index to end
   // exactly at EOF, so every strict prefix must be rejected.
   const auto valid = valid_v2_image();
-  EXPECT_NO_THROW((void)trace::Trace::deserialize(valid));
+  EXPECT_NO_THROW((void)decode_trace(valid));
   for (std::size_t cut = 0; cut < valid.size(); ++cut) {
     const std::span<const std::uint8_t> prefix(valid.data(), cut);
-    EXPECT_THROW((void)trace::Trace::deserialize(prefix), Error) << cut;
+    EXPECT_THROW((void)decode_trace(prefix), Error) << cut;
   }
 }
 
@@ -212,7 +213,7 @@ TEST(DecoderFuzzMutation, LyingV2HeadersAreRejected) {
     auto image = valid;
     ASSERT_LE(offset + bytes, image.size());
     std::memcpy(image.data() + offset, &value, bytes);
-    EXPECT_THROW((void)trace::Trace::deserialize(image), Error)
+    EXPECT_THROW((void)decode_trace(image), Error)
         << "patch at " << offset;
   };
   std::uint64_t index_offset;
@@ -246,10 +247,10 @@ TEST(DecoderFuzzMutation, CorruptV2VarintsAreRejected) {
   // rejects; the v2.1 image (payload at 80) is caught by the CRC first.
   auto v20 = valid_v2_image(0);
   for (std::size_t i = 0; i < 16; ++i) v20[72 + 1 + i] = 0xff;
-  EXPECT_THROW((void)trace::Trace::deserialize(v20), Error);
+  EXPECT_THROW((void)decode_trace(v20), Error);
   auto v21 = valid_v2_image();
   for (std::size_t i = 0; i < 16; ++i) v21[80 + 1 + i] = 0xff;
-  EXPECT_THROW((void)trace::Trace::deserialize(v21), Error);
+  EXPECT_THROW((void)decode_trace(v21), Error);
 }
 
 // ---- salvage-mode corpora ---------------------------------------------------------

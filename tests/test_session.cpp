@@ -3,6 +3,8 @@
 // source's input validation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "session/session.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
@@ -15,14 +17,20 @@ namespace {
 class CapturingConsumer : public AnalysisConsumer {
  public:
   std::vector<EnterEvent> enters;
-  std::vector<TickEvent> ticks;
+  std::vector<TickRunEvent> runs;
   std::vector<AccessEvent> accesses;
   std::vector<RetEvent> rets;
   std::uint64_t total = 0;
   int end_calls = 0;
 
+  std::uint64_t tick_count() const {
+    std::uint64_t count = 0;
+    for (const TickRunEvent& run : runs) count += run.count;
+    return count;
+  }
+
   void on_kernel_enter(const EnterEvent& event) override { enters.push_back(event); }
-  void on_tick(const TickEvent& event) override { ticks.push_back(event); }
+  void on_tick_run(const TickRunEvent& run) override { runs.push_back(run); }
   void on_access(const AccessEvent& event) override { accesses.push_back(event); }
   void on_kernel_ret(const RetEvent& event) override { rets.push_back(event); }
   void on_session_end(std::uint64_t total_retired) override {
@@ -50,11 +58,16 @@ TEST(Session, LiveEventStreamInvariants) {
   EXPECT_EQ(capture.enters.front().retired, 0u);
   EXPECT_EQ(capture.enters.front().kernel, capture.enters.front().func);
 
-  // Exactly one tick per retired instruction, in order.
-  ASSERT_EQ(capture.ticks.size(), retired);
-  for (std::size_t i = 0; i < capture.ticks.size(); ++i) {
-    EXPECT_EQ(capture.ticks[i].retired, i);
+  // Exactly one tick per retired instruction, in order: the runs tile
+  // [0, retired) back to back.
+  std::uint64_t next = 0;
+  for (const TickRunEvent& run : capture.runs) {
+    EXPECT_EQ(run.first_retired, next);
+    EXPECT_GT(run.count, 0u);
+    EXPECT_LE(run.mem_count, run.count);
+    next += run.count;
   }
+  EXPECT_EQ(next, retired);
 
   // Every enter/ret pairs up (the entry function's activation stays open).
   EXPECT_EQ(capture.rets.size() + 1, capture.enters.size());
@@ -124,7 +137,7 @@ TEST(Session, ReplayRejectsOutOfRangeFunctionIds) {
   record.func = 0;
   record.ea = 0xfff;  // entered function id way out of range
   hostile.records.push_back(record);
-  const auto bytes = hostile.serialize();
+  const auto bytes = trace::serialize_v2(hostile);
 
   ProfileSession session(workload.program);
   EXPECT_THROW(session.replay(bytes), Error);
@@ -138,14 +151,34 @@ TEST(Session, ReplayEmptyTraceYieldsSilentTicks) {
   empty.kernel_count =
       static_cast<std::uint32_t>(workload.program.functions().size());
   empty.total_retired = 5;
-  const auto bytes = empty.serialize();
+  const auto bytes = trace::serialize_v2(empty);
 
   ProfileSession session(workload.program);
   CapturingConsumer capture;
   session.add_consumer(capture);
   EXPECT_EQ(session.replay(bytes).retired, 5u);
-  EXPECT_EQ(capture.ticks.size(), 5u);
+  ASSERT_EQ(capture.runs.size(), 1u);
+  EXPECT_EQ(capture.runs[0].func, 0u);
+  EXPECT_EQ(capture.runs[0].first_retired, 0u);
+  EXPECT_EQ(capture.runs[0].count, 5u);
+  EXPECT_EQ(capture.runs[0].mem_count, 0u);
   EXPECT_TRUE(capture.accesses.empty());
+}
+
+TEST(Session, ReplayRejectsVersion1Traces) {
+  // The 32-byte header of the retired flat format: "TQTR", version 1, then
+  // kernel count, record size, total retired and record count, no records.
+  const auto workload = workloads::build_stream(16, 1);
+  std::vector<std::uint8_t> bytes = {'T', 'Q', 'T', 'R', 1, 0, 0, 0};
+  bytes.resize(32, 0);
+  ProfileSession session(workload.program);
+  try {
+    session.replay(bytes);
+    FAIL() << "a version-1 trace replayed";
+  } catch (const Error& err) {
+    EXPECT_NE(std::string(err.what()).find("version 1"), std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(Session, AttributionDispatchOrderFollowsAddOrder) {
@@ -156,7 +189,7 @@ TEST(Session, AttributionDispatchOrderFollowsAddOrder) {
   class Tagger : public AnalysisConsumer {
    public:
     Tagger(std::vector<int>& order, int tag) : order_(order), tag_(tag) {}
-    void on_tick(const TickEvent&) override { order_.push_back(tag_); }
+    void on_tick_run(const TickRunEvent&) override { order_.push_back(tag_); }
 
    private:
     std::vector<int>& order_;
@@ -167,7 +200,8 @@ TEST(Session, AttributionDispatchOrderFollowsAddOrder) {
   attribution.add_consumer(first);
   attribution.add_consumer(second);
   EXPECT_EQ(attribution.consumer_count(), 2u);
-  attribution.input_tick(0, 0, 0, 0);
+  attribution.input_batch_tick_span(0, 0, 1, 0);
+  attribution.input_end(1);  // flushes the pending run
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);

@@ -1,10 +1,10 @@
 // Replay-vs-live differential for the session layer: a ProfileSession fed
-// from a recorded TQTR trace (v1 or v2) must reproduce the live tool state.
+// from a recorded TQTR v2 trace must reproduce the live tool state.
 //
 // tQUAD and gprofsim replay exactly. QUAD replays exactly for every counter
 // except the private per-kernel memory-reference count used by the Table III
 // cost model: predicated-off memory instructions leave no trace records, so
-// their operand widths cannot be reconstructed offline (see docs/FORMATS.md).
+// replay cannot count them as memory ticks (see docs/FORMATS.md).
 // The trace recorder itself round-trips: replaying a trace through a fresh
 // recorder regenerates the input byte-for-byte.
 #include <gtest/gtest.h>
@@ -118,33 +118,24 @@ void expect_replay_matches_live(const ToolBundle& live, const ToolBundle& replay
 }
 
 void check_program(const vm::Program& program, vm::HostEnv& host) {
-  // Live session: tools plus both recorder formats in one pass.
+  // Live session: tools plus the recorder in one pass.
   ProfileSession live_session(program);
   ToolBundle live(program);
-  trace::TraceRecorder rec_v1(program, tquad::LibraryPolicy::kExclude,
-                              trace::TraceFormat::kV1);
-  trace::TraceRecorder rec_v2(program, tquad::LibraryPolicy::kExclude,
-                              trace::TraceFormat::kV2);
+  trace::TraceRecorder recorder(program);
   live.attach(live_session);
-  live_session.add_consumer(rec_v1);
-  live_session.add_consumer(rec_v2);
+  live_session.add_consumer(recorder);
   const std::uint64_t live_retired = live_session.run_live(host).retired;
+  const auto bytes = recorder.take_encoded();
 
-  const auto v1_bytes = rec_v1.take_encoded();
-  const auto v2_bytes = rec_v2.take_encoded();
-
-  for (const auto* bytes : {&v1_bytes, &v2_bytes}) {
-    ProfileSession replay_session(program);
-    ToolBundle replayed(program);
-    trace::TraceRecorder re_recorder(program, tquad::LibraryPolicy::kExclude,
-                                     trace::TraceFormat::kV2);
-    replayed.attach(replay_session);
-    replay_session.add_consumer(re_recorder);
-    EXPECT_EQ(replay_session.replay(*bytes).retired, live_retired);
-    expect_replay_matches_live(live, replayed);
-    // Round trip: the replay-driven recording equals the live v2 recording.
-    EXPECT_EQ(re_recorder.take_encoded(), v2_bytes);
-  }
+  ProfileSession replay_session(program);
+  ToolBundle replayed(program);
+  trace::TraceRecorder re_recorder(program);
+  replayed.attach(replay_session);
+  replay_session.add_consumer(re_recorder);
+  EXPECT_EQ(replay_session.replay(bytes).retired, live_retired);
+  expect_replay_matches_live(live, replayed);
+  // Round trip: the replay-driven recording equals the live recording.
+  EXPECT_EQ(re_recorder.take_encoded(), bytes);
 }
 
 void check_workload(const vm::Program& program) {

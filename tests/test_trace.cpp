@@ -1,13 +1,13 @@
-// Trace record/replay: equivalence with online analysis, serialisation, and
-// parallel offline aggregation.
+// Trace recording: the captured event stream, and block aggregation of the
+// recorded trace against the online analysis.
 #include <gtest/gtest.h>
 
 #include "gasm/builder.hpp"
 #include "session/session.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
+#include "trace/trace_v2.hpp"
 #include "tquad/tquad_tool.hpp"
-#include "wfs/runner.hpp"
 
 namespace tq::trace {
 namespace {
@@ -45,18 +45,22 @@ vm::Program make_mixed_program() {
   return prog.build("main");
 }
 
-Trace record_trace(const vm::Program& program) {
+std::vector<std::uint8_t> record_trace(const vm::Program& program) {
   vm::HostEnv host;
   session::ProfileSession session(program);
   TraceRecorder recorder(program);
   session.add_consumer(recorder);
   session.run_live(host);
-  return recorder.take();
+  return recorder.take_encoded();
+}
+
+Trace record_decoded(const vm::Program& program) {
+  return TraceV2View::open(record_trace(program)).decode_all();
 }
 
 TEST(TraceRecorder, CapturesMemoryAndControlEvents) {
   const vm::Program program = make_mixed_program();
-  const Trace trace = record_trace(program);
+  const Trace trace = record_decoded(program);
   EXPECT_GT(trace.total_retired, 0u);
   EXPECT_EQ(trace.kernel_count, program.functions().size());
   std::size_t reads = 0, writes = 0, enters = 0, rets = 0;
@@ -80,7 +84,7 @@ TEST(TraceRecorder, CapturesMemoryAndControlEvents) {
 
 TEST(TraceRecorder, StackClassificationMatchesOnlineTool) {
   const vm::Program program = make_mixed_program();
-  const Trace trace = record_trace(program);
+  const Trace trace = record_decoded(program);
   const auto stacker = *program.find("stacker");
   std::uint64_t stack_bytes = 0, global_bytes = 0;
   for (const Record& record : trace.records) {
@@ -91,58 +95,8 @@ TEST(TraceRecorder, StackClassificationMatchesOnlineTool) {
   EXPECT_EQ(global_bytes, 0u);
 }
 
-TEST(TraceSerialization, RoundTrip) {
-  const Trace trace = record_trace(make_mixed_program());
-  const auto bytes = trace.serialize();
-  // v1 records are serialised field-by-field (kRecordDiskBytes each), so the
-  // file is independent of host struct padding.
-  EXPECT_EQ(bytes.size(), 32 + trace.records.size() * kRecordDiskBytes);
-  const Trace back = Trace::deserialize(bytes);
-  EXPECT_EQ(back.total_retired, trace.total_retired);
-  EXPECT_EQ(back.kernel_count, trace.kernel_count);
-  ASSERT_EQ(back.records.size(), trace.records.size());
-  for (std::size_t i = 0; i < trace.records.size(); ++i) {
-    const Record& a = trace.records[i];
-    const Record& b = back.records[i];
-    EXPECT_TRUE(a.retired == b.retired && a.ea == b.ea && a.pc == b.pc &&
-                a.kernel == b.kernel && a.func == b.func && a.kind == b.kind &&
-                a.size == b.size && a.flags == b.flags)
-        << "record " << i;
-  }
-}
-
-TEST(TraceSerialization, RejectsCorruption) {
-  const Trace trace = record_trace(make_mixed_program());
-  auto bytes = trace.serialize();
-  EXPECT_THROW(Trace::deserialize({bytes.data(), 10}), Error);
-  auto bad_magic = bytes;
-  bad_magic[0] ^= 0xff;
-  EXPECT_THROW(Trace::deserialize(bad_magic), Error);
-  auto truncated = bytes;
-  truncated.resize(truncated.size() - 7);
-  EXPECT_THROW(Trace::deserialize(truncated), Error);
-}
-
-TEST(TraceReplay, VisitsEveryRecordInOrder) {
-  const Trace trace = record_trace(make_mixed_program());
-  struct CountingSink : TraceSink {
-    std::size_t count = 0;
-    std::uint64_t last_retired = 0;
-    bool ended = false;
-    void on_record(const Record& record) override {
-      EXPECT_GE(record.retired, last_retired);
-      last_retired = record.retired;
-      ++count;
-    }
-    void on_end(const Trace&) override { ended = true; }
-  } sink;
-  replay(trace, sink);
-  EXPECT_EQ(sink.count, trace.records.size());
-  EXPECT_TRUE(sink.ended);
-}
-
-/// The central equivalence property: offline aggregation of a recorded trace
-/// must equal the online BandwidthRecorder, slice for slice.
+/// The central equivalence property: aggregating the recorded trace's
+/// blocks must equal the online BandwidthRecorder, slice for slice.
 class OfflineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(OfflineEquivalence, OfflineEqualsOnline) {
@@ -157,11 +111,14 @@ TEST_P(OfflineEquivalence, OfflineEqualsOnline) {
   session.run_live(host1);
 
   // Offline from a recorded trace.
-  const Trace trace = record_trace(program);
-  OfflineBandwidth offline(trace.kernel_count, slice);
-  offline.aggregate(trace);
+  const std::vector<std::uint8_t> bytes = record_trace(program);
+  const TraceV2View view = TraceV2View::open(bytes);
+  tquad::BandwidthRecorder offline(view.kernel_count(), slice);
+  aggregate_blocks(view, 0, view.block_count(), offline);
+  offline.finish();
 
   ASSERT_EQ(offline.kernel_count(), online.kernel_count());
+  EXPECT_EQ(offline.max_slice(), online.bandwidth().max_slice());
   for (std::uint32_t k = 0; k < online.kernel_count(); ++k) {
     const auto& a = online.bandwidth().kernel(k);
     const auto& b = offline.kernel(k);
@@ -181,21 +138,37 @@ TEST_P(OfflineEquivalence, OfflineEqualsOnline) {
 INSTANTIATE_TEST_SUITE_P(Slices, OfflineEquivalence,
                          ::testing::Values(1, 13, 100, 1000, 1'000'000));
 
-/// Parallel offline aggregation must equal sequential, regardless of pool
-/// size (shard seams merge by addition).
+/// Block-parallel aggregation — each pool worker aggregates its own block
+/// range of one shared view, the ranges fold with KernelBandwidth::merge —
+/// must equal the whole range, regardless of pool size.
 class ParallelEquivalence : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(ParallelEquivalence, ParallelEqualsSequential) {
-  const Trace trace = record_trace(make_mixed_program());
-  OfflineBandwidth sequential(trace.kernel_count, 37);
-  sequential.aggregate(trace);
-  OfflineBandwidth parallel(trace.kernel_count, 37);
+TEST_P(ParallelEquivalence, ParallelEqualsWholeRange) {
+  constexpr std::uint64_t kSlice = 37;
+  const auto bytes = serialize_v2(record_decoded(make_mixed_program()), 64);
+  const TraceV2View view = TraceV2View::open(bytes);
+  ASSERT_GT(view.block_count(), 7u);
+  tquad::BandwidthRecorder whole(view.kernel_count(), kSlice);
+  aggregate_blocks(view, 0, view.block_count(), whole);
+  whole.finish();
+
   ThreadPool pool(GetParam());
-  parallel.aggregate_parallel(trace, pool);
-  ASSERT_EQ(parallel.max_slice(), sequential.max_slice());
-  for (std::uint32_t k = 0; k < trace.kernel_count; ++k) {
-    const auto& a = sequential.kernel(k);
-    const auto& b = parallel.kernel(k);
+  std::vector<tquad::BandwidthRecorder> shards(
+      pool.size(), tquad::BandwidthRecorder(view.kernel_count(), kSlice));
+  parallel_for_blocks(pool, 0, view.block_count(),
+                      [&](std::uint64_t lo, std::uint64_t hi, unsigned shard) {
+                        aggregate_blocks(view, lo, hi, shards[shard]);
+                      });
+  std::vector<tquad::KernelBandwidth> merged(view.kernel_count());
+  for (tquad::BandwidthRecorder& shard : shards) {
+    shard.finish();
+    for (std::uint32_t k = 0; k < view.kernel_count(); ++k) {
+      merged[k].merge(shard.kernel(k));
+    }
+  }
+  for (std::uint32_t k = 0; k < view.kernel_count(); ++k) {
+    const auto& a = whole.kernel(k);
+    const auto& b = merged[k];
     ASSERT_EQ(a.series.size(), b.series.size()) << "kernel " << k;
     for (std::size_t i = 0; i < a.series.size(); ++i) {
       EXPECT_EQ(a.series[i].slice, b.series[i].slice);
@@ -206,34 +179,6 @@ TEST_P(ParallelEquivalence, ParallelEqualsSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Pools, ParallelEquivalence, ::testing::Values(1, 2, 3, 7));
-
-TEST(OfflineBandwidth, WfsTraceMatchesOnline) {
-  // Integration: the full (tiny) wfs run, online vs offline — one session
-  // feeds the online tool and records the trace.
-  wfs::WfsRun run = wfs::prepare_wfs_run(wfs::WfsConfig::tiny());
-  session::ProfileSession session(run.artifacts.program);
-  tquad::TQuadTool online(run.artifacts.program, tquad::Options{.slice_interval = 500});
-  TraceRecorder recorder(run.artifacts.program);
-  session.add_consumer(online);
-  session.add_consumer(recorder);
-  session.run_live(run.host);
-  const Trace trace = recorder.take();
-
-  OfflineBandwidth offline(trace.kernel_count, 500);
-  ThreadPool pool(3);
-  offline.aggregate_parallel(trace, pool);
-  for (std::uint32_t k = 0; k < online.kernel_count(); ++k) {
-    EXPECT_EQ(online.bandwidth().kernel(k).totals.read_incl,
-              offline.kernel(k).totals.read_incl)
-        << online.kernel_name(k);
-    EXPECT_EQ(online.bandwidth().kernel(k).totals.write_excl,
-              offline.kernel(k).totals.write_excl)
-        << online.kernel_name(k);
-    EXPECT_EQ(online.bandwidth().kernel(k).active_slices(),
-              offline.kernel(k).active_slices())
-        << online.kernel_name(k);
-  }
-}
 
 }  // namespace
 }  // namespace tq::trace

@@ -1,15 +1,16 @@
 // Differential sweep: for every workload in the zoo registry (wfs included),
-// the online BandwidthRecorder counters, the offline aggregation of a v1
-// trace (sequential and sharded), and the offline aggregation of a v2 trace
-// (sequential decode and block-parallel straight from the encoded bytes)
-// must be bit-exact, slice for slice.
+// the online BandwidthRecorder counters must equal trace::aggregate_blocks
+// over the recorded v2 trace — the whole block range at once, every two-way
+// block split merged back with KernelBandwidth::merge, and an N-way split
+// (one range per block) — bit-exact, slice for slice, timeline length
+// included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 
 #include "session/session.hpp"
-#include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
 #include "tquad/tquad_tool.hpp"
@@ -18,15 +19,42 @@
 namespace tq::trace {
 namespace {
 
-// Small enough that the sweep stays fast, multi-block at this capacity.
-constexpr std::uint32_t kBlockCapacity = 512;
+// Every workload is re-blocked into about this many blocks (at least 64
+// records each): enough seams to land inside slices, few enough that the
+// quadratic sweep of two-way splits stays fast under the sanitizers.
+constexpr std::uint64_t kTargetBlocks = 32;
+
+/// The per-kernel series of one aggregation, plus its timeline length.
+struct Aggregate {
+  std::vector<tquad::KernelBandwidth> kernels;
+  std::uint64_t max_slice = 0;
+};
+
+/// Aggregate the block ranges [cuts[i], cuts[i + 1]) separately, then fold
+/// them together, as the farm and the block-parallel CLI do.
+Aggregate aggregate_split(const TraceV2View& view, std::uint64_t slice,
+                          const std::vector<std::size_t>& cuts) {
+  Aggregate out;
+  out.kernels.resize(view.kernel_count());
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    tquad::BandwidthRecorder part(view.kernel_count(), slice);
+    aggregate_blocks(view, cuts[i], cuts[i + 1], part);
+    part.finish();
+    out.max_slice = std::max(out.max_slice, part.max_slice());
+    for (std::uint32_t k = 0; k < view.kernel_count(); ++k) {
+      out.kernels[k].merge(part.kernel(k));
+    }
+  }
+  return out;
+}
 
 void expect_matches_online(const tquad::TQuadTool& online,
-                           const OfflineBandwidth& offline, const char* label) {
-  ASSERT_EQ(offline.kernel_count(), online.kernel_count()) << label;
+                           const Aggregate& offline, const std::string& label) {
+  ASSERT_EQ(offline.kernels.size(), online.kernel_count()) << label;
+  EXPECT_EQ(offline.max_slice, online.bandwidth().max_slice()) << label;
   for (std::uint32_t k = 0; k < online.kernel_count(); ++k) {
     const auto& a = online.bandwidth().kernel(k);
-    const auto& b = offline.kernel(k);
+    const auto& b = offline.kernels[k];
     ASSERT_EQ(a.series.size(), b.series.size())
         << label << ": kernel " << online.kernel_name(k);
     for (std::size_t i = 0; i < a.series.size(); ++i) {
@@ -49,7 +77,7 @@ void expect_matches_online(const tquad::TQuadTool& online,
 }
 
 /// One session runs the online tool and records the trace; then every
-/// offline path must reproduce the online counters exactly.
+/// block split must reproduce the online counters exactly.
 void check_program(const vm::Program& program, vm::HostEnv& host,
                    std::uint64_t slice) {
   session::ProfileSession session(program);
@@ -58,33 +86,25 @@ void check_program(const vm::Program& program, vm::HostEnv& host,
   session.add_consumer(online);
   session.add_consumer(recorder);
   session.run_live(host);
-  const Trace trace = recorder.take();
 
-  ThreadPool pool(3);
+  // Re-block the recording at a small capacity so the splits have seams.
+  const Trace trace = TraceV2View::open(recorder.take_encoded()).decode_all();
+  const auto capacity = static_cast<std::uint32_t>(std::max<std::uint64_t>(
+      64, (trace.records.size() + kTargetBlocks - 1) / kTargetBlocks));
+  const auto bytes = serialize_v2(trace, capacity);
+  const TraceV2View view = TraceV2View::open(bytes);
+  const std::size_t blocks = view.block_count();
 
-  OfflineBandwidth v1_seq(trace.kernel_count, slice);
-  v1_seq.aggregate(trace);
-  expect_matches_online(online, v1_seq, "v1 sequential");
-
-  OfflineBandwidth v1_par(trace.kernel_count, slice);
-  v1_par.aggregate_parallel(trace, pool);
-  expect_matches_online(online, v1_par, "v1 sharded");
-
-  const auto v2_bytes = serialize_v2(trace, kBlockCapacity);
-  const Trace v2_trace = Trace::deserialize(v2_bytes);  // auto-detected
-  OfflineBandwidth v2_seq(v2_trace.kernel_count, slice);
-  v2_seq.aggregate(v2_trace);
-  expect_matches_online(online, v2_seq, "v2 sequential");
-
-  const TraceV2View view = TraceV2View::open(v2_bytes);
-  OfflineBandwidth v2_par(view.kernel_count(), slice);
-  v2_par.aggregate_parallel(view, pool);
-  expect_matches_online(online, v2_par, "v2 block-parallel");
-
-  // All offline variants agree on the timeline length too.
-  EXPECT_EQ(v1_par.max_slice(), v1_seq.max_slice());
-  EXPECT_EQ(v2_seq.max_slice(), v1_seq.max_slice());
-  EXPECT_EQ(v2_par.max_slice(), v1_seq.max_slice());
+  expect_matches_online(online, aggregate_split(view, slice, {0, blocks}),
+                        "whole range");
+  for (std::size_t cut = 1; cut < blocks; ++cut) {
+    expect_matches_online(online, aggregate_split(view, slice, {0, cut, blocks}),
+                          "split at block " + std::to_string(cut));
+  }
+  std::vector<std::size_t> every_block(blocks + 1);
+  for (std::size_t b = 0; b <= blocks; ++b) every_block[b] = b;
+  expect_matches_online(online, aggregate_split(view, slice, every_block),
+                        "one range per block");
 }
 
 /// (workload name, slice interval): the zoo cross slice granularities — an

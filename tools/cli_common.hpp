@@ -70,12 +70,6 @@ inline tquad::LibraryPolicy parse_policy(const std::string& name) {
   TQUAD_THROW("unknown -libs policy '" + name + "' (exclude|caller|track)");
 }
 
-inline trace::TraceFormat parse_trace_format(const std::string& name) {
-  if (name == "v1") return trace::TraceFormat::kV1;
-  if (name == "v2") return trace::TraceFormat::kV2;
-  TQUAD_THROW("unknown -trace-format '" + name + "' (v1|v2)");
-}
-
 /// Validate that an integer flag holds a strictly positive value; clear
 /// error at parse time instead of undefined behaviour downstream (a zero
 /// slice interval would divide by zero, a zero sample period never sample).

@@ -2,13 +2,13 @@
 //
 //   quad -image app.tqim [-in file] [-libs exclude|caller|track]
 //        [-dot qdu.dot] [-csv table2.csv] [-clusters N]
-//        [-trace out.tqtr -trace-format v1|v2]
+//        [-trace out.tqtr]
 //        [-engine interp|compiled] [-pipeline serial|parallel[:N]]
 //        [-metrics text|json[:path]] [-heartbeat N]
 //
 // Prints the Table II columns for every reported kernel, optionally the QDU
 // graph in Graphviz DOT and a communication-driven task clustering. -trace
-// additionally records a TQTR event trace (replayable with tquad -replay) —
+// additionally records a TQTR v2 event trace (replayable with tquad -replay) —
 // the recorder rides the same single-pass ProfileSession as the analysis, so
 // the guest executes once. SIGINT/SIGTERM stop the run gracefully: reports
 // stamp INTERRUPTED, a -trace recording finalizes, and the tool exits 4.
@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   cli.add_int("clusters", 0, "if > 0, also print a task clustering");
   cli.add_string("buffers", "", "print per-buffer data maps (kernel name or 'all')");
   cli.add_string("trace", "", "record the event trace (TQTR) to this path");
-  cli.add_string("trace-format", "v2", "trace file format: v1 | v2 (blocked)");
   cli.add_int("budget", 2'000'000'000,
               "stop after this many instructions (reports stamp TRUNCATED)");
   cli.add_string("on-trap", "report",
@@ -76,8 +75,6 @@ int main(int argc, char** argv) {
         cli::resolve_pipeline(cli.str("pipeline"), consumer_lanes,
                               /*has_sharded_consumer=*/true);
     cli::warn_parallel_on_small_host(pipeline);
-    const trace::TraceFormat trace_format =
-        cli::parse_trace_format(cli.str("trace-format"));
     const tquad::LibraryPolicy policy = cli::parse_policy(cli.str("libs"));
     if (cli.str("image").empty()) {
       std::fprintf(stderr, "%s", cli.help().c_str());
@@ -110,7 +107,7 @@ int main(int argc, char** argv) {
     profile.add_consumer(tool);
     std::optional<trace::TraceRecorder> recorder;
     if (!cli.str("trace").empty()) {
-      recorder.emplace(program, policy, trace_format);
+      recorder.emplace(program, policy);
       profile.add_consumer(*recorder);
     }
     const vm::RunOutcome outcome = profile.run_live(host);
@@ -148,8 +145,7 @@ int main(int argc, char** argv) {
     }
     if (recorder.has_value()) {
       cli::write_file(cli.str("trace"), recorder->take_encoded());
-      std::printf("trace written to %s (%s)\n", cli.str("trace").c_str(),
-                  cli.str("trace-format").c_str());
+      std::printf("trace written to %s (v2)\n", cli.str("trace").c_str());
     }
     // Metrics come last, never interleaved with the reports above.
     if (metrics_spec.enabled) {

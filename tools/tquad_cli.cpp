@@ -4,7 +4,7 @@
 //
 //   tquad -image app.tqim [-in file]... [-slice N] [-libs track|exclude|caller]
 //         [-tools tquad,quad,gprof] [-report flat|bandwidth|phases|series|all]
-//         [-csv out.csv] [-trace out.tqtr -trace-format v1|v2]
+//         [-csv out.csv] [-trace out.tqtr]
 //         [-sample N] [-cpu-ghz G -cpi C] [-budget N] [-on-trap report|abort]
 //         [-engine interp|compiled] [-pipeline serial|parallel[:N]|auto]
 //         [-metrics text|json[:path]] [-viz json[:path] [-viz-bucket B]]
@@ -19,23 +19,26 @@
 // All profiling goes through one ProfileSession: the guest executes ONCE and
 // every tool selected with -tools (plus the -trace recorder) consumes the
 // same attributed event stream — the paper needed a separate execution per
-// tool. -replay aggregates a recorded trace offline instead of running a
-// guest: without -tools it prints the per-kernel bandwidth totals (the TQTR
-// version is auto-detected, v2 traces aggregate block-parallel, and -image
-// is only needed for kernel names); with -tools it replays the trace through
-// the same session machinery and produces the full reports (requires -image).
+// tool. -replay aggregates a recorded TQTR v2 trace offline instead of
+// running a guest: without -tools it prints the per-kernel bandwidth totals,
+// aggregating whole blocks on -threads workers under the recorded kernel
+// attribution (-image is only needed for kernel names); with -tools it
+// replays the trace through the same session machinery and produces the
+// full reports (requires -image). Other trace versions are rejected (exit 1).
 //
 // Fault tolerance: a guest trap does not discard the run. Under the default
 // -on-trap report the tool emits every report stamped `status: PARTIAL`,
 // still writes -trace/-csv/-out, and exits 3; -on-trap abort prints the trap
 // and exits 3 with no reports. -budget exhaustion stamps `status: TRUNCATED`
-// and exits 0. -salvage replays damaged v2 traces block-by-block, skipping
+// and exits 0. -salvage replays damaged traces block-by-block, skipping
 // blocks whose CRC or structure check fails. SIGINT/SIGTERM stop the run
 // gracefully: reports stamp INTERRUPTED, a -trace recording finalizes (the
 // pre-interrupt prefix replays, as pre-trap traces do), and the tool exits
 // 4; a second signal kills immediately. Exit codes: 0 ok/truncated, 1 tool
 // error, 2 usage error, 3 guest trap, 4 interrupted.
+#include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <optional>
 
 #include "gprofsim/gprof_tool.hpp"
@@ -67,7 +70,6 @@ void validate_options(const CliParser& cli) {
   cli::require_positive(cli, "sample");
   cli::require_positive(cli, "threads");
   cli::require_positive(cli, "budget");
-  (void)cli::parse_trace_format(cli.str("trace-format"));
   (void)cli::parse_policy(cli.str("libs"));
   cli::validate_on_trap(cli.str("on-trap"));
   (void)cli::parse_engine(cli.str("engine"));
@@ -100,46 +102,50 @@ void validate_options(const CliParser& cli) {
   }
 }
 
-/// Offline -replay mode: aggregate a recorded TQTR file (any version) and
-/// print a per-kernel totals table. v2 traces aggregate block-parallel.
+/// Offline -replay mode: aggregate a recorded TQTR file and print a
+/// per-kernel totals table. The blocks split over -threads workers; their
+/// partial series fold back with KernelBandwidth::merge.
 int replay_trace(const CliParser& cli) {
   const auto bytes = read_file(cli.str("replay"));
   const auto slice = static_cast<std::uint64_t>(cli.integer("slice"));
   const auto threads = static_cast<unsigned>(cli.integer("threads"));
   const cli::MetricsSpec metrics_spec = cli::parse_metrics(cli.str("metrics"));
   metrics::Registry registry;
-  ThreadPool pool(threads);
 
-  std::uint32_t kernel_count = 0;
-  std::uint64_t record_count = 0;
-  std::uint64_t total_retired = 0;
-  const char* version = "v1";
-  trace::OfflineBandwidth offline(1, slice);
-  if (trace::is_v2_image(bytes)) {
-    version = "v2";
-    trace::SalvageReport salvage_report;
-    const trace::TraceV2View view =
-        cli.flag("salvage") ? trace::TraceV2View::salvage(bytes, &salvage_report)
-                            : trace::TraceV2View::open(bytes);
-    if (cli.flag("salvage")) {
-      cli::print_salvage_report(salvage_report);
-      cli::publish_salvage_metrics(registry, salvage_report);
-    }
-    kernel_count = view.kernel_count();
-    record_count = view.record_count();
-    total_retired = view.total_retired();
-    offline = trace::OfflineBandwidth(kernel_count, slice);
-    offline.aggregate_parallel(view, pool);
-  } else {
-    if (cli.flag("salvage")) {
-      TQUAD_THROW("salvage replay supports TQTR v2 traces only");
-    }
-    const trace::Trace t = trace::Trace::deserialize(bytes);
-    kernel_count = t.kernel_count;
-    record_count = t.records.size();
-    total_retired = t.total_retired;
-    offline = trace::OfflineBandwidth(kernel_count, slice);
-    offline.aggregate_parallel(t, pool);
+  trace::SalvageReport salvage_report;
+  const trace::TraceV2View view =
+      cli.flag("salvage") ? trace::TraceV2View::salvage(bytes, &salvage_report)
+                          : trace::TraceV2View::open(bytes);
+  if (cli.flag("salvage")) {
+    cli::print_salvage_report(salvage_report);
+    cli::publish_salvage_metrics(registry, salvage_report);
+  }
+  const std::uint32_t kernel_count = view.kernel_count();
+  const std::uint64_t record_count = view.record_count();
+  const std::uint64_t total_retired = view.total_retired();
+
+  ThreadPool pool(threads);
+  std::vector<tquad::BandwidthRecorder> shards(
+      pool.size(), tquad::BandwidthRecorder(kernel_count, slice));
+  // Pool tasks must not throw; trap decode errors and rethrow here.
+  std::vector<std::exception_ptr> errors(pool.size());
+  parallel_for_blocks(pool, 0, view.block_count(),
+                      [&](std::uint64_t lo, std::uint64_t hi, unsigned shard) {
+                        try {
+                          trace::aggregate_blocks(view, lo, hi, shards[shard]);
+                        } catch (...) {
+                          errors[shard] = std::current_exception();
+                        }
+                      });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  std::vector<tquad::KernelBandwidth> kernels(kernel_count);
+  std::uint64_t max_slice = 0;
+  for (tquad::BandwidthRecorder& shard : shards) {
+    shard.finish();
+    max_slice = std::max(max_slice, shard.max_slice());
+    for (std::uint32_t k = 0; k < kernel_count; ++k) kernels[k].merge(shard.kernel(k));
   }
 
   // Kernel names come from the image when given; indices otherwise.
@@ -152,27 +158,27 @@ int replay_trace(const CliParser& cli) {
     }
   }
 
-  std::printf("replayed %s trace: %llu events, %llu retired, %llu slices at interval %llu\n\n",
-              version, static_cast<unsigned long long>(record_count),
+  std::printf("replayed v2 trace: %llu events, %llu retired, %llu slices at interval %llu\n\n",
+              static_cast<unsigned long long>(record_count),
               static_cast<unsigned long long>(total_retired),
-              static_cast<unsigned long long>(offline.max_slice() + 1),
+              static_cast<unsigned long long>(max_slice + 1),
               static_cast<unsigned long long>(slice));
   TextTable table({"kernel", "read incl", "write incl", "read excl",
                    "write excl", "active slices"});
   for (std::uint32_t k = 0; k < kernel_count; ++k) {
-    const auto& totals = offline.kernel(k).totals;
+    const auto& totals = kernels[k].totals;
     if (totals.read_incl == 0 && totals.write_incl == 0) continue;
     table.add_row({names[k], format_bytes(totals.read_incl),
                    format_bytes(totals.write_incl), format_bytes(totals.read_excl),
                    format_bytes(totals.write_excl),
-                   std::to_string(offline.kernel(k).active_slices())});
+                   std::to_string(kernels[k].active_slices())});
   }
   std::printf("%s\n", table.to_ascii().c_str());
   if (metrics_spec.enabled) {
     registry.add("trace.read.bytes", bytes.size());
     registry.add("trace.read.records", record_count);
     registry.set_gauge("session.retired", total_retired);
-    registry.set_gauge("tquad.slices", offline.max_slice() + 1);
+    registry.set_gauge("tquad.slices", max_slice + 1);
     cli::emit_metrics(registry, metrics_spec);
   }
   return 0;
@@ -182,8 +188,6 @@ int replay_trace(const CliParser& cli) {
 /// one guest execution (or one trace replay).
 int run_profile(const CliParser& cli, const cli::ToolSet& tools) {
   const tquad::LibraryPolicy policy = cli::parse_policy(cli.str("libs"));
-  const trace::TraceFormat trace_format =
-      cli::parse_trace_format(cli.str("trace-format"));
   const vm::Program program = vm::Program::deserialize(read_file(cli.str("image")));
   const bool replaying = !cli.str("replay").empty();
 
@@ -240,7 +244,7 @@ int run_profile(const CliParser& cli, const cli::ToolSet& tools) {
     profile.add_consumer(*gprof_tool);
   }
   if (!cli.str("trace").empty()) {
-    recorder.emplace(program, policy, trace_format);
+    recorder.emplace(program, policy);
     profile.add_consumer(*recorder);
   }
   std::optional<tquad::AddressMapTool> address_map;
@@ -332,8 +336,7 @@ int run_profile(const CliParser& cli, const cli::ToolSet& tools) {
   }
   if (recorder.has_value()) {
     write_file(cli.str("trace"), recorder->take_encoded());
-    std::printf("trace written to %s (%s)\n", cli.str("trace").c_str(),
-                cli.str("trace-format").c_str());
+    std::printf("trace written to %s (v2)\n", cli.str("trace").c_str());
   }
   if (out_fd >= 0 && !cli.str("out").empty()) {
     write_file(cli.str("out"), host.output(out_fd));
@@ -377,7 +380,6 @@ int main(int argc, char** argv) {
   cli.add_string("report", "all", "flat | bandwidth | phases | series | all");
   cli.add_string("csv", "", "write the flat profile as CSV to this path");
   cli.add_string("trace", "", "record the event trace (TQTR) to this path");
-  cli.add_string("trace-format", "v2", "trace file format: v1 | v2 (blocked)");
   cli.add_string("replay", "", "aggregate this TQTR file offline instead of running");
   cli.add_int("threads", 4, "worker threads for -replay block-parallel aggregation");
   cli.add_int("sample", 10'000, "gprof sample period in instructions");
@@ -390,7 +392,7 @@ int main(int argc, char** argv) {
                  "guest-fault handling: report (emit PARTIAL reports, exit 3) "
                  "| abort (print the trap and exit 3 with no reports)");
   cli.add_flag("salvage", false,
-               "with -replay: skip corrupt/truncated v2 blocks instead of "
+               "with -replay: skip corrupt/truncated trace blocks instead of "
                "failing, and report what was recovered");
   cli.add_string("engine", "compiled",
                  "guest execution engine: compiled (fused-op threaded "

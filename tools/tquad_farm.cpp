@@ -8,14 +8,15 @@
 //              [-backoff-ms B] [-rss-mb M] [-seed S]
 //              [-resume] [-out fleet.txt] [-metrics text|json[:path]]
 //
-// Each job is a whole trace (replayed through the full analysis session
-// when -image is given, offline-aggregated otherwise) or, with
-// -shard-blocks, a block range of a v2 trace. Jobs run in separate
-// processes — a crash, hang (watchdog), or RLIMIT_AS blowout loses one
-// attempt, not the farm — and are retried with exponential backoff before
-// being quarantined with their captured stderr. Progress is journaled to
-// `<state>/manifest.jsonl`; `-resume` re-runs only unfinished jobs and
-// reproduces the identical merged report.
+// Each job is a whole TQTR v2 trace (replayed through the full analysis
+// session when -image is given, its blocks aggregated under the recorded
+// kernel attribution otherwise) or, with -shard-blocks, a block range of
+// one, aggregated the same way; a trace of any other version fails its job.
+// Jobs run in separate processes — a crash, hang (watchdog), or RLIMIT_AS
+// blowout loses one attempt, not the farm — and are retried with
+// exponential backoff before being quarantined with their captured stderr.
+// Progress is journaled to `<state>/manifest.jsonl`; `-resume` re-runs
+// only unfinished jobs and reproduces the identical merged report.
 //
 // The merged fleet report (stdout, and -out) depends only on the completed
 // job set — never on retries, timing, or completion order.
@@ -108,32 +109,7 @@ int run_worker(const CliParser& cli) {
   report.slice_interval = slice;
 
   std::uint64_t records_fed = 0;
-  if (block_hi > block_lo) {
-    // Block-range shard of a v2 trace: decode just [lo, hi) and aggregate
-    // offline. No image needed — records are pre-attributed.
-    report.whole = false;
-    report.block_lo = block_lo;
-    report.block_hi = block_hi;
-    const trace::TraceV2View view = trace::TraceV2View::open(bytes);
-    TQUAD_CHECK(block_hi <= view.block_count(),
-                "-block-hi past the end of the trace");
-    trace::Trace shard;
-    shard.kernel_count = view.kernel_count();
-    for (std::uint64_t b = block_lo; b < block_hi; ++b) {
-      const std::vector<trace::Record> records = view.decode_block(b);
-      shard.records.insert(shard.records.end(), records.begin(), records.end());
-    }
-    records_fed = shard.records.size();
-    report.retired = block_hi == view.block_count()
-                         ? view.total_retired()
-                         : view.block(block_hi - 1).last_retired + 1;
-    trace::OfflineBandwidth offline(view.kernel_count(), slice);
-    offline.aggregate(shard);
-    for (std::uint32_t k = 0; k < view.kernel_count(); ++k) {
-      report.kernel_names.push_back("k" + std::to_string(k));
-      report.kernels.push_back(offline.kernel(k));
-    }
-  } else if (!cli.str("image").empty()) {
+  if (!cli.str("image").empty() && block_hi <= block_lo) {
     // Whole trace through the full analysis session: bandwidth plus the
     // QUAD communication counters, with real kernel names.
     const vm::Program program =
@@ -155,15 +131,25 @@ int run_worker(const CliParser& cli) {
       report.quad_incl.push_back(quad_counts(quad_tool.including_stack(k)));
     }
   } else {
-    // Whole trace, no image: offline aggregation (v1 or v2, auto-detected).
-    const trace::Trace trace = trace::Trace::deserialize(bytes);
-    records_fed = trace.records.size();
-    report.retired = trace.total_retired;
-    trace::OfflineBandwidth offline(trace.kernel_count, slice);
-    offline.aggregate(trace);
-    for (std::uint32_t k = 0; k < trace.kernel_count; ++k) {
+    // A block range (-shard-blocks), or the whole trace without an image:
+    // aggregate the blocks under the recorded kernel field. No image
+    // needed — records are pre-attributed.
+    const trace::TraceV2View view = trace::TraceV2View::open(bytes);
+    std::uint64_t lo = 0;
+    std::uint64_t hi = view.block_count();
+    if (block_hi > block_lo) {
+      report.whole = false;
+      report.block_lo = lo = block_lo;
+      report.block_hi = hi = block_hi;
+    }
+    tquad::BandwidthRecorder bandwidth(view.kernel_count(), slice);
+    records_fed = trace::aggregate_blocks(view, lo, hi, bandwidth);
+    bandwidth.finish();
+    report.retired = hi == view.block_count() ? view.total_retired()
+                                              : view.block(hi - 1).last_retired + 1;
+    for (std::uint32_t k = 0; k < view.kernel_count(); ++k) {
       report.kernel_names.push_back("k" + std::to_string(k));
-      report.kernels.push_back(offline.kernel(k));
+      report.kernels.push_back(bandwidth.kernel(k));
     }
   }
 
@@ -215,22 +201,19 @@ std::vector<farm::JobSpec> build_jobs(const std::vector<std::string>& traces,
       // quarantine machinery — not the supervisor — owns poison inputs.
       try {
         const std::vector<std::uint8_t> bytes = cli::read_file(path);
-        if (trace::is_v2_image(bytes)) {
-          const trace::TraceV2View view = trace::TraceV2View::open(bytes);
-          if (view.block_count() > shard_blocks) {
-            for (std::uint64_t lo = 0; lo < view.block_count();
-                 lo += shard_blocks) {
-              farm::JobSpec spec;
-              spec.id = static_cast<std::uint32_t>(jobs.size());
-              spec.trace_path = path;
-              spec.whole = false;
-              spec.block_lo = lo;
-              spec.block_hi = std::min<std::uint64_t>(lo + shard_blocks,
-                                                      view.block_count());
-              jobs.push_back(spec);
-            }
-            sharded = true;
+        const trace::TraceV2View view = trace::TraceV2View::open(bytes);
+        if (view.block_count() > shard_blocks) {
+          for (std::uint64_t lo = 0; lo < view.block_count(); lo += shard_blocks) {
+            farm::JobSpec spec;
+            spec.id = static_cast<std::uint32_t>(jobs.size());
+            spec.trace_path = path;
+            spec.whole = false;
+            spec.block_lo = lo;
+            spec.block_hi =
+                std::min<std::uint64_t>(lo + shard_blocks, view.block_count());
+            jobs.push_back(spec);
           }
+          sharded = true;
         }
       } catch (const Error&) {
         // fall through to a whole job
