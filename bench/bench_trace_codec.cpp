@@ -16,8 +16,8 @@
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/crc32c.hpp"
+#include "support/parallel_for.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
 #include "workloads/workloads.hpp"
@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   cli.add_int("elements", 4096, "stream vector length (f64 elements)");
   cli.add_int("iterations", 4, "stream benchmark repetitions");
   cli.add_int("slice", 5000, "slice interval for the aggregation timing");
-  cli.add_int("threads", 4, "worker threads for v2 block-parallel aggregation");
+  cli.add_int("threads", 4,
+              "at most this many threads for v2 block-parallel aggregation");
   cli.add_int("block", trace::kDefaultBlockCapacity, "v2 block capacity (records)");
   try {
     cli.parse(argc, argv);
@@ -145,13 +146,12 @@ int main(int argc, char** argv) {
     whole.finish();
     const double whole_time = seconds_since(start);
 
-    ThreadPool pool(static_cast<unsigned>(cli.integer("threads")));
+    const auto threads = static_cast<unsigned>(cli.integer("threads"));
     start = Clock::now();
     std::vector<tquad::BandwidthRecorder> shards(
-        pool.size(), tquad::BandwidthRecorder(view.kernel_count(), slice));
-    // The trace was encoded above and already decoded clean, so the pool
-    // tasks cannot throw.
-    parallel_for_blocks(pool, 0, view.block_count(),
+        parallel_blocks(threads, 0, view.block_count()),
+        tquad::BandwidthRecorder(view.kernel_count(), slice));
+    parallel_for_blocks(threads, 0, view.block_count(),
                         [&](std::uint64_t lo, std::uint64_t hi, unsigned shard) {
                           trace::aggregate_blocks(view, lo, hi, shards[shard]);
                         });

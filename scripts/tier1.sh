@@ -27,6 +27,8 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 #    pointer left dangling by a move, clear or shard adoption is exactly
 #    what ASan catches. The interpreter's unit suite covers its event
 #    emitter (the reference stream the compiled engine is checked against).
+#    The ring / parallel_for_blocks unit suite rides along for the ring's
+#    slot storage and the per-block error capture.
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_trace test_trace_v2_codec test_trace_offline_differential \
@@ -34,25 +36,45 @@ cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_session test_session_replay test_session_pipeline \
     test_support_metrics test_workload_zoo test_engine_differential \
     test_support_address_set test_support_paged_memory test_quad_shadow \
-    test_vm_machine
+    test_vm_machine test_support_concurrency
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow|test_vm_machine)$'
+    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow|test_vm_machine|test_support_concurrency)$'
 
 # 3. ThreadSanitizer on everything that spawns threads: the parallel
-#    analysis pipeline (rings, doorbells, shard merge, drain barrier,
-#    push-racing-close shutdown), the thread pool / SPSC ring primitives,
-#    the metrics thread-sink fold, parallel trace replay, and the
+#    analysis pipeline (one drain thread per ring, shard merge, drain
+#    barrier, push-racing-close shutdown, the abort path that closes and
+#    joins mid-run), the SPSC ring / parallel_for_blocks primitives, the
+#    metrics thread-sink fold, parallel trace replay, and the
 #    fault-injection harness whose trap path exercises the pipeline's
-#    abort/drain sequence. The engine differential suite rides along for
-#    its compiled-engine-feeding-the-parallel-pipeline cases.
+#    drain sequence. The engine differential suite rides along for its
+#    compiled-engine-feeding-the-parallel-pipeline cases.
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
-    test_support_thread_pool test_support_metrics test_session \
+    test_support_concurrency test_support_metrics test_session \
     test_session_replay test_session_pipeline \
     test_trace test_fault_injection test_support_crc32c \
     test_workload_zoo test_trace_offline_differential test_engine_differential
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-    -R '^(test_support_thread_pool|test_support_metrics|test_session|test_session_replay|test_session_pipeline|test_trace|test_fault_injection|test_support_crc32c|test_workload_zoo|test_trace_offline_differential|test_engine_differential)$'
+    -R '^(test_support_concurrency|test_support_metrics|test_session|test_session_replay|test_session_pipeline|test_trace|test_fault_injection|test_support_crc32c|test_workload_zoo|test_trace_offline_differential|test_engine_differential)$'
+
+# 3b. The CLI end to end under ThreadSanitizer: a three-tool parallel run
+#     with -metrics must print exactly what the serial run prints. Each
+#     drain thread folds its ThreadSink into the registry as it exits, so
+#     this leg catches a fold racing the final metrics render.
+cmake --build --preset tsan -j "$(nproc)" --target tquad_cli zoo_gen
+TSAN_WORK=build-tsan/cli_work
+rm -rf "$TSAN_WORK"
+mkdir -p "$TSAN_WORK"
+./build-tsan/tools/zoo_gen -workload hashjoin -image "$TSAN_WORK/hashjoin.tqim" \
+    > /dev/null
+./build-tsan/tools/tquad_cli -image "$TSAN_WORK/hashjoin.tqim" \
+    -tools tquad,quad,gprof -pipeline serial \
+    -metrics "json:$TSAN_WORK/serial.json" > "$TSAN_WORK/serial.txt"
+./build-tsan/tools/tquad_cli -image "$TSAN_WORK/hashjoin.tqim" \
+    -tools tquad,quad,gprof -pipeline parallel:3 \
+    -metrics "json:$TSAN_WORK/parallel.json" > "$TSAN_WORK/parallel.txt"
+cmp "$TSAN_WORK/serial.txt" "$TSAN_WORK/parallel.txt"
+grep -q '"pipeline.worker.batches"' "$TSAN_WORK/parallel.json"
 
 # 4. Farm smoke under ASan: the supervisor's fork/exec/waitpid plumbing and
 #    the sidecar/manifest codecs run sanitized end to end — a two-worker

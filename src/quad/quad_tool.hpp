@@ -40,16 +40,6 @@ struct KernelCounters {
   std::uint64_t out_bytes = 0;
   AddressSet in_unma;
   AddressSet out_unma;
-
-  /// Fold another run's counters for the same kernel into this one: byte
-  /// volumes add, UnMA sets union (consuming `other`'s sets). Used by the
-  /// farm's fleet aggregation when several runs of the same workload merge.
-  void merge(KernelCounters&& other) {
-    in_bytes += other.in_bytes;
-    out_bytes += other.out_bytes;
-    in_unma.merge(std::move(other.in_unma));
-    out_unma.merge(std::move(other.out_unma));
-  }
 };
 
 /// Cost-model parameters for the QUAD-instrumented profile (Table III).

@@ -101,14 +101,14 @@ vm::RunOutcome ProfileSession::run(EventSource& source) {
     for (AnalysisConsumer* consumer : consumers_) {
       pipeline.attach(*consumer, attribution_);
     }
-    pipeline.start();
     // input_finish (invoked by the source on every path, including traps)
     // runs each lane's drain barrier, so by the time run() returns every
     // tool holds its complete, serially-ordered accounting.
     outcome_ = source.run(attribution_);
     pipeline_stats_ = pipeline.stats();
-    // The pipeline (and with it the worker thread pool) is destroyed here,
-    // which joins the workers and folds their per-thread metric sinks.
+    // The drain barrier already joined every drain thread, and with it
+    // folded their per-thread metric sinks. If the run threw instead, the
+    // pipeline's destructor closes the rings and joins the threads.
   } else {
     for (AnalysisConsumer* consumer : consumers_) {
       attribution_.add_consumer(*consumer);

@@ -45,32 +45,6 @@ class RunningStat {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Power-of-two bucket histogram for non-negative integer samples
-/// (e.g. access sizes, slice byte counts). Bucket b holds samples in
-/// [2^b, 2^(b+1)), with bucket 0 holding {0, 1}.
-class Log2Histogram {
- public:
-  void add(std::uint64_t value) noexcept {
-    unsigned bucket = 0;
-    while (value > 1 && bucket + 1 < kBuckets) {
-      value >>= 1;
-      ++bucket;
-    }
-    ++buckets_[bucket];
-    ++total_;
-  }
-
-  std::uint64_t total() const noexcept { return total_; }
-  std::uint64_t bucket(unsigned b) const noexcept {
-    return b < kBuckets ? buckets_[b] : 0;
-  }
-  static constexpr unsigned kBuckets = 48;
-
- private:
-  std::uint64_t buckets_[kBuckets] = {};
-  std::uint64_t total_ = 0;
-};
-
 /// Quantile helper over a materialised sample vector (sorts a copy).
 double quantile(std::vector<double> samples, double q);
 

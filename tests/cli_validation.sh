@@ -150,6 +150,13 @@ expect_status 2 usage.txt -- \
     "$TOOLS/quad_cli" -image wfs.tqim -pipeline Serial
 grep -q "unknown -pipeline mode" err.txt
 
+# -replay starts at most one thread per trace block, and -threads above 256
+# is a usage error caught at parse time, before any file is read or any
+# thread started.
+expect_status 2 usage.txt -- \
+    "$TOOLS/tquad_cli" -replay missing.tqtr -threads 257
+grep -q "option -threads must be at most 256 (got 257)" err.txt
+
 # Malformed -engine names are usage errors (exit 2) on both CLIs, validated
 # before any guest execution.
 expect_status 2 usage.txt -- \

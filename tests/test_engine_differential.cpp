@@ -185,7 +185,7 @@ INSTANTIATE_TEST_SUITE_P(Zoo, EngineMatrixZoo, ::testing::ValuesIn(matrix_cases(
 
 // ---------------------------------------------------------------------------
 // Parallel dispatch on top of the compiled engine: batched event emission
-// feeding the drain workers must still land on the serial interpreter's
+// feeding the drain threads must still land on the serial interpreter's
 // answer (the two performance layers compose without touching accounting).
 
 class EngineParallelZoo : public ::testing::TestWithParam<std::string> {};
@@ -195,10 +195,9 @@ TEST_P(EngineParallelZoo, CompiledParallelEqualsInterpSerial) {
   workloads::Instance guest = make_guest(GetParam());
   SessionConfig config = engine_config(vm::EngineKind::kCompiled);
   config.pipeline.mode = PipelineMode::kParallel;
-  config.pipeline.workers = 3;
+  config.pipeline.workers = 2;  // QUAD page shards
   config.pipeline.batch_events = 64;
   config.pipeline.ring_batches = 2;
-  config.pipeline.access_shards = 2;
   SessionRun run(guest.program, config, kAllTools);
   const vm::RunOutcome outcome = run.session.run_live(guest.host);
   EXPECT_EQ(outcome.status, ref.outcome.status);

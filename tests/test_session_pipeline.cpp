@@ -1,5 +1,5 @@
 // Determinism matrix for the parallel live-analysis pipeline: a session
-// running its consumers on drain workers (-pipeline parallel) must produce
+// running its consumers on drain threads (-pipeline parallel) must produce
 // byte-identical tool state to the serial reference dispatch — for every
 // tool combination, on every workload, under injected guest traps, and with
 // the ring squeezed down to one single-event batch (pure backpressure).
@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "support/paged_memory.hpp"
 #include "support/spsc_ring.hpp"
 #include "trace/trace.hpp"
+#include "trace/trace_v2.hpp"
 #include "tquad/tquad_tool.hpp"
 #include "vm/machine.hpp"
 #include "workloads/registry.hpp"
@@ -45,15 +48,14 @@ struct ToolMask {
 
 constexpr ToolMask kAllTools{true, true, true, true};
 
-PipelineOptions parallel_options(unsigned workers, std::size_t batch_events = 256,
-                                 std::size_t ring_batches = 2,
-                                 unsigned access_shards = 0) {
+/// `shards` is PipelineOptions::workers: the QUAD page-shard count.
+PipelineOptions parallel_options(unsigned shards, std::size_t batch_events = 256,
+                                 std::size_t ring_batches = 2) {
   PipelineOptions options;
   options.mode = PipelineMode::kParallel;
-  options.workers = workers;
+  options.workers = shards;
   options.batch_events = batch_events;
   options.ring_batches = ring_batches;
-  options.access_shards = access_shards;
   return options;
 }
 
@@ -144,8 +146,8 @@ TEST_P(PipelineMatrixZoo, ParallelEqualsSerial) {
     workloads::Instance guest = make_guest(GetParam());
     ASSERT_EQ(ref.guest.program.serialize(), guest.program.serialize());
     SessionConfig config;
-    config.pipeline = parallel_options(/*workers=*/3, /*batch_events=*/256,
-                                       /*ring_batches=*/2, /*access_shards=*/3);
+    config.pipeline = parallel_options(/*shards=*/3, /*batch_events=*/256,
+                                       /*ring_batches=*/2);
     SessionRun run(guest.program, config, mask);
     const vm::RunOutcome outcome = run.session.run_live(guest.host);
     EXPECT_EQ(outcome.status, ref.outcome.status);
@@ -185,9 +187,8 @@ TEST_P(PipelineFaultZoo, TrapParityUnderParallelDispatch) {
 
   workloads::Instance parallel_guest = make_guest(GetParam());
   SessionConfig parallel_config = fault_config;
-  parallel_config.pipeline = parallel_options(/*workers=*/3, /*batch_events=*/64,
-                                              /*ring_batches=*/2,
-                                              /*access_shards=*/2);
+  parallel_config.pipeline = parallel_options(/*shards=*/2, /*batch_events=*/64,
+                                              /*ring_batches=*/2);
   SessionRun parallel(parallel_guest.program, parallel_config, kAllTools);
   const vm::RunOutcome outcome = parallel.session.run_live(parallel_guest.host);
   ASSERT_EQ(outcome.status, vm::RunStatus::kTrapped);
@@ -216,8 +217,7 @@ TEST_P(PipelineBackpressureZoo, CapacityOneParity) {
   workloads::Instance guest = make_guest(GetParam());
   SessionConfig config;
   config.pipeline = parallel_options(
-      /*workers=*/2, /*batch_events=*/1, /*ring_batches=*/1,
-      /*access_shards=*/2);
+      /*shards=*/2, /*batch_events=*/1, /*ring_batches=*/1);
   SessionRun run(guest.program, config, kAllTools);
   const vm::RunOutcome outcome = run.session.run_live(guest.host);
   EXPECT_EQ(outcome.status, ref.outcome.status);
@@ -255,8 +255,7 @@ TEST(PipelineBackpressure, HistogramFaultCapacityOne) {
 
   SessionConfig parallel_config = fault_config;
   parallel_config.pipeline = parallel_options(
-      /*workers=*/2, /*batch_events=*/1, /*ring_batches=*/1,
-      /*access_shards=*/2);
+      /*shards=*/2, /*batch_events=*/1, /*ring_batches=*/1);
   workloads::Instance parallel_guest = make_guest("histogram");
   SessionRun parallel(parallel_guest.program, parallel_config, kAllTools);
   const vm::RunOutcome outcome = parallel.session.run_live(parallel_guest.host);
@@ -272,26 +271,26 @@ TEST(PipelineBackpressure, HistogramFaultCapacityOne) {
 TEST(PipelineShards, MatmulShardSweep) {
   Reference ref("matmul_naive");
   for (unsigned shards = 1; shards <= 4; ++shards) {
-    SCOPED_TRACE("access_shards=" + std::to_string(shards));
+    SCOPED_TRACE("shards=" + std::to_string(shards));
     workloads::Instance guest = make_guest("matmul_naive");
     SessionConfig config;
-    config.pipeline = parallel_options(/*workers=*/2, /*batch_events=*/128,
-                                       /*ring_batches=*/2, shards);
+    config.pipeline = parallel_options(shards, /*batch_events=*/128,
+                                       /*ring_batches=*/2);
     SessionRun run(guest.program, config, kAllTools);
     run.session.run_live(guest.host);
     expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
   }
 }
 
-// Worker-count sweep, including more workers than lanes (the pipeline clamps)
-// and the auto (0 = hardware concurrency) setting.
+// Shard-count sweep through the `parallel:N` knob, including the auto
+// (0 = hardware concurrency) setting and more shards than pages touched.
 TEST(PipelineShards, WorkerSweep) {
   Reference ref("histogram");
-  for (unsigned workers : {0u, 1u, 2u, 8u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
+  for (unsigned shards : {0u, 1u, 2u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
     workloads::Instance guest = make_guest("histogram");
     SessionConfig config;
-    config.pipeline = parallel_options(workers);
+    config.pipeline = parallel_options(shards);
     SessionRun run(guest.program, config, kAllTools);
     run.session.run_live(guest.host);
     expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
@@ -399,21 +398,15 @@ TEST(PipelineShutdown, PushRacingCloseStress) {
     std::thread consumer([&] {
       int out = 0;
       std::uint64_t popped = 0;
-      while (!ring.done()) {
-        if (ring.try_pop(out)) {
-          ++popped;
-        } else {
-          std::this_thread::yield();
-        }
-      }
+      while (ring.pop(out)) ++popped;
       // Every accepted push is eventually popped; pops never exceed accepts.
       EXPECT_LE(popped, 1000u);
     });
     ring.close();  // race the close against both sides
     producer.join();
     consumer.join();
-    EXPECT_EQ(ring.pushes(), accepted.load());
-    EXPECT_LE(ring.dropped_after_close(), 1u);  // at most the racing push
+    EXPECT_EQ(ring.stats().pushes, accepted.load());
+    EXPECT_LE(ring.stats().dropped_after_close, 1u);  // at most the racing push
   }
 }
 
@@ -423,10 +416,82 @@ TEST(PipelineShutdown, CloseReleasesBlockedPublisher) {
   SpscRing<int> ring(1);
   ASSERT_TRUE(ring.push(0));
   std::thread producer([&] { EXPECT_FALSE(ring.push(1)); });
-  while (ring.push_waits() == 0) std::this_thread::yield();
+  while (ring.stats().push_waits == 0) std::this_thread::yield();
   ring.close();
   producer.join();
   EXPECT_EQ(ring.stats().dropped_after_close, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Abort path: a source that throws mid-run never reaches the drain barrier.
+// Destroying the pipeline must close every ring and join every drain thread,
+// so the session rethrows instead of hanging and leaves no thread behind.
+// Single-event batches in depth-1 rings keep every drain thread busy, and the
+// publisher blocked, right up to the throw.
+
+/// Threads of this process, from /proc/self/task; 0 where that is missing.
+std::size_t live_threads() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return 0;
+  return static_cast<std::size_t>(
+      std::distance(it, std::filesystem::directory_iterator()));
+}
+
+TEST(PipelineShutdown, CorruptBlockMidReplayThrowsAndJoins) {
+  Reference ref("matmul_tiled");  // the zoo trace with more than one block
+  const trace::TraceV2View clean = trace::TraceV2View::open(ref.trace);
+  ASSERT_GT(clean.block_count(), 1u);
+  // Flip one payload byte of the last block: every earlier block replays
+  // into the rings before the strict decode fails its CRC.
+  const trace::BlockInfo target = clean.block(clean.block_count() - 1);
+  std::vector<std::uint8_t> damaged = ref.trace;
+  damaged.at(static_cast<std::size_t>(target.file_offset) +
+             trace::kV2BlockHeaderBytes + target.payload_bytes / 2) ^= 0x40;
+
+  const std::size_t threads_before = live_threads();
+  SessionConfig config;
+  config.pipeline = parallel_options(/*shards=*/3, /*batch_events=*/1,
+                                     /*ring_batches=*/1);
+  SessionRun run(ref.guest.program, config, kAllTools);
+  EXPECT_THROW(run.session.replay(damaged), Error);
+  EXPECT_EQ(live_threads(), threads_before);
+}
+
+/// Throws from its accounting on the 100th access it sees.
+class FailingConsumer final : public AnalysisConsumer {
+ public:
+  unsigned event_interests() const override { return kAccessInterest; }
+  void on_access(const AccessEvent&) override {
+    if (++seen_ == 100) throw Error("consumer failed");
+  }
+
+ private:
+  std::uint64_t seen_ = 0;
+};
+
+// A consumer that throws on its drain thread fails the run as it does on the
+// VM thread in serial mode: the error reaches the caller, where an escaped
+// exception would end the process. The QUAD lanes behind it never reach
+// their barrier, so the pipeline's destructor must close and join them.
+TEST(PipelineShutdown, ConsumerErrorReachesTheCaller) {
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel" : "serial");
+    const std::size_t threads_before = live_threads();
+    workloads::Instance guest = make_guest("histogram");
+    SessionConfig config;
+    if (parallel) {
+      config.pipeline = parallel_options(/*shards=*/2, /*batch_events=*/1,
+                                         /*ring_batches=*/1);
+    }
+    ProfileSession session(guest.program, config);
+    FailingConsumer failing;
+    quad::QuadTool quad_tool(guest.program);
+    session.add_consumer(failing);
+    session.add_consumer(quad_tool);
+    EXPECT_THROW(session.run_live(guest.host), Error);
+    EXPECT_EQ(live_threads(), threads_before);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -439,8 +504,8 @@ TEST(PipelineMetrics, RegistryAttachedKeepsParityAndCountsBatches) {
   metrics::Registry registry;
   SessionConfig config;
   config.metrics = &registry;
-  config.pipeline = parallel_options(/*workers=*/2, /*batch_events=*/64,
-                                     /*ring_batches=*/2, /*access_shards=*/2);
+  config.pipeline = parallel_options(/*shards=*/2, /*batch_events=*/64,
+                                     /*ring_batches=*/2);
   SessionRun run(guest.program, config, kAllTools);
   const vm::RunOutcome outcome = run.session.run_live(guest.host);
   EXPECT_EQ(outcome.retired, ref.outcome.retired);
@@ -456,10 +521,13 @@ TEST(PipelineMetrics, RegistryAttachedKeepsParityAndCountsBatches) {
   };
   EXPECT_EQ(counter("pipeline.batches_published"),
             run.session.pipeline_stats().batches_published);
+  // Every published batch was drained and counted by some drain thread.
+  EXPECT_EQ(counter("pipeline.worker.batches"),
+            run.session.pipeline_stats().batches_published);
   EXPECT_EQ(counter("session.events.access"),
             run.session.attribution().event_counts().accesses);
   EXPECT_GT(counter("session.events.tick"), 0u);
-  // Workers folded their sinks at the drain barrier: the per-worker batch
+  // Drain threads folded their sinks at the drain barrier: the batch
   // histogram saw every drained batch.
   bool found_hist = false;
   for (const auto& [key, hist] : snap.histograms) {
@@ -475,8 +543,8 @@ TEST(PipelineReplay, StreamReplayParallel) {
   Reference ref("stream");
 
   SessionConfig config;
-  config.pipeline = parallel_options(/*workers=*/3, /*batch_events=*/32,
-                                     /*ring_batches=*/2, /*access_shards=*/3);
+  config.pipeline = parallel_options(/*shards=*/3, /*batch_events=*/32,
+                                     /*ring_batches=*/2);
   SessionRun replayed(ref.guest.program, config, kAllTools);
   const vm::RunOutcome outcome = replayed.session.replay(ref.trace);
   EXPECT_EQ(outcome.retired, ref.outcome.retired);

@@ -1,55 +1,26 @@
+// The two threading primitives: the blocking SPSC ring every pipeline lane
+// drains on its own thread, and parallel_for_blocks, which runs each block
+// of an index range on a thread of its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <numeric>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "support/parallel_for.hpp"
 #include "support/spsc_ring.hpp"
-#include "support/thread_pool.hpp"
 
 namespace tq {
 namespace {
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPool) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // destructor joins after draining
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, DefaultSizeIsPositive) {
-  ThreadPool pool;
-  EXPECT_GE(pool.size(), 1u);
-}
-
 TEST(ParallelForBlocks, CoversRangeExactlyOnce) {
-  ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for_blocks(pool, 0, 1000,
+  parallel_for_blocks(3, 0, 1000,
                       [&](std::uint64_t begin, std::uint64_t end, unsigned) {
                         for (std::uint64_t i = begin; i < end; ++i) {
                           hits[i].fetch_add(1, std::memory_order_relaxed);
@@ -59,18 +30,17 @@ TEST(ParallelForBlocks, CoversRangeExactlyOnce) {
 }
 
 TEST(ParallelForBlocks, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
   bool called = false;
-  parallel_for_blocks(pool, 10, 10,
+  parallel_for_blocks(2, 10, 10,
                       [&](std::uint64_t, std::uint64_t, unsigned) { called = true; });
   EXPECT_FALSE(called);
+  EXPECT_EQ(parallel_blocks(2, 10, 10), 0u);
 }
 
 TEST(ParallelForBlocks, SmallRangeFewerBlocksThanWorkers) {
-  ThreadPool pool(8);
   std::atomic<int> blocks{0};
   std::atomic<std::uint64_t> total{0};
-  parallel_for_blocks(pool, 0, 3,
+  parallel_for_blocks(8, 0, 3,
                       [&](std::uint64_t begin, std::uint64_t end, unsigned) {
                         blocks.fetch_add(1);
                         total.fetch_add(end - begin);
@@ -80,9 +50,8 @@ TEST(ParallelForBlocks, SmallRangeFewerBlocksThanWorkers) {
 }
 
 TEST(ParallelForBlocks, NonZeroOffsetRange) {
-  ThreadPool pool(2);
   std::atomic<std::uint64_t> sum{0};
-  parallel_for_blocks(pool, 100, 200,
+  parallel_for_blocks(2, 100, 200,
                       [&](std::uint64_t begin, std::uint64_t end, unsigned) {
                         std::uint64_t local = 0;
                         for (std::uint64_t i = begin; i < end; ++i) local += i;
@@ -93,6 +62,47 @@ TEST(ParallelForBlocks, NonZeroOffsetRange) {
   EXPECT_EQ(sum.load(), want);
 }
 
+// More threads than indices: one thread per index, never more. Every body
+// gets a one-index block whose block number is the index itself, and no
+// two bodies share a thread.
+TEST(ParallelForBlocks, ThreadsAboveRangeLengthRunOneBlockPerIndex) {
+  constexpr std::uint64_t kBegin = 40;
+  constexpr std::uint64_t kLength = 5;
+  EXPECT_EQ(parallel_blocks(64, kBegin, kBegin + kLength), kLength);
+  std::mutex mutex;
+  std::vector<std::thread::id> ids;
+  std::vector<int> calls(kLength, 0);
+  parallel_for_blocks(64, kBegin, kBegin + kLength,
+                      [&](std::uint64_t begin, std::uint64_t end, unsigned block) {
+                        std::lock_guard<std::mutex> lock(mutex);
+                        EXPECT_EQ(end - begin, 1u);
+                        EXPECT_EQ(begin - kBegin, block);
+                        ++calls.at(block);
+                        ids.push_back(std::this_thread::get_id());
+                      });
+  for (int count : calls) EXPECT_EQ(count, 1);
+  ASSERT_EQ(ids.size(), kLength);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+}
+
+// A throwing body does not take the process down: every block still runs,
+// and the lowest-indexed block's exception reaches the caller.
+TEST(ParallelForBlocks, RethrowsLowestBlockError) {
+  std::atomic<int> ran{0};
+  try {
+    parallel_for_blocks(4, 0, 4, [&](std::uint64_t, std::uint64_t, unsigned block) {
+      ran.fetch_add(1);
+      if (block == 1) throw std::runtime_error("block 1");
+      if (block == 3) throw std::runtime_error("block 3");
+    });
+    FAIL() << "expected the body's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "block 1");
+  }
+  EXPECT_EQ(ran.load(), 4);
+}
+
 TEST(SpscRing, FifoSingleThread) {
   SpscRing<int> ring(4);
   EXPECT_EQ(ring.capacity(), 4u);
@@ -100,29 +110,49 @@ TEST(SpscRing, FifoSingleThread) {
   ring.push(2);
   ring.push(3);
   int out = 0;
-  EXPECT_TRUE(ring.try_pop(out));
+  EXPECT_TRUE(ring.pop(out));
   EXPECT_EQ(out, 1);
   ring.push(4);  // wraps around the storage
+  ring.close();
   for (int want : {2, 3, 4}) {
-    ASSERT_TRUE(ring.try_pop(out));
+    ASSERT_TRUE(ring.pop(out));
     EXPECT_EQ(out, want);
   }
-  EXPECT_FALSE(ring.try_pop(out));
-  EXPECT_EQ(ring.pushes(), 4u);
-  EXPECT_EQ(ring.push_waits(), 0u);
+  EXPECT_FALSE(ring.pop(out));
+  EXPECT_EQ(ring.stats().pushes, 4u);
+  EXPECT_EQ(ring.stats().push_waits, 0u);
 }
 
+// pop() reports the end of the stream only once the ring is closed and every
+// value pushed before the close has been delivered.
 TEST(SpscRing, DoneOnlyWhenClosedAndDrained) {
   SpscRing<int> ring(2);
   ring.push(7);
-  EXPECT_FALSE(ring.done());
   ring.close();
-  EXPECT_FALSE(ring.done());  // closed but not drained
-  ring.close();               // idempotent
+  ring.close();  // idempotent
   int out = 0;
-  ASSERT_TRUE(ring.try_pop(out));
+  ASSERT_TRUE(ring.pop(out));  // closed but not drained
   EXPECT_EQ(out, 7);
-  EXPECT_TRUE(ring.done());
+  EXPECT_FALSE(ring.pop(out));
+  EXPECT_FALSE(ring.pop(out));  // stays done
+}
+
+// A consumer asleep on an empty ring wakes for a push, and again for the
+// close that ends the stream.
+TEST(SpscRing, PopBlocksUntilPushOrClose) {
+  SpscRing<int> ring(2);
+  std::atomic<int> popped{0};
+  std::thread consumer([&] {
+    int out = 0;
+    while (ring.pop(out)) popped.fetch_add(out);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ring.push(5);
+  while (popped.load() != 5) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ring.close();  // close on an empty ring must still wake the consumer
+  consumer.join();
+  EXPECT_EQ(popped.load(), 5);
 }
 
 // Capacity 1 forces the producer through the backpressure wait on nearly
@@ -133,20 +163,16 @@ TEST(SpscRing, CapacityOneStressPreservesOrder) {
   std::thread consumer([&ring] {
     int expected = 0;
     int out = 0;
-    while (!ring.done()) {
-      if (ring.try_pop(out)) {
-        ASSERT_EQ(out, expected);
-        ++expected;
-      } else {
-        std::this_thread::yield();
-      }
+    while (ring.pop(out)) {
+      ASSERT_EQ(out, expected);
+      ++expected;
     }
     EXPECT_EQ(expected, kValues);
   });
   for (int i = 0; i < kValues; ++i) ring.push(i);
   ring.close();
   consumer.join();
-  EXPECT_EQ(ring.pushes(), static_cast<std::uint64_t>(kValues));
+  EXPECT_EQ(ring.stats().pushes, static_cast<std::uint64_t>(kValues));
 }
 
 // Pushing after close is a defined outcome, not a crash: the value is
@@ -158,13 +184,12 @@ TEST(SpscRing, PushAfterCloseDropsAndCounts) {
   ring.close();
   EXPECT_FALSE(ring.push(2));
   EXPECT_FALSE(ring.push(3));
-  EXPECT_EQ(ring.pushes(), 1u);
-  EXPECT_EQ(ring.dropped_after_close(), 2u);
+  EXPECT_EQ(ring.stats().pushes, 1u);
+  EXPECT_EQ(ring.stats().dropped_after_close, 2u);
   int out = 0;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 1);          // the accepted value survives
-  EXPECT_FALSE(ring.try_pop(out));  // the dropped ones never landed
-  EXPECT_TRUE(ring.done());
+  ASSERT_TRUE(ring.pop(out));
+  EXPECT_EQ(out, 1);             // the accepted value survives
+  EXPECT_FALSE(ring.pop(out));  // the dropped ones never landed
 }
 
 // A producer blocked on a full ring must wake when the ring is closed out
@@ -179,11 +204,11 @@ TEST(SpscRing, CloseWakesBlockedProducer) {
     EXPECT_FALSE(accepted);
     returned.store(true);
   });
-  while (ring.push_waits() == 0) std::this_thread::yield();
+  while (ring.stats().push_waits == 0) std::this_thread::yield();
   ring.close();
   producer.join();
   EXPECT_TRUE(returned.load());
-  EXPECT_EQ(ring.dropped_after_close(), 1u);
+  EXPECT_EQ(ring.stats().dropped_after_close, 1u);
 }
 
 TEST(SpscRing, StatsSnapshotTracksOccupancyHighWater) {
@@ -192,7 +217,7 @@ TEST(SpscRing, StatsSnapshotTracksOccupancyHighWater) {
   ring.push(2);
   ring.push(3);
   int out = 0;
-  ring.try_pop(out);
+  ring.pop(out);
   ring.push(4);
   const auto stats = ring.stats();
   EXPECT_EQ(stats.pushes, 4u);
@@ -204,104 +229,9 @@ TEST(SpscRing, MoveOnlyPayload) {
   SpscRing<std::unique_ptr<int>> ring(2);
   ring.push(std::make_unique<int>(42));
   std::unique_ptr<int> out;
-  ASSERT_TRUE(ring.try_pop(out));
+  ASSERT_TRUE(ring.pop(out));
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 42);
-}
-
-// The scan-then-sleep protocol: a worker that snapshots the epoch, finds all
-// rings empty, and sleeps must be woken by a push that lands at any point
-// after the snapshot — including between scan and sleep (the lost-wakeup
-// window wait_past closes).
-TEST(Doorbell, PushWakesSleepingWorker) {
-  Doorbell bell;
-  SpscRing<int> a(4);
-  SpscRing<int> b(4);
-  a.set_doorbell(&bell);
-  b.set_doorbell(&bell);
-
-  std::atomic<int> drained{0};
-  std::thread worker([&] {
-    for (;;) {
-      const std::uint64_t seen = bell.epoch();
-      bool progress = false;
-      int out = 0;
-      while (a.try_pop(out)) {
-        drained.fetch_add(out);
-        progress = true;
-      }
-      while (b.try_pop(out)) {
-        drained.fetch_add(out);
-        progress = true;
-      }
-      if (a.done() && b.done()) return;
-      if (!progress) bell.wait_past(seen);
-    }
-  });
-
-  for (int i = 1; i <= 50; ++i) {
-    a.push(i);
-    b.push(100 + i);
-  }
-  a.close();
-  b.close();
-  worker.join();
-  // 1+..+50 plus 101+..+150.
-  EXPECT_EQ(drained.load(), 50 * 51 / 2 + 100 * 50 + 50 * 51 / 2);
-}
-
-TEST(Doorbell, CloseRingsTheBell) {
-  Doorbell bell;
-  SpscRing<int> ring(1);
-  ring.set_doorbell(&bell);
-  const std::uint64_t before = bell.epoch();
-  std::thread waiter([&] { bell.wait_past(before); });
-  ring.close();  // close on an empty ring must still wake sleepers
-  waiter.join();
-  EXPECT_GT(bell.epoch(), before);
-}
-
-// The Doorbell fast path: with no waiter registered, ring() and epoch() are
-// plain atomic operations. Observable contract: every ring() advances the
-// epoch exactly once, and a wait_past() whose snapshot is already stale
-// returns without sleeping.
-TEST(Doorbell, RingAdvancesEpochWithoutWaiters) {
-  Doorbell bell;
-  const std::uint64_t start = bell.epoch();
-  for (std::uint64_t i = 1; i <= 1000; ++i) {
-    bell.ring();
-    EXPECT_EQ(bell.epoch(), start + i);
-  }
-  bell.wait_past(start);  // stale snapshot: must return immediately
-}
-
-// Hammer ring() against a repeatedly sleeping waiter to stress the
-// waiter-registration window of the eventcount protocol (run under TSan in
-// tier1). A lost wakeup hangs this test; the trailing ring-until-done loop
-// guarantees the waiter's final sleep is always released.
-TEST(Doorbell, RingStressNeverLosesWakeups) {
-  Doorbell bell;
-  std::atomic<bool> stop{false};
-  std::atomic<bool> done{false};
-  std::atomic<std::uint64_t> wakeups{0};
-  std::thread waiter([&] {
-    while (!stop.load()) {
-      const std::uint64_t seen = bell.epoch();
-      bell.wait_past(seen);
-      wakeups.fetch_add(1);
-    }
-    done.store(true);
-  });
-  // Ring until the waiter has observably cycled through wait_past() many
-  // times (a fixed ring count could finish before the thread even starts).
-  while (wakeups.load() < 1000) bell.ring();
-  stop.store(true);
-  while (!done.load()) {
-    bell.ring();
-    std::this_thread::yield();
-  }
-  waiter.join();
-  EXPECT_GT(wakeups.load(), 0u);
 }
 
 // Every full encounter blocks, and the wait accounting reflects each
@@ -311,11 +241,11 @@ TEST(SpscRing, WaitAccountingAccumulatesAcrossStalls) {
   ASSERT_TRUE(ring.push(0));
   for (std::uint64_t i = 1; i <= 3; ++i) {
     std::thread consumer([&] {
-      while (ring.push_waits() < i) std::this_thread::yield();
+      while (ring.stats().push_waits < i) std::this_thread::yield();
       // Measurable stall: the producer is registered asleep by now.
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
       int out = 0;
-      EXPECT_TRUE(ring.try_pop(out));
+      EXPECT_TRUE(ring.pop(out));
     });
     ASSERT_TRUE(ring.push(static_cast<int>(i)));
     consumer.join();

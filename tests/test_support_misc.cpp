@@ -44,21 +44,6 @@ TEST(Quantile, InterpolatesLinearly) {
   EXPECT_DOUBLE_EQ(quantile({}, 0.5), 0.0);
 }
 
-TEST(Log2Histogram, BucketsPowersOfTwo) {
-  Log2Histogram hist;
-  hist.add(0);
-  hist.add(1);
-  hist.add(2);
-  hist.add(3);
-  hist.add(4);
-  hist.add(1024);
-  EXPECT_EQ(hist.total(), 6u);
-  EXPECT_EQ(hist.bucket(0), 2u);  // 0 and 1
-  EXPECT_EQ(hist.bucket(1), 2u);  // 2 and 3
-  EXPECT_EQ(hist.bucket(2), 1u);  // 4
-  EXPECT_EQ(hist.bucket(10), 1u);
-}
-
 // ---- rng ---------------------------------------------------------------------
 
 TEST(SplitMix64, DeterministicAndSeedSensitive) {

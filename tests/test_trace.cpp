@@ -4,7 +4,7 @@
 
 #include "gasm/builder.hpp"
 #include "session/session.hpp"
-#include "support/thread_pool.hpp"
+#include "support/parallel_for.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
 #include "tquad/tquad_tool.hpp"
@@ -138,9 +138,9 @@ TEST_P(OfflineEquivalence, OfflineEqualsOnline) {
 INSTANTIATE_TEST_SUITE_P(Slices, OfflineEquivalence,
                          ::testing::Values(1, 13, 100, 1000, 1'000'000));
 
-/// Block-parallel aggregation — each pool worker aggregates its own block
-/// range of one shared view, the ranges fold with KernelBandwidth::merge —
-/// must equal the whole range, regardless of pool size.
+/// Block-parallel aggregation — each thread aggregates its own block range
+/// of one shared view, the ranges fold with KernelBandwidth::merge — must
+/// equal the whole range, regardless of thread count.
 class ParallelEquivalence : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ParallelEquivalence, ParallelEqualsWholeRange) {
@@ -152,10 +152,10 @@ TEST_P(ParallelEquivalence, ParallelEqualsWholeRange) {
   aggregate_blocks(view, 0, view.block_count(), whole);
   whole.finish();
 
-  ThreadPool pool(GetParam());
   std::vector<tquad::BandwidthRecorder> shards(
-      pool.size(), tquad::BandwidthRecorder(view.kernel_count(), kSlice));
-  parallel_for_blocks(pool, 0, view.block_count(),
+      parallel_blocks(GetParam(), 0, view.block_count()),
+      tquad::BandwidthRecorder(view.kernel_count(), kSlice));
+  parallel_for_blocks(GetParam(), 0, view.block_count(),
                       [&](std::uint64_t lo, std::uint64_t hi, unsigned shard) {
                         aggregate_blocks(view, lo, hi, shards[shard]);
                       });

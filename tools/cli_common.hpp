@@ -96,21 +96,6 @@ inline vm::EngineKind parse_engine(const std::string& name) {
   throw UsageError("unknown -engine '" + name + "' (interp|compiled)");
 }
 
-/// The parallel pipeline's perf contract (drain keeps up with a serial
-/// floor) is benchmarked on >= 4 hardware threads; on smaller machines the
-/// mode still produces identical reports but the floor gate is meaningless,
-/// so say so once instead of letting a slow run surprise the user.
-inline void warn_parallel_on_small_host(const session::PipelineOptions& options) {
-  if (options.mode != session::PipelineMode::kParallel) return;
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw != 0 && hw < 4) {
-    std::fprintf(stderr,
-                 "note: -pipeline parallel on %u hardware threads; the serial "
-                 "floor perf gate is not enforced below 4\n",
-                 hw);
-  }
-}
-
 /// Validate the `-on-trap` flag (what to do when the guest faults).
 inline void validate_on_trap(const std::string& mode) {
   if (mode != "report" && mode != "abort") {
@@ -119,13 +104,14 @@ inline void validate_on_trap(const std::string& mode) {
 }
 
 /// Parse the `-pipeline` flag: `serial` (the default reference
-/// implementation), `parallel[:N]` with N drain workers (N omitted =
-/// hardware concurrency), or `auto`. For `auto` this only validates — it
-/// returns serial; the real decision needs to know how many consumer lanes
-/// the run will attach, which isn't known at flag-validation time. The run
-/// path calls resolve_pipeline() with that count. Malformed specs —
-/// including an explicit worker count of 0, which would otherwise silently
-/// fall through to the auto path — raise UsageError, which the CLIs map to
+/// implementation), `parallel[:N]` (one drain thread per event ring, with N
+/// QUAD page shards; N omitted = hardware concurrency, capped at 16), or
+/// `auto`. For `auto` this only validates — it returns serial; the real
+/// decision needs to know how many consumer lanes the run will attach,
+/// which isn't known at flag-validation time. The run path calls
+/// resolve_pipeline() with that count. Malformed specs — including an
+/// explicit count of 0, which would otherwise silently fall through to the
+/// hardware-concurrency default — raise UsageError, which the CLIs map to
 /// exit code 2.
 inline session::PipelineOptions parse_pipeline(const std::string& spec) {
   session::PipelineOptions options;
@@ -158,9 +144,9 @@ inline session::PipelineOptions parse_pipeline(const std::string& spec) {
 /// capable host (>= 4 hardware threads, the floor the perf contract is
 /// benchmarked on) AND either several consumer lanes or a shardable tool
 /// (QUAD splits its access stream across shard rings). With one unshardable
-/// lane the publisher copies the whole event stream to a single worker that
-/// then does exactly the serial work — pure overhead — so auto picks serial
-/// and says why on stderr (graceful degradation should be visible, not
+/// lane the publisher copies the whole event stream to a single drain thread
+/// that then does exactly the serial work — pure overhead — so auto picks
+/// serial and says why on stderr (graceful degradation should be visible, not
 /// silent). Explicit serial/parallel specs pass through untouched. Call
 /// once, on the run path, after the tool set is known.
 inline session::PipelineOptions resolve_pipeline(const std::string& spec,

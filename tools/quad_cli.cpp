@@ -50,9 +50,10 @@ int main(int argc, char** argv) {
                  "reports are byte-identical either way");
   cli.add_string("pipeline", "serial",
                  "analysis dispatch: serial (tools run on the VM thread) | "
-                 "parallel[:N] (tools drain event rings on N worker threads) | "
+                 "parallel[:N] (one drain thread per event ring; N = QUAD page "
+                 "shards, default hardware threads, at most 16) | "
                  "auto (parallel when the host has >= 4 hardware threads and "
-                 "the attached tools can actually use the workers)");
+                 "the attached tools can actually use the rings)");
   cli.add_string("metrics", "",
                  "emit profiler self-metrics after the reports: text | json, "
                  "optionally :path (e.g. json:metrics.json; default stdout)");
@@ -74,7 +75,6 @@ int main(int argc, char** argv) {
     const session::PipelineOptions pipeline =
         cli::resolve_pipeline(cli.str("pipeline"), consumer_lanes,
                               /*has_sharded_consumer=*/true);
-    cli::warn_parallel_on_small_host(pipeline);
     const tquad::LibraryPolicy policy = cli::parse_policy(cli.str("libs"));
     if (cli.str("image").empty()) {
       std::fprintf(stderr, "%s", cli.help().c_str());

@@ -21,7 +21,7 @@
 // same attributed event stream — the paper needed a separate execution per
 // tool. -replay aggregates a recorded TQTR v2 trace offline instead of
 // running a guest: without -tools it prints the per-kernel bandwidth totals,
-// aggregating whole blocks on -threads workers under the recorded kernel
+// aggregating whole blocks on up to -threads threads under the recorded kernel
 // attribution (-image is only needed for kernel names); with -tools it
 // replays the trace through the same session machinery and produces the
 // full reports (requires -image). Other trace versions are rejected (exit 1).
@@ -38,7 +38,6 @@
 // error, 2 usage error, 3 guest trap, 4 interrupted.
 #include <algorithm>
 #include <cstdio>
-#include <exception>
 #include <optional>
 
 #include "gprofsim/gprof_tool.hpp"
@@ -46,8 +45,8 @@
 #include "session/session.hpp"
 #include "support/ascii_chart.hpp"
 #include "support/cli.hpp"
+#include "support/parallel_for.hpp"
 #include "support/table.hpp"
-#include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
 #include "tquad/address_map.hpp"
@@ -64,11 +63,19 @@ using cli::read_file;
 using cli::write_file;
 using cli::write_text;
 
+/// -replay starts one thread per trace block, up to -threads.
+constexpr std::int64_t kMaxReplayThreads = 256;
+
 /// Flag coherence checks, before any file I/O.
 void validate_options(const CliParser& cli) {
   cli::require_positive(cli, "slice");
   cli::require_positive(cli, "sample");
   cli::require_positive(cli, "threads");
+  if (cli.integer("threads") > kMaxReplayThreads) {
+    throw UsageError("option -threads must be at most " +
+                     std::to_string(kMaxReplayThreads) + " (got " +
+                     std::to_string(cli.integer("threads")) + ")");
+  }
   cli::require_positive(cli, "budget");
   (void)cli::parse_policy(cli.str("libs"));
   cli::validate_on_trap(cli.str("on-trap"));
@@ -103,8 +110,9 @@ void validate_options(const CliParser& cli) {
 }
 
 /// Offline -replay mode: aggregate a recorded TQTR file and print a
-/// per-kernel totals table. The blocks split over -threads workers; their
-/// partial series fold back with KernelBandwidth::merge.
+/// per-kernel totals table. The blocks split over up to -threads threads,
+/// never more than one per block; their partial series fold back with
+/// KernelBandwidth::merge.
 int replay_trace(const CliParser& cli) {
   const auto bytes = read_file(cli.str("replay"));
   const auto slice = static_cast<std::uint64_t>(cli.integer("slice"));
@@ -124,22 +132,13 @@ int replay_trace(const CliParser& cli) {
   const std::uint64_t record_count = view.record_count();
   const std::uint64_t total_retired = view.total_retired();
 
-  ThreadPool pool(threads);
   std::vector<tquad::BandwidthRecorder> shards(
-      pool.size(), tquad::BandwidthRecorder(kernel_count, slice));
-  // Pool tasks must not throw; trap decode errors and rethrow here.
-  std::vector<std::exception_ptr> errors(pool.size());
-  parallel_for_blocks(pool, 0, view.block_count(),
+      parallel_blocks(threads, 0, view.block_count()),
+      tquad::BandwidthRecorder(kernel_count, slice));
+  parallel_for_blocks(threads, 0, view.block_count(),
                       [&](std::uint64_t lo, std::uint64_t hi, unsigned shard) {
-                        try {
-                          trace::aggregate_blocks(view, lo, hi, shards[shard]);
-                        } catch (...) {
-                          errors[shard] = std::current_exception();
-                        }
+                        trace::aggregate_blocks(view, lo, hi, shards[shard]);
                       });
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
   std::vector<tquad::KernelBandwidth> kernels(kernel_count);
   std::uint64_t max_slice = 0;
   for (tquad::BandwidthRecorder& shard : shards) {
@@ -208,7 +207,6 @@ int run_profile(const CliParser& cli, const cli::ToolSet& tools) {
       static_cast<unsigned>(!cli.str("viz").empty());
   config.pipeline = cli::resolve_pipeline(cli.str("pipeline"), consumer_lanes,
                                           /*has_sharded_consumer=*/tools.quad);
-  cli::warn_parallel_on_small_host(config.pipeline);
   if (metrics_spec.enabled) config.metrics = &registry;
   config.heartbeat_interval =
       static_cast<std::uint64_t>(cli.integer("heartbeat")) * 1'000'000;
@@ -381,7 +379,9 @@ int main(int argc, char** argv) {
   cli.add_string("csv", "", "write the flat profile as CSV to this path");
   cli.add_string("trace", "", "record the event trace (TQTR) to this path");
   cli.add_string("replay", "", "aggregate this TQTR file offline instead of running");
-  cli.add_int("threads", 4, "worker threads for -replay block-parallel aggregation");
+  cli.add_int("threads", 4,
+              "-replay block-parallel aggregation: at most this many threads, "
+              "one per trace block (1..256)");
   cli.add_int("sample", 10'000, "gprof sample period in instructions");
   cli.add_string("out", "", "write guest output descriptor 's contents here");
   cli.add_double("cpu-ghz", 2.83, "target clock for unit conversion");
@@ -400,9 +400,10 @@ int main(int argc, char** argv) {
                  "reports are byte-identical either way");
   cli.add_string("pipeline", "serial",
                  "analysis dispatch: serial (tools run on the VM thread) | "
-                 "parallel[:N] (tools drain event rings on N worker threads) | "
+                 "parallel[:N] (one drain thread per event ring; N = QUAD page "
+                 "shards, default hardware threads, at most 16) | "
                  "auto (parallel when the host has >= 4 hardware threads and "
-                 "the attached tools can actually use the workers)");
+                 "the attached tools can actually use the rings)");
   cli.add_string("metrics", "",
                  "emit profiler self-metrics after the reports: text | json, "
                  "optionally :path (e.g. json:metrics.json; default stdout)");
