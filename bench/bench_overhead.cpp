@@ -558,6 +558,8 @@ bool print_jit_speedup() {
   std::printf("%-44s %10.3f s\n", "bare VM, interpreter", bare_interp_s);
   std::printf("%-44s %10.3f s\n", "bare VM, compiled", bare_compiled_s);
   std::printf("%-44s %9.2fx\n", "bare dispatch speedup", bare_speedup);
+  const bool passed = speedup >= kFloor;
+  const char* gate = passed ? "passed" : "failed:end_to_end_speedup<speedup_floor";
 
   std::FILE* json = std::fopen("BENCH_jit.json", "w");
   if (json != nullptr) {
@@ -574,15 +576,16 @@ bool print_jit_speedup() {
                  "  \"bare_compiled_seconds\": %.6f,\n"
                  "  \"bare_speedup\": %.3f,\n"
                  "  \"speedup_floor\": %.2f,\n"
-                 "  \"speedup_target\": %.2f\n"
+                 "  \"speedup_target\": %.2f,\n"
+                 "  \"gate\": \"%s\"\n"
                  "}\n",
                  static_cast<unsigned long long>(retired), interp_s, compiled_s,
                  speedup, bare_interp_s, bare_compiled_s, bare_speedup, kFloor,
-                 kTarget);
+                 kTarget, gate);
     std::fclose(json);
     std::printf("wrote BENCH_jit.json\n");
   }
-  if (speedup < kFloor) {
+  if (!passed) {
     std::fprintf(stderr, "compiled-engine speedup %.2fx below the %.2fx floor\n",
                  speedup, kFloor);
     return false;

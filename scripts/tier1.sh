@@ -26,7 +26,10 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 #    along too: the directory hands out cached raw page pointers, and a
 #    pointer left dangling by a move, clear or shard adoption is exactly
 #    what ASan catches. The interpreter's unit suite covers its event
-#    emitter (the reference stream the compiled engine is checked against).
+#    emitter (the reference stream the compiled engine is checked against),
+#    and its differential suite checks it against an independent reference
+#    evaluator. Both engines index host memory (the flat guest arena) by
+#    guest address, so both run their memory paths under the sanitizers.
 #    The ring / parallel_for_blocks unit suite rides along for the ring's
 #    slot storage and the per-block error capture.
 cmake --preset asan-ubsan
@@ -36,9 +39,9 @@ cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_session test_session_replay test_session_pipeline \
     test_support_metrics test_workload_zoo test_engine_differential \
     test_support_address_set test_support_paged_memory test_quad_shadow \
-    test_vm_machine test_support_concurrency
+    test_vm_machine test_vm_differential test_support_concurrency
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow|test_vm_machine|test_support_concurrency)$'
+    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow|test_vm_machine|test_vm_differential|test_support_concurrency)$'
 
 # 3. ThreadSanitizer on everything that spawns threads: the parallel
 #    analysis pipeline (one drain thread per ring, shard merge, drain

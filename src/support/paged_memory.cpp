@@ -1,17 +1,62 @@
 #include "support/paged_memory.hpp"
 
-#include <bit>
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <utility>
 
 namespace tq {
 
+PagedMemory::PagedMemory() {
+  void* const base = ::mmap(nullptr, kArenaBytes, PROT_READ | PROT_WRITE,
+                            MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base != MAP_FAILED) {
+    arena_ = static_cast<std::uint8_t*>(base);
+    limit_ = kArenaBytes - 7;
+  }
+}
+
+PagedMemory::~PagedMemory() { unmap(); }
+
+PagedMemory::PagedMemory(PagedMemory&& other) noexcept
+    : arena_(std::exchange(other.arena_, nullptr)),
+      limit_(std::exchange(other.limit_, 0)),
+      pages_(std::move(other.pages_)) {}
+
+PagedMemory& PagedMemory::operator=(PagedMemory&& other) noexcept {
+  if (this != &other) {
+    unmap();
+    arena_ = std::exchange(other.arena_, nullptr);
+    limit_ = std::exchange(other.limit_, 0);
+    pages_ = std::move(other.pages_);
+  }
+  return *this;
+}
+
+void PagedMemory::unmap() noexcept {
+  if (arena_ != nullptr) ::munmap(arena_, kArenaBytes);
+}
+
+// Both span walks cut at the arena's end and at every page boundary above
+// it, so each chunk lies in the arena or in one directory page. The arena
+// and the pages are both 4 KiB aligned, so a chunk that starts above the
+// arena never runs back into it, except by wrapping past 2^64 onto page 0.
 void PagedMemory::read(std::uint64_t addr, std::span<std::uint8_t> out) const {
+  const std::uint64_t arena_end = arena_ != nullptr ? kArenaBytes : 0;
   std::size_t done = 0;
   while (done < out.size()) {
-    const std::uint64_t page_no = (addr + done) >> kPageBits;
-    const std::uint64_t offset = (addr + done) & kOffsetMask;
+    const std::uint64_t at = addr + done;
+    if (at < arena_end) {
+      const std::size_t chunk =
+          std::min<std::uint64_t>(out.size() - done, arena_end - at);
+      std::memcpy(out.data() + done, arena_ + at, chunk);
+      done += chunk;
+      continue;
+    }
+    const std::uint64_t offset = at & kOffsetMask;
     const std::size_t chunk =
         std::min<std::size_t>(out.size() - done, kPageSize - offset);
-    if (const Page* page = pages_.find(page_no)) {
+    if (const Page* page = pages_.find(at >> kPageBits)) {
       std::memcpy(out.data() + done, page->bytes + offset, chunk);
     } else {
       std::memset(out.data() + done, 0, chunk);
@@ -21,57 +66,36 @@ void PagedMemory::read(std::uint64_t addr, std::span<std::uint8_t> out) const {
 }
 
 void PagedMemory::write(std::uint64_t addr, std::span<const std::uint8_t> in) {
+  const std::uint64_t arena_end = arena_ != nullptr ? kArenaBytes : 0;
   std::size_t done = 0;
   while (done < in.size()) {
-    const std::uint64_t page_no = (addr + done) >> kPageBits;
-    const std::uint64_t offset = (addr + done) & kOffsetMask;
+    const std::uint64_t at = addr + done;
+    if (at < arena_end) {
+      const std::size_t chunk =
+          std::min<std::uint64_t>(in.size() - done, arena_end - at);
+      std::memcpy(arena_ + at, in.data() + done, chunk);
+      done += chunk;
+      continue;
+    }
+    const std::uint64_t offset = at & kOffsetMask;
     const std::size_t chunk =
         std::min<std::size_t>(in.size() - done, kPageSize - offset);
-    Page& page = pages_.touch(page_no);
+    Page& page = pages_.touch(at >> kPageBits);
     std::memcpy(page.bytes + offset, in.data() + done, chunk);
     done += chunk;
   }
 }
 
-std::uint64_t PagedMemory::load(std::uint64_t addr, unsigned size_bytes) const {
-  TQUAD_DCHECK(size_bytes == 1 || size_bytes == 2 || size_bytes == 4 || size_bytes == 8,
-               "unsupported load size");
-  // Fast path: access within one page.
-  const std::uint64_t offset = addr & kOffsetMask;
-  if (offset + size_bytes <= kPageSize) {
-    const Page* page = pages_.find(addr >> kPageBits);
-    if (page == nullptr) return 0;
-    std::uint64_t value = 0;
-    std::memcpy(&value, page->bytes + offset, size_bytes);
-    return value;
-  }
-  std::uint8_t buf[8] = {};
-  read(addr, std::span<std::uint8_t>(buf, size_bytes));
+std::uint64_t PagedMemory::load_slow(std::uint64_t addr, unsigned size_bytes) const {
   std::uint64_t value = 0;
-  std::memcpy(&value, buf, 8);
+  read(addr, std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(&value), size_bytes));
   return value;
 }
 
-void PagedMemory::store(std::uint64_t addr, std::uint64_t value, unsigned size_bytes) {
-  TQUAD_DCHECK(size_bytes == 1 || size_bytes == 2 || size_bytes == 4 || size_bytes == 8,
-               "unsupported store size");
-  const std::uint64_t offset = addr & kOffsetMask;
-  if (offset + size_bytes <= kPageSize) {
-    Page& page = pages_.touch(addr >> kPageBits);
-    std::memcpy(page.bytes + offset, &value, size_bytes);
-    return;
-  }
-  std::uint8_t buf[8];
-  std::memcpy(buf, &value, 8);
-  write(addr, std::span<const std::uint8_t>(buf, size_bytes));
-}
-
-double PagedMemory::load_f64(std::uint64_t addr) const {
-  return std::bit_cast<double>(load(addr, 8));
-}
-
-void PagedMemory::store_f64(std::uint64_t addr, double value) {
-  store(addr, std::bit_cast<std::uint64_t>(value), 8);
+void PagedMemory::store_slow(std::uint64_t addr, std::uint64_t value,
+                             unsigned size_bytes) {
+  write(addr, std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(&value),
+                                            size_bytes));
 }
 
 }  // namespace tq

@@ -59,7 +59,6 @@ void CompiledMachine::check_entry_fault() {
 }
 
 void CompiledMachine::do_sys(std::int64_t imm) {
-  auto& r = cpu_.regs;
   ++syscalls_seen_;
   if (fault_.fail_syscall != 0 && syscalls_seen_ == fault_.fail_syscall)
       [[unlikely]] {
@@ -67,53 +66,7 @@ void CompiledMachine::do_sys(std::int64_t imm) {
          " failed");
   }
   try {
-    switch (static_cast<isa::Sys>(imm)) {
-      case isa::Sys::kAlloc: {
-        const std::uint64_t size = r[1];
-        heap_ptr_ = (heap_ptr_ + 15) & ~15ull;
-        const std::uint64_t addr = heap_ptr_;
-        heap_ptr_ += size;
-        if (heap_ptr_ >= kStackLimit) trap("guest heap exhausted");
-        r[1] = addr;
-        break;
-      }
-      case isa::Sys::kRead: {
-        const int fd = static_cast<int>(r[1]);
-        const std::uint64_t buf = r[2];
-        const std::uint64_t len = r[3];
-        std::vector<std::uint8_t> tmp(static_cast<std::size_t>(len));
-        const std::size_t n = host_.read(fd, tmp);
-        memory_.write(buf, std::span<const std::uint8_t>(tmp.data(), n));
-        r[1] = n;
-        break;
-      }
-      case isa::Sys::kWrite: {
-        const int fd = static_cast<int>(r[1]);
-        const std::uint64_t buf = r[2];
-        const std::uint64_t len = r[3];
-        std::vector<std::uint8_t> tmp(static_cast<std::size_t>(len));
-        memory_.read(buf, tmp);
-        host_.write(fd, tmp);
-        r[1] = len;
-        break;
-      }
-      case isa::Sys::kSeek:
-        host_.seek(static_cast<int>(r[1]), r[2]);
-        break;
-      case isa::Sys::kFileSize:
-        r[1] = host_.file_size(static_cast<int>(r[1]));
-        break;
-      case isa::Sys::kPrintI64:
-        host_.append_log(std::to_string(static_cast<std::int64_t>(r[1])));
-        break;
-      case isa::Sys::kPrintF64:
-        host_.append_log(std::to_string(cpu_.fregs[1]));
-        break;
-      default:
-        trap("unknown syscall " + std::to_string(imm));
-    }
-  } catch (const TrapError&) {
-    throw;
+    run_syscall(imm, cpu_, memory_, host_, heap_ptr_);
   } catch (const Error& err) {
     trap(err.what());
   }

@@ -1,7 +1,6 @@
 #include "vm/host_env.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "support/check.hpp"
 
@@ -38,18 +37,13 @@ bool HostEnv::is_output(int fd) const noexcept {
          files_[static_cast<std::size_t>(fd)].is_output;
 }
 
-std::size_t HostEnv::read(int fd, std::span<std::uint8_t> out) {
+std::span<const std::uint8_t> HostEnv::read(int fd, std::uint64_t max) {
   File& file = file_at(fd);
   if (file.is_output) TQUAD_THROW("guest read from output file");
-  const std::uint64_t available = file.bytes.size() - std::min<std::uint64_t>(
-                                                          file.cursor, file.bytes.size());
-  const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(available, out.size()));
-  if (n > 0) {
-    std::memcpy(out.data(), file.bytes.data() + file.cursor, n);
-    file.cursor += n;
-  }
-  return n;
+  const std::uint64_t at = std::min<std::uint64_t>(file.cursor, file.bytes.size());
+  const std::uint64_t n = std::min<std::uint64_t>(file.bytes.size() - at, max);
+  file.cursor = at + n;
+  return std::span<const std::uint8_t>(file.bytes.data() + at, n);
 }
 
 void HostEnv::write(int fd, std::span<const std::uint8_t> in) {

@@ -27,8 +27,9 @@ class HostEnv {
   bool is_input(int fd) const noexcept;
   bool is_output(int fd) const noexcept;
 
-  /// Read up to `out.size()` bytes from the input file cursor.
-  std::size_t read(int fd, std::span<std::uint8_t> out);
+  /// Consume up to `max` bytes at the input file cursor. The view stays
+  /// valid until the next attach_input or create_output.
+  std::span<const std::uint8_t> read(int fd, std::uint64_t max);
 
   /// Append bytes to an output file.
   void write(int fd, std::span<const std::uint8_t> in);

@@ -1,5 +1,6 @@
 #include "vm/machine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -39,8 +40,63 @@ void Machine::check_entry_fault() {
   }
 }
 
+void run_syscall(std::int64_t sys, Cpu& cpu, PagedMemory& memory, HostEnv& host,
+                 std::uint64_t& heap_ptr) {
+  auto& r = cpu.regs;
+  switch (static_cast<isa::Sys>(sys)) {
+    case isa::Sys::kAlloc: {
+      const std::uint64_t size = r[1];
+      heap_ptr = (heap_ptr + 15) & ~15ull;
+      // Compared before the bump, so no size can wrap the cursor.
+      if (size > kStackLimit - heap_ptr) TQUAD_THROW("guest heap exhausted");
+      r[1] = heap_ptr;
+      heap_ptr += size;
+      break;
+    }
+    case isa::Sys::kRead: {
+      const std::span<const std::uint8_t> bytes =
+          host.read(static_cast<int>(r[1]), r[3]);
+      memory.write(r[2], bytes);
+      r[1] = bytes.size();
+      break;
+    }
+    case isa::Sys::kWrite: {
+      const int fd = static_cast<int>(r[1]);
+      const std::uint64_t buf = r[2];
+      const std::uint64_t len = r[3];
+      if (len > kStackBase - std::min(buf, kStackBase)) {
+        TQUAD_THROW("guest write range leaves the guest address space");
+      }
+      // Copied a chunk at a time; a zero-length write still checks `fd`.
+      std::uint8_t chunk[4096];
+      std::uint64_t done = 0;
+      do {
+        const std::size_t n = std::min<std::uint64_t>(len - done, sizeof chunk);
+        memory.read(buf + done, std::span<std::uint8_t>(chunk, n));
+        host.write(fd, std::span<const std::uint8_t>(chunk, n));
+        done += n;
+      } while (done < len);
+      r[1] = len;
+      break;
+    }
+    case isa::Sys::kSeek:
+      host.seek(static_cast<int>(r[1]), r[2]);
+      break;
+    case isa::Sys::kFileSize:
+      r[1] = host.file_size(static_cast<int>(r[1]));
+      break;
+    case isa::Sys::kPrintI64:
+      host.append_log(std::to_string(static_cast<std::int64_t>(r[1])));
+      break;
+    case isa::Sys::kPrintF64:
+      host.append_log(std::to_string(cpu.fregs[1]));
+      break;
+    default:
+      TQUAD_THROW("unknown syscall " + std::to_string(sys));
+  }
+}
+
 void Machine::do_sys(const Instr& ins) {
-  auto& r = cpu_.regs;
   ++syscalls_seen_;
   if (fault_.fail_syscall != 0 && syscalls_seen_ == fault_.fail_syscall)
       [[unlikely]] {
@@ -48,53 +104,7 @@ void Machine::do_sys(const Instr& ins) {
          " failed");
   }
   try {
-    switch (static_cast<isa::Sys>(ins.imm)) {
-      case isa::Sys::kAlloc: {
-        const std::uint64_t size = r[1];
-        heap_ptr_ = (heap_ptr_ + 15) & ~15ull;
-        const std::uint64_t addr = heap_ptr_;
-        heap_ptr_ += size;
-        if (heap_ptr_ >= kStackLimit) trap("guest heap exhausted");
-        r[1] = addr;
-        break;
-      }
-      case isa::Sys::kRead: {
-        const int fd = static_cast<int>(r[1]);
-        const std::uint64_t buf = r[2];
-        const std::uint64_t len = r[3];
-        std::vector<std::uint8_t> tmp(static_cast<std::size_t>(len));
-        const std::size_t n = host_.read(fd, tmp);
-        memory_.write(buf, std::span<const std::uint8_t>(tmp.data(), n));
-        r[1] = n;
-        break;
-      }
-      case isa::Sys::kWrite: {
-        const int fd = static_cast<int>(r[1]);
-        const std::uint64_t buf = r[2];
-        const std::uint64_t len = r[3];
-        std::vector<std::uint8_t> tmp(static_cast<std::size_t>(len));
-        memory_.read(buf, tmp);
-        host_.write(fd, tmp);
-        r[1] = len;
-        break;
-      }
-      case isa::Sys::kSeek:
-        host_.seek(static_cast<int>(r[1]), r[2]);
-        break;
-      case isa::Sys::kFileSize:
-        r[1] = host_.file_size(static_cast<int>(r[1]));
-        break;
-      case isa::Sys::kPrintI64:
-        host_.append_log(std::to_string(static_cast<std::int64_t>(r[1])));
-        break;
-      case isa::Sys::kPrintF64:
-        host_.append_log(std::to_string(cpu_.fregs[1]));
-        break;
-      default:
-        trap("unknown syscall " + std::to_string(ins.imm));
-    }
-  } catch (const TrapError&) {
-    throw;
+    run_syscall(ins.imm, cpu_, memory_, host_, heap_ptr_);
   } catch (const Error& err) {
     trap(err.what());
   }

@@ -57,6 +57,14 @@ class TrapError : public Error {
   std::uint32_t pc_;
 };
 
+/// Execute guest syscall `sys` (an isa::Sys) against the architectural
+/// state both engines share: arguments and results in `cpu`'s registers,
+/// buffers in `memory`, `heap_ptr` the bump allocator's cursor. A guest
+/// fault throws tq::Error carrying the bare trap reason, which the calling
+/// engine turns into its TrapError.
+void run_syscall(std::int64_t sys, Cpu& cpu, PagedMemory& memory, HostEnv& host,
+                 std::uint64_t& heap_ptr);
+
 /// Deterministic fault injection: make the guest trap at a precise point so
 /// tests can prove that partial profiles equal the prefix of a clean run.
 /// Zero / kNoFunc fields disable the corresponding trigger. All triggers

@@ -278,6 +278,24 @@ grep -v "written to" tquad_viz.txt > tquad_viz_body.txt
 cmp tquad_body.txt tquad_viz_body.txt
 cmp out.wav out_viz.wav
 
+# Without the flat guest arena: under a 1 GiB address-space limit its 2 GiB
+# reservation fails, every guest access takes the page directory, and the
+# reports must not change by a byte.
+"$TOOLS/zoo_gen" -workload hashjoin -image hashjoin.tqim > /dev/null
+"$TOOLS/tquad_cli" -image wfs.tqim -in in.wav -tools tquad,quad,gprof \
+    -report all > arena_wfs.txt
+"$TOOLS/tquad_cli" -image hashjoin.tqim -tools tquad,quad,gprof \
+    -report all > arena_hashjoin.txt
+(
+  ulimit -v 1048576
+  "$TOOLS/tquad_cli" -image wfs.tqim -in in.wav -tools tquad,quad,gprof \
+      -report all > no_arena_wfs.txt
+  "$TOOLS/tquad_cli" -image hashjoin.tqim -tools tquad,quad,gprof \
+      -report all > no_arena_hashjoin.txt
+)
+cmp arena_wfs.txt no_arena_wfs.txt
+cmp arena_hashjoin.txt no_arena_hashjoin.txt
+
 # Error paths: missing image must fail with a message, not crash.
 if "$TOOLS/tquad_cli" -image does_not_exist.tqim 2> err.txt; then
   echo "expected failure on missing image" >&2

@@ -266,6 +266,33 @@ test -s trap.tqtr
 expect_status 0 trap_replay.txt -- \
     "$TOOLS/tquad_cli" -replay trap.tqtr -image trap.tqim -slice 5000
 
+# Guest-controlled syscall lengths never size a host buffer: a read of a
+# terabyte copies what the input has, and a write of a terabyte (its range
+# leaves the guest address space) is a guest trap, exit 3 with PARTIAL
+# reports, not an allocation failure.
+cat > huge_io.s <<'EOF'
+.entry main
+.global buf 64 16
+.func main
+    movi   r1, 0
+    movi   r2, buf
+    movi   r3, 1099511627776
+    sys    read
+    mov    r10, r1
+    movi   r1, 1
+    movi   r2, buf
+    movi   r3, 1099511627776
+    sys    write
+    halt
+EOF
+expect_status 3 huge_io_run.txt -- "$TOOLS/asm_run" huge_io.s -in in.wav -image huge_io.tqim
+grep -q "guest write range leaves the guest address space" err.txt
+expect_status 3 huge_io_report.txt -- "$TOOLS/tquad_cli" -image huge_io.tqim \
+    -in in.wav -tools tquad,quad,gprof -report all
+grep -q "status: PARTIAL (guest trap: guest write range leaves the guest address space" \
+    huge_io_report.txt
+grep -q "== flat profile ==" huge_io_report.txt
+
 # -pipeline auto resolves before the run (to parallel on this host iff it
 # has >= 4 hardware threads) and produces the same reports and trace as the
 # serial multi-tool run above.

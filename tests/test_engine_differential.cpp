@@ -9,15 +9,19 @@
 // every attribution path is covered.
 //
 // The engine edge contracts are pinned here for BOTH engines: run() is
-// single-shot, budget == retired is a clean boundary, and a fully disarmed
-// FaultPlan is a no-op.
+// single-shot, budget == retired is a clean boundary, a fully disarmed
+// FaultPlan is a no-op, and guest-controlled syscall sizes (a heap bump that
+// would wrap, a read or write length of a terabyte) end in an exact result
+// or a guest trap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "gasm/builder.hpp"
 #include "gprofsim/gprof_tool.hpp"
 #include "quad/quad_tool.hpp"
 #include "session/session.hpp"
@@ -369,6 +373,159 @@ TEST(EngineEdge, DisarmedFaultPlanIsNoOp) {
     const vm::RunOutcome outcome = session.run_live(guest.host);
     EXPECT_EQ(outcome.status, vm::RunStatus::kHalted);
     EXPECT_EQ(outcome.retired, clean.retired);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Syscall edges, pinned for both engines.
+
+using gasm::R;
+
+/// A bare run's outcome and the post-run state the syscall tests inspect.
+struct SysRun {
+  vm::RunOutcome outcome;
+  std::uint64_t regs[isa::kNumIntRegs] = {};
+  std::uint64_t heap_used = 0;
+};
+
+template <typename Engine>
+SysRun run_bare(const vm::Program& program, vm::HostEnv& host) {
+  Engine engine(program, host);
+  SysRun run{engine.run()};
+  std::copy(std::begin(engine.cpu().regs), std::end(engine.cpu().regs), run.regs);
+  run.heap_used = engine.heap_used();
+  return run;
+}
+
+/// Build a one-function program from `body` and run it on both engines,
+/// each against its own copy of `host`; the two runs must agree on the
+/// outcome, the registers, the heap and the output files.
+template <typename Body>
+SysRun run_both(const vm::HostEnv& host, Body&& body, vm::HostEnv* interp_host = nullptr) {
+  gasm::ProgramBuilder prog;
+  auto& f = prog.begin_function("main");
+  body(f);
+  f.halt();
+  const vm::Program program = prog.build("main");
+  vm::HostEnv interp_env = host;
+  vm::HostEnv compiled_env = host;
+  const SysRun interp = run_bare<vm::Machine>(program, interp_env);
+  const SysRun compiled = run_bare<vm::CompiledMachine>(program, compiled_env);
+  EXPECT_EQ(compiled.outcome.status, interp.outcome.status);
+  EXPECT_EQ(compiled.outcome.retired, interp.outcome.retired);
+  EXPECT_EQ(compiled.outcome.trap_kind, interp.outcome.trap_kind);
+  EXPECT_EQ(compiled.heap_used, interp.heap_used);
+  for (unsigned reg = 0; reg < isa::kNumIntRegs; ++reg) {
+    EXPECT_EQ(compiled.regs[reg], interp.regs[reg]) << "r" << reg;
+  }
+  for (int fd = 0; interp_env.is_input(fd) || interp_env.is_output(fd); ++fd) {
+    if (interp_env.is_output(fd)) {
+      EXPECT_EQ(compiled_env.output(fd), interp_env.output(fd)) << "fd " << fd;
+    }
+  }
+  if (interp_host != nullptr) *interp_host = interp_env;
+  return interp;
+}
+
+// A size that wraps the heap cursor past 2^64 must trap, not hand out an
+// address inside the globals on the next call.
+TEST(EngineSyscall, HeapBumpThatWrapsTraps) {
+  const SysRun run = run_both(vm::HostEnv{}, [](auto& f) {
+    f.movi(R{1}, -16);
+    f.sys(isa::Sys::kAlloc);
+    f.movi(R{1}, 16);
+    f.sys(isa::Sys::kAlloc);
+  });
+  EXPECT_EQ(run.outcome.status, vm::RunStatus::kTrapped);
+  EXPECT_EQ(run.outcome.trap_kind, "guest heap exhausted");
+  EXPECT_EQ(run.outcome.retired, 2u);
+  EXPECT_EQ(run.heap_used, 0u);
+}
+
+// The heap may fill up to kStackLimit exactly; one byte more traps.
+TEST(EngineSyscall, HeapEndsExactlyAtStackLimit) {
+  constexpr std::int64_t kHeapBytes = vm::kStackLimit - vm::kHeapBase;
+  const SysRun run = run_both(vm::HostEnv{}, [](auto& f) {
+    f.movi(R{1}, kHeapBytes);
+    f.sys(isa::Sys::kAlloc);
+    f.mov(R{10}, R{1});
+    f.movi(R{2}, 0x5a5a);
+    f.store(R{10}, kHeapBytes - 8, R{2}, 8);  // the heap's last 8 bytes
+    f.load(R{11}, R{10}, kHeapBytes - 8, 8);
+    f.movi(R{1}, 0);
+    f.sys(isa::Sys::kAlloc);
+    f.mov(R{12}, R{1});
+    f.movi(R{1}, 1);
+    f.sys(isa::Sys::kAlloc);
+  });
+  EXPECT_EQ(run.outcome.status, vm::RunStatus::kTrapped);
+  EXPECT_EQ(run.outcome.trap_kind, "guest heap exhausted");
+  EXPECT_EQ(run.regs[10], vm::kHeapBase);
+  EXPECT_EQ(run.regs[11], 0x5a5au);
+  EXPECT_EQ(run.regs[12], vm::kStackLimit);
+  EXPECT_EQ(run.heap_used, static_cast<std::uint64_t>(kHeapBytes));
+}
+
+// A read of a terabyte copies what the file has and returns its length.
+TEST(EngineSyscall, HugeReadCopiesOnlyTheFileBytes) {
+  vm::HostEnv host;
+  const int fd = host.attach_input({1, 2, 3});
+  const SysRun run = run_both(host, [fd](auto& f) {
+    f.movi(R{1}, fd);
+    f.movi(R{2}, vm::kGlobalBase);
+    f.movi(R{3}, std::int64_t{1} << 40);
+    f.sys(isa::Sys::kRead);
+    f.mov(R{10}, R{1});
+    f.movi(R{2}, vm::kGlobalBase);
+    f.load(R{11}, R{2}, 0, 8);
+  });
+  EXPECT_EQ(run.outcome.status, vm::RunStatus::kHalted);
+  EXPECT_EQ(run.regs[10], 3u);
+  EXPECT_EQ(run.regs[11], 0x030201u);
+}
+
+// A write must lie within the guest segments (below kStackBase): one that
+// ends exactly there succeeds; a terabyte, or a range wrapping past 2^64,
+// traps before any byte reaches the output.
+TEST(EngineSyscall, WriteRangeMustStayInTheGuestAddressSpace) {
+  vm::HostEnv host;
+  const int out = host.create_output();
+  vm::HostEnv after;
+  const SysRun ok = run_both(
+      host,
+      [out](auto& f) {
+        f.movi(R{2}, vm::kStackBase - 8);
+        f.movi(R{3}, 0x1122334455667788);
+        f.store(R{2}, 0, R{3}, 8);
+        f.movi(R{1}, out);
+        f.movi(R{3}, 8);
+        f.sys(isa::Sys::kWrite);
+      },
+      &after);
+  EXPECT_EQ(ok.outcome.status, vm::RunStatus::kHalted);
+  EXPECT_EQ(ok.regs[1], 8u);
+  EXPECT_EQ(after.output(out),
+            (std::vector<std::uint8_t>{0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11}));
+
+  const std::pair<std::int64_t, std::int64_t> bad[] = {
+      {vm::kGlobalBase, std::int64_t{1} << 40},  // a terabyte
+      {-8, 16},                                  // wraps past 2^64
+      {vm::kStackBase - 8, 9},                   // one byte past the stack
+  };
+  for (const auto& [buf, len] : bad) {
+    SCOPED_TRACE("buf " + std::to_string(buf) + " len " + std::to_string(len));
+    const SysRun run = run_both(
+        host,
+        [out, buf, len](auto& f) {
+          f.movi(R{1}, out);
+          f.movi(R{2}, buf);
+          f.movi(R{3}, len);
+          f.sys(isa::Sys::kWrite);
+        },
+        &after);
+    EXPECT_EQ(run.outcome.status, vm::RunStatus::kTrapped);
+    EXPECT_EQ(run.outcome.trap_kind, "guest write range leaves the guest address space");
+    EXPECT_TRUE(after.output(out).empty());
   }
 }
 

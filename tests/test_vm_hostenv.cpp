@@ -24,26 +24,37 @@ TEST(HostEnv, DescriptorsShareOneNumberSpace) {
 TEST(HostEnv, ReadAdvancesCursorAndClampsAtEof) {
   HostEnv host;
   const int fd = host.attach_input({'a', 'b', 'c', 'd', 'e'});
-  std::uint8_t buf[3];
-  EXPECT_EQ(host.read(fd, buf), 3u);
-  EXPECT_EQ(buf[0], 'a');
-  EXPECT_EQ(host.read(fd, buf), 2u);  // only "de" left
-  EXPECT_EQ(buf[0], 'd');
-  EXPECT_EQ(host.read(fd, buf), 0u);  // eof
+  auto got = host.read(fd, 3);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0], 'a');
+  got = host.read(fd, 3);
+  ASSERT_EQ(got.size(), 2u);  // only "de" left
+  EXPECT_EQ(got[0], 'd');
+  EXPECT_EQ(host.read(fd, 3).size(), 0u);  // eof
+}
+
+TEST(HostEnv, HugeReadYieldsOnlyTheFileBytes) {
+  HostEnv host;
+  const int fd = host.attach_input({'a', 'b'});
+  const auto got = host.read(fd, std::uint64_t{1} << 40);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1], 'b');
+  EXPECT_EQ(host.read(fd, ~std::uint64_t{0}).size(), 0u);
 }
 
 TEST(HostEnv, SeekRepositionsAndClamps) {
   HostEnv host;
   const int fd = host.attach_input({'x', 'y', 'z'});
-  std::uint8_t buf[1];
   host.seek(fd, 2);
-  EXPECT_EQ(host.read(fd, buf), 1u);
-  EXPECT_EQ(buf[0], 'z');
+  auto got = host.read(fd, 1);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], 'z');
   host.seek(fd, 99);  // clamps to end
-  EXPECT_EQ(host.read(fd, buf), 0u);
+  EXPECT_EQ(host.read(fd, 1).size(), 0u);
   host.seek(fd, 0);
-  EXPECT_EQ(host.read(fd, buf), 1u);
-  EXPECT_EQ(buf[0], 'x');
+  got = host.read(fd, 1);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], 'x');
 }
 
 TEST(HostEnv, OutputAccumulatesWrites) {
@@ -60,8 +71,8 @@ TEST(HostEnv, WrongDirectionOperationsThrow) {
   HostEnv host;
   const int in = host.attach_input({1});
   const int out = host.create_output();
-  std::uint8_t buf[1];
-  EXPECT_THROW(host.read(out, buf), Error);
+  const std::uint8_t buf[1] = {};
+  EXPECT_THROW(host.read(out, 1), Error);
   EXPECT_THROW(host.write(in, buf), Error);
   EXPECT_THROW(host.seek(out, 0), Error);
   EXPECT_THROW((void)host.file_size(out), Error);
@@ -69,18 +80,16 @@ TEST(HostEnv, WrongDirectionOperationsThrow) {
 
 TEST(HostEnv, BadDescriptorThrows) {
   HostEnv host;
-  std::uint8_t buf[1];
-  EXPECT_THROW(host.read(0, buf), Error);
-  EXPECT_THROW(host.read(-5, buf), Error);
+  EXPECT_THROW(host.read(0, 1), Error);
+  EXPECT_THROW(host.read(-5, 1), Error);
   EXPECT_THROW((void)host.file_size(7), Error);
 }
 
 TEST(HostEnv, FileSizeIsStatic) {
   HostEnv host;
   const int fd = host.attach_input({1, 2, 3, 4});
-  std::uint8_t buf[2];
   EXPECT_EQ(host.file_size(fd), 4u);
-  host.read(fd, buf);
+  host.read(fd, 2);
   EXPECT_EQ(host.file_size(fd), 4u) << "size is independent of the cursor";
 }
 
