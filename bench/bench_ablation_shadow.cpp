@@ -1,7 +1,8 @@
 // Ablation: QUAD's shadow-memory substrate under different access patterns.
 //
-// DESIGN.md calls out the shadow memory (byte-granular last-producer map)
-// as the design choice QUAD's cost hinges on. This bench measures, with
+// DESIGN.md calls out the shadow memory (one last-producer cell per 8-byte
+// word, byte-granular only for mixed words) as the design choice QUAD's
+// cost hinges on. This bench measures, with
 // google-benchmark, the mark/lookup throughput for the access patterns the
 // wfs kernels actually exhibit — sequential streaming (wav_store), strided
 // scatter (AudioIo frames), small hot working set (fft1d), and the chaotic
@@ -111,8 +112,8 @@ BENCHMARK(BM_AddressSetInsert)->Arg(0)->Arg(1);
 
 void print_footprints() {
   std::printf("\n== shadow footprint per access pattern (16 MiB address span) ==\n");
-  TextTable table({"pattern", "bytes touched", "shadow bytes", "unma bytes",
-                   "overhead factor"});
+  TextTable table({"pattern", "bytes touched", "cell bytes", "escape bytes",
+                   "unma bytes", "overhead factor"});
   struct Pattern {
     const char* name;
     std::uint64_t count;
@@ -138,20 +139,24 @@ void print_footprints() {
       unma.insert_range(addr, pattern.size);
       touched += pattern.size;
     }
-    const std::uint64_t shadow_bytes = shadow.resident_bytes();
+    const std::uint64_t cell_bytes =
+        shadow.resident_pages() * quad::ShadowMemory::kCellBytes;
+    const std::uint64_t escape_bytes =
+        shadow.resident_escapes() * quad::ShadowMemory::kEscapeBytes;
     const std::uint64_t unma_bytes = unma.resident_pages() * 512;
-    table.add_row({pattern.name, format_bytes(touched), format_bytes(shadow_bytes),
-                   format_bytes(unma_bytes),
-                   format_fixed(static_cast<double>(shadow_bytes + unma_bytes) /
+    table.add_row({pattern.name, format_bytes(touched), format_bytes(cell_bytes),
+                   format_bytes(escape_bytes), format_bytes(unma_bytes),
+                   format_fixed(static_cast<double>(shadow.resident_bytes() + unma_bytes) /
                                     static_cast<double>(unma.count()),
                                 2)});
   }
   std::fputs(table.to_ascii().c_str(), stdout);
-  std::printf("\nreading: the paged design keeps dense patterns at ~2.1 bytes of\n"
-              "shadow per distinct byte (2B producer id + bitmap bit); sparse page\n"
-              "scatter pays a whole 8 KiB shadow page per touched location — the\n"
-              "worst case for QUAD, and exactly the pattern AudioIo_setFrames'\n"
-              "output exhibits at full scale.\n");
+  std::printf("\nreading: the cell layout keeps dense word-aligned patterns at ~1.1 bytes\n"
+              "of shadow per distinct byte (one 8-byte cell per word + bitmap bit).\n"
+              "A sub-word write leaves its word mixed, and the word's page pays an\n"
+              "8 KiB byte-granular escape on top of its 4 KiB of cells; sparse page\n"
+              "scatter with sub-word writes pays both per touched location — the\n"
+              "worst case for QUAD.\n");
 }
 
 }  // namespace

@@ -31,7 +31,9 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 #    evaluator. Both engines index host memory (the flat guest arena) by
 #    guest address, so both run their memory paths under the sanitizers.
 #    The ring / parallel_for_blocks unit suite rides along for the ring's
-#    slot storage and the per-block error capture.
+#    slot storage and the per-block error capture. QUAD's unit suite and its
+#    randomized reference-model oracle ride along for the shadow's cells,
+#    escape arrays and shard adoption.
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_trace test_trace_v2_codec test_trace_offline_differential \
@@ -39,9 +41,10 @@ cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_session test_session_replay test_session_pipeline \
     test_support_metrics test_workload_zoo test_engine_differential \
     test_support_address_set test_support_paged_memory test_quad_shadow \
-    test_vm_machine test_vm_differential test_support_concurrency
+    test_vm_machine test_vm_differential test_support_concurrency \
+    test_quad_tool test_quad_oracle
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow|test_vm_machine|test_vm_differential|test_support_concurrency)$'
+    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow|test_vm_machine|test_vm_differential|test_support_concurrency|test_quad_tool|test_quad_oracle)$'
 
 # 3. ThreadSanitizer on everything that spawns threads: the parallel
 #    analysis pipeline (one drain thread per ring, shard merge, drain
@@ -50,14 +53,18 @@ ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
 #    metrics thread-sink fold, parallel trace replay, and the
 #    fault-injection harness whose trap path exercises the pipeline's
 #    drain sequence. The engine differential suite rides along for its
-#    compiled-engine-feeding-the-parallel-pipeline cases.
+#    compiled-engine-feeding-the-parallel-pipeline cases. Every run keeps
+#    its own ctest log under build-tsan/ctest-logs/, so a suite that fails
+#    once leaves its TSan report behind.
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" --target \
     test_support_concurrency test_support_metrics test_session \
     test_session_replay test_session_pipeline \
     test_trace test_fault_injection test_support_crc32c \
     test_workload_zoo test_trace_offline_differential test_engine_differential
+mkdir -p build-tsan/ctest-logs
 ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
+    --output-log "build-tsan/ctest-logs/tsan-$(date +%Y%m%dT%H%M%S)-$$.log" \
     -R '^(test_support_concurrency|test_support_metrics|test_session|test_session_replay|test_session_pipeline|test_trace|test_fault_injection|test_support_crc32c|test_workload_zoo|test_trace_offline_differential|test_engine_differential)$'
 
 # 3b. The CLI end to end under ThreadSanitizer: a three-tool parallel run

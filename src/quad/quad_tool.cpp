@@ -1,6 +1,7 @@
 #include "quad/quad_tool.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "support/metrics.hpp"
@@ -11,28 +12,89 @@ QuadTool::QuadTool(const vm::Program& program, Options options)
     : program_(program),
       tracked_(tquad::tracked_functions(program, options.library_policy)) {
   const std::size_t n = program.functions().size();
-  TQUAD_CHECK(n < kNoProducer, "too many functions for 16-bit producer ids");
+  TQUAD_CHECK(n < kMixed, "too many functions for 16-bit producer ids");
   state_.init(n);
   instrs_.assign(n, 0);
   calls_.assign(n, 0);
   mem_refs_.assign(n, 0);
 }
 
+// ---- binding store ---------------------------------------------------------------
+
+QuadTool::Edge& QuadTool::EdgeTable::at(std::uint32_t key) {
+  std::size_t i = 0;
+  if (!slots_.empty()) {
+    for (i = home(key); slots_[i] != 0; i = (i + 1) & (slots_.size() - 1)) {
+      if (edges_[slots_[i] - 1].key == key) return edges_[slots_[i] - 1];
+    }
+  }
+  edges_.emplace_back().key = key;
+  if (2 * edges_.size() > slots_.size()) {
+    grow();  // re-places every edge, the new one included
+  } else {
+    slots_[i] = static_cast<std::uint32_t>(edges_.size());
+  }
+  return edges_.back();
+}
+
+const QuadTool::Edge* QuadTool::EdgeTable::find(std::uint32_t key) const noexcept {
+  if (slots_.empty()) return nullptr;
+  for (std::size_t i = home(key); slots_[i] != 0; i = (i + 1) & (slots_.size() - 1)) {
+    if (edges_[slots_[i] - 1].key == key) return &edges_[slots_[i] - 1];
+  }
+  return nullptr;
+}
+
+void QuadTool::EdgeTable::grow() {
+  const std::size_t capacity = slots_.empty() ? 16 : 2 * slots_.size();
+  slots_.assign(capacity, 0);
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    std::size_t i = home(edges_[e].key);
+    while (slots_[i] != 0) i = (i + 1) & (capacity - 1);
+    slots_[i] = static_cast<std::uint32_t>(e + 1);
+  }
+}
+
+// ---- per-access accounting -------------------------------------------------------
+
 void QuadTool::account_read(AddressState& state, std::uint32_t reader,
                             std::uint64_t ea, std::uint32_t size,
                             bool stack_area, bool count_access) {
   // Stack-included counters always accrue.
   KernelCounters& incl = state.incl[reader];
+  KernelCounters& excl = state.excl[reader];
   incl.in_bytes += size;
-  incl.in_unma.insert_range(ea, size);
   if (!stack_area) {
-    KernelCounters& excl = state.excl[reader];
     excl.in_bytes += size;
-    excl.in_unma.insert_range(ea, size);
     if (count_access) ++state.global_accesses[reader];
     state.global_bytes[reader] += size;
   }
 
+  // A read inside one word of one producer: the cell's memo says whether
+  // the UnMA bits it would set are set already.
+  if (ShadowMemory::in_one_word(ea, size)) {
+    const auto word = state.shadow.read_word(ea, size, static_cast<ProducerId>(reader),
+                                             !stack_area);
+    if (word.producer != kMixed) {
+      Edge* edge = nullptr;
+      if (word.producer != kNoProducer) {
+        state.incl[word.producer].out_bytes += size;
+        if (!stack_area) state.excl[word.producer].out_bytes += size;
+        edge = &state.edges.at(edge_key(word.producer, reader));
+        edge->bytes += size;
+      }
+      if (!word.known) {
+        incl.in_unma.insert_range(ea, size);
+        if (!stack_area) excl.in_unma.insert_range(ea, size);
+        if (edge != nullptr) edge->unma.insert_range(ea, size);
+      }
+      return;
+    }
+  }
+
+  incl.in_unma.insert_range(ea, size);
+  if (!stack_area) excl.in_unma.insert_range(ea, size);
   // Attribute OUT bytes to producers and record the binding (bytes plus the
   // distinct transfer addresses, the QDU edge annotations).
   std::uint64_t cursor = ea;
@@ -41,13 +103,9 @@ void QuadTool::account_read(AddressState& state, std::uint32_t reader,
         if (producer != kNoProducer) {
           state.incl[producer].out_bytes += run;
           if (!stack_area) state.excl[producer].out_bytes += run;
-          const std::pair<std::uint32_t, std::uint32_t> key{producer, reader};
-          if (state.last_edge_key != key) {
-            state.last_edge = &state.bindings[key];
-            state.last_edge_key = key;
-          }
-          state.last_edge->bytes += run;
-          state.last_edge->unma.insert_range(cursor, run);
+          Edge& edge = state.edges.at(edge_key(producer, reader));
+          edge.bytes += run;
+          edge.unma.insert_range(cursor, run);
         }
         cursor += run;
       });
@@ -57,14 +115,23 @@ void QuadTool::account_write(AddressState& state, std::uint32_t writer,
                              std::uint64_t ea, std::uint32_t size,
                              bool stack_area, bool count_access) {
   KernelCounters& incl = state.incl[writer];
-  incl.out_unma.insert_range(ea, size);
+  KernelCounters& excl = state.excl[writer];
   if (!stack_area) {
-    KernelCounters& excl = state.excl[writer];
-    excl.out_unma.insert_range(ea, size);
     if (count_access) ++state.global_accesses[writer];
     state.global_bytes[writer] += size;
   }
-  state.shadow.mark_write(ea, size, static_cast<ProducerId>(writer));
+  const auto producer = static_cast<ProducerId>(writer);
+  if (ShadowMemory::in_one_word(ea, size)) {
+    const unsigned known = state.shadow.mark_word(ea, size, producer, !stack_area);
+    if ((known & ShadowMemory::kOutInclKnown) == 0) incl.out_unma.insert_range(ea, size);
+    if (!stack_area && (known & ShadowMemory::kOutExclKnown) == 0) {
+      excl.out_unma.insert_range(ea, size);
+    }
+    return;
+  }
+  incl.out_unma.insert_range(ea, size);
+  if (!stack_area) excl.out_unma.insert_range(ea, size);
+  state.shadow.mark_write(ea, size, producer);
 }
 
 void QuadTool::on_kernel_enter(const session::EnterEvent& event) {
@@ -126,10 +193,10 @@ void QuadTool::merge_shards() {
       state_.global_accesses[k] += shard->global_accesses[k];
       state_.global_bytes[k] += shard->global_bytes[k];
     }
-    for (auto& [key, accum] : shard->bindings) {
-      BindingAccum& edge = state_.bindings[key];
-      edge.bytes += accum.bytes;
-      edge.unma.merge(std::move(accum.unma));
+    for (Edge& edge : shard->edges.edges()) {
+      Edge& mine = state_.edges.at(edge.key);
+      mine.bytes += edge.bytes;
+      mine.unma.merge(std::move(edge.unma));
     }
   }
   shards_.clear();
@@ -137,10 +204,15 @@ void QuadTool::merge_shards() {
 
 std::vector<Binding> QuadTool::bindings() const {
   std::vector<Binding> edges;
-  edges.reserve(state_.bindings.size());
-  for (const auto& [key, accum] : state_.bindings) {
-    edges.push_back(Binding{key.first, key.second, accum.bytes, accum.unma.count()});
+  edges.reserve(state_.edges.edges().size());
+  for (const Edge& edge : state_.edges.edges()) {
+    edges.push_back(Binding{edge.key >> 16, edge.key & 0xffff, edge.bytes, edge.unma.count()});
   }
+  // Key order first: the unstable sort below then breaks byte ties the
+  // same way on every run, serial or sharded.
+  std::sort(edges.begin(), edges.end(), [](const Binding& a, const Binding& b) {
+    return edge_key(a.producer, a.consumer) < edge_key(b.producer, b.consumer);
+  });
   std::sort(edges.begin(), edges.end(), [](const Binding& a, const Binding& b) {
     return a.bytes > b.bytes;
   });
@@ -149,8 +221,9 @@ std::vector<Binding> QuadTool::bindings() const {
 
 std::uint64_t QuadTool::binding_bytes(std::uint32_t producer,
                                       std::uint32_t consumer) const {
-  auto it = state_.bindings.find({producer, consumer});
-  return it == state_.bindings.end() ? 0 : it->second.bytes;
+  if (producer >= kMixed || consumer >= kMixed) return 0;
+  const Edge* edge = state_.edges.find(edge_key(producer, consumer));
+  return edge == nullptr ? 0 : edge->bytes;
 }
 
 std::uint64_t QuadTool::instrumented_cost(std::uint32_t kernel,

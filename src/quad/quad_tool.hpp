@@ -17,10 +17,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "quad/shadow.hpp"
@@ -134,8 +132,6 @@ class QuadTool : public session::AnalysisConsumer,
   /// Render the QDU graph in Graphviz DOT (edges labelled with bytes).
   std::string qdu_graph_dot() const;
 
-  const ShadowMemory& shadow() const noexcept { return state_.shadow; }
-
   // session::AnalysisConsumer. No return accounting; QUAD never traces
   // prefetch touches.
   unsigned event_interests() const override {
@@ -170,28 +166,53 @@ class QuadTool : public session::AnalysisConsumer,
   void publish_metrics(metrics::Registry& registry) const;
 
  private:
-  struct BindingAccum {
+  /// One producer->consumer edge of the binding store.
+  struct Edge {
+    std::uint32_t key = 0;  ///< edge_key(producer, consumer)
     std::uint64_t bytes = 0;
     AddressSet unma;
   };
 
+  /// The binding store: edges in first-touch order behind an open-addressing
+  /// index (load at most 1/2). The kernel count may reach 65533, so a dense
+  /// K x K table is out of the question.
+  class EdgeTable {
+   public:
+    /// The edge for `key`, created empty on first use. The reference lives
+    /// until the next insertion.
+    Edge& at(std::uint32_t key);
+    const Edge* find(std::uint32_t key) const noexcept;
+    std::vector<Edge>& edges() noexcept { return edges_; }
+    const std::vector<Edge>& edges() const noexcept { return edges_; }
+
+   private:
+    std::size_t home(std::uint32_t key) const noexcept {
+      return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
+    }
+    void grow();
+
+    std::vector<Edge> edges_;
+    std::vector<std::uint32_t> slots_;  ///< edge index + 1; 0 marks empty
+    unsigned shift_ = 64;               ///< 64 - log2(slots_.size())
+  };
+
+  static std::uint32_t edge_key(std::uint32_t producer, std::uint32_t consumer) {
+    return producer << 16 | consumer;
+  }
+
   /// Every piece of state keyed (directly or transitively) by guest address:
   /// the shadow memory, the Table II counters, the per-kernel global-access
-  /// cost counters, and the binding matrix. The serial path owns exactly one
+  /// cost counters, and the binding store. The serial path owns exactly one
   /// (state_); the parallel pipeline replicates it per address shard and
-  /// folds the replicas back in merge_shards().
+  /// folds the replicas back in merge_shards(). A shadow cell's memo speaks
+  /// about the sets of the state that owns its page.
   struct AddressState {
     ShadowMemory shadow;
     std::vector<KernelCounters> incl;
     std::vector<KernelCounters> excl;
     std::vector<std::uint64_t> global_accesses;
     std::vector<std::uint64_t> global_bytes;
-    std::map<std::pair<std::uint32_t, std::uint32_t>, BindingAccum> bindings;
-    /// The edge account_read() touched last (map nodes never move), so a
-    /// run of reads between the same producer and reader skips the lookup.
-    /// No real edge has producer kNoProducer, so the initial key never hits.
-    std::pair<std::uint32_t, std::uint32_t> last_edge_key{kNoProducer, kNoProducer};
-    BindingAccum* last_edge = nullptr;
+    EdgeTable edges;
 
     void init(std::size_t kernels) {
       incl.resize(kernels);
@@ -203,7 +224,11 @@ class QuadTool : public session::AnalysisConsumer,
 
   // Per-address accounting into one shard's state. `count_access` is false
   // for the continuation pieces of a page-split access, so the per-access
-  // counter increments exactly once per original access.
+  // counter increments exactly once per original access. An access inside
+  // one aligned word always bumps the byte counters but skips the UnMA
+  // inserts its shadow cell proves redundant (ShadowMemory::read_word and
+  // mark_word); every other access takes the byte-run path, which only
+  // ever clears cell memos.
   static void account_read(AddressState& state, std::uint32_t reader,
                            std::uint64_t ea, std::uint32_t size,
                            bool stack_area, bool count_access);

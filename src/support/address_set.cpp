@@ -65,6 +65,9 @@ std::uint64_t AddressSet::count_range(std::uint64_t addr,
 
 void AddressSet::merge(AddressSet&& other) {
   if (this == &other) return;
+  // Adopted pages bring all their bits, so they add other's population less
+  // the bits of the overlapping pages; only those are read, word by word.
+  std::uint64_t adopted = other.population_;
   other.pages_.drain([&](std::uint64_t page_no, std::unique_ptr<Bitmap> bitmap) {
     if (Bitmap* mine = pages_.find(page_no)) {
       for (std::size_t w = 0; w < kWordsPerPage; ++w) {
@@ -72,15 +75,14 @@ void AddressSet::merge(AddressSet&& other) {
         const std::uint64_t after = before | bitmap->words[w];
         population_ += static_cast<std::uint64_t>(std::popcount(after) -
                                                   std::popcount(before));
+        adopted -= static_cast<std::uint64_t>(std::popcount(bitmap->words[w]));
         mine->words[w] = after;
       }
     } else {
-      for (std::size_t w = 0; w < kWordsPerPage; ++w) {
-        population_ += static_cast<std::uint64_t>(std::popcount(bitmap->words[w]));
-      }
       pages_.adopt(page_no, std::move(bitmap));
     }
   });
+  population_ += adopted;
   other.clear();
 }
 

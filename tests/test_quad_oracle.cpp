@@ -1,0 +1,436 @@
+// QuadTool against an independent reference model: a byte-at-a-time
+// std::map / std::set transcription of QUAD's semantics. Randomized access
+// streams, plus scripted ones that walk the shadow cell's memo through its
+// edge cases, are fed serially and through the sharded pipeline entry
+// points (1-4 shards, page-split pieces routed as the pipeline routes them);
+// every observable result must match the model exactly.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "gasm/builder.hpp"
+#include "quad/buffer_report.hpp"
+#include "quad/quad_tool.hpp"
+#include "support/rng.hpp"
+
+namespace tq::quad {
+namespace {
+
+constexpr std::uint32_t kKernels = 20;  // more than 16 kernels share pages
+constexpr std::uint64_t kPageSize = ShadowMemory::kPageSize;
+
+struct Access {
+  std::uint32_t kernel = 0;
+  std::uint64_t ea = 0;
+  std::uint32_t size = 0;
+  bool is_read = false;
+  bool is_stack = false;
+};
+
+struct World {
+  vm::Program program;
+  std::uint64_t lo = 0;  ///< start of the accessed range (page aligned)
+  std::uint64_t hi = 0;  ///< end of the accessed range
+};
+
+/// kKernels trivial functions (ids 0..kKernels-1) and a few globals for the
+/// buffer report, one of them straddling a page boundary.
+World make_world() {
+  gasm::ProgramBuilder prog;
+  const std::uint64_t small = prog.alloc_global("small", 24);
+  prog.alloc_global("straddle", kPageSize + 100);
+  const std::uint64_t tail = prog.alloc_global("tail", 300);
+  for (std::uint32_t k = 0; k + 1 < kKernels; ++k) {
+    prog.begin_function("k" + std::to_string(k)).ret();
+  }
+  prog.begin_function("main").halt();
+  World world;
+  world.program = prog.build("main");
+  world.lo = small & ~(kPageSize - 1);
+  world.hi = (tail + 300 + kPageSize) & ~(kPageSize - 1);
+  return world;
+}
+
+/// QUAD's semantics, one byte at a time.
+class Reference {
+ public:
+  struct Counters {
+    std::uint64_t in_bytes = 0;
+    std::uint64_t out_bytes = 0;
+    std::set<std::uint64_t> in_unma;
+    std::set<std::uint64_t> out_unma;
+  };
+  struct Edge {
+    std::uint64_t bytes = 0;
+    std::set<std::uint64_t> unma;
+  };
+
+  Reference() : incl(kKernels), excl(kKernels), global_accesses(kKernels),
+                global_bytes(kKernels) {}
+
+  void access(const Access& a) {
+    const std::uint32_t k = a.kernel;
+    if (!a.is_stack) {
+      ++global_accesses[k];
+      global_bytes[k] += a.size;
+    }
+    if (a.is_read) {
+      incl[k].in_bytes += a.size;
+      if (!a.is_stack) excl[k].in_bytes += a.size;
+    }
+    for (std::uint64_t addr = a.ea; addr < a.ea + a.size; ++addr) {
+      if (!a.is_read) {
+        incl[k].out_unma.insert(addr);
+        if (!a.is_stack) excl[k].out_unma.insert(addr);
+        producer[addr] = k;
+        continue;
+      }
+      incl[k].in_unma.insert(addr);
+      if (!a.is_stack) excl[k].in_unma.insert(addr);
+      const auto it = producer.find(addr);
+      if (it == producer.end()) continue;
+      ++incl[it->second].out_bytes;
+      if (!a.is_stack) ++excl[it->second].out_bytes;
+      Edge& edge = edges[{it->second, k}];
+      ++edge.bytes;
+      edge.unma.insert(addr);
+    }
+  }
+
+  /// bindings() as the original map-backed store produced them: key order,
+  /// then the same unstable sort by descending bytes.
+  std::vector<Binding> bindings() const {
+    std::vector<Binding> out;
+    for (const auto& [key, edge] : edges) {
+      out.push_back(Binding{key.first, key.second, edge.bytes, edge.unma.size()});
+    }
+    std::sort(out.begin(), out.end(),
+              [](const Binding& a, const Binding& b) { return a.bytes > b.bytes; });
+    return out;
+  }
+
+  std::vector<Counters> incl;
+  std::vector<Counters> excl;
+  std::vector<std::uint64_t> global_accesses;
+  std::vector<std::uint64_t> global_bytes;
+  std::map<std::uint64_t, std::uint32_t> producer;
+  std::map<std::pair<std::uint32_t, std::uint32_t>, Edge> edges;
+};
+
+/// Per-kernel instruction and memory-reference counts for the cost model,
+/// fed to both sides through the control events.
+struct Ticks {
+  std::vector<std::uint64_t> instrs = std::vector<std::uint64_t>(kKernels);
+  std::vector<std::uint64_t> mem_refs = std::vector<std::uint64_t>(kKernels);
+};
+
+/// Scripted streams that force every memo edge case, on a word `base`.
+std::vector<Access> scripted(std::uint64_t base) {
+  std::vector<Access> s;
+  const auto rd = [&](std::uint32_t k, std::uint64_t ea, std::uint32_t size,
+                      bool stack = false) { s.push_back({k, ea, size, true, stack}); };
+  const auto wr = [&](std::uint32_t k, std::uint64_t ea, std::uint32_t size,
+                      bool stack = false) { s.push_back({k, ea, size, false, stack}); };
+  // A reader's memo must not survive another kernel rewriting the word.
+  wr(1, base, 8);
+  rd(2, base, 8);
+  rd(2, base, 8);
+  wr(3, base, 8);
+  rd(2, base, 8);
+  wr(3, base, 4);
+  rd(2, base + 4, 4);
+  wr(1, base + 4, 4);
+  rd(2, base, 8);
+  // 2- and 4-byte writes make a word mixed, then collapse it to uniform.
+  const std::uint64_t w = base + 8;
+  wr(4, w, 8);
+  rd(5, w, 8);
+  wr(6, w + 2, 2);
+  rd(5, w, 8);
+  rd(5, w + 2, 2);
+  wr(7, w + 4, 4);
+  rd(5, w, 4);
+  rd(5, w + 4, 4);
+  wr(4, w + 2, 2);
+  wr(4, w + 4, 4);
+  rd(5, w, 8);
+  rd(5, w, 8);
+  wr(4, w, 1);
+  wr(8, w + 7, 1);
+  rd(5, w + 6, 2);
+  wr(8, w, 7);
+  rd(5, w, 8);
+  rd(5, w, 8);
+  // One word alternating between stack and non-stack accesses.
+  const std::uint64_t t = base + 16;
+  wr(9, t, 8, true);
+  wr(9, t, 8, false);
+  wr(9, t, 4, true);
+  wr(9, t + 4, 4, false);
+  wr(9, t, 8, false);
+  wr(9, t, 8, true);
+  rd(10, t, 8, true);
+  rd(10, t, 8, false);
+  rd(10, t, 4, true);
+  rd(10, t, 4, false);
+  rd(10, t + 4, 4, true);
+  rd(10, t, 8, false);
+  rd(10, t, 2, true);
+  rd(10, t + 2, 2, false);
+  rd(10, t, 8, true);
+  wr(11, t, 8, true);
+  rd(10, t, 8, false);
+  wr(11, t, 8, false);
+  rd(10, t, 8, false);
+  // 64-byte and unaligned multi-word accesses.
+  wr(12, base + 32, 64);
+  rd(13, base + 32, 64);
+  rd(13, base + 40, 8);
+  wr(12, base + 37, 16);
+  rd(13, base + 33, 30);
+  rd(13, base + 40, 8);
+  // Memo flag transitions, each on a fresh word read by a fresh kernel, so
+  // the sets cannot already hold the bytes a wrong hit would skip: a stack
+  // read extending an excl-covered memo, an excl read extending a
+  // stack-only memo, and partial non-stack rewrites of a stack-written word.
+  const std::uint64_t x = base + 104;
+  wr(1, x, 8);
+  rd(16, x, 4, false);
+  rd(16, x + 4, 4, true);
+  rd(16, x + 4, 4, false);
+  const std::uint64_t y = base + 112;
+  wr(1, y, 8);
+  rd(17, y, 4, true);
+  rd(17, y + 4, 4, false);
+  rd(17, y, 4, false);
+  const std::uint64_t z = base + 120;
+  wr(15, z, 8, true);
+  wr(15, z, 4, false);
+  wr(15, z + 4, 4, false);
+  return s;
+}
+
+/// A random stream of `kernels` kernels over a small set of hot words (so
+/// memos hit and break constantly) plus the whole range, with accesses
+/// crossing words and pages. Few kernels make same-kernel rewrites and
+/// memo hits common; many make memo evictions common.
+std::vector<Access> random_stream(const World& world, std::uint32_t kernels,
+                                  std::uint64_t seed, std::size_t count) {
+  SplitMix64 rng(seed);
+  std::vector<std::uint64_t> hot;
+  for (int i = 0; i < 24; ++i) {
+    hot.push_back(world.lo + rng.next_below((world.hi - world.lo) / 8) * 8);
+  }
+  hot.push_back(world.lo + kPageSize - 8);  // the last word of a page
+  static constexpr std::uint32_t kSizes[] = {1, 2, 4, 8, 8, 8, 8, 16, 64};
+  std::vector<Access> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    Access a;
+    a.kernel = static_cast<std::uint32_t>(rng.next_below(kernels));
+    a.is_read = rng.next_below(3) != 0;
+    a.is_stack = rng.next_below(4) == 0;
+    a.size = kSizes[rng.next_below(std::size(kSizes))];
+    const std::uint64_t shape = rng.next_below(10);
+    if (shape < 7) {
+      // Aligned inside a hot word (or a hot run of words).
+      a.ea = hot[rng.next_below(hot.size())];
+      if (a.size < 8) a.ea += rng.next_below(8 / a.size) * a.size;
+    } else if (shape < 9) {
+      a.ea = world.lo + rng.next_below(world.hi - world.lo - 64);  // unaligned
+    } else {
+      // Crossing a page boundary.
+      const std::uint64_t page =
+          world.lo + kPageSize * (1 + rng.next_below((world.hi - world.lo) / kPageSize - 1));
+      a.ea = page - 1 - rng.next_below(a.size > 1 ? a.size - 1 : 1);
+      if (a.size == 1) a.ea = page;
+    }
+    out.push_back(a);
+  }
+  return out;
+}
+
+/// Drive `tool` with `stream`: serially (shards == 0), or through
+/// prepare_shards / apply_access_shard / merge_shards with page-split
+/// pieces routed to shard (page % shards), as the parallel pipeline does.
+void feed(QuadTool& tool, const std::vector<Access>& stream, unsigned shards,
+          Ticks& ticks, SplitMix64& rng) {
+  if (shards > 0) tool.prepare_shards(shards);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const Access& a = stream[i];
+    session::AccessEvent event;
+    event.kernel = a.kernel;
+    event.ea = a.ea;
+    event.size = a.size;
+    event.is_read = a.is_read;
+    event.is_stack = a.is_stack;
+    if (shards == 0) {
+      tool.on_access(event);
+    } else {
+      std::uint64_t cursor = a.ea;
+      std::uint64_t remaining = a.size;
+      bool first = true;
+      while (remaining > 0) {
+        const std::uint64_t page_end = (cursor / kPageSize + 1) * kPageSize;
+        session::AccessEvent piece = event;
+        piece.ea = cursor;
+        piece.size = static_cast<std::uint32_t>(std::min(remaining, page_end - cursor));
+        tool.apply_access_shard(static_cast<unsigned>((cursor / kPageSize) % shards),
+                                piece, first);
+        first = false;
+        cursor += piece.size;
+        remaining -= piece.size;
+      }
+    }
+    if (i % 64 == 0) {
+      session::TickRunEvent run;
+      run.kernel = a.kernel;
+      run.func = a.kernel;
+      run.count = 1 + rng.next_below(500);
+      run.mem_count = rng.next_below(run.count);
+      tool.on_tick_run(run);
+      ticks.instrs[a.kernel] += run.count;
+      ticks.mem_refs[a.kernel] += run.mem_count;
+    }
+  }
+  if (shards > 0) tool.merge_shards();
+}
+
+void expect_set(const AddressSet& got, const std::set<std::uint64_t>& want,
+                const std::string& what) {
+  ASSERT_EQ(got.count(), want.size()) << what;
+  for (std::uint64_t addr : want) ASSERT_TRUE(got.contains(addr)) << what << " @" << addr;
+}
+
+std::uint64_t expected_cost(const Reference& ref, const Ticks& ticks,
+                            std::uint32_t k, const CostModel& model) {
+  const std::uint64_t working_set = ref.excl[k].in_unma.size() + ref.excl[k].out_unma.size();
+  const double scale = working_set <= model.hot_set_bytes ? model.hot_discount : 1.0;
+  const double trace =
+      scale * (static_cast<double>(ref.global_accesses[k] * model.per_global_trace) +
+               static_cast<double>(ref.global_bytes[k] * model.per_global_byte));
+  return ticks.instrs[k] * model.per_instruction +
+         ticks.mem_refs[k] * model.per_memory_stub + static_cast<std::uint64_t>(trace);
+}
+
+void expect_matches(const QuadTool& tool, const Reference& ref, const Ticks& ticks,
+                    const vm::Program& program) {
+  for (std::uint32_t k = 0; k < kKernels; ++k) {
+    const std::string at = "kernel " + std::to_string(k);
+    for (int mode = 0; mode < 2; ++mode) {
+      const KernelCounters& got = mode == 0 ? tool.including_stack(k) : tool.excluding_stack(k);
+      const Reference::Counters& want = mode == 0 ? ref.incl[k] : ref.excl[k];
+      const std::string what = at + (mode == 0 ? " incl" : " excl");
+      EXPECT_EQ(got.in_bytes, want.in_bytes) << what;
+      EXPECT_EQ(got.out_bytes, want.out_bytes) << what;
+      expect_set(got.in_unma, want.in_unma, what + " in_unma");
+      expect_set(got.out_unma, want.out_unma, what + " out_unma");
+    }
+    EXPECT_EQ(tool.instructions(k), ticks.instrs[k]) << at;
+    CostModel tight;
+    tight.hot_set_bytes = 64;
+    for (const CostModel& model : {CostModel{}, tight}) {
+      EXPECT_EQ(tool.instrumented_cost(k, model), expected_cost(ref, ticks, k, model)) << at;
+    }
+    for (std::uint32_t c = 0; c < kKernels; ++c) {
+      const auto it = ref.edges.find({k, c});
+      EXPECT_EQ(tool.binding_bytes(k, c), it == ref.edges.end() ? 0 : it->second.bytes)
+          << at << " -> " << c;
+    }
+  }
+  EXPECT_EQ(tool.binding_bytes(0x10000, 0), 0u);
+
+  const std::vector<Binding> got = tool.bindings();
+  const std::vector<Binding> want = ref.bindings();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].producer, want[i].producer) << "binding " << i;
+    EXPECT_EQ(got[i].consumer, want[i].consumer) << "binding " << i;
+    EXPECT_EQ(got[i].bytes, want[i].bytes) << "binding " << i;
+    EXPECT_EQ(got[i].unma, want[i].unma) << "binding " << i;
+  }
+
+  std::vector<BufferRow> rows;
+  for (std::uint32_t k = 0; k < kKernels; ++k) {
+    for (const vm::GlobalVar& var : program.globals()) {
+      const auto in_var = [&](const std::set<std::uint64_t>& set) {
+        return static_cast<std::uint64_t>(std::distance(
+            set.lower_bound(var.addr), set.lower_bound(var.addr + var.size)));
+      };
+      const std::uint64_t reads = in_var(ref.excl[k].in_unma);
+      const std::uint64_t writes = in_var(ref.excl[k].out_unma);
+      if (var.size == 0 || (reads == 0 && writes == 0)) continue;
+      BufferRow row;
+      row.kernel = k;
+      row.buffer = var.name;
+      row.read_unma = reads;
+      row.write_unma = writes;
+      rows.push_back(row);
+    }
+  }
+  const std::vector<BufferRow> report = buffer_report(tool, program);
+  ASSERT_EQ(report.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(report[i].kernel, rows[i].kernel) << "buffer row " << i;
+    EXPECT_EQ(report[i].buffer, rows[i].buffer) << "buffer row " << i;
+    EXPECT_EQ(report[i].read_unma, rows[i].read_unma) << "buffer row " << i;
+    EXPECT_EQ(report[i].write_unma, rows[i].write_unma) << "buffer row " << i;
+  }
+}
+
+void check_stream(const World& world, const std::vector<Access>& stream) {
+  Reference ref;
+  for (const Access& a : stream) ref.access(a);
+  for (unsigned shards = 0; shards <= 4; ++shards) {
+    SCOPED_TRACE(shards == 0 ? std::string("serial") : std::to_string(shards) + " shards");
+    QuadTool tool(world.program);
+    Ticks ticks;
+    SplitMix64 rng(shards);
+    feed(tool, stream, shards, ticks, rng);
+    expect_matches(tool, ref, ticks, world.program);
+  }
+}
+
+TEST(QuadOracle, ScriptedMemoEdgeCases) {
+  const World world = make_world();
+  // Once in the middle of a page, once straddling a page boundary (so the
+  // multi-word accesses split across shards).
+  std::vector<Access> stream = scripted(world.lo + 512);
+  const std::vector<Access> straddling = scripted(world.lo + kPageSize - 40);
+  stream.insert(stream.end(), straddling.begin(), straddling.end());
+  check_stream(world, stream);
+}
+
+TEST(QuadOracle, ManyKernelsShareOnePage) {
+  const World world = make_world();
+  std::vector<Access> stream;
+  const std::uint64_t page = world.lo + kPageSize;
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint32_t k = 0; k < kKernels; ++k) {
+      const std::uint64_t word = page + 8 * ((k * 7 + round) % 16);
+      stream.push_back({k, word, 8, false, round == 1});
+      stream.push_back({(k + 1) % kKernels, word, 8, true, false});
+      stream.push_back({(k + 2) % kKernels, word + 4, 4, true, round == 2});
+      stream.push_back({(k + 1) % kKernels, word, 8, true, false});
+    }
+  }
+  check_stream(world, stream);
+}
+
+TEST(QuadOracle, RandomStreams) {
+  const World world = make_world();
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::uint32_t kernels = seed % 2 == 0 ? kKernels : 2;
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(kernels) +
+                 " kernels");
+    check_stream(world, random_stream(world, kernels, seed, 4000));
+  }
+}
+
+}  // namespace
+}  // namespace tq::quad

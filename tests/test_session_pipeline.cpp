@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
@@ -438,6 +439,22 @@ std::size_t live_threads() {
       std::distance(it, std::filesystem::directory_iterator()));
 }
 
+/// live_threads() once the threads a pipeline joined have left the process.
+/// pthread_join returns when the kernel wakes the joiner, which it does
+/// before it unlinks the exiting task from /proc/self/task, so a count
+/// taken straight after the join can still see a finished thread. Poll
+/// until the count drops to `expected`; a thread that was never joined
+/// keeps it above for the whole 5 s and fails the caller's check.
+std::size_t live_threads_settled(std::size_t expected) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t count = live_threads();
+  while (count > expected && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    count = live_threads();
+  }
+  return count;
+}
+
 TEST(PipelineShutdown, CorruptBlockMidReplayThrowsAndJoins) {
   Reference ref("matmul_tiled");  // the zoo trace with more than one block
   const trace::TraceV2View clean = trace::TraceV2View::open(ref.trace);
@@ -455,7 +472,7 @@ TEST(PipelineShutdown, CorruptBlockMidReplayThrowsAndJoins) {
                                      /*ring_batches=*/1);
   SessionRun run(ref.guest.program, config, kAllTools);
   EXPECT_THROW(run.session.replay(damaged), Error);
-  EXPECT_EQ(live_threads(), threads_before);
+  EXPECT_EQ(live_threads_settled(threads_before), threads_before);
 }
 
 /// Throws from its accounting on the 100th access it sees.
@@ -490,7 +507,7 @@ TEST(PipelineShutdown, ConsumerErrorReachesTheCaller) {
     session.add_consumer(failing);
     session.add_consumer(quad_tool);
     EXPECT_THROW(session.run_live(guest.host), Error);
-    EXPECT_EQ(live_threads(), threads_before);
+    EXPECT_EQ(live_threads_settled(threads_before), threads_before);
   }
 }
 
