@@ -68,9 +68,11 @@ ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
     -R '^(test_support_concurrency|test_support_metrics|test_session|test_session_replay|test_session_pipeline|test_trace|test_fault_injection|test_support_crc32c|test_workload_zoo|test_trace_offline_differential|test_engine_differential)$'
 
 # 3b. The CLI end to end under ThreadSanitizer: a three-tool parallel run
-#     with -metrics must print exactly what the serial run prints. Each
-#     drain thread folds its ThreadSink into the registry as it exits, so
-#     this leg catches a fold racing the final metrics render.
+#     with -metrics and -trace must print, and record, exactly what the
+#     serial run does. Each reader thread folds its ThreadSink into the
+#     registry as it exits, so this leg catches a fold racing the final
+#     metrics render; the trace recorder reads every field of the shared
+#     batch records on its reader thread.
 cmake --build --preset tsan -j "$(nproc)" --target tquad_cli zoo_gen
 TSAN_WORK=build-tsan/cli_work
 rm -rf "$TSAN_WORK"
@@ -78,12 +80,14 @@ mkdir -p "$TSAN_WORK"
 ./build-tsan/tools/zoo_gen -workload hashjoin -image "$TSAN_WORK/hashjoin.tqim" \
     > /dev/null
 ./build-tsan/tools/tquad_cli -image "$TSAN_WORK/hashjoin.tqim" \
-    -tools tquad,quad,gprof -pipeline serial \
+    -tools tquad,quad,gprof -pipeline serial -trace "$TSAN_WORK/serial.tqtr" \
     -metrics "json:$TSAN_WORK/serial.json" > "$TSAN_WORK/serial.txt"
 ./build-tsan/tools/tquad_cli -image "$TSAN_WORK/hashjoin.tqim" \
-    -tools tquad,quad,gprof -pipeline parallel:3 \
+    -tools tquad,quad,gprof -pipeline parallel:3 -trace "$TSAN_WORK/parallel.tqtr" \
     -metrics "json:$TSAN_WORK/parallel.json" > "$TSAN_WORK/parallel.txt"
-cmp "$TSAN_WORK/serial.txt" "$TSAN_WORK/parallel.txt"
+sed "s|$TSAN_WORK/parallel.tqtr|$TSAN_WORK/serial.tqtr|" "$TSAN_WORK/parallel.txt" \
+    | cmp "$TSAN_WORK/serial.txt" -
+cmp "$TSAN_WORK/serial.tqtr" "$TSAN_WORK/parallel.tqtr"
 grep -q '"pipeline.worker.batches"' "$TSAN_WORK/parallel.json"
 
 # 4. Farm smoke under ASan: the supervisor's fork/exec/waitpid plumbing and

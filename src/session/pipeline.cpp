@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "session/attribution.hpp"
 #include "support/check.hpp"
@@ -17,55 +19,81 @@ namespace tq::session {
 namespace detail {
 
 // ---------------------------------------------------------------------------
-// Events on the wire: a tagged union of the attributed event structs (all
-// trivially copyable PODs). kEnd carries the total retired count of
-// on_session_end, so the marker rides the ring in stream position and the
-// wrapped tool's end accounting runs on its drain thread like every other
-// event.
+// Events on the wire. The publisher writes each attributed event once, as one
+// 32-byte record; `tag` holds the kind, the event's flags, and an access's
+// size. A field too wide for its slot (a tick run's mem_count above 32 bits,
+// an access size above 24 bits) sets kWide and rides in the `a` of one extra
+// record, which still counts as part of the one event.
 
-struct PipelineEvent {
-  enum class Kind : std::uint8_t { kEnter, kTickRun, kAccess, kRet, kEnd };
+struct Record {
+  std::uint64_t a;       ///< retired; a tick run's first_retired; end's total
+  std::uint64_t b;       ///< an access's ea; a tick run's count
+  std::uint32_t func;
+  std::uint32_t c;       ///< pc (access, ret); caller (enter); mem_count (tick run)
+  std::uint32_t kernel;
+  std::uint32_t tag;
+};
+static_assert(sizeof(Record) == 32);
 
-  Kind kind = Kind::kEnd;
-  union Payload {
-    EnterEvent enter;
-    TickRunEvent run;
-    AccessEvent access;
-    RetEvent ret;
-    std::uint64_t total_retired;
-    Payload() : total_retired(0) {}
-  } u;
+enum Kind : std::uint32_t { kEnter, kTickRun, kAccess, kRet, kEnd };
+constexpr std::uint32_t kKindMask = 0x7;
+constexpr std::uint32_t kTracked = 1u << 3;
+constexpr std::uint32_t kRead = 1u << 4;
+constexpr std::uint32_t kStack = 1u << 5;
+constexpr std::uint32_t kPrefetch = 1u << 6;
+constexpr std::uint32_t kWide = 1u << 7;
+constexpr unsigned kSizeShift = 8;
+constexpr std::uint32_t kMaxInlineSize = (1u << (32 - kSizeShift)) - 1;
+
+constexpr std::uint32_t flag(bool on, std::uint32_t bit) { return on ? bit : 0; }
+constexpr bool has(const Record& r, std::uint32_t bit) { return (r.tag & bit) != 0; }
+
+/// The event's value of a field that may have moved to the extension record.
+inline std::uint64_t wide_or(const Record* r, std::uint64_t inline_value) {
+  return has(*r, kWide) ? r[1].a : inline_value;
+}
+
+inline AccessEvent access_of(const Record* r) {
+  return {.func = r->func,
+          .pc = r->c,
+          .kernel = r->kernel,
+          .retired = r->a,
+          .ea = r->b,
+          .size = static_cast<std::uint32_t>(wide_or(r, r->tag >> kSizeShift)),
+          .is_read = has(*r, kRead),
+          .is_stack = has(*r, kStack),
+          .is_prefetch = has(*r, kPrefetch)};
+}
+
+/// A published batch: read-only once shared, freed by whichever holder
+/// drops the last reference. Room for two records per event, so a batch
+/// of wide tick runs still fits.
+struct Batch {
+  explicit Batch(std::size_t events)
+      : records(std::make_unique_for_overwrite<Record[]>(2 * events)) {}
+
+  std::unique_ptr<Record[]> records;
+  std::size_t size = 0;    ///< records written
+  std::size_t events = 0;  ///< events those records hold
 };
 
-using Batch = std::vector<PipelineEvent>;
+using SharedBatch = std::shared_ptr<const Batch>;
 
 // ---------------------------------------------------------------------------
-// BatchChannel: the producer->drain-thread transport every lane is built on.
-// It owns the staging batch, the data ring and the ring's drain thread. The
-// VM thread cuts batches of exactly `batch_events` and pushes them into a
-// ring of `ring_batches` slots, blocking while it is full; the drain thread
-// pops each batch, applies it, and frees it. Only the VM thread touches the
-// staging batch; cross-thread traffic goes through the ring, which locks
-// internally.
+// Reader: one ring of shared batches and the thread that drains it.
 
-template <typename Rec>
-class BatchChannel {
+class Reader {
  public:
-  using Buffer = std::vector<Rec>;
-
-  /// Start the drain thread: it hands every batch to `apply`, in push
-  /// order, until the ring is closed and empty. With a registry it counts
-  /// the batches in its own ThreadSink, which folds as the thread exits.
-  /// If `apply` throws, the thread keeps popping (so the publisher never
-  /// blocks on a dead consumer) but applies nothing more, and finish()
-  /// rethrows the error on the publisher thread.
+  /// Start the thread: it hands every batch to `apply`, in push order,
+  /// until the ring is closed and empty. With a registry it counts the
+  /// batches in its own ThreadSink, which folds as the thread exits. If
+  /// `apply` throws, the thread keeps popping (so the publisher never blocks
+  /// on a dead consumer) but applies nothing more, and join() returns the
+  /// error to the publisher thread.
   template <typename Apply>
-  BatchChannel(const PipelineOptions& options, metrics::Registry* registry,
-               Apply apply)
-      : cap_(options.batch_events > 0 ? options.batch_events : 1),
-        ring_(options.ring_batches > 0 ? options.ring_batches : 1) {
-    batch_.reserve(cap_);
-    drain_ = std::jthread([this, registry, apply = std::move(apply)] {
+  Reader(std::size_t ring_batches, metrics::Registry* registry, Apply apply)
+      : ring_(ring_batches) {
+    thread_ = std::jthread([this, registry, apply = std::move(apply)] {
       std::optional<metrics::ThreadSink> sink;
       metrics::ThreadSink::Counter* batches = nullptr;
       metrics::Histogram* batch_events = nullptr;
@@ -74,58 +102,40 @@ class BatchChannel {
         batches = &sink->counter("pipeline.worker.batches");
         batch_events = &sink->histogram("pipeline.worker.batch_events");
       }
-      Buffer batch;
+      SharedBatch batch;
       while (ring_.pop(batch)) {
         if (batches != nullptr) {
           batches->add(1);
-          batch_events->observe(batch.size());
+          batch_events->observe(batch->events);
         }
-        if (error_) continue;
-        try {
-          apply(batch);
-        } catch (...) {
-          error_ = std::current_exception();
+        if (!error_) {
+          try {
+            apply(*batch);
+          } catch (...) {
+            error_ = std::current_exception();
+          }
         }
+        batch.reset();  // the last reader of a batch frees it
       }
     });
   }
 
   /// Abort path (the run threw before the drain barrier): closing the ring
-  /// lets the drain thread exit, and the jthread member then joins it.
-  ~BatchChannel() { ring_.close(); }
+  /// lets the thread exit, and the jthread member then joins it.
+  ~Reader() { ring_.close(); }
 
-  BatchChannel(const BatchChannel&) = delete;
-  BatchChannel& operator=(const BatchChannel&) = delete;
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
 
-  // -- producer side (VM thread) --
+  void push(const SharedBatch& batch) { ring_.push(batch); }
+  void close() { ring_.close(); }
 
-  /// Reserve the next staging slot, publishing a full batch first.
-  Rec& append() {
-    if (batch_.size() >= cap_) flush();
-    batch_.emplace_back();
-    return batch_.back();
+  /// Join the thread (after close()); the join is the publisher's
+  /// happens-before edge on everything it applied, and on the error.
+  std::exception_ptr join() {
+    thread_.join();
+    return error_;
   }
-
-  /// Publish the staging batch (no-op when empty).
-  void flush() {
-    if (batch_.empty()) return;
-    Buffer staging;
-    staging.swap(batch_);
-    batch_.reserve(cap_);
-    ring_.push(std::move(staging));
-  }
-
-  /// Drain barrier: publish the tail batch, close the ring, and join the
-  /// drain thread. The join is the publisher's happens-before edge on
-  /// everything the thread applied, and on error_.
-  void finish() {
-    flush();
-    ring_.close();
-    drain_.join();
-    if (error_) std::rethrow_exception(error_);
-  }
-
-  // -- post-run introspection --
 
   void add_stats(PipelineStats& stats) const {
     const auto rs = ring_.stats();
@@ -133,155 +143,76 @@ class BatchChannel {
     stats.backpressure_waits += rs.push_waits;
     stats.producer_stall_ns += rs.stall_ns;
     stats.dropped_after_close += rs.dropped_after_close;
-    if (rs.occupancy_high_water > stats.ring_occupancy_high_water) {
-      stats.ring_occupancy_high_water = rs.occupancy_high_water;
-    }
+    stats.ring_occupancy_high_water =
+        std::max(stats.ring_occupancy_high_water, rs.occupancy_high_water);
     ++stats.rings;
   }
 
  private:
-  const std::size_t cap_;
-  Buffer batch_;
-  SpscRing<Buffer> ring_;
-  std::exception_ptr error_;  ///< first apply() failure; drain thread only
-  std::jthread drain_;        ///< last: starts once the ring exists
+  SpscRing<SharedBatch> ring_;
+  std::exception_ptr error_;  ///< first apply() failure; reader thread only
+  std::jthread thread_;       ///< last: starts once the ring exists
 };
 
-/// Publisher-facing wrapper registered with the attribution in place of the
-/// real consumer. Also hands the pipeline its stats.
-class LaneBase : public AnalysisConsumer {
- public:
-  virtual void add_stats(PipelineStats& stats) const = 0;
-};
-
-// ---------------------------------------------------------------------------
-// EventLane: the general consumer lane. Forwards every subscribed event kind
-// through one channel; on_finish runs the channel's drain barrier, then lets
-// the target see the outcome on the publisher thread.
-
-class EventLane final : public LaneBase {
- public:
-  EventLane(AnalysisConsumer& target, unsigned interests,
-            const PipelineOptions& options, metrics::Registry* registry)
-      : target_(target),
-        interests_(interests),
-        channel_(options, registry, [this](const Batch& batch) { apply(batch); }) {}
-
-  // -- publisher side (VM thread) --
-  unsigned event_interests() const override { return interests_; }
-
-  void on_kernel_enter(const EnterEvent& event) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kEnter);
-    slot.u.enter = event;
-  }
-  void on_tick_run(const TickRunEvent& run) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kTickRun);
-    slot.u.run = run;
-  }
-  void on_access(const AccessEvent& event) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kAccess);
-    slot.u.access = event;
-  }
-  void on_kernel_ret(const RetEvent& event) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kRet);
-    slot.u.ret = event;
-  }
-  void on_session_end(std::uint64_t total_retired) override {
-    PipelineEvent& slot = append(PipelineEvent::Kind::kEnd);
-    slot.u.total_retired = total_retired;
-  }
-
-  void on_finish(const vm::RunOutcome& outcome) override {
-    channel_.finish();
-    // The drain barrier passed: the drain thread applied the whole stream,
-    // so the target finalizes with complete (possibly prefix-exact partial)
-    // state.
-    target_.on_finish(outcome);
-  }
-
-  void add_stats(PipelineStats& stats) const override {
-    channel_.add_stats(stats);
-  }
-
- private:
-  PipelineEvent& append(PipelineEvent::Kind kind) {
-    PipelineEvent& slot = channel_.append();
-    slot.kind = kind;
-    return slot;
-  }
-
-  // Drain thread.
-  void apply(const Batch& batch) {
-    for (const PipelineEvent& event : batch) {
-      switch (event.kind) {
-        case PipelineEvent::Kind::kEnter:
-          target_.on_kernel_enter(event.u.enter);
-          break;
-        case PipelineEvent::Kind::kTickRun:
-          target_.on_tick_run(event.u.run);
-          break;
-        case PipelineEvent::Kind::kAccess:
-          target_.on_access(event.u.access);
-          break;
-        case PipelineEvent::Kind::kRet:
-          target_.on_kernel_ret(event.u.ret);
-          break;
-        case PipelineEvent::Kind::kEnd:
-          target_.on_session_end(event.u.total_retired);
-          break;
-      }
+/// Deliver the kinds in `interests` (and every end marker) to `target`.
+void deliver(AnalysisConsumer& target, unsigned interests, const Batch& batch) {
+  const Record* const end = batch.records.get() + batch.size;
+  for (const Record* r = batch.records.get(); r != end; r += has(*r, kWide) ? 2 : 1) {
+    switch (r->tag & kKindMask) {
+      case kAccess:
+        if (interests & AnalysisConsumer::kAccessInterest) target.on_access(access_of(r));
+        break;
+      case kTickRun:
+        if (interests & AnalysisConsumer::kTickInterest) {
+          target.on_tick_run({.func = r->func,
+                              .kernel = r->kernel,
+                              .first_retired = r->a,
+                              .count = r->b,
+                              .mem_count = wide_or(r, r->c),
+                              .tracked = has(*r, kTracked)});
+        }
+        break;
+      case kEnter:
+        if (interests & AnalysisConsumer::kEnterInterest) {
+          target.on_kernel_enter({.func = r->func,
+                                  .caller = r->c,
+                                  .kernel = r->kernel,
+                                  .retired = r->a,
+                                  .tracked = has(*r, kTracked)});
+        }
+        break;
+      case kRet:
+        if (interests & AnalysisConsumer::kRetInterest) {
+          target.on_kernel_ret({.func = r->func,
+                                .pc = r->c,
+                                .kernel = r->kernel,
+                                .retired = r->a,
+                                .tracked = has(*r, kTracked)});
+        }
+        break;
+      case kEnd:
+        target.on_session_end(r->a);
+        break;
     }
   }
+}
 
-  AnalysisConsumer& target_;
-  const unsigned interests_;
-  BatchChannel<PipelineEvent> channel_;
-};
-
-// ---------------------------------------------------------------------------
-// Sharded access routing: one channel per address shard, each drained by its
-// own thread. The router lane carries only kAccessInterest; the consumer's
-// remaining interests ride a separate EventLane (the control lane), so
-// QUAD's tick counters and its shadow updates progress concurrently.
-
-struct ShardRecord {
-  AccessEvent event;
-  bool count_access = true;
-};
-
-class ShardedAccessLane final : public LaneBase {
- public:
-  static constexpr std::uint64_t kPageBits = PagedMemory::kPageBits;
-
-  ShardedAccessLane(ShardedAccessConsumer& sharded, unsigned shards,
-                    const PipelineOptions& options, metrics::Registry* registry)
-      : sharded_(sharded) {
-    TQUAD_CHECK(shards >= 1, "sharded lane needs at least one shard");
-    sharded_.prepare_shards(shards);
-    channels_.reserve(shards);
-    for (unsigned s = 0; s < shards; ++s) {
-      channels_.push_back(std::make_unique<BatchChannel<ShardRecord>>(
-          options, registry, [&sharded, s](const std::vector<ShardRecord>& batch) {
-            for (const ShardRecord& record : batch) {
-              sharded.apply_access_shard(s, record.event, record.count_access);
-            }
-          }));
-    }
-  }
-
-  // -- publisher side --
-  unsigned event_interests() const override { return kAccessInterest; }
-
-  void on_access(const AccessEvent& event) override {
-    const std::uint64_t last =
-        event.ea + (event.size > 0 ? event.size - 1 : 0);
+/// Apply the accesses on shard `shard`'s pages (page % shards == shard). A
+/// page-crossing access is split into per-page pieces, and the per-access
+/// counter travels with the first piece only, whichever shard owns it.
+void apply_shard(ShardedAccessConsumer& sharded, unsigned shard, unsigned shards,
+                 const Batch& batch) {
+  constexpr unsigned kPageBits = PagedMemory::kPageBits;
+  const auto mine = [&](std::uint64_t ea) { return (ea >> kPageBits) % shards == shard; };
+  const Record* const end = batch.records.get() + batch.size;
+  for (const Record* r = batch.records.get(); r != end; r += has(*r, kWide) ? 2 : 1) {
+    if ((r->tag & kKindMask) != kAccess) continue;
+    const AccessEvent event = access_of(r);
+    const std::uint64_t last = event.ea + (event.size > 0 ? event.size - 1 : 0);
     if ((event.ea >> kPageBits) == (last >> kPageBits)) {
-      append(shard_of(event.ea), event, true);
-      return;
+      if (mine(event.ea)) sharded.apply_access_shard(shard, event, true);
+      continue;
     }
-    // Page-crossing access: split into per-page pieces so every shard only
-    // ever touches its own pages. The per-access counter travels with the
-    // first piece only.
     AccessEvent piece = event;
     std::uint64_t cursor = event.ea;
     std::uint64_t remaining = event.size;
@@ -289,46 +220,158 @@ class ShardedAccessLane final : public LaneBase {
     while (remaining > 0) {
       const std::uint64_t page_end = ((cursor >> kPageBits) + 1) << kPageBits;
       const std::uint64_t in_page = std::min(remaining, page_end - cursor);
-      piece.ea = cursor;
-      piece.size = static_cast<std::uint32_t>(in_page);
-      append(shard_of(cursor), piece, first);
+      if (mine(cursor)) {
+        piece.ea = cursor;
+        piece.size = static_cast<std::uint32_t>(in_page);
+        sharded.apply_access_shard(shard, piece, first);
+      }
       first = false;
       cursor += in_page;
       remaining -= in_page;
     }
   }
+}
 
-  void on_finish(const vm::RunOutcome&) override {
-    // The router is registered before the control lane, so this runs first:
-    // drain every shard and fold the replicas back together before the
-    // control lane forwards on_finish to the tool itself.
-    for (auto& channel : channels_) channel->finish();
+// ---------------------------------------------------------------------------
+// Publisher: the one consumer the attribution sees in parallel mode.
+
+class Publisher final : public AnalysisConsumer {
+ public:
+  Publisher(const PipelineOptions& options, metrics::Registry* registry)
+      : cap_(std::max<std::size_t>(options.batch_events, 1)),
+        ring_batches_(std::max<std::size_t>(options.ring_batches, 1)),
+        registry_(registry) {
+    start_batch();
+  }
+
+  /// Give `target` its reader(s). With `shards` > 1 and a shardable access
+  /// consumer, its accesses go to one reader per shard and its other kinds
+  /// to a control reader.
+  void add(AnalysisConsumer& target, unsigned shards) {
+    const unsigned interests = target.event_interests();
+    interests_ |= interests;
+    targets_.push_back(&target);
+    ShardedAccessConsumer* sharded = target.sharded_access();
+    if (sharded == nullptr || shards <= 1 || !(interests & kAccessInterest)) {
+      add_reader([&target, interests](const Batch& batch) {
+        deliver(target, interests, batch);
+      });
+      return;
+    }
+    const unsigned control = interests & ~kAccessInterest;
+    add_reader([&target, control](const Batch& batch) {
+      deliver(target, control, batch);
+    });
+    sharded->prepare_shards(shards);
+    sharded_.push_back(sharded);
+    for (unsigned s = 0; s < shards; ++s) {
+      add_reader([sharded, s, shards](const Batch& batch) {
+        apply_shard(*sharded, s, shards, batch);
+      });
+    }
+  }
+
+  // -- publisher side (VM thread) --
+  unsigned event_interests() const override { return interests_; }
+
+  void on_kernel_enter(const EnterEvent& e) override {
+    append() = {e.retired, 0, e.func, e.caller, e.kernel,
+                kEnter | flag(e.tracked, kTracked)};
+  }
+
+  void on_tick_run(const TickRunEvent& run) override {
+    const bool wide = run.mem_count > UINT32_MAX;
+    append() = {run.first_retired, run.count, run.func,
+                static_cast<std::uint32_t>(run.mem_count), run.kernel,
+                kTickRun | flag(run.tracked, kTracked) | flag(wide, kWide)};
+    if (wide) extend(run.mem_count);
+  }
+
+  void on_access(const AccessEvent& e) override {
+    const bool wide = e.size > kMaxInlineSize;
+    append() = {e.retired, e.ea, e.func, e.pc, e.kernel,
+                kAccess | flag(e.is_read, kRead) | flag(e.is_stack, kStack) |
+                    flag(e.is_prefetch, kPrefetch) |
+                    (wide ? kWide : e.size << kSizeShift)};
+    if (wide) extend(e.size);
+  }
+
+  void on_kernel_ret(const RetEvent& e) override {
+    append() = {e.retired, 0, e.func, e.pc, e.kernel, kRet | flag(e.tracked, kTracked)};
+  }
+
+  void on_session_end(std::uint64_t total_retired) override {
+    append() = {total_retired, 0, 0, 0, 0, kEnd};
+  }
+
+  /// The drain barrier: publish the tail, let every reader finish, fold
+  /// QUAD's shards, then finish the consumers in attach order.
+  void on_finish(const vm::RunOutcome& outcome) override {
+    publish();
+    for (auto& reader : readers_) reader->close();
+    std::exception_ptr error;
+    for (auto& reader : readers_) {
+      std::exception_ptr reader_error = reader->join();
+      if (!error) error = std::move(reader_error);
+    }
+    if (error) std::rethrow_exception(error);
     const auto fold_start = std::chrono::steady_clock::now();
-    sharded_.merge_shards();
+    for (ShardedAccessConsumer* sharded : sharded_) sharded->merge_shards();
     fold_ns_ = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - fold_start)
             .count());
+    for (AnalysisConsumer* target : targets_) target->on_finish(outcome);
   }
 
-  void add_stats(PipelineStats& stats) const override {
-    for (const auto& channel : channels_) channel->add_stats(stats);
+  void add_stats(PipelineStats& stats) const {
+    for (const auto& reader : readers_) reader->add_stats(stats);
     stats.shard_fold_ns += fold_ns_;
   }
 
  private:
-  unsigned shard_of(std::uint64_t ea) const noexcept {
-    return static_cast<unsigned>((ea >> kPageBits) % channels_.size());
+  template <typename Apply>
+  void add_reader(Apply apply) {
+    readers_.push_back(
+        std::make_unique<Reader>(ring_batches_, registry_, std::move(apply)));
   }
 
-  void append(unsigned shard, const AccessEvent& event, bool count_access) {
-    ShardRecord& slot = channels_[shard]->append();
-    slot.event = event;
-    slot.count_access = count_access;
+  /// The next record of a new event, publishing a full batch first.
+  Record& append() {
+    if (events_ == cap_) publish();
+    ++events_;
+    return *next_++;
   }
 
-  ShardedAccessConsumer& sharded_;
-  std::vector<std::unique_ptr<BatchChannel<ShardRecord>>> channels_;
+  /// The extension record of the event just appended (see kWide).
+  void extend(std::uint64_t value) { *next_++ = {value, 0, 0, 0, 0, 0}; }
+
+  void start_batch() {
+    staging_ = std::make_shared<Batch>(cap_);
+    next_ = staging_->records.get();
+    events_ = 0;
+  }
+
+  /// Share the staging batch with every reader (no-op when empty).
+  void publish() {
+    if (events_ == 0) return;
+    staging_->size = static_cast<std::size_t>(next_ - staging_->records.get());
+    staging_->events = events_;
+    const SharedBatch batch = std::move(staging_);
+    for (auto& reader : readers_) reader->push(batch);
+    start_batch();
+  }
+
+  const std::size_t cap_;
+  const std::size_t ring_batches_;
+  metrics::Registry* const registry_;
+  unsigned interests_ = 0;
+  std::vector<AnalysisConsumer*> targets_;        ///< attach order
+  std::vector<ShardedAccessConsumer*> sharded_;
+  std::vector<std::unique_ptr<Reader>> readers_;  ///< ring order
+  std::shared_ptr<Batch> staging_;
+  Record* next_ = nullptr;  ///< next free record of staging_
+  std::size_t events_ = 0;  ///< events in staging_
   std::uint64_t fold_ns_ = 0;  ///< written at the drain barrier, read after
 };
 
@@ -354,39 +397,23 @@ ParallelPipeline::ParallelPipeline(const PipelineOptions& options,
               "ParallelPipeline constructed in serial mode");
 }
 
-// Destroying the lanes closes every ring and joins its drain thread (each
-// BatchChannel does its own), which is all the abort path needs.
+// Destroying the publisher destroys its readers, each of which closes its
+// ring and joins its thread: all the abort path needs.
 ParallelPipeline::~ParallelPipeline() = default;
 
-void ParallelPipeline::attach(AnalysisConsumer& target,
+void ParallelPipeline::attach(std::span<AnalysisConsumer* const> consumers,
                               KernelAttribution& attribution) {
-  const unsigned interests = target.event_interests();
-  ShardedAccessConsumer* sharded = target.sharded_access();
-  if (sharded != nullptr && access_shards_ > 1 &&
-      (interests & AnalysisConsumer::kAccessInterest)) {
-    // Router first, control lane second: at input_finish the router then
-    // merges the shard replicas *before* the control lane delivers
-    // on_finish to the tool (consumers finish in registration order).
-    auto router = std::make_unique<detail::ShardedAccessLane>(
-        *sharded, access_shards_, options_, metrics_);
-    attribution.add_consumer(*router);
-    lanes_.push_back(std::move(router));
-    auto control = std::make_unique<detail::EventLane>(
-        target, interests & ~AnalysisConsumer::kAccessInterest, options_,
-        metrics_);
-    attribution.add_consumer(*control);
-    lanes_.push_back(std::move(control));
-  } else {
-    auto lane = std::make_unique<detail::EventLane>(target, interests, options_,
-                                                    metrics_);
-    attribution.add_consumer(*lane);
-    lanes_.push_back(std::move(lane));
+  TQUAD_CHECK(publisher_ == nullptr, "ParallelPipeline::attach runs once");
+  publisher_ = std::make_unique<detail::Publisher>(options_, metrics_);
+  for (AnalysisConsumer* consumer : consumers) {
+    publisher_->add(*consumer, access_shards_);
   }
+  attribution.add_consumer(*publisher_);
 }
 
 PipelineStats ParallelPipeline::stats() const {
   PipelineStats stats;
-  for (const auto& lane : lanes_) lane->add_stats(stats);
+  if (publisher_ != nullptr) publisher_->add_stats(stats);
   stats.workers = stats.rings;
   stats.access_shards = access_shards_;
   return stats;

@@ -1,23 +1,27 @@
 // Parallel live-analysis pipeline.
 //
 // In serial mode ProfileSession drives every AnalysisConsumer inline on the
-// VM thread; here the VM thread only *publishes*: each consumer is wrapped
-// in a lane that batches its attributed events and pushes the batches into a
-// fixed-capacity SPSC ring. Every ring has its own drain thread, which
-// replays the batches into the real tool. Per-consumer event order is
-// exactly the serial order, and each tool's state is touched by exactly one
-// thread, so reports come out byte-identical to the serial single pass.
+// VM thread; here the VM thread only *publishes*. One publisher, registered
+// with the attribution for the union of the consumers' interests, writes
+// each attributed event exactly once, as a 32-byte record, into a staging
+// batch. A full batch is shared read-only (reference-counted) and pushed into
+// every reader's fixed-capacity SPSC ring. Each reader has its own thread and
+// delivers the kinds its consumer subscribed to, in stream order, so every
+// tool sees exactly the serial event sequence and its state is touched by one
+// thread only: reports come out byte-identical to the serial single pass.
 //
 // The heaviest consumer, QUAD, additionally shards its per-address state:
-// access events are routed to N shard rings by 4 KiB page number (events
-// that cross a page are split, with the per-access counter carried by the
-// first piece only), each shard ring drains on its own thread, and the shard
-// states merge exactly at the drain barrier. See ShardedAccessConsumer in
-// events.hpp for the routing contract.
+// one reader carries its control events (enter, tick runs, ret, end), and
+// one reader per shard applies only the accesses on that shard's 4 KiB pages
+// (page % shards), splitting a page-crossing access itself, with the
+// per-access counter carried by the first piece only. The shard states merge
+// exactly at the drain barrier. See ShardedAccessConsumer in events.hpp for
+// the routing contract.
 //
-// on_finish is the barrier: every lane flushes its tail batch, closes its
-// ring, joins its drain thread, and only then lets the wrapped tool see the
-// RunOutcome. EventSources call input_finish on every path — clean halt,
+// on_finish is the barrier: the publisher flushes its tail batch, closes
+// every ring, joins every reader, rethrows the first reader error, merges
+// QUAD's shards, and only then lets each consumer see the RunOutcome, in
+// attach order. EventSources call input_finish on every path — clean halt,
 // guest trap, budget truncation — so a trap mid-run still drains completely
 // and yields the exact-prefix PARTIAL reports the fault-tolerance contract
 // promises.
@@ -26,7 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "session/events.hpp"
 
@@ -41,7 +45,7 @@ class KernelAttribution;
 /// How a ProfileSession dispatches consumer accounting.
 enum class PipelineMode : std::uint8_t {
   kSerial = 0,    ///< reference implementation: consumers run on the VM thread
-  kParallel = 1,  ///< consumers drain SPSC event rings, one thread per ring
+  kParallel = 1,  ///< consumers drain SPSC rings of shared batches, one thread per ring
 };
 
 struct PipelineOptions {
@@ -50,14 +54,16 @@ struct PipelineOptions {
   /// capped at 16. Named for the `-pipeline parallel:N` spelling.
   unsigned workers = 0;
   std::size_t batch_events = 4096;  ///< events per published batch
-  std::size_t ring_batches = 8;     ///< ring capacity, in batches
+  std::size_t ring_batches = 8;     ///< each reader ring's capacity, in batches
 };
 
 /// Post-run introspection (bench, tests, and the metrics registry): how
 /// much flowed through the rings, how often and how long the publisher hit
-/// backpressure, and what the drain barrier's shard fold cost.
+/// backpressure, and what the drain barrier's shard fold cost. Ring counters
+/// are summed over the reader rings, so one shared batch counts once per
+/// reader it was pushed to.
 struct PipelineStats {
-  std::uint64_t batches_published = 0;
+  std::uint64_t batches_published = 0;  ///< batch pushes, summed over rings
   std::uint64_t backpressure_waits = 0;
   std::uint64_t producer_stall_ns = 0;    ///< publisher wall time blocked on space
   std::uint64_t dropped_after_close = 0;  ///< pushes refused by abort close
@@ -69,24 +75,24 @@ struct PipelineStats {
   std::uint64_t batch_grows = 0;
   std::uint64_t ring_capacity_grows = 0;
   std::uint64_t freelist_hits = 0;
-  unsigned rings = 0;
-  unsigned workers = 0;  ///< drain threads: one per ring
+  unsigned rings = 0;    ///< reader rings: one per reader thread
+  unsigned workers = 0;  ///< reader threads
   unsigned access_shards = 0;
 };
 
 namespace detail {
-class LaneBase;
+class Publisher;
 }  // namespace detail
 
-/// Owns the lanes, their rings, and one drain thread per ring for one
-/// profiled run. Lifecycle: construct, attach() every consumer (which starts
-/// its drain threads), run the event source (the attribution's input_finish
-/// doubles as the drain barrier), then destroy. If the run threw before the
+/// Owns the publisher, its readers and their threads for one profiled run.
+/// Lifecycle: construct, attach() the consumers (which starts the reader
+/// threads), run the event source (the attribution's input_finish doubles
+/// as the drain barrier), then destroy. If the run threw before the
 /// barrier, destruction closes every ring and joins its thread. The pipeline
 /// must outlive the run.
 class ParallelPipeline {
  public:
-  /// `metrics` is optional: when set, each drain thread folds its batch
+  /// `metrics` is optional: when set, each reader thread folds its batch
   /// counters/size histogram into the registry through its own ThreadSink
   /// as it exits at the drain barrier.
   explicit ParallelPipeline(const PipelineOptions& options,
@@ -96,10 +102,11 @@ class ParallelPipeline {
   ParallelPipeline(const ParallelPipeline&) = delete;
   ParallelPipeline& operator=(const ParallelPipeline&) = delete;
 
-  /// Wrap `target` in its lane(s), start their drain threads, and register
-  /// them with `attribution` in place of the target. Call once per
-  /// consumer, before the run.
-  void attach(AnalysisConsumer& target, KernelAttribution& attribution);
+  /// Start the readers of every consumer in `consumers` (attach order is
+  /// the order their on_finish runs in), and register the one publisher
+  /// with `attribution` in their place. Call once, before the run.
+  void attach(std::span<AnalysisConsumer* const> consumers,
+              KernelAttribution& attribution);
 
   /// Valid once the run's input_finish returned (all rings drained).
   PipelineStats stats() const;
@@ -108,7 +115,7 @@ class ParallelPipeline {
   PipelineOptions options_;
   metrics::Registry* metrics_ = nullptr;
   unsigned access_shards_ = 1;
-  std::vector<std::unique_ptr<detail::LaneBase>> lanes_;
+  std::unique_ptr<detail::Publisher> publisher_;
 };
 
 }  // namespace tq::session

@@ -81,7 +81,7 @@ ProfileSession::ProfileSession(const vm::Program& program, SessionConfig config)
 void ProfileSession::add_consumer(AnalysisConsumer& consumer) {
   TQUAD_CHECK(!ran_, "add_consumer must precede ProfileSession::run");
   // Registration with the attribution is deferred to run(): in parallel
-  // mode the pipeline registers a lane wrapper in the consumer's place.
+  // mode the pipeline registers its publisher in the consumers' place.
   consumers_.push_back(&consumer);
 }
 
@@ -92,21 +92,19 @@ vm::RunOutcome ProfileSession::run(EventSource& source) {
   ran_ = true;
   if (config_.heartbeat_interval > 0) {
     // Inline on the VM thread in both modes: the pulse must reflect live
-    // progress, not a lane's drain position.
+    // progress, not a reader's drain position.
     heartbeat_.arm(config_.heartbeat_interval);
     attribution_.add_consumer(heartbeat_);
   }
   if (config_.pipeline.mode == PipelineMode::kParallel && !consumers_.empty()) {
     ParallelPipeline pipeline(config_.pipeline, config_.metrics);
-    for (AnalysisConsumer* consumer : consumers_) {
-      pipeline.attach(*consumer, attribution_);
-    }
+    pipeline.attach(consumers_, attribution_);
     // input_finish (invoked by the source on every path, including traps)
-    // runs each lane's drain barrier, so by the time run() returns every
+    // runs the publisher's drain barrier, so by the time run() returns every
     // tool holds its complete, serially-ordered accounting.
     outcome_ = source.run(attribution_);
     pipeline_stats_ = pipeline.stats();
-    // The drain barrier already joined every drain thread, and with it
+    // The drain barrier already joined every reader thread, and with it
     // folded their per-thread metric sinks. If the run threw instead, the
     // pipeline's destructor closes the rings and joins the threads.
   } else {

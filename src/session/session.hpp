@@ -61,7 +61,7 @@ struct SessionConfig {
 };
 
 /// The heartbeat consumer. Registered directly with the KernelAttribution —
-/// never behind a pipeline lane — so it observes the stream inline on the
+/// never behind a pipeline reader — so it observes the stream inline on the
 /// VM thread in both serial and parallel modes; its O(1) on_tick_run keeps
 /// it off the report path entirely (stderr only).
 class HeartbeatPrinter final : public AnalysisConsumer {

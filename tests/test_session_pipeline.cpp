@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -374,6 +375,237 @@ TEST(PipelineShards, QuadShardedFacetSplitAccess) {
 }
 
 // ---------------------------------------------------------------------------
+// Routing, seen from the consumers: a scripted event source feeds the
+// attribution directly, so the accesses can be placed on page boundaries
+// and given widths no guest instruction has.
+
+/// Calls input_* for a fixed script: entry into function 0, then per
+/// access one tick and the access, with a call into function 1 and its
+/// return every 64 accesses (so tick runs, enters and rets interleave with
+/// the accesses), then `extra_run` as one last tick span, and the finish.
+class ScriptedSource final : public EventSource {
+ public:
+  ScriptedSource(const vm::Program& program, std::vector<AccessEvent> accesses,
+                 TickRunEvent extra_run = {})
+      : program_(program), accesses_(std::move(accesses)), extra_run_(extra_run) {}
+
+  const vm::Program& program() const noexcept override { return program_; }
+
+  vm::RunOutcome run(KernelAttribution& attribution) override {
+    std::uint64_t retired = 0;
+    attribution.input_enter(0, retired);
+    for (std::size_t i = 0; i < accesses_.size(); ++i) {
+      const AccessEvent& a = accesses_[i];
+      if (i % 64 == 63) attribution.input_enter(1, retired);
+      attribution.input_batch_tick_span(a.func, retired, 1, 1);
+      attribution.input_access(a.func, a.pc, retired, a.ea, a.size, a.is_read,
+                               a.is_stack, a.is_prefetch);
+      ++retired;
+      if (i % 64 == 63) attribution.input_ret(1, 0, retired);
+    }
+    if (extra_run_.count > 0) {
+      attribution.input_batch_tick_span(0, retired, extra_run_.count,
+                                        extra_run_.mem_count);
+      retired += extra_run_.count;
+    }
+    vm::RunOutcome outcome;
+    outcome.retired = retired;
+    attribution.input_finish(outcome);
+    return outcome;
+  }
+
+ private:
+  const vm::Program& program_;
+  std::vector<AccessEvent> accesses_;
+  TickRunEvent extra_run_;
+};
+
+/// Every event a consumer saw, with every field, one line each.
+class EventLog final : public AnalysisConsumer {
+ public:
+  explicit EventLog(unsigned interests = kAllEvents) : interests_(interests) {}
+  unsigned event_interests() const override { return interests_; }
+
+  void on_kernel_enter(const EnterEvent& e) override {
+    log("enter", {e.func, e.caller, e.kernel, e.retired, e.tracked});
+  }
+  void on_access(const AccessEvent& e) override {
+    log("access", {e.func, e.pc, e.kernel, e.retired, e.ea, e.size, e.is_read,
+                   e.is_stack, e.is_prefetch});
+  }
+  void on_kernel_ret(const RetEvent& e) override {
+    log("ret", {e.func, e.pc, e.kernel, e.retired, e.tracked});
+  }
+  void on_tick_run(const TickRunEvent& r) override {
+    log("run", {r.func, r.kernel, r.first_retired, r.count, r.mem_count, r.tracked});
+  }
+  void on_session_end(std::uint64_t total) override { log("end", {total}); }
+
+  std::vector<std::string> lines;
+
+ private:
+  void log(const char* kind, std::initializer_list<std::uint64_t> fields) {
+    std::string line = kind;
+    for (const std::uint64_t f : fields) line += " " + std::to_string(f);
+    lines.push_back(std::move(line));
+  }
+
+  unsigned interests_;
+};
+
+/// A ShardedAccessConsumer that records what each shard was handed.
+class ShardRecorder final : public AnalysisConsumer, public ShardedAccessConsumer {
+ public:
+  struct Piece {
+    AccessEvent event;
+    bool count_access = false;
+  };
+
+  ShardedAccessConsumer* sharded_access() override { return this; }
+  void on_access(const AccessEvent&) override { ++unsharded_accesses; }
+  void on_tick_run(const TickRunEvent&) override { ++control_events; }
+  void on_kernel_enter(const EnterEvent&) override { ++control_events; }
+  void on_kernel_ret(const RetEvent&) override { ++control_events; }
+
+  void prepare_shards(unsigned shards) override { pieces.resize(shards); }
+  void apply_access_shard(unsigned shard, const AccessEvent& event,
+                          bool count_access) override {
+    pieces.at(shard).push_back({event, count_access});
+  }
+  void merge_shards() override { ++merges; }
+
+  std::vector<std::vector<Piece>> pieces;  ///< per shard, in delivery order
+  std::uint64_t unsharded_accesses = 0;
+  std::uint64_t control_events = 0;
+  unsigned merges = 0;
+};
+
+TEST(PipelineRouting, ShardPiecesTileEveryAccess) {
+  static const auto artifacts = workloads::build_stream(16, 1);
+  const vm::Program& program = artifacts.program;
+  ASSERT_GE(program.functions().size(), 2u);
+  constexpr std::uint64_t kPageBits = PagedMemory::kPageBits;
+
+  // Accesses of 1..64 bytes ending 1..63 bytes past a page boundary, on
+  // consecutive pages so every shard owns some first and some last pages.
+  // `retired` indexes the script: the source stamps access i with i.
+  std::vector<AccessEvent> script;
+  for (std::uint32_t size = 1; size <= 64; ++size) {
+    for (std::uint32_t past = 1; past <= 63; ++past) {
+      AccessEvent a;
+      a.pc = size;
+      a.ea = ((std::uint64_t{16} + script.size()) << kPageBits) + past - size;
+      a.size = size;
+      a.is_read = script.size() % 2 == 0;
+      a.retired = script.size();
+      script.push_back(a);
+    }
+  }
+
+  for (const unsigned shards : {2u, 3u, 4u}) {
+    for (const std::size_t batch_events : {std::size_t{1}, std::size_t{4096}}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " batch_events=" + std::to_string(batch_events));
+      SessionConfig config;
+      config.pipeline = parallel_options(shards, batch_events, /*ring_batches=*/2);
+      ProfileSession session(program, config);
+      ShardRecorder recorder;
+      EventLog ticks(AnalysisConsumer::kTickInterest);
+      session.add_consumer(recorder);
+      session.add_consumer(ticks);
+      ScriptedSource source(program, script);
+      session.run(source);
+
+      EXPECT_EQ(recorder.merges, 1u);
+      EXPECT_EQ(recorder.unsharded_accesses, 0u);
+      EXPECT_GT(recorder.control_events, 0u);
+      ASSERT_EQ(recorder.pieces.size(), shards);
+      // A tick-only consumer sees tick runs and the end marker, nothing else.
+      EXPECT_FALSE(ticks.lines.empty());
+      for (const std::string& line : ticks.lines) {
+        EXPECT_TRUE(line.starts_with("run ") || line.starts_with("end ")) << line;
+      }
+
+      // Gather the pieces per scripted access, checking where each landed.
+      std::vector<std::vector<ShardRecorder::Piece>> by_access(script.size());
+      for (unsigned shard = 0; shard < shards; ++shard) {
+        std::uint64_t previous = 0;
+        for (const ShardRecorder::Piece& piece : recorder.pieces[shard]) {
+          const std::uint64_t page = piece.event.ea >> kPageBits;
+          EXPECT_EQ(page % shards, shard);
+          EXPECT_EQ((piece.event.ea + piece.event.size - 1) >> kPageBits, page);
+          EXPECT_GE(piece.event.retired, previous);  // stream order
+          previous = piece.event.retired;
+          ASSERT_LT(piece.event.retired, script.size());
+          by_access[piece.event.retired].push_back(piece);
+        }
+      }
+      for (const AccessEvent& a : script) {
+        auto& pieces = by_access[a.retired];
+        std::sort(pieces.begin(), pieces.end(), [](const auto& x, const auto& y) {
+          return x.event.ea < y.event.ea;
+        });
+        std::uint64_t cursor = a.ea;
+        unsigned counted = 0;
+        for (const ShardRecorder::Piece& piece : pieces) {
+          EXPECT_EQ(piece.event.ea, cursor);
+          EXPECT_EQ(piece.event.pc, a.pc);
+          EXPECT_EQ(piece.event.is_read, a.is_read);
+          EXPECT_EQ(piece.count_access, piece.event.ea == a.ea);
+          counted += piece.count_access ? 1 : 0;
+          cursor += piece.event.size;
+        }
+        EXPECT_EQ(cursor, a.ea + a.size) << "access " << a.retired;
+        EXPECT_EQ(counted, 1u) << "access " << a.retired;
+      }
+    }
+  }
+}
+
+// Fields too wide for the compact record's inline slots (an access size
+// above 24 bits, a tick run's mem_count above 32 bits) must still arrive
+// exactly, next to ordinary events, in serial order.
+TEST(PipelineRouting, WideFieldsArriveExactly) {
+  static const auto artifacts = workloads::build_stream(16, 1);
+  const vm::Program& program = artifacts.program;
+  std::vector<AccessEvent> script;
+  for (const std::uint32_t size : {8u, (1u << 24) + 5, 0xffffffffu, 0u, 4u}) {
+    AccessEvent a;
+    a.pc = 3;
+    a.ea = 0xffffffff00001000ull + script.size() * 64;
+    a.size = size;
+    a.is_stack = true;
+    a.is_prefetch = size == 4;
+    script.push_back(a);
+  }
+  TickRunEvent wide_run;
+  wide_run.count = std::uint64_t{1} << 40;
+  wide_run.mem_count = (std::uint64_t{1} << 33) + 7;
+
+  const auto record = [&](const PipelineOptions& pipeline) {
+    SessionConfig config;
+    config.pipeline = pipeline;
+    ProfileSession session(program, config);
+    EventLog log;
+    session.add_consumer(log);
+    ScriptedSource source(program, script, wide_run);
+    session.run(source);
+    return log.lines;
+  };
+  const std::vector<std::string> serial = record(PipelineOptions{});
+  ASSERT_FALSE(serial.empty());
+  // The attribution merges the five one-tick spans and the wide span into
+  // one run, the last event before the end marker.
+  EXPECT_TRUE(serial.end()[-2].starts_with("run 0 0 0 1099511627781 8589934604 "))
+      << serial.end()[-2];
+  for (const std::size_t batch_events : {1u, 2u, 4096u}) {
+    SCOPED_TRACE("batch_events=" + std::to_string(batch_events));
+    EXPECT_EQ(record(parallel_options(/*shards=*/2, batch_events, /*ring_batches=*/1)),
+              serial);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Replay through the parallel pipeline: a recorded trace replayed with
 // parallel dispatch equals the live serial run that produced it.
 
@@ -455,6 +687,22 @@ std::size_t live_threads_settled(std::size_t expected) {
   return count;
 }
 
+/// live_threads() once every thread the runtime starts on its own is up.
+/// ThreadSanitizer starts a background thread at the process's first
+/// pthread_create, so a test that starts the first thread itself would
+/// count that one as leaked. Starting and joining a throwaway thread gets
+/// it started; the minimum over the next 50 ms skips the throwaway's own
+/// /proc/self/task entry, which can outlive its join for a few ms.
+std::size_t live_threads_baseline() {
+  std::thread([] {}).join();
+  std::size_t count = live_threads();
+  for (int i = 0; i < 50; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    count = std::min(count, live_threads());
+  }
+  return count;
+}
+
 TEST(PipelineShutdown, CorruptBlockMidReplayThrowsAndJoins) {
   Reference ref("matmul_tiled");  // the zoo trace with more than one block
   const trace::TraceV2View clean = trace::TraceV2View::open(ref.trace);
@@ -466,7 +714,7 @@ TEST(PipelineShutdown, CorruptBlockMidReplayThrowsAndJoins) {
   damaged.at(static_cast<std::size_t>(target.file_offset) +
              trace::kV2BlockHeaderBytes + target.payload_bytes / 2) ^= 0x40;
 
-  const std::size_t threads_before = live_threads();
+  const std::size_t threads_before = live_threads_baseline();
   SessionConfig config;
   config.pipeline = parallel_options(/*shards=*/3, /*batch_events=*/1,
                                      /*ring_batches=*/1);
@@ -489,12 +737,12 @@ class FailingConsumer final : public AnalysisConsumer {
 
 // A consumer that throws on its drain thread fails the run as it does on the
 // VM thread in serial mode: the error reaches the caller, where an escaped
-// exception would end the process. The QUAD lanes behind it never reach
-// their barrier, so the pipeline's destructor must close and join them.
+// exception would end the process. The barrier must still close and join
+// the QUAD readers beside it before rethrowing.
 TEST(PipelineShutdown, ConsumerErrorReachesTheCaller) {
   for (const bool parallel : {false, true}) {
     SCOPED_TRACE(parallel ? "parallel" : "serial");
-    const std::size_t threads_before = live_threads();
+    const std::size_t threads_before = live_threads_baseline();
     workloads::Instance guest = make_guest("histogram");
     SessionConfig config;
     if (parallel) {
