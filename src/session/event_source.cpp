@@ -1,6 +1,7 @@
 #include "session/event_source.hpp"
 
 #include "support/check.hpp"
+#include "support/metrics.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
 #include "vm/compiled.hpp"
@@ -50,7 +51,9 @@ LiveEngineSource::LiveEngineSource(const vm::Program& program, vm::HostEnv& host
                                    vm::EngineKind engine)
     : program_(program) {
   if (engine == vm::EngineKind::kCompiled) {
-    engine_ = std::make_unique<vm::CompiledMachine>(program, host);
+    auto compiled = std::make_unique<vm::CompiledMachine>(program, host);
+    compiled_ = compiled.get();
+    engine_ = std::move(compiled);
   } else {
     engine_ = std::make_unique<vm::Machine>(program, host);
   }
@@ -66,6 +69,15 @@ vm::RunOutcome LiveEngineSource::run(KernelAttribution& attribution) {
   // including trap details — reaches every consumer on every path.
   attribution.input_finish(outcome);
   return outcome;
+}
+
+void LiveEngineSource::publish_metrics(metrics::Registry& registry) const {
+  if (compiled_ == nullptr) return;
+  const vm::CompiledMachine::LoweringStats& stats = compiled_->lowering_stats();
+  registry.set_gauge("vm.lowered.routines", stats.routines);
+  registry.set_gauge("vm.lowered.ops", stats.ops);
+  registry.set_gauge("vm.lowered.runs", stats.runs);
+  registry.set_gauge("vm.lowered.fused_pairs", stats.fused_pairs);
 }
 
 // ---- TraceReplaySource ----------------------------------------------------------

@@ -22,6 +22,15 @@
 #include "vm/machine.hpp"
 #include "vm/program.hpp"
 
+namespace tq {
+namespace metrics {
+class Registry;
+}  // namespace metrics
+namespace vm {
+class CompiledMachine;
+}  // namespace vm
+}  // namespace tq
+
 namespace tq::session {
 
 /// A source of raw profiling events. run() drives the whole stream through
@@ -33,6 +42,8 @@ class EventSource {
   virtual ~EventSource() = default;
   virtual const vm::Program& program() const noexcept = 0;
   virtual vm::RunOutcome run(KernelAttribution& attribution) = 0;
+  /// Publish the source's own gauges after run() (none by default).
+  virtual void publish_metrics(metrics::Registry& /*registry*/) const {}
 };
 
 /// Executes the guest once, forwarding its vm::EventSink stream into the
@@ -60,10 +71,14 @@ class LiveEngineSource final : public EventSource {
 
   const vm::Program& program() const noexcept override { return program_; }
   vm::RunOutcome run(KernelAttribution& attribution) override;
+  /// The compiled engine's lowering totals (`vm.lowered.*`); nothing for
+  /// the interpreter.
+  void publish_metrics(metrics::Registry& registry) const override;
 
  private:
   const vm::Program& program_;
   std::unique_ptr<vm::GuestEngine> engine_;
+  const vm::CompiledMachine* compiled_ = nullptr;  ///< engine_, if compiled
   bool ran_ = false;
 };
 

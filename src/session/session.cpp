@@ -113,12 +113,13 @@ vm::RunOutcome ProfileSession::run(EventSource& source) {
     }
     outcome_ = source.run(attribution_);
   }
-  if (config_.metrics != nullptr) publish_metrics();
+  if (config_.metrics != nullptr) publish_metrics(source);
   return outcome_;
 }
 
-void ProfileSession::publish_metrics() {
+void ProfileSession::publish_metrics(const EventSource& source) {
   metrics::Registry& registry = *config_.metrics;
+  source.publish_metrics(registry);
   const EventCounts& counts = attribution_.event_counts();
   registry.add("session.events.enter", counts.enters);
   registry.add("session.events.tick", counts.ticks);

@@ -53,7 +53,8 @@ struct SessionConfig {
   std::uint64_t heartbeat_interval = 0;
   /// Cooperative interruption: when non-null and `*interrupt` becomes
   /// nonzero (typically from a SIGINT/SIGTERM handler), the run stops at the
-  /// next retirement boundary (live) or block boundary (replay) with
+  /// next run head (compiled engine, within vm::kRunCap instructions), the
+  /// next instruction (interpreter) or the next block boundary (replay) with
   /// RunStatus::kInterrupted. Every consumer still sees on_finish, so
   /// recorders finalize and reports can stamp INTERRUPTED. The flag must
   /// outlive the run.
@@ -128,7 +129,7 @@ class ProfileSession {
   const PipelineStats& pipeline_stats() const noexcept { return pipeline_stats_; }
 
  private:
-  void publish_metrics();
+  void publish_metrics(const EventSource& source);
 
   SessionConfig config_;
   KernelAttribution attribution_;

@@ -38,11 +38,19 @@ void BandwidthRecorder::on_access(std::uint32_t kernel, std::uint64_t retired,
                                   std::uint32_t bytes, bool is_read, bool is_stack) {
   TQUAD_DCHECK(kernel < kernels_.size(), "kernel id out of range");
   TQUAD_DCHECK(!finished_, "access after finish()");
-  const std::uint64_t slice = retired / slice_interval_;
-  max_slice_ = std::max(max_slice_, slice);
+  if (retired < cached_lo_ || retired > cached_last_) [[unlikely]] {
+    // Accesses arrive in retired order live and in block ranges from the
+    // farm; either way most land in the previous access's slice.
+    cached_slice_ = retired / slice_interval_;
+    cached_lo_ = cached_slice_ * slice_interval_;
+    const std::uint64_t span = slice_interval_ - 1;
+    cached_last_ = span > ~0ull - cached_lo_ ? ~0ull : cached_lo_ + span;
+    max_slice_ = std::max(max_slice_, cached_slice_);
+  }
+  const std::uint64_t slice = cached_slice_;
   Open& open = open_[kernel];
   if (open.slice != slice) {
-    if (open.slice != Open::kNone && !open.counters.empty()) {
+    if (!open.counters.empty()) {
       kernels_[kernel].series.push_back(SliceSample{open.slice, open.counters});
     }
     open.slice = slice;
@@ -70,11 +78,10 @@ void BandwidthRecorder::finish() {
   finished_ = true;
   for (std::size_t k = 0; k < kernels_.size(); ++k) {
     Open& open = open_[k];
-    if (open.slice != Open::kNone && !open.counters.empty()) {
+    if (!open.counters.empty()) {
       kernels_[k].series.push_back(SliceSample{open.slice, open.counters});
     }
-    open.slice = Open::kNone;
-    open.counters.clear();
+    open = Open{};
   }
 }
 

@@ -95,16 +95,23 @@ class BandwidthRecorder {
   std::uint64_t max_slice() const noexcept { return max_slice_; }
 
  private:
+  /// A kernel's current-slice buffer; flushed only when it holds bytes, so
+  /// every slice value (2^64 - 1 included) is a real slice.
   struct Open {
-    std::uint64_t slice = kNone;
+    std::uint64_t slice = 0;
     SliceCounters counters;
-    static constexpr std::uint64_t kNone = ~0ull;
   };
 
   std::vector<KernelBandwidth> kernels_;
   std::vector<Open> open_;
   std::uint64_t slice_interval_;
   std::uint64_t max_slice_ = 0;
+  /// The slice of the last access and its retired window [lo, last], so
+  /// an access in the same slice skips the 64-bit divide. `last` saturates
+  /// at 2^64 - 1 for a slice reaching past it. Starts empty (lo > last).
+  std::uint64_t cached_slice_ = 0;
+  std::uint64_t cached_lo_ = 1;
+  std::uint64_t cached_last_ = 0;
   bool finished_ = false;
 };
 

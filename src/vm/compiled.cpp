@@ -1,13 +1,19 @@
 // The threaded-dispatch executor. One templated loop, two modes:
 //   kNative — no instrumentation (the paper's "native execution" baseline);
-//   kSinked — batched profiling events into a vm::EventSink.
+//   kSinked — batched profiling events into a vm::EventSink;
+// each instantiated twice: the fast path, which checks the stop point and
+// advances the retired count once per straight-line run, and the checked
+// path, which does both per op for the one run that holds the stop point.
 //
-// Exactness is the whole game: each handler replicates the interpreter's
-// per-instruction sequence — stop checks (budget / trap_at) first, then the
-// predicate, then the retire, then event delivery computed from
-// *pre-execution* register state, then execution (whose traps count the
-// faulting instruction as retired) — so the two engines are byte-identical
-// to every observer. See machine.cpp run_loop for the reference ordering.
+// Exactness is the whole game: each checked handler replicates the
+// interpreter's per-instruction sequence — stop checks (budget / trap_at)
+// first, then the predicate, then the retire, then event delivery computed
+// from *pre-execution* register state, then execution (whose traps count
+// the faulting instruction as retired) — so the two engines are
+// byte-identical to every observer. See machine.cpp run_loop for the
+// reference ordering. A fast run is the same sequence with the stop checks
+// proven false up front: every op in it retires, so the run's retired count
+// and tick span can be paid at its head.
 #include "vm/compiled.hpp"
 
 #include <bit>
@@ -76,8 +82,10 @@ const CompiledRoutine& CompiledMachine::routine_for_entry(std::uint32_t func) {
   CompiledRoutine& rtn = routines_[func];
   if (!rtn.lowered) [[unlikely]] {
     rtn = lower_routine(program_, func);
-    ++lowered_count_;
-    fused_pairs_ += rtn.fused;
+    ++lowering_.routines;
+    lowering_.ops += rtn.ops.size();
+    lowering_.runs += rtn.runs;
+    lowering_.fused_pairs += rtn.fused;
   }
   return rtn;
 }
@@ -93,72 +101,109 @@ RunOutcome CompiledMachine::start(EventSink* sink) {
   for (const DataInit& init : program_.data()) {
     memory_.write(init.addr, init.bytes);
   }
-  if (sink != nullptr) return exec<Mode::kSinked>(sink);
-  return exec<Mode::kNative>(nullptr);
+  if (sink != nullptr) return exec<Mode::kSinked, false>(sink, nullptr);
+  return exec<Mode::kNative, false>(nullptr, nullptr);
 }
+
+// Where the checked path picks up a run the fast path could not take.
+struct CompiledMachine::Resume {
+  std::size_t op;  ///< index of the op to resume at, in the current routine
+  std::uint32_t func;
+  std::uint64_t retired;
+  std::uint64_t span_start;
+  std::uint64_t span_mem;
+};
+
+namespace {
+// The flag an unarmed run reads, so the interrupt test needs no null check.
+const volatile std::sig_atomic_t kNeverInterrupted = 0;
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // The dispatch loop.
 
-// Sync architectural state and raise a guest trap at the current op.
-#define TQ_TRAP(why)      \
-  do {                    \
-    cpu_.func = cur_func; \
-    cpu_.pc = op->pc;     \
-    retired_ = retired;   \
-    trap(why);            \
+// Sync architectural state and raise a guest trap at the current op. An op
+// that can trap ends its run, so `retired` counts it on both paths.
+#define TQ_TRAP(why)                                                     \
+  do {                                                                   \
+    TQUAD_DCHECK(kChecked || retired == run_base + op->run_off + 1,      \
+                 "trapping op inside a run");                            \
+    cpu_.func = cur_func;                                                \
+    cpu_.pc = op->pc;                                                    \
+    retired_ = retired;                                                  \
+    trap(why);                                                           \
   } while (0)
 
-// Stop check (budget / trap_at folded into one compare, plus the cooperative
-// interrupt flag when armed — `irq` is null for uninterruptible runs, so the
-// extra test stays branch-predicted free) and tick accounting for the
-// (first) instruction of an op. `membit` is the static has-memory-operand
-// flag the batched tick records — predicated-off instructions count, exactly
-// as in the interpreter's one-tick spans.
-#define TQ_HEAD(membit)                                                \
-  if (retired >= stop_at || (irq != nullptr && *irq != 0)) [[unlikely]] { \
-    cpu_.pc = op->pc;                                                  \
-    goto handle_stop;                                                  \
-  }                                                                    \
-  if constexpr (M == Mode::kSinked) {                                  \
-    ++span_count;                                                      \
-    span_mem += (membit) ? 1 : 0;                                      \
+// The run-head check (fast path only): the whole run retires before the
+// stop point (budget / trap_at folded into one compare) and the interrupt
+// flag is clear. Then the run's instructions retire and join the pending
+// tick span in one step; a failing run restarts on the checked path. A
+// predicated op is a run of its own, so its predicate is evaluated here,
+// after it retired (predicated-off instructions count), and the body ops
+// test none.
+#define TQ_RUN_HEAD()                                                  \
+  if (!kChecked) {                                                     \
+    if (retired + op->run_len > stop_at || *irq != 0) [[unlikely]] {   \
+      goto to_checked;                                                 \
+    }                                                                  \
+    run_base = retired;                                                \
+    retired += op->run_len;                                            \
+    if constexpr (M == Mode::kSinked) span_mem += op->run_mem;         \
+    if (op->flags != 0 && r[op->pr] == 0) [[unlikely]] {               \
+      ++op;                                                            \
+      TQ_NEXT();                                                       \
+    }                                                                  \
   }
 
-// Stop check + tick for the second instruction of a fused pair.
+// Stop check (checked path only; the cooperative interrupt flag included)
+// and the op's has-memory-operand bit for the pending tick span.
+#define TQ_HEAD()                                                      \
+  if (kChecked) {                                                      \
+    if (retired >= stop_at || *irq != 0) [[unlikely]] {                \
+      cpu_.pc = op->pc;                                                \
+      goto handle_stop;                                                \
+    }                                                                  \
+    if constexpr (M == Mode::kSinked) span_mem += op_mem_bit(*op);     \
+  }
+
+// Stop check for the second instruction of a fused pair (checked path).
 #define TQ_MID()                                                       \
-  if (retired >= stop_at || (irq != nullptr && *irq != 0)) [[unlikely]] { \
-    cpu_.pc = op->pc + 1;                                              \
-    goto handle_stop;                                                  \
-  }                                                                    \
-  if constexpr (M == Mode::kSinked) {                                  \
-    ++span_count;                                                      \
+  if (kChecked) {                                                      \
+    if (retired >= stop_at || *irq != 0) [[unlikely]] {                \
+      cpu_.pc = op->pc + 1;                                            \
+      goto handle_stop;                                                \
+    }                                                                  \
   }
 
-// Predicate evaluation, retire, and the predicated-off skip to the
-// fall-through op.
-#define TQ_PRE()                                              \
-  bool executed = true;                                       \
-  if (op->flags != 0) [[unlikely]] executed = r[op->pr] != 0; \
-  ++retired;                                                  \
-  if (!executed) [[unlikely]] {                               \
-    ++i;                                                      \
-    TQ_NEXT();                                                \
+// Retire one instruction (the fast path retired the whole run at its head).
+#define TQ_RETIRE()                   \
+  if constexpr (kChecked) ++retired;
+
+// The retired stamp of the op's (first) instruction, once it has retired.
+#define TQ_STAMP() (kChecked ? retired - 1 : run_base + op->run_off)
+
+// Retire, then the predicated-off skip to the fall-through op (on the fast
+// path the run head already evaluated the predicate).
+#define TQ_PRE()                                                   \
+  TQ_RETIRE()                                                      \
+  if (kChecked && op->flags != 0 && r[op->pr] == 0) [[unlikely]] { \
+    ++op;                                                          \
+    TQ_NEXT();                                                     \
   }
 
 // Flush the pending tick span (kSinked) at an attribution boundary. Spans
-// only ever break here, so the next span's first-retired stamp is assigned
-// once per flush instead of branching on span_count every tick: every flush
-// site sits after the current op retired (call/ret) or is terminal
-// (halt/stop/trap), so `retired` IS the next tick's retire index.
-#define TQ_FLUSH_SPAN()                                               \
-  if constexpr (M == Mode::kSinked) {                                 \
-    if (span_count != 0) {                                            \
-      sink->on_tick_span(cur_func, span_start, span_count, span_mem); \
-      span_count = 0;                                                 \
-      span_mem = 0;                                                   \
-    }                                                                 \
-    span_start = retired;                                             \
+// only ever break here, so the span is exactly the instructions retired
+// since the last flush: every flush site sits after the current op retired
+// (call/ret, which end their runs) or is terminal (halt/stop/trap), so
+// `retired` IS the next tick's retire index.
+#define TQ_FLUSH_SPAN()                                                  \
+  if constexpr (M == Mode::kSinked) {                                    \
+    if (retired != span_start) {                                         \
+      sink->on_tick_span(cur_func, span_start, retired - span_start,     \
+                         span_mem);                                      \
+      span_mem = 0;                                                      \
+    }                                                                    \
+    span_start = retired;                                                \
   }
 
 // Switch the current routine (lowering it on first entry).
@@ -171,18 +216,20 @@ RunOutcome CompiledMachine::start(EventSink* sink) {
 
 #define TQ_ALU(name, stmt) \
   TQ_CASE(name) {          \
-    TQ_HEAD(false)         \
+    TQ_HEAD()         \
     TQ_PRE()               \
     stmt;                  \
-    ++i;                   \
+    ++op;                  \
     TQ_NEXT();             \
   }
 
-template <CompiledMachine::Mode M>
-RunOutcome CompiledMachine::exec(EventSink* sink) {
-  cpu_.func = program_.entry();
-  cpu_.pc = 0;
-  cpu_.sp() = kStackBase;
+template <CompiledMachine::Mode M, bool kChecked>
+RunOutcome CompiledMachine::exec(EventSink* sink, const Resume* from) {
+  if (from == nullptr) {
+    cpu_.func = program_.entry();
+    cpu_.pc = 0;
+    cpu_.sp() = kStackBase;
+  }
 
   auto& r = cpu_.regs;
   auto& f = cpu_.fregs;
@@ -194,56 +241,71 @@ RunOutcome CompiledMachine::exec(EventSink* sink) {
   }
   // Cached locally so the dispatch loop's stop check needs no member load;
   // the pointed-to flag itself stays volatile (set from a signal handler).
-  const volatile std::sig_atomic_t* const irq = interrupt_;
+  const volatile std::sig_atomic_t* const irq =
+      interrupt_ != nullptr ? interrupt_ : &kNeverInterrupted;
 
   std::uint64_t retired = 0;
   std::uint32_t cur_func = cpu_.func;
   std::uint64_t span_start = 0;
-  std::uint64_t span_count = 0;
   std::uint64_t span_mem = 0;
+  std::uint64_t run_base = 0;  // fast path: retired count at the run head
   const CompiledRoutine* rtn = nullptr;
   const COp* ops = nullptr;
   const std::uint32_t* pc2op = nullptr;
-  std::size_t i = 0;
   const COp* op = nullptr;
+  if (from != nullptr) {
+    cur_func = from->func;
+    retired = from->retired;
+    span_start = from->span_start;
+    span_mem = from->span_mem;
+  }
   (void)sink;
   (void)pc2op;
 
   try {
     TQ_SET_ROUTINE(cur_func);
-    if constexpr (M == Mode::kSinked) sink->on_enter(cur_func, 0);
-    check_entry_fault();
+    op = ops + (from != nullptr ? from->op : 0);
+    if (from == nullptr) {
+      if constexpr (M == Mode::kSinked) sink->on_enter(cur_func, 0);
+      check_entry_fault();
+    }
 
 #if TQ_CGOTO
+    // Body labels, then run-head labels (ids offset by kRunHead).
     static const void* const kLabels[] = {
 #define TQ_COP_LABEL(name) &&L_##name,
-        TQ_COP_LIST(TQ_COP_LABEL)
+#define TQ_COP_HEAD_LABEL(name) &&LH_##name,
+        TQ_COP_LIST(TQ_COP_LABEL) TQ_COP_LIST(TQ_COP_HEAD_LABEL)
 #undef TQ_COP_LABEL
+#undef TQ_COP_HEAD_LABEL
     };
-#define TQ_CASE(name) L_##name:
-#define TQ_NEXT()                                        \
-  do {                                                   \
-    op = &ops[i];                                        \
-    goto* kLabels[static_cast<std::size_t>(op->id)];     \
-  } while (0)
+#define TQ_CASE(name) \
+  LH_##name:          \
+  TQ_RUN_HEAD()       \
+  L_##name:
+#define TQ_NEXT() goto* kLabels[static_cast<std::size_t>(op->id)]
     TQ_NEXT();
 #else
-    for (;;) {
-      op = &ops[i];
-      switch (op->id) {
 #define TQ_CASE(name) case COpId::name:
 #define TQ_NEXT() continue
+    for (;;) {
+      auto id = static_cast<std::uint8_t>(op->id);
+      if (id >= kRunHead) {
+        TQ_RUN_HEAD()
+        id -= kRunHead;
+      }
+      switch (static_cast<COpId>(id)) {
 #endif
 
     TQ_CASE(kNop) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       TQ_PRE()
-      ++i;
+      ++op;
       TQ_NEXT();
     }
 
     TQ_CASE(kHalt) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       TQ_PRE()
       cpu_.func = cur_func;
       cpu_.pc = op->pc;
@@ -261,23 +323,23 @@ RunOutcome CompiledMachine::exec(EventSink* sink) {
     TQ_ALU(kMul, r[op->rd] = r[op->ra] * r[op->rb])
 
     TQ_CASE(kDivS) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       TQ_PRE()
       const auto num = static_cast<std::int64_t>(r[op->ra]);
       const auto den = static_cast<std::int64_t>(r[op->rb]);
       if (den == 0) [[unlikely]] TQ_TRAP("integer division by zero");
       r[op->rd] = static_cast<std::uint64_t>(num / den);
-      ++i;
+      ++op;
       TQ_NEXT();
     }
     TQ_CASE(kRemS) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       TQ_PRE()
       const auto num = static_cast<std::int64_t>(r[op->ra]);
       const auto den = static_cast<std::int64_t>(r[op->rb]);
       if (den == 0) [[unlikely]] TQ_TRAP("integer remainder by zero");
       r[op->rd] = static_cast<std::uint64_t>(num % den);
-      ++i;
+      ++op;
       TQ_NEXT();
     }
 
@@ -334,23 +396,23 @@ RunOutcome CompiledMachine::exec(EventSink* sink) {
                      static_cast<std::int64_t>(f[op->ra])))
 
     TQ_CASE(kLoad) {
-      TQ_HEAD(op->size != 0)
+      TQ_HEAD()
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE()
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), ea, op->size, true,
                         is_stack_addr(ea, r[isa::kSp]), false);
       }
       r[op->rd] = memory_.load(ea, op->size);
-      ++i;
+      ++op;
       TQ_NEXT();
     }
     TQ_CASE(kLoadS) {
-      TQ_HEAD(op->size != 0)
+      TQ_HEAD()
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE()
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), ea, op->size, true,
                         is_stack_addr(ea, r[isa::kSp]), false);
       }
       std::uint64_t value = memory_.load(ea, op->size);
@@ -359,96 +421,96 @@ RunOutcome CompiledMachine::exec(EventSink* sink) {
         value |= ~((1ull << bits) - 1);
       }
       r[op->rd] = value;
-      ++i;
+      ++op;
       TQ_NEXT();
     }
     TQ_CASE(kStore) {
-      TQ_HEAD(op->size != 0)
+      TQ_HEAD()
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE()
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, false,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), ea, op->size, false,
                         is_stack_addr(ea, r[isa::kSp]), false);
       }
       memory_.store(ea, r[op->rb], op->size);
-      ++i;
+      ++op;
       TQ_NEXT();
     }
     TQ_CASE(kFLoad) {
-      TQ_HEAD(op->size != 0)
+      TQ_HEAD()
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE()
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), ea, op->size, true,
                         is_stack_addr(ea, r[isa::kSp]), false);
       }
       f[op->rd] = memory_.load_f64(ea);
-      ++i;
+      ++op;
       TQ_NEXT();
     }
     TQ_CASE(kFStore) {
-      TQ_HEAD(op->size != 0)
+      TQ_HEAD()
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE()
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, false,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), ea, op->size, false,
                         is_stack_addr(ea, r[isa::kSp]), false);
       }
       memory_.store_f64(ea, f[op->rb]);
-      ++i;
+      ++op;
       TQ_NEXT();
     }
     TQ_CASE(kFLoad4) {
-      TQ_HEAD(op->size != 0)
+      TQ_HEAD()
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE()
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), ea, op->size, true,
                         is_stack_addr(ea, r[isa::kSp]), false);
       }
       float value;
       const auto raw = static_cast<std::uint32_t>(memory_.load(ea, 4));
       std::memcpy(&value, &raw, 4);
       f[op->rd] = static_cast<double>(value);
-      ++i;
+      ++op;
       TQ_NEXT();
     }
     TQ_CASE(kFStore4) {
-      TQ_HEAD(op->size != 0)
+      TQ_HEAD()
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE()
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, false,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), ea, op->size, false,
                         is_stack_addr(ea, r[isa::kSp]), false);
       }
       const auto value = static_cast<float>(f[op->rb]);
       std::uint32_t raw;
       std::memcpy(&raw, &value, 4);
       memory_.store(ea, raw, 4);
-      ++i;
+      ++op;
       TQ_NEXT();
     }
     TQ_CASE(kPrefetch) {
-      TQ_HEAD(op->size != 0)
+      TQ_HEAD()
       const std::uint64_t ea = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       TQ_PRE()
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, ea, op->size, true,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), ea, op->size, true,
                         is_stack_addr(ea, r[isa::kSp]), true);
       }
       // Architecturally a no-op; only the event matters.
-      ++i;
+      ++op;
       TQ_NEXT();
     }
     TQ_CASE(kMovs) {
-      TQ_HEAD(op->size != 0)
+      TQ_HEAD()
       const std::uint64_t rea = r[op->ra];
       const std::uint64_t wea = r[op->rd];
       TQ_PRE()
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, rea, op->size, true,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), rea, op->size, true,
                         is_stack_addr(rea, r[isa::kSp]), false);
-        sink->on_access(cur_func, op->pc, retired - 1, wea, op->size, false,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), wea, op->size, false,
                         is_stack_addr(wea, r[isa::kSp]), false);
       }
       std::uint8_t buf[64];
@@ -457,36 +519,36 @@ RunOutcome CompiledMachine::exec(EventSink* sink) {
       memory_.write(wea, std::span<const std::uint8_t>(buf, op->size));
       r[op->ra] += op->size;
       r[op->rd] += op->size;
-      ++i;
+      ++op;
       TQ_NEXT();
     }
 
     TQ_CASE(kJmp) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       TQ_PRE()
-      i = op->target;
+      op = ops + op->target;
       TQ_NEXT();
     }
     TQ_CASE(kBrZ) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       TQ_PRE()
-      i = (r[op->ra] == 0) ? op->target : i + 1;
+      op = (r[op->ra] == 0) ? ops + op->target : op + 1;
       TQ_NEXT();
     }
     TQ_CASE(kBrNZ) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       TQ_PRE()
-      i = (r[op->ra] != 0) ? op->target : i + 1;
+      op = (r[op->ra] != 0) ? ops + op->target : op + 1;
       TQ_NEXT();
     }
 
     TQ_CASE(kCall) {
-      TQ_HEAD(true)
+      TQ_HEAD()
       const std::uint64_t sp_before = r[isa::kSp];
       const std::uint64_t wea = sp_before - 8;
       TQ_PRE()
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, wea, 8, false,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), wea, 8, false,
                         is_stack_addr(wea, sp_before), false);
       }
       const std::uint64_t ret_addr =
@@ -501,20 +563,20 @@ RunOutcome CompiledMachine::exec(EventSink* sink) {
       cpu_.pc = 0;
       retired_ = retired;
       TQ_SET_ROUTINE(callee);
-      if constexpr (M == Mode::kSinked) sink->on_enter(callee, retired - 1);
+      if constexpr (M == Mode::kSinked) sink->on_enter(callee, TQ_STAMP());
       check_entry_fault();
-      i = 0;
+      op = ops;
       TQ_NEXT();
     }
     TQ_CASE(kRet) {
-      TQ_HEAD(true)
+      TQ_HEAD()
       const std::uint64_t sp_before = r[isa::kSp];
       TQ_PRE()
       if constexpr (M == Mode::kSinked) {
-        sink->on_access(cur_func, op->pc, retired - 1, sp_before, 8, true,
+        sink->on_access(cur_func, op->pc, TQ_STAMP(), sp_before, 8, true,
                         is_stack_addr(sp_before, sp_before), false);
         TQ_FLUSH_SPAN()
-        sink->on_ret(cur_func, op->pc, retired - 1);
+        sink->on_ret(cur_func, op->pc, TQ_STAMP());
       }
       if (sp_before >= kStackBase) [[unlikely]] {
         TQ_TRAP("return with empty call stack");
@@ -536,18 +598,23 @@ RunOutcome CompiledMachine::exec(EventSink* sink) {
         retired_ = retired;
         trap("pc past end of function");
       }
-      i = pc2op[ret_pc];
+      op = ops + pc2op[ret_pc];
+      if constexpr (!kChecked) {
+        // A forged return address can land inside a run, past its head
+        // check; finish on the checked path from there.
+        if (op->run_off != 0) [[unlikely]] goto to_checked;
+      }
       TQ_NEXT();
     }
 
     TQ_CASE(kSys) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       TQ_PRE()
       cpu_.func = cur_func;
       cpu_.pc = op->pc;
       retired_ = retired;
       do_sys(op->imm);
-      ++i;
+      ++op;
       TQ_NEXT();
     }
 
@@ -563,84 +630,84 @@ RunOutcome CompiledMachine::exec(EventSink* sink) {
     // ---- superinstructions (unpredicated by construction) ----
 
     TQ_CASE(kFuseAddIAddI) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       r[op->rd] = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      ++retired;
+      TQ_RETIRE()
       TQ_MID()
       r[op->rd2] = r[op->ra2] + static_cast<std::uint64_t>(op->imm2);
-      ++retired;
-      ++i;
+      TQ_RETIRE()
+      ++op;
       TQ_NEXT();
     }
     TQ_CASE(kFuseAddISltSI) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       r[op->rd] = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      ++retired;
+      TQ_RETIRE()
       TQ_MID()
       r[op->rd2] = static_cast<std::int64_t>(r[op->ra2]) < op->imm2;
-      ++retired;
-      ++i;
+      TQ_RETIRE()
+      ++op;
       TQ_NEXT();
     }
     TQ_CASE(kFuseAddIBrNZ) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       const std::uint64_t v = r[op->ra] + static_cast<std::uint64_t>(op->imm);
       r[op->rd] = v;
-      ++retired;
+      TQ_RETIRE()
       TQ_MID()
-      ++retired;
-      i = (v != 0) ? op->target : i + 1;
+      TQ_RETIRE()
+      op = (v != 0) ? ops + op->target : op + 1;
       TQ_NEXT();
     }
     TQ_CASE(kFuseSltSIBrNZ) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       const bool t = static_cast<std::int64_t>(r[op->ra]) < op->imm;
       r[op->rd] = t;
-      ++retired;
+      TQ_RETIRE()
       TQ_MID()
-      ++retired;
-      i = t ? op->target : i + 1;
+      TQ_RETIRE()
+      op = t ? ops + op->target : op + 1;
       TQ_NEXT();
     }
     TQ_CASE(kFuseSltSBrNZ) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       const bool t = static_cast<std::int64_t>(r[op->ra]) <
                      static_cast<std::int64_t>(r[op->rb]);
       r[op->rd] = t;
-      ++retired;
+      TQ_RETIRE()
       TQ_MID()
-      ++retired;
-      i = t ? op->target : i + 1;
+      TQ_RETIRE()
+      op = t ? ops + op->target : op + 1;
       TQ_NEXT();
     }
     TQ_CASE(kFuseSltUBrNZ) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       const bool t = r[op->ra] < r[op->rb];
       r[op->rd] = t;
-      ++retired;
+      TQ_RETIRE()
       TQ_MID()
-      ++retired;
-      i = t ? op->target : i + 1;
+      TQ_RETIRE()
+      op = t ? ops + op->target : op + 1;
       TQ_NEXT();
     }
     TQ_CASE(kFuseSeqBrZ) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       const bool t = r[op->ra] == r[op->rb];
       r[op->rd] = t;
-      ++retired;
+      TQ_RETIRE()
       TQ_MID()
-      ++retired;
-      i = t ? i + 1 : op->target;
+      TQ_RETIRE()
+      op = t ? op + 1 : ops + op->target;
       TQ_NEXT();
     }
     TQ_CASE(kFuseSeqBrNZ) {
-      TQ_HEAD(false)
+      TQ_HEAD()
       const bool t = r[op->ra] == r[op->rb];
       r[op->rd] = t;
-      ++retired;
+      TQ_RETIRE()
       TQ_MID()
-      ++retired;
-      i = t ? op->target : i + 1;
+      TQ_RETIRE()
+      op = t ? ops + op->target : op + 1;
       TQ_NEXT();
     }
 
@@ -654,13 +721,23 @@ RunOutcome CompiledMachine::exec(EventSink* sink) {
 #undef TQ_CASE
 #undef TQ_NEXT
 
+  to_checked : {
+    // A run head failed its check (or a return landed inside a run): go on
+    // op by op from `op`, whose run state the fast path has not touched.
+    if constexpr (!kChecked) {
+      const Resume at{static_cast<std::size_t>(op - ops), cur_func, retired,
+                      span_start, span_mem};
+      return exec<M, true>(sink, &at);
+    }
+  }
+
   handle_stop : {
     // `retired >= stop_at` or the interrupt flag fired (cpu_.pc set at the
     // jump site). The interrupt wins over the budget, and the budget over
     // trap_at, matching the interpreter's check order.
     cpu_.func = cur_func;
     retired_ = retired;
-    if (irq != nullptr && *irq != 0) {
+    if (*irq != 0) {
       TQ_FLUSH_SPAN()
       RunOutcome out;
       out.status = RunStatus::kInterrupted;
@@ -695,8 +772,11 @@ RunOutcome CompiledMachine::exec(EventSink* sink) {
 }
 
 #undef TQ_TRAP
+#undef TQ_RUN_HEAD
 #undef TQ_HEAD
 #undef TQ_MID
+#undef TQ_RETIRE
+#undef TQ_STAMP
 #undef TQ_PRE
 #undef TQ_FLUSH_SPAN
 #undef TQ_SET_ROUTINE

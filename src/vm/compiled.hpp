@@ -7,6 +7,19 @@
 //   * pre-resolved control flow: branch targets are op-array indices, and a
 //     synthetic trailing op materialises the "pc past end of function" trap
 //     so the loop needs no per-instruction bounds check;
+//   * straight-line runs: ops are grouped into runs (no entry point inside,
+//     at most kRunCap instructions, closed by any op that transfers control,
+//     halts, makes a syscall, is predicated or can trap). A run's first op
+//     is dispatched through its head variant, which checks once that the
+//     whole run retires before the stop point (budget / trap_at) with the
+//     interrupt flag clear, then advances the retired count and the pending
+//     tick span for the whole run; the body ops pay no per-op bookkeeping
+//     and stamp their events from the run base plus their offset;
+//   * the checked fallback: a run that contains the stop point, or whose
+//     head sees the interrupt flag, runs through the per-op checked handlers
+//     (the same handler bodies, instantiated with per-op stop checks) to the
+//     exact stop. An interrupt is therefore seen at the next run head, at
+//     most kRunCap instructions after it was raised;
 //   * batched event emission (run(EventSink&)): per-instruction ticks
 //     accumulate into spans flushed at attribution boundaries, with the
 //     SP/stack-range classification inlined at the access site.
@@ -62,10 +75,18 @@ enum class COpId : std::uint8_t {
       kCount_,
 };
 
+/// Dispatch ids from here up are run heads: a run's first op is dispatched
+/// as `id + kRunHead`, whose label runs the run-head check before the body.
+inline constexpr std::uint8_t kRunHead = static_cast<std::uint8_t>(COpId::kCount_);
+
+/// Longest run, in guest instructions. It bounds how many instructions can
+/// retire between an interrupt being raised and the run head that sees it.
+inline constexpr unsigned kRunCap = 64;
+
 /// One lowered op. 40 bytes; a fused op carries its second instruction's
 /// fields in rd2/ra2/imm2 (the chosen pairs never need rb2 or a size2).
 struct COp {
-  COpId id = COpId::kNop;
+  COpId id = COpId::kNop;  ///< plus kRunHead on a run's first op
   std::uint8_t rd = 0;
   std::uint8_t ra = 0;
   std::uint8_t rb = 0;
@@ -74,19 +95,26 @@ struct COp {
   std::uint8_t flags = 0;  ///< isa::kFlagPredicated, if set
   std::uint8_t rd2 = 0;    ///< fused second destination
   std::uint8_t ra2 = 0;    ///< fused second source
+  std::uint8_t run_len = 0;  ///< run's first op: instructions in the run
+  std::uint8_t run_mem = 0;  ///< run's first op: memory-operand instructions
+  std::uint8_t run_off = 0;  ///< instructions before this op in its run
   std::uint32_t pc = 0;      ///< original pc of the (first) instruction
   std::uint32_t target = 0;  ///< branch target as an op-array index
   std::int64_t imm = 0;
   std::int64_t imm2 = 0;     ///< fused second immediate
 };
 static_assert(sizeof(COp) == 40, "keep the lowered op at five words");
+static_assert(kRunCap <= 0xff, "run_len and run_off are one byte");
+static_assert(2 * kRunHead <= 0x100, "head ids must fit the id byte");
 
 /// One routine lowered to threaded-dispatch form. `pc_to_op[pc]` maps every
 /// original instruction index (plus the one-past-the-end slot) to its op;
-/// the final op is always the synthetic kPastEnd trap.
+/// the final op is always the synthetic kPastEnd trap, which belongs to no
+/// run.
 struct CompiledRoutine {
   bool lowered = false;
   std::uint32_t fused = 0;  ///< pairs fused away in this routine
+  std::uint32_t runs = 0;   ///< straight-line runs
   std::vector<COp> ops;
   std::vector<std::uint32_t> pc_to_op;
 };
@@ -123,15 +151,26 @@ class CompiledMachine final : public GuestEngine {
   const PagedMemory& memory() const noexcept { return memory_; }
   PagedMemory& memory() noexcept { return memory_; }
 
-  /// Lowering diagnostics (valid during/after a run).
-  std::size_t lowered_routines() const noexcept { return lowered_count_; }
-  std::uint64_t fused_pairs() const noexcept { return fused_pairs_; }
+  /// Lowering totals over the routines lowered so far (valid during/after
+  /// a run).
+  struct LoweringStats {
+    std::uint64_t routines = 0;
+    std::uint64_t ops = 0;  ///< including each routine's kPastEnd
+    std::uint64_t runs = 0;
+    std::uint64_t fused_pairs = 0;
+  };
+  const LoweringStats& lowering_stats() const noexcept { return lowering_; }
 
  private:
   enum class Mode { kNative, kSinked };
+  struct Resume;
 
-  template <Mode M>
-  RunOutcome exec(EventSink* sink);
+  /// The dispatch loop. kChecked = false is the fast path (per-run checks);
+  /// a run that fails its head check resumes in the kChecked instantiation
+  /// (per-op checks) from `from`, which finishes the execution: that run
+  /// holds the stop point, or its first op sees the interrupt flag.
+  template <Mode M, bool kChecked>
+  RunOutcome exec(EventSink* sink, const Resume* from);
   RunOutcome start(EventSink* sink);
 
   /// Lower a routine on first entry.
@@ -155,8 +194,7 @@ class CompiledMachine final : public GuestEngine {
   bool ran_ = false;
 
   std::vector<CompiledRoutine> routines_;
-  std::size_t lowered_count_ = 0;
-  std::uint64_t fused_pairs_ = 0;
+  LoweringStats lowering_;
 };
 
 }  // namespace tq::vm

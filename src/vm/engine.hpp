@@ -50,10 +50,12 @@ class GuestEngine {
   virtual void set_fault_plan(const FaultPlan& plan) noexcept = 0;
 
   /// Arm cooperative interruption: when `*flag` becomes nonzero (typically
-  /// from a SIGINT/SIGTERM handler), the run stops at the next retirement
-  /// boundary with RunStatus::kInterrupted — the events delivered so far are
-  /// a valid prefix, exactly like a budget cut. `flag` must outlive the run;
-  /// null (default) disarms the check.
+  /// from a SIGINT/SIGTERM handler), the run stops with
+  /// RunStatus::kInterrupted — the interpreter at the next instruction, the
+  /// compiled engine at the next run head (within kRunCap instructions) —
+  /// and the events delivered so far are a valid prefix, exactly like a
+  /// budget cut at the same count. `flag` must outlive the run; null
+  /// (default) disarms the check.
   virtual void set_interrupt_flag(
       const volatile std::sig_atomic_t* flag) noexcept = 0;
 

@@ -65,7 +65,56 @@ bool fused_is_branch(COpId id) noexcept {
   }
 }
 
+/// Guest instructions an op retires.
+unsigned op_instrs(COpId id) noexcept {
+  return id >= COpId::kFuseAddIAddI ? 2 : 1;
+}
+
+/// Whether `op` must be the last of its run: it transfers control, halts,
+/// makes a syscall, is predicated, or can trap. The handlers of these ops
+/// read the live retired count (or unwind through a trap), which is exact
+/// only at a run's end.
+bool ends_run(const COp& op) noexcept {
+  if (op.flags != 0) return true;
+  switch (op.id) {
+    case COpId::kHalt:
+    case COpId::kDivS:
+    case COpId::kRemS:
+    case COpId::kJmp:
+    case COpId::kBrZ:
+    case COpId::kBrNZ:
+    case COpId::kCall:
+    case COpId::kRet:
+    case COpId::kSys:
+      return true;
+    default:
+      return fused_is_branch(op.id);
+  }
+}
+
 }  // namespace
+
+unsigned op_mem_bit(const COp& op) noexcept {
+  auto id = static_cast<std::uint8_t>(op.id);
+  if (id >= kRunHead) id -= kRunHead;
+  switch (static_cast<COpId>(id)) {
+    case COpId::kLoad:
+    case COpId::kLoadS:
+    case COpId::kStore:
+    case COpId::kFLoad:
+    case COpId::kFStore:
+    case COpId::kFLoad4:
+    case COpId::kFStore4:
+    case COpId::kPrefetch:
+    case COpId::kMovs:
+      return op.size != 0 ? 1 : 0;
+    case COpId::kCall:
+    case COpId::kRet:
+      return 1;
+    default:
+      return 0;
+  }
+}
 
 CompiledRoutine lower_routine(const Program& program, std::uint32_t func) {
   const std::vector<Instr>& code = program.functions()[func].code;
@@ -151,6 +200,42 @@ CompiledRoutine lower_routine(const Program& program, std::uint32_t func) {
     COp& op = rtn.ops[op_index];
     op.target = rtn.pc_to_op[op.target];
   }
+
+  // Pass 3: cut the ops (all but kPastEnd) into straight-line runs. A run
+  // starts at an entry point, at a predicated op (a run of its own, whose
+  // head evaluates the predicate), after an op that ends a run, or where
+  // the next op would take it past kRunCap instructions. Every transfer of
+  // control lands on an entry point, so it always lands on a run head.
+  std::vector<std::uint32_t> heads;
+  unsigned len = 0;
+  unsigned mem = 0;
+  const auto close_run = [&] {
+    COp& head = rtn.ops[heads.back()];
+    head.run_len = static_cast<std::uint8_t>(len);
+    head.run_mem = static_cast<std::uint8_t>(mem);
+    len = 0;
+  };
+  for (std::uint32_t k = 0; k + 1 < rtn.ops.size(); ++k) {
+    COp& op = rtn.ops[k];
+    const unsigned n = op_instrs(op.id);
+    if (len != 0 && (entry_point[op.pc] || op.flags != 0 || len + n > kRunCap)) {
+      close_run();
+    }
+    if (len == 0) {
+      heads.push_back(k);
+      mem = 0;
+    }
+    op.run_off = static_cast<std::uint8_t>(len);
+    len += n;
+    mem += op_mem_bit(op);
+    if (ends_run(op)) close_run();
+  }
+  if (len != 0) close_run();
+  for (const std::uint32_t k : heads) {
+    COp& head = rtn.ops[k];
+    head.id = static_cast<COpId>(static_cast<std::uint8_t>(head.id) + kRunHead);
+  }
+  rtn.runs = static_cast<std::uint32_t>(heads.size());
 
   rtn.lowered = true;
   return rtn;

@@ -153,6 +153,12 @@ assert c["trace.write.records"] > 0, c
 assert c["trace.write.bytes"] > 0, c
 assert m["gauges"]["session.retired"]["value"] > 0, m["gauges"]
 assert m["gauges"]["trace.write.compression_ratio_x1000"]["value"] > 0, m["gauges"]
+# The compiled engine's lowering gauges: every lowered routine has at least
+# one run, and each adds a past-the-end op that belongs to none.
+g = {k: v["value"] for k, v in m["gauges"].items() if k.startswith("vm.lowered.")}
+assert set(g) == {"vm.lowered.routines", "vm.lowered.ops", "vm.lowered.runs",
+                  "vm.lowered.fused_pairs"}, g
+assert 0 < g["vm.lowered.routines"] <= g["vm.lowered.runs"] < g["vm.lowered.ops"], g
 EOF
 # Stable keys: a second identical run must expose the identical metric name
 # set (values may differ only in timing counters; names never).

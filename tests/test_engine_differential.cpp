@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -298,12 +300,244 @@ TEST_P(EngineBareZoo, ArchitecturalStateMatches) {
   for (unsigned reg = 0; reg < isa::kNumIntRegs; ++reg) {
     EXPECT_EQ(compiled.cpu().regs[reg], machine.cpu().regs[reg]) << "r" << reg;
   }
-  EXPECT_GT(compiled.lowered_routines(), 0u);
+  EXPECT_GT(compiled.lowering_stats().routines, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, EngineBareZoo,
                          ::testing::ValuesIn(workloads::workload_names()),
                          [](const auto& info) { return info.param; });
+
+using gasm::R;
+
+// ---------------------------------------------------------------------------
+// Straight-line runs: the compiled engine checks the stop point once per run
+// and takes the per-op checked handlers only for the run that holds it. A
+// stop anywhere — a run head, inside a run, between a fused pair, on a
+// predicated op, on a trapping op — must land exactly where the
+// interpreter's does.
+
+/// A guest built around run boundaries: `work` is one straight-line block
+/// longer than the run cap, with a predicated store in its middle; main's
+/// loop closes its run with a fused compare+branch (sltsi+brnz); the program
+/// ends in a division by zero at the end of a run.
+vm::Program make_run_guest() {
+  gasm::ProgramBuilder prog;
+  auto& work = prog.begin_function("work");
+  work.enter(32);
+  work.movi(R{2}, static_cast<std::int64_t>(vm::kGlobalBase));
+  for (unsigned k = 0; k < vm::kRunCap + 24; ++k) {
+    switch (k % 6) {
+      case 0: work.load(R{3}, R{2}, 8 * (k % 5), 8); break;
+      case 1: work.addi(R{4}, R{3}, static_cast<std::int64_t>(k)); break;
+      case 2: work.store(gasm::SP, 8 * (k % 4), R{4}, 8); break;
+      case 3: work.xor_(R{5}, R{4}, R{1}); break;
+      case 4: work.store(R{2}, 8 * (k % 5), R{5}, 4); break;
+      default: work.load(R{6}, gasm::SP, 8 * (k % 4), 8); break;
+    }
+    if (k == vm::kRunCap / 2) {
+      // Predicated on the loop counter's parity: on in some calls, off in
+      // others; a predicated-off store still retires and ticks.
+      work.andi(R{8}, R{1}, 1);
+      work.store(R{2}, 64, R{4}, 8);
+      work.predicate_last(R{8});
+    }
+  }
+  work.leave(32);
+  work.ret();
+
+  auto& main = prog.begin_function("main");
+  const auto loop = main.new_label();
+  main.movi(R{1}, 0);
+  main.movi(R{13}, 1);
+  main.bind(loop);
+  main.call("work");
+  main.add(R{1}, R{1}, R{13});  // keeps the sltsi out of an addi pair
+  main.sltsi(R{7}, R{1}, 3);
+  main.brnz(R{7}, loop);
+  main.movi(R{10}, 0);
+  main.movi(R{12}, 7);
+  main.divs(R{11}, R{12}, R{10});
+  main.halt();
+  return prog.build("main");
+}
+
+/// Everything one stop point observes on one engine.
+struct StopRun {
+  vm::RunOutcome outcome;
+  std::unique_ptr<SessionRun> run;
+  std::vector<std::uint8_t> trace;
+};
+
+StopRun run_stopped(const vm::Program& program, vm::EngineKind engine,
+                    std::uint64_t trap_at, std::uint64_t budget) {
+  SessionConfig config = engine_config(engine);
+  config.fault_plan.trap_at_retired = trap_at;
+  config.instruction_budget = budget;
+  StopRun stop;
+  stop.run = std::make_unique<SessionRun>(program, config, kAllTools);
+  vm::HostEnv host;
+  stop.outcome = stop.run->session.run_live(host);
+  stop.trace = stop.run->recorder->take_encoded();
+  return stop;
+}
+
+/// Tool state and trace bytes of two finished runs.
+void expect_same_reports(SessionRun& reference, const std::vector<std::uint8_t>& reference_trace,
+                         SessionRun& candidate, const std::vector<std::uint8_t>& candidate_trace) {
+  testutil::expect_tquad_equal(*reference.tquad_tool, *candidate.tquad_tool);
+  testutil::expect_quad_equal(*reference.quad_tool, *candidate.quad_tool);
+  testutil::expect_gprof_equal(*reference.gprof_tool, *candidate.gprof_tool);
+  EXPECT_EQ(reference_trace, candidate_trace);
+}
+
+TEST(EngineRuns, EveryStopPointMatchesTheInterpreter) {
+  const vm::Program program = make_run_guest();
+  vm::HostEnv probe_host;
+  vm::Machine probe(program, probe_host);
+  const vm::RunOutcome full = probe.run();
+  ASSERT_EQ(full.status, vm::RunStatus::kTrapped);
+  ASSERT_EQ(full.trap_kind, "integer division by zero");
+  // Three calls of a block over twice the run cap, plus main's loop.
+  ASSERT_GT(full.retired, 3 * (vm::kRunCap + 24));
+
+  // Every retired count from the first instruction to one past the trap,
+  // so every run's head, body and end, and the first op of the next run,
+  // is a stop point of each kind.
+  for (std::uint64_t n = 1; n <= full.retired + 1; ++n) {
+    for (const bool as_trap : {true, false}) {
+      SCOPED_TRACE((as_trap ? "trap_at_retired=" : "instruction_budget=") +
+                   std::to_string(n));
+      const std::uint64_t trap_at = as_trap ? n : 0;
+      const std::uint64_t budget = as_trap ? 0 : n;
+      StopRun interp = run_stopped(program, vm::EngineKind::kInterp, trap_at, budget);
+      StopRun compiled = run_stopped(program, vm::EngineKind::kCompiled, trap_at, budget);
+      ASSERT_EQ(compiled.outcome.status, interp.outcome.status);
+      ASSERT_EQ(compiled.outcome.retired, interp.outcome.retired);
+      EXPECT_EQ(compiled.outcome.trap_kind, interp.outcome.trap_kind);
+      EXPECT_EQ(compiled.outcome.trap_func, interp.outcome.trap_func);
+      EXPECT_EQ(compiled.outcome.trap_pc, interp.outcome.trap_pc);
+      expect_same_reports(*interp.run, interp.trace, *compiled.run, compiled.trace);
+    }
+  }
+}
+
+/// Raises the interrupt flag from inside the run: at the `nth` routine
+/// entry (on a run boundary: the call ends its run), or at the first
+/// access retired at or after `access_at` (inside a run).
+class InterruptRaiser final : public AnalysisConsumer {
+ public:
+  InterruptRaiser(volatile std::sig_atomic_t& flag, std::uint64_t nth_enter,
+                  std::uint64_t access_at)
+      : flag_(flag), nth_enter_(nth_enter), access_at_(access_at) {}
+
+  unsigned event_interests() const override {
+    return kEnterInterest | kAccessInterest;
+  }
+  void on_kernel_enter(const EnterEvent& event) override {
+    if (++enters_ == nth_enter_) raise(event.retired);
+  }
+  void on_access(const AccessEvent& event) override {
+    if (event.retired >= access_at_) raise(event.retired);
+  }
+
+  /// The retired stamp of the instruction during which the flag went up.
+  std::optional<std::uint64_t> raised_at;
+
+ private:
+  void raise(std::uint64_t retired) {
+    if (raised_at) return;
+    raised_at = retired;
+    flag_ = 1;
+  }
+  volatile std::sig_atomic_t& flag_;
+  std::uint64_t nth_enter_;
+  std::uint64_t access_at_;
+  std::uint64_t enters_ = 0;
+};
+
+struct InterruptedRun {
+  vm::RunOutcome outcome;
+  std::unique_ptr<SessionRun> run;
+  std::optional<std::uint64_t> raised_at;
+  std::vector<std::uint8_t> trace;
+};
+
+InterruptedRun run_interrupted(const vm::Program& program, vm::EngineKind engine,
+                               std::uint64_t nth_enter, std::uint64_t access_at,
+                               bool raise_first = false) {
+  volatile std::sig_atomic_t flag = raise_first ? 1 : 0;
+  SessionConfig config = engine_config(engine);
+  config.interrupt = &flag;
+  InterruptedRun out;
+  out.run = std::make_unique<SessionRun>(program, config, kAllTools);
+  InterruptRaiser raiser(flag, nth_enter, access_at);
+  out.run->session.add_consumer(raiser);
+  vm::HostEnv host;
+  out.outcome = out.run->session.run_live(host);
+  out.raised_at = raiser.raised_at;
+  out.trace = out.run->recorder->take_encoded();
+  return out;
+}
+
+// A flag that is up before the guest starts, or goes up in the call that
+// ends a run, stops both engines at the next instruction: for the compiled
+// engine that is the head of the next run.
+TEST(EngineRuns, InterruptAtARunHeadMatchesTheInterpreter) {
+  const vm::Program program = make_run_guest();
+  constexpr std::uint64_t kNever = ~0ull;
+  {
+    SCOPED_TRACE("raised before the run");
+    InterruptedRun interp = run_interrupted(program, vm::EngineKind::kInterp, 0, kNever, true);
+    InterruptedRun compiled = run_interrupted(program, vm::EngineKind::kCompiled, 0, kNever, true);
+    EXPECT_EQ(interp.outcome.status, vm::RunStatus::kInterrupted);
+    EXPECT_EQ(compiled.outcome.status, vm::RunStatus::kInterrupted);
+    EXPECT_EQ(compiled.outcome.retired, 0u);
+    EXPECT_EQ(interp.outcome.retired, 0u);
+    expect_same_reports(*interp.run, interp.trace, *compiled.run, compiled.trace);
+  }
+  // Entries 2..4 are the three calls of `work` (entry 1 is main's).
+  for (std::uint64_t nth = 2; nth <= 4; ++nth) {
+    SCOPED_TRACE("raised at enter " + std::to_string(nth));
+    InterruptedRun interp = run_interrupted(program, vm::EngineKind::kInterp, nth, kNever);
+    InterruptedRun compiled = run_interrupted(program, vm::EngineKind::kCompiled, nth, kNever);
+    ASSERT_TRUE(compiled.raised_at.has_value());
+    EXPECT_EQ(compiled.outcome.status, vm::RunStatus::kInterrupted);
+    EXPECT_EQ(compiled.outcome.retired, *compiled.raised_at + 1);
+    EXPECT_EQ(interp.outcome.status, vm::RunStatus::kInterrupted);
+    EXPECT_EQ(interp.outcome.retired, compiled.outcome.retired);
+    expect_same_reports(*interp.run, interp.trace, *compiled.run, compiled.trace);
+  }
+}
+
+// A flag that goes up inside a run is seen at the next run head: the
+// compiled engine stops after at most kRunCap more instructions, and what
+// it reports is exactly the budget-truncated prefix of the same length.
+TEST(EngineRuns, InterruptInsideARunStopsAtTheNextRunHead) {
+  const vm::Program program = make_run_guest();
+  vm::HostEnv probe_host;
+  vm::Machine probe(program, probe_host);
+  const std::uint64_t total = probe.run().retired;
+  std::uint64_t last_stop = 0;
+  for (std::uint64_t at = 1; at < total; at += 7) {
+    SCOPED_TRACE("raised at the first access from retired " + std::to_string(at));
+    InterruptedRun compiled = run_interrupted(program, vm::EngineKind::kCompiled, 0, at);
+    if (!compiled.raised_at) break;  // no access left after `at`
+    const std::uint64_t stop = compiled.outcome.retired;
+    ASSERT_EQ(compiled.outcome.status, vm::RunStatus::kInterrupted);
+    EXPECT_GT(stop, *compiled.raised_at);
+    EXPECT_LE(stop, *compiled.raised_at + vm::kRunCap);
+    EXPECT_GE(stop, last_stop);
+    last_stop = stop;
+
+    StopRun truncated = run_stopped(program, vm::EngineKind::kInterp, 0, stop);
+    ASSERT_EQ(truncated.outcome.status, vm::RunStatus::kTruncated);
+    ASSERT_EQ(truncated.outcome.retired, stop);
+    testutil::expect_tquad_equal(*truncated.run->tquad_tool, *compiled.run->tquad_tool);
+    testutil::expect_quad_equal(*truncated.run->quad_tool, *compiled.run->quad_tool);
+    testutil::expect_gprof_equal(*truncated.run->gprof_tool, *compiled.run->gprof_tool);
+  }
+  EXPECT_GT(last_stop, 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Edge contracts, pinned for both engines.
@@ -378,8 +612,6 @@ TEST(EngineEdge, DisarmedFaultPlanIsNoOp) {
 
 // ---------------------------------------------------------------------------
 // Syscall edges, pinned for both engines.
-
-using gasm::R;
 
 /// A bare run's outcome and the post-run state the syscall tests inspect.
 struct SysRun {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "support/rng.hpp"
 #include "tquad/bandwidth.hpp"
@@ -220,6 +222,159 @@ TEST_P(BandwidthRandomStreamProperty, SeriesPartitionsRunningTotals) {
 
 INSTANTIATE_TEST_SUITE_P(Intervals, BandwidthRandomStreamProperty,
                          ::testing::Values(1, 7, 5000));
+
+/// The divide-per-access recorder the slice cache must match: the same
+/// open-slice flushing, with the slice always computed as retired /
+/// interval.
+class DivideReference {
+ public:
+  DivideReference(std::size_t kernels, std::uint64_t interval)
+      : kernels_(kernels), open_(kernels), interval_(interval) {}
+
+  void on_access(std::uint32_t kernel, std::uint64_t retired, std::uint32_t bytes,
+                 bool is_read, bool is_stack) {
+    const std::uint64_t slice = retired / interval_;
+    max_slice_ = std::max(max_slice_, slice);
+    Open& open = open_[kernel];
+    if (!open.used || open.slice != slice) {
+      if (open.used && !open.counters.empty()) {
+        kernels_[kernel].series.push_back(SliceSample{open.slice, open.counters});
+      }
+      open = Open{slice, {}, true};
+    }
+    SliceCounters c;
+    (is_read ? c.read_incl : c.write_incl) = bytes;
+    if (!is_stack) (is_read ? c.read_excl : c.write_excl) = bytes;
+    open.counters.merge(c);
+    kernels_[kernel].totals.merge(c);
+  }
+
+  void finish() {
+    for (std::size_t k = 0; k < kernels_.size(); ++k) {
+      if (open_[k].used && !open_[k].counters.empty()) {
+        kernels_[k].series.push_back(SliceSample{open_[k].slice, open_[k].counters});
+      }
+      open_[k] = Open{};
+    }
+  }
+
+  const KernelBandwidth& kernel(std::uint32_t k) const { return kernels_[k]; }
+  std::uint64_t max_slice() const { return max_slice_; }
+
+ private:
+  struct Open {
+    std::uint64_t slice = 0;
+    SliceCounters counters;
+    bool used = false;
+  };
+  std::vector<KernelBandwidth> kernels_;
+  std::vector<Open> open_;
+  std::uint64_t interval_;
+  std::uint64_t max_slice_ = 0;
+};
+
+struct Access {
+  std::uint32_t kernel;
+  std::uint64_t retired;
+  std::uint32_t bytes;
+  bool is_read;
+  bool is_stack;
+};
+
+void expect_same_as_reference(std::uint64_t interval, std::uint32_t kernels,
+                              const std::vector<Access>& stream) {
+  BandwidthRecorder rec(kernels, interval);
+  DivideReference ref(kernels, interval);
+  for (const Access& a : stream) {
+    rec.on_access(a.kernel, a.retired, a.bytes, a.is_read, a.is_stack);
+    ref.on_access(a.kernel, a.retired, a.bytes, a.is_read, a.is_stack);
+  }
+  rec.finish();
+  ref.finish();
+  EXPECT_EQ(rec.max_slice(), ref.max_slice());
+  for (std::uint32_t k = 0; k < kernels; ++k) {
+    SCOPED_TRACE("kernel=" + std::to_string(k));
+    const KernelBandwidth& got = rec.kernel(k);
+    const KernelBandwidth& want = ref.kernel(k);
+    ASSERT_EQ(got.series.size(), want.series.size());
+    for (std::size_t i = 0; i < got.series.size(); ++i) {
+      EXPECT_EQ(got.series[i].slice, want.series[i].slice) << "sample " << i;
+      EXPECT_EQ(got.series[i].counters.read_incl, want.series[i].counters.read_incl);
+      EXPECT_EQ(got.series[i].counters.read_excl, want.series[i].counters.read_excl);
+      EXPECT_EQ(got.series[i].counters.write_incl, want.series[i].counters.write_incl);
+      EXPECT_EQ(got.series[i].counters.write_excl, want.series[i].counters.write_excl);
+    }
+    EXPECT_EQ(got.totals.read_incl, want.totals.read_incl);
+    EXPECT_EQ(got.totals.read_excl, want.totals.read_excl);
+    EXPECT_EQ(got.totals.write_incl, want.totals.write_incl);
+    EXPECT_EQ(got.totals.write_excl, want.totals.write_excl);
+  }
+}
+
+/// (slice interval, shuffled): the recorder's cached slice window must give
+/// exactly the divide-per-access answer whatever order `retired` arrives
+/// in, as it does when the farm aggregates block ranges.
+class BandwidthSliceCacheProperty
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>> {};
+
+TEST_P(BandwidthSliceCacheProperty, MatchesDivideReference) {
+  const auto [interval, shuffled] = GetParam();
+  constexpr std::uint32_t kKernels = 4;
+  SplitMix64 rng(0x51cecull ^ interval ^ (shuffled ? 0x9e37ull : 0));
+  std::vector<Access> stream;
+  // Two stretches: one from 0, one ending at 2^64 - 1, where a slice's
+  // window reaches past the top of the retired range.
+  const std::uint64_t starts[] = {0, ~0ull - 40000 * (interval / 4 + 2)};
+  for (const std::uint64_t start : starts) {
+    std::uint64_t t = start;
+    for (int i = 0; i < 20000; ++i) {
+      // Mostly steps inside a slice, sometimes onto the next boundary;
+      // saturating at 2^64 - 1.
+      const std::uint64_t step = rng.next_below(8) == 0
+                                     ? interval - t % interval
+                                     : rng.next_below(interval / 2 + 2);
+      t = step > ~0ull - t ? ~0ull : t + step;
+      stream.push_back(Access{static_cast<std::uint32_t>(rng.next_below(kKernels)), t,
+                              1 + static_cast<std::uint32_t>(rng.next_below(64)),
+                              rng.next_below(2) == 0, rng.next_below(4) == 0});
+    }
+  }
+  stream.push_back(Access{0, ~0ull, 8, true, false});
+  stream.push_back(Access{1, ~0ull - (~0ull % interval), 4, false, false});
+  if (shuffled) {
+    for (std::size_t i = stream.size(); i > 1; --i) {
+      std::swap(stream[i - 1], stream[rng.next_below(i)]);
+    }
+  }
+  expect_same_as_reference(interval, kKernels, stream);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Intervals, BandwidthSliceCacheProperty,
+    ::testing::Combine(::testing::Values(std::uint64_t{1}, std::uint64_t{5000},
+                                         std::uint64_t{1} << 40),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return "interval" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_shuffled" : "_monotone");
+    });
+
+// An interval so wide that the last slice's window would end past 2^64:
+// the window saturates, and values on both sides of its start still land
+// in the right slice.
+TEST(BandwidthRecorder, SliceWindowSaturatesNearTopOfRange) {
+  const std::uint64_t interval = 3ull << 62;
+  const std::vector<Access> stream = {
+      {0, ~0ull, 8, true, false},        {0, interval, 8, true, false},
+      {0, interval - 1, 8, false, true}, {0, 0, 8, true, false},
+      {0, ~0ull - 1, 8, false, false},   {0, interval - 1, 8, true, false},
+  };
+  expect_same_as_reference(interval, 1, stream);
+  BandwidthRecorder rec(1, interval);
+  for (const Access& a : stream) rec.on_access(a.kernel, a.retired, a.bytes, a.is_read, a.is_stack);
+  rec.finish();
+  EXPECT_EQ(rec.max_slice(), 1u);
+}
 
 // The final-partial-slice fix: a run ending mid-slice must weight the tail
 // by its true width, both in the averages' denominator and the tail slice's

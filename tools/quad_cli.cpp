@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     if (metrics_spec.enabled) config.metrics = &registry;
     config.heartbeat_interval =
         static_cast<std::uint64_t>(cli.integer("heartbeat")) * 1'000'000;
-    // Graceful ^C: the engine stops at the next retirement boundary, every
+    // Graceful ^C: the engine stops at the next run head or instruction, every
     // consumer flushes (the recorder finalizes its trace), and the reports
     // stamp INTERRUPTED.
     cli::install_interrupt_handler();

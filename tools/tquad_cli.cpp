@@ -210,7 +210,7 @@ int run_profile(const CliParser& cli, const cli::ToolSet& tools) {
   if (metrics_spec.enabled) config.metrics = &registry;
   config.heartbeat_interval =
       static_cast<std::uint64_t>(cli.integer("heartbeat")) * 1'000'000;
-  // Graceful ^C: the engines stop at the next retirement boundary, every
+  // Graceful ^C: the engines stop at the next run head or instruction, every
   // consumer flushes (the recorder finalizes its trace), reports stamp
   // INTERRUPTED, and the tool exits 4.
   cli::install_interrupt_handler();
