@@ -631,8 +631,8 @@ void print_quad_replay() {
 ///     the ticks between two attribution boundaries into one span where
 ///     the interpreter emits one per instruction, but both pay the shared
 ///     per-access event cost.
-///   * bare: the uninstrumented VM, where fused-op threaded dispatch runs
-///     free of any event traffic — the engine's raw dispatch win.
+///   * bare: the uninstrumented VM, where threaded dispatch by
+///     straight-line runs goes free of any event traffic — the engine's raw dispatch win.
 bool print_jit_speedup() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
   const tquad::Options tquad_options{.slice_interval = 5000};

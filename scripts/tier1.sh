@@ -19,7 +19,7 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 #    The workload-zoo suites ride along so every registered memory shape
 #    (hash-join scatter, phase-sharp buffers, ...) is exercised under the
 #    sanitizers too, and the engine differential suite runs the compiled
-#    (fused-op) engine against the reference interpreter — including the
+#    (threaded-dispatch) engine against the reference interpreter — including the
 #    trap-at-N prefix contract and the non-default library policies — with
 #    ASan watching the lowered arrays.
 #    The page-directory suites (guest memory, UnMA sets, QUAD shadow) ride

@@ -77,7 +77,6 @@ void LiveEngineSource::publish_metrics(metrics::Registry& registry) const {
   registry.set_gauge("vm.lowered.routines", stats.routines);
   registry.set_gauge("vm.lowered.ops", stats.ops);
   registry.set_gauge("vm.lowered.runs", stats.runs);
-  registry.set_gauge("vm.lowered.fused_pairs", stats.fused_pairs);
 }
 
 // ---- TraceReplaySource ----------------------------------------------------------

@@ -48,7 +48,7 @@ class EventSource {
 
 /// Executes the guest once, forwarding its vm::EventSink stream into the
 /// attribution service. Single-shot, like the engine it owns. With
-/// EngineKind::kCompiled (the default) the guest runs on the fused-op
+/// EngineKind::kCompiled (the default) the guest runs on the compiled
 /// threaded-dispatch engine, which batches ticks into spans; with
 /// EngineKind::kInterp it runs on the reference interpreter, which emits
 /// one-tick spans. Both produce byte-identical consumer-visible streams.

@@ -37,9 +37,9 @@ struct SessionConfig {
   tquad::LibraryPolicy library_policy = tquad::LibraryPolicy::kExclude;
   std::uint64_t instruction_budget = 0;  ///< live runs only; 0 = unlimited
   vm::FaultPlan fault_plan;              ///< live runs only; default disarmed
-  /// Which execution engine runs live guests. The compiled fused-op engine
-  /// is the default; the interpreter remains as the reference
-  /// (`-engine interp`). Reports are byte-identical either way.
+  /// Which execution engine runs live guests. The compiled engine is the
+  /// default; the interpreter remains as the reference (`-engine interp`).
+  /// Reports are byte-identical either way.
   vm::EngineKind engine = vm::EngineKind::kCompiled;
   PipelineOptions pipeline;              ///< serial (inline consumers) by default
   /// Optional self-observability: when set, the session publishes its event

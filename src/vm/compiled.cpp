@@ -25,10 +25,8 @@
 #include "vm/lower.hpp"
 #include "vm/stack_addr.hpp"
 
-#if defined(__GNUC__) || defined(__clang__)
-#define TQ_CGOTO 1
-#else
-#define TQ_CGOTO 0
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the compiled engine dispatches through labels-as-values (gcc or clang)"
 #endif
 
 namespace tq::vm {
@@ -85,7 +83,6 @@ const CompiledRoutine& CompiledMachine::routine_for_entry(std::uint32_t func) {
     ++lowering_.routines;
     lowering_.ops += rtn.ops.size();
     lowering_.runs += rtn.runs;
-    lowering_.fused_pairs += rtn.fused;
   }
   return rtn;
 }
@@ -166,29 +163,19 @@ const volatile std::sig_atomic_t kNeverInterrupted = 0;
     if constexpr (M == Mode::kSinked) span_mem += op_mem_bit(*op);     \
   }
 
-// Stop check for the second instruction of a fused pair (checked path).
-#define TQ_MID()                                                       \
-  if (kChecked) {                                                      \
-    if (retired >= stop_at || *irq != 0) [[unlikely]] {                \
-      cpu_.pc = op->pc + 1;                                            \
-      goto handle_stop;                                                \
-    }                                                                  \
-  }
-
-// Retire one instruction (the fast path retired the whole run at its head).
-#define TQ_RETIRE()                   \
-  if constexpr (kChecked) ++retired;
-
-// The retired stamp of the op's (first) instruction, once it has retired.
+// The retired stamp of the op's instruction, once it has retired.
 #define TQ_STAMP() (kChecked ? retired - 1 : run_base + op->run_off)
 
 // Retire, then the predicated-off skip to the fall-through op (on the fast
-// path the run head already evaluated the predicate).
-#define TQ_PRE()                                                   \
-  TQ_RETIRE()                                                      \
-  if (kChecked && op->flags != 0 && r[op->pr] == 0) [[unlikely]] { \
-    ++op;                                                          \
-    TQ_NEXT();                                                     \
+// path the run head already retired the whole run and evaluated the
+// predicate).
+#define TQ_PRE()                                                     \
+  if constexpr (kChecked) {                                          \
+    ++retired;                                                       \
+    if (op->flags != 0 && r[op->pr] == 0) [[unlikely]] {             \
+      ++op;                                                          \
+      TQ_NEXT();                                                     \
+    }                                                                \
   }
 
 // Flush the pending tick span (kSinked) at an attribution boundary. Spans
@@ -211,7 +198,6 @@ const volatile std::sig_atomic_t kNeverInterrupted = 0;
   do {                                                  \
     rtn = &routine_for_entry(func_id);                  \
     ops = rtn->ops.data();                              \
-    pc2op = rtn->pc_to_op.data();                       \
   } while (0)
 
 #define TQ_ALU(name, stmt) \
@@ -251,7 +237,6 @@ RunOutcome CompiledMachine::exec(EventSink* sink, const Resume* from) {
   std::uint64_t run_base = 0;  // fast path: retired count at the run head
   const CompiledRoutine* rtn = nullptr;
   const COp* ops = nullptr;
-  const std::uint32_t* pc2op = nullptr;
   const COp* op = nullptr;
   if (from != nullptr) {
     cur_func = from->func;
@@ -260,7 +245,6 @@ RunOutcome CompiledMachine::exec(EventSink* sink, const Resume* from) {
     span_mem = from->span_mem;
   }
   (void)sink;
-  (void)pc2op;
 
   try {
     TQ_SET_ROUTINE(cur_func);
@@ -270,7 +254,6 @@ RunOutcome CompiledMachine::exec(EventSink* sink, const Resume* from) {
       check_entry_fault();
     }
 
-#if TQ_CGOTO
     // Body labels, then run-head labels (ids offset by kRunHead).
     static const void* const kLabels[] = {
 #define TQ_COP_LABEL(name) &&L_##name,
@@ -285,17 +268,6 @@ RunOutcome CompiledMachine::exec(EventSink* sink, const Resume* from) {
   L_##name:
 #define TQ_NEXT() goto* kLabels[static_cast<std::size_t>(op->id)]
     TQ_NEXT();
-#else
-#define TQ_CASE(name) case COpId::name:
-#define TQ_NEXT() continue
-    for (;;) {
-      auto id = static_cast<std::uint8_t>(op->id);
-      if (id >= kRunHead) {
-        TQ_RUN_HEAD()
-        id -= kRunHead;
-      }
-      switch (static_cast<COpId>(id)) {
-#endif
 
     TQ_CASE(kNop) {
       TQ_HEAD()
@@ -591,14 +563,14 @@ RunOutcome CompiledMachine::exec(EventSink* sink, const Resume* from) {
       cur_func = ret_func;
       cpu_.func = ret_func;
       TQ_SET_ROUTINE(ret_func);
-      if (ret_pc >= rtn->pc_to_op.size()) [[unlikely]] {
+      if (ret_pc >= rtn->ops.size()) [[unlikely]] {
         // A forged return address landing beyond the code: the interpreter
         // traps on its per-iteration bounds check with the landing pc.
         cpu_.pc = ret_pc;
         retired_ = retired;
         trap("pc past end of function");
       }
-      op = ops + pc2op[ret_pc];
+      op = ops + ret_pc;
       if constexpr (!kChecked) {
         // A forged return address can land inside a run, past its head
         // check; finish on the checked path from there.
@@ -627,97 +599,6 @@ RunOutcome CompiledMachine::exec(EventSink* sink, const Resume* from) {
       trap("pc past end of function");
     }
 
-    // ---- superinstructions (unpredicated by construction) ----
-
-    TQ_CASE(kFuseAddIAddI) {
-      TQ_HEAD()
-      r[op->rd] = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      TQ_RETIRE()
-      TQ_MID()
-      r[op->rd2] = r[op->ra2] + static_cast<std::uint64_t>(op->imm2);
-      TQ_RETIRE()
-      ++op;
-      TQ_NEXT();
-    }
-    TQ_CASE(kFuseAddISltSI) {
-      TQ_HEAD()
-      r[op->rd] = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      TQ_RETIRE()
-      TQ_MID()
-      r[op->rd2] = static_cast<std::int64_t>(r[op->ra2]) < op->imm2;
-      TQ_RETIRE()
-      ++op;
-      TQ_NEXT();
-    }
-    TQ_CASE(kFuseAddIBrNZ) {
-      TQ_HEAD()
-      const std::uint64_t v = r[op->ra] + static_cast<std::uint64_t>(op->imm);
-      r[op->rd] = v;
-      TQ_RETIRE()
-      TQ_MID()
-      TQ_RETIRE()
-      op = (v != 0) ? ops + op->target : op + 1;
-      TQ_NEXT();
-    }
-    TQ_CASE(kFuseSltSIBrNZ) {
-      TQ_HEAD()
-      const bool t = static_cast<std::int64_t>(r[op->ra]) < op->imm;
-      r[op->rd] = t;
-      TQ_RETIRE()
-      TQ_MID()
-      TQ_RETIRE()
-      op = t ? ops + op->target : op + 1;
-      TQ_NEXT();
-    }
-    TQ_CASE(kFuseSltSBrNZ) {
-      TQ_HEAD()
-      const bool t = static_cast<std::int64_t>(r[op->ra]) <
-                     static_cast<std::int64_t>(r[op->rb]);
-      r[op->rd] = t;
-      TQ_RETIRE()
-      TQ_MID()
-      TQ_RETIRE()
-      op = t ? ops + op->target : op + 1;
-      TQ_NEXT();
-    }
-    TQ_CASE(kFuseSltUBrNZ) {
-      TQ_HEAD()
-      const bool t = r[op->ra] < r[op->rb];
-      r[op->rd] = t;
-      TQ_RETIRE()
-      TQ_MID()
-      TQ_RETIRE()
-      op = t ? ops + op->target : op + 1;
-      TQ_NEXT();
-    }
-    TQ_CASE(kFuseSeqBrZ) {
-      TQ_HEAD()
-      const bool t = r[op->ra] == r[op->rb];
-      r[op->rd] = t;
-      TQ_RETIRE()
-      TQ_MID()
-      TQ_RETIRE()
-      op = t ? op + 1 : ops + op->target;
-      TQ_NEXT();
-    }
-    TQ_CASE(kFuseSeqBrNZ) {
-      TQ_HEAD()
-      const bool t = r[op->ra] == r[op->rb];
-      r[op->rd] = t;
-      TQ_RETIRE()
-      TQ_MID()
-      TQ_RETIRE()
-      op = t ? ops + op->target : op + 1;
-      TQ_NEXT();
-    }
-
-#if TQ_CGOTO
-#else
-        default:
-          TQUAD_CHECK(false, "invalid compiled opcode");
-      }
-    }
-#endif
 #undef TQ_CASE
 #undef TQ_NEXT
 
@@ -774,8 +655,6 @@ RunOutcome CompiledMachine::exec(EventSink* sink, const Resume* from) {
 #undef TQ_TRAP
 #undef TQ_RUN_HEAD
 #undef TQ_HEAD
-#undef TQ_MID
-#undef TQ_RETIRE
 #undef TQ_STAMP
 #undef TQ_PRE
 #undef TQ_FLUSH_SPAN

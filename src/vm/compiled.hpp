@@ -1,12 +1,12 @@
 // The compiled execution engine: guest routines are lowered into flat arrays
-// of fused ops, run by a tight computed-goto/threaded dispatch loop.
+// of ops, one per guest instruction, run by a tight computed-goto threaded
+// dispatch loop.
 //
 // What lowering buys over the interpreter (see lower.cpp for the pass):
-//   * superinstructions: common unpredicated pairs (compare+branch,
-//     addi+addi, ...) retire two guest instructions per dispatch;
-//   * pre-resolved control flow: branch targets are op-array indices, and a
-//     synthetic trailing op materialises the "pc past end of function" trap
-//     so the loop needs no per-instruction bounds check;
+//   * pre-resolved control flow: op i is the instruction at pc i, so branch
+//     targets and return sites index the op array directly, and a synthetic
+//     trailing op materialises the "pc past end of function" trap so the
+//     loop needs no per-instruction bounds check;
 //   * straight-line runs: ops are grouped into runs (no entry point inside,
 //     at most kRunCap instructions, closed by any op that transfers control,
 //     halts, makes a syscall, is predicated or can trap). A run's first op
@@ -41,8 +41,8 @@
 
 namespace tq::vm {
 
-// Every fused-dispatch opcode. The X-macro keeps the enum, the dispatch
-// label table and the switch fallback in lockstep — order matters.
+// Every dispatch opcode. The X-macro keeps the enum and the dispatch label
+// table in lockstep — order matters.
 // clang-format off
 #define TQ_COP_LIST(X)                                                        \
   X(kNop) X(kHalt)                                                            \
@@ -57,15 +57,7 @@ namespace tq::vm {
   X(kLoad) X(kLoadS) X(kStore) X(kFLoad) X(kFStore) X(kFLoad4) X(kFStore4)    \
   X(kPrefetch) X(kMovs)                                                       \
   X(kJmp) X(kBrZ) X(kBrNZ) X(kCall) X(kRet) X(kSys)                           \
-  X(kPastEnd)            /* synthetic: fall-through past the last pc */       \
-  X(kFuseAddIAddI)       /* addi ; addi                    */                 \
-  X(kFuseAddISltSI)      /* addi ; sltsi                   */                 \
-  X(kFuseAddIBrNZ)       /* addi rd ; brnz rd  (countdown) */                 \
-  X(kFuseSltSIBrNZ)      /* sltsi rd ; brnz rd             */                 \
-  X(kFuseSltSBrNZ)       /* slts rd ; brnz rd              */                 \
-  X(kFuseSltUBrNZ)       /* sltu rd ; brnz rd              */                 \
-  X(kFuseSeqBrZ)         /* seq rd ; brz rd                */                 \
-  X(kFuseSeqBrNZ)        /* seq rd ; brnz rd               */
+  X(kPastEnd)            /* synthetic: fall-through past the last pc */
 // clang-format on
 
 enum class COpId : std::uint8_t {
@@ -83,8 +75,7 @@ inline constexpr std::uint8_t kRunHead = static_cast<std::uint8_t>(COpId::kCount
 /// retire between an interrupt being raised and the run head that sees it.
 inline constexpr unsigned kRunCap = 64;
 
-/// One lowered op. 40 bytes; a fused op carries its second instruction's
-/// fields in rd2/ra2/imm2 (the chosen pairs never need rb2 or a size2).
+/// One lowered op: one guest instruction, in four words.
 struct COp {
   COpId id = COpId::kNop;  ///< plus kRunHead on a run's first op
   std::uint8_t rd = 0;
@@ -93,30 +84,24 @@ struct COp {
   std::uint8_t size = 0;   ///< memory access width
   std::uint8_t pr = 0;     ///< predicate register (flags != 0)
   std::uint8_t flags = 0;  ///< isa::kFlagPredicated, if set
-  std::uint8_t rd2 = 0;    ///< fused second destination
-  std::uint8_t ra2 = 0;    ///< fused second source
   std::uint8_t run_len = 0;  ///< run's first op: instructions in the run
   std::uint8_t run_mem = 0;  ///< run's first op: memory-operand instructions
   std::uint8_t run_off = 0;  ///< instructions before this op in its run
-  std::uint32_t pc = 0;      ///< original pc of the (first) instruction
-  std::uint32_t target = 0;  ///< branch target as an op-array index
+  std::uint32_t pc = 0;      ///< the instruction's pc, and this op's index
+  std::uint32_t target = 0;  ///< branch target pc (= op index)
   std::int64_t imm = 0;
-  std::int64_t imm2 = 0;     ///< fused second immediate
 };
-static_assert(sizeof(COp) == 40, "keep the lowered op at five words");
+static_assert(sizeof(COp) == 32, "keep the lowered op at four words");
 static_assert(kRunCap <= 0xff, "run_len and run_off are one byte");
 static_assert(2 * kRunHead <= 0x100, "head ids must fit the id byte");
 
-/// One routine lowered to threaded-dispatch form. `pc_to_op[pc]` maps every
-/// original instruction index (plus the one-past-the-end slot) to its op;
-/// the final op is always the synthetic kPastEnd trap, which belongs to no
-/// run.
+/// One routine lowered to threaded-dispatch form: `ops[pc]` is the op of
+/// the instruction at `pc`, and the final op, `ops[code size]`, is always
+/// the synthetic kPastEnd trap, which belongs to no run.
 struct CompiledRoutine {
   bool lowered = false;
-  std::uint32_t fused = 0;  ///< pairs fused away in this routine
-  std::uint32_t runs = 0;   ///< straight-line runs
+  std::uint32_t runs = 0;  ///< straight-line runs
   std::vector<COp> ops;
-  std::vector<std::uint32_t> pc_to_op;
 };
 
 /// The compiled engine. Same contract as vm::Machine: bind a validated
@@ -157,7 +142,6 @@ class CompiledMachine final : public GuestEngine {
     std::uint64_t routines = 0;
     std::uint64_t ops = 0;  ///< including each routine's kPastEnd
     std::uint64_t runs = 0;
-    std::uint64_t fused_pairs = 0;
   };
   const LoweringStats& lowering_stats() const noexcept { return lowering_; }
 

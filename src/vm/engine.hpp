@@ -23,7 +23,7 @@ struct FaultPlan;
 /// Which execution engine runs the guest.
 enum class EngineKind : std::uint8_t {
   kInterp = 0,    ///< the original switch-dispatch interpreter
-  kCompiled = 1,  ///< lowered fused-op threaded dispatch
+  kCompiled = 1,  ///< lowered ops, computed-goto threaded dispatch
 };
 
 /// "interp" / "compiled".

@@ -1,5 +1,5 @@
 // The lowering pass: one routine's decoded isa::Instr stream down to the
-// compiled engine's fused-op form.
+// compiled engine's op array, one op per instruction, cut into runs.
 #pragma once
 
 #include <cstdint>

@@ -156,8 +156,7 @@ assert m["gauges"]["trace.write.compression_ratio_x1000"]["value"] > 0, m["gauge
 # The compiled engine's lowering gauges: every lowered routine has at least
 # one run, and each adds a past-the-end op that belongs to none.
 g = {k: v["value"] for k, v in m["gauges"].items() if k.startswith("vm.lowered.")}
-assert set(g) == {"vm.lowered.routines", "vm.lowered.ops", "vm.lowered.runs",
-                  "vm.lowered.fused_pairs"}, g
+assert set(g) == {"vm.lowered.routines", "vm.lowered.ops", "vm.lowered.runs"}, g
 assert 0 < g["vm.lowered.routines"] <= g["vm.lowered.runs"] < g["vm.lowered.ops"], g
 EOF
 # Stable keys: a second identical run must expose the identical metric name

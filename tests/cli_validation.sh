@@ -181,6 +181,26 @@ expect_status 2 usage.txt -- \
 grep -q "unknown -metrics format" err.txt
 expect_error "option -heartbeat must not be negative" -- \
     "$TOOLS/tquad_cli" -image wfs.tqim -heartbeat -1
+expect_error "option -heartbeat must not be negative" -- \
+    "$TOOLS/quad_cli" -image wfs.tqim -heartbeat -1
+# -heartbeat counts millions of instructions in 64 bits: the largest N whose
+# N x 10^6 fits is accepted, one more would wrap into a short period.
+for tool in tquad_cli quad_cli; do
+  expect_error "option -heartbeat must be at most 18446744073709 (got 18446744073710)" -- \
+      "$TOOLS/$tool" -image wfs.tqim -heartbeat 18446744073710
+  expect_status 0 hb.txt -- \
+      "$TOOLS/$tool" -image wfs.tqim -in in.wav -heartbeat 18446744073709
+done
+
+# The clock rate and CPI turn instruction counts into time and bandwidth:
+# zero, negative, nan and inf are refused instead of printing inf, nan or
+# negative MB/s.
+for value in 0 -1 nan inf; do
+  expect_error "option -cpu-ghz must be a positive finite number" -- \
+      "$TOOLS/tquad_cli" -image wfs.tqim -cpu-ghz "$value"
+  expect_error "option -cpi must be a positive finite number" -- \
+      "$TOOLS/tquad_cli" -image wfs.tqim -cpi "$value"
+done
 
 # Malformed -viz specs are usage errors; a replay without an analysis session
 # has no access stream to map.

@@ -1,6 +1,6 @@
 // Differential matrix for the compiled execution engine: lowering guest
-// programs plus their subscribed instrumentation into fused-op threaded
-// dispatch must be observationally invisible. For every zoo workload, every
+// programs into threaded dispatch by straight-line runs must be
+// observationally invisible. For every zoo workload, every
 // non-empty tool combination, serial and parallel dispatch, and under
 // injected traps, the compiled engine's tool state must equal the
 // interpreter reference exactly — and a trap at N must equal the budget-N
@@ -10,9 +10,10 @@
 //
 // The engine edge contracts are pinned here for BOTH engines: run() is
 // single-shot, budget == retired is a clean boundary, a fully disarmed
-// FaultPlan is a no-op, and guest-controlled syscall sizes (a heap bump that
+// FaultPlan is a no-op, guest-controlled syscall sizes (a heap bump that
 // would wrap, a read or write length of a terabyte) end in an exact result
-// or a guest trap.
+// or a guest trap, and a forged return address lands where the
+// interpreter's does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 #include "trace/trace.hpp"
 #include "tquad/tquad_tool.hpp"
 #include "vm/compiled.hpp"
+#include "vm/lower.hpp"
 #include "vm/machine.hpp"
 #include "workloads/registry.hpp"
 #include "workloads/workloads.hpp"
@@ -312,13 +314,12 @@ using gasm::R;
 // ---------------------------------------------------------------------------
 // Straight-line runs: the compiled engine checks the stop point once per run
 // and takes the per-op checked handlers only for the run that holds it. A
-// stop anywhere — a run head, inside a run, between a fused pair, on a
-// predicated op, on a trapping op — must land exactly where the
-// interpreter's does.
+// stop anywhere — a run head, inside a run, on a predicated op, on a
+// trapping op — must land exactly where the interpreter's does.
 
 /// A guest built around run boundaries: `work` is one straight-line block
 /// longer than the run cap, with a predicated store in its middle; main's
-/// loop closes its run with a fused compare+branch (sltsi+brnz); the program
+/// loop closes its run with a compare and branch (sltsi, brnz); the program
 /// ends in a division by zero at the end of a run.
 vm::Program make_run_guest() {
   gasm::ProgramBuilder prog;
@@ -351,7 +352,7 @@ vm::Program make_run_guest() {
   main.movi(R{13}, 1);
   main.bind(loop);
   main.call("work");
-  main.add(R{1}, R{1}, R{13});  // keeps the sltsi out of an addi pair
+  main.add(R{1}, R{1}, R{13});
   main.sltsi(R{7}, R{1}, 3);
   main.brnz(R{7}, loop);
   main.movi(R{10}, 0);
@@ -758,6 +759,109 @@ TEST(EngineSyscall, WriteRangeMustStayInTheGuestAddressSpace) {
     EXPECT_EQ(run.outcome.status, vm::RunStatus::kTrapped);
     EXPECT_EQ(run.outcome.trap_kind, "guest write range leaves the guest address space");
     EXPECT_TRUE(after.output(out).empty());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Forged returns: a guest may rewrite its saved return address, so a return
+// can land on any pc of the caller — not only on a call's return site (a
+// run head) but inside a run, or past the end of the code. Wherever it
+// lands, the compiled engine must run exactly the instructions the
+// interpreter runs.
+
+/// A guest whose callee `bump` adds `skip` to its saved return address.
+struct ForgedReturnGuest {
+  vm::Program program;
+  std::uint32_t main = 0;          ///< function index of main
+  std::uint32_t return_site = 0;   ///< main's pc after the call
+  std::uint32_t main_size = 0;     ///< main's instruction count
+};
+
+ForgedReturnGuest make_forged_return_guest(std::int64_t skip) {
+  gasm::ProgramBuilder prog;
+  auto& bump = prog.begin_function("bump");
+  bump.load(R{9}, gasm::SP, 0, 8);
+  bump.addi(R{9}, R{9}, skip);
+  bump.store(gasm::SP, 0, R{9}, 8);
+  bump.ret();
+
+  auto& leaf = prog.begin_function("leaf");
+  leaf.load(R{7}, R{1}, 0, 8);
+  leaf.ret();
+
+  auto& main = prog.begin_function("main");
+  main.movi(R{1}, static_cast<std::int64_t>(vm::kGlobalBase));
+  main.call("bump");
+  const auto return_site = static_cast<std::uint32_t>(main.size());
+  main.addi(R{2}, R{2}, 1);  // the return site: a run head
+  main.addi(R{3}, R{3}, 1);  // the second instruction of an addi pair
+  main.xor_(R{4}, R{2}, R{3});
+  main.store(R{1}, 0, R{4}, 8);
+  main.load(R{5}, R{1}, 0, 8);
+  main.add(R{6}, R{5}, R{3});
+  main.call("leaf");
+  main.store(R{1}, 8, R{6}, 8);
+  main.halt();
+  const auto main_size = static_cast<std::uint32_t>(main.size());
+
+  ForgedReturnGuest guest{prog.build("main"), 0, return_site, main_size};
+  guest.main = guest.program.entry();
+  return guest;
+}
+
+// Every landing from the return site to past the end: (a) skip 1 lands on
+// the second of an `addi; addi` pair, which must run alone; (b) skip 2..6
+// land inside the return site's run, where the fast path hands over to
+// the checked path; (c) a landing at or past the end of main traps with
+// "pc past end of function" at the landing pc. Both engines must agree on
+// the outcome, the registers, every tool's state and the trace bytes.
+TEST(EngineForgedReturn, EveryLandingMatchesTheInterpreter) {
+  const ForgedReturnGuest probe = make_forged_return_guest(0);
+  const std::int64_t past_end = probe.main_size - probe.return_site;
+  for (std::int64_t skip = 0; skip <= past_end + 2; ++skip) {
+    SCOPED_TRACE("skip " + std::to_string(skip));
+    const ForgedReturnGuest guest = make_forged_return_guest(skip);
+    const auto landing = static_cast<std::uint32_t>(guest.return_site + skip);
+
+    vm::HostEnv interp_host;
+    vm::HostEnv compiled_host;
+    const SysRun interp = run_bare<vm::Machine>(guest.program, interp_host);
+    const SysRun compiled = run_bare<vm::CompiledMachine>(guest.program, compiled_host);
+    ASSERT_EQ(compiled.outcome.status, interp.outcome.status);
+    EXPECT_EQ(compiled.outcome.retired, interp.outcome.retired);
+    EXPECT_EQ(compiled.outcome.trap_kind, interp.outcome.trap_kind);
+    EXPECT_EQ(compiled.outcome.trap_pc, interp.outcome.trap_pc);
+    for (unsigned reg = 0; reg < isa::kNumIntRegs; ++reg) {
+      EXPECT_EQ(compiled.regs[reg], interp.regs[reg]) << "r" << reg;
+    }
+
+    StopRun interp_session = run_stopped(guest.program, vm::EngineKind::kInterp, 0, 0);
+    StopRun compiled_session = run_stopped(guest.program, vm::EngineKind::kCompiled, 0, 0);
+    ASSERT_EQ(compiled_session.outcome.status, interp_session.outcome.status);
+    EXPECT_EQ(compiled_session.outcome.retired, interp_session.outcome.retired);
+    EXPECT_EQ(compiled_session.outcome.trap_kind, interp_session.outcome.trap_kind);
+    EXPECT_EQ(compiled_session.outcome.trap_func, interp_session.outcome.trap_func);
+    EXPECT_EQ(compiled_session.outcome.trap_pc, interp_session.outcome.trap_pc);
+    expect_same_reports(*interp_session.run, interp_session.trace, *compiled_session.run,
+                        compiled_session.trace);
+
+    if (skip == 1) {
+      // Only the second addi ran.
+      EXPECT_EQ(interp.regs[2], 0u);
+      EXPECT_EQ(interp.regs[3], 1u);
+    }
+    if (landing < guest.main_size) {
+      EXPECT_EQ(interp.outcome.status, vm::RunStatus::kHalted);
+      if (skip >= 2 && skip <= 6) {
+        const vm::CompiledRoutine main = vm::lower_routine(guest.program, guest.main);
+        EXPECT_NE(main.ops[landing].run_off, 0u) << "landing is not inside a run";
+      }
+    } else {
+      EXPECT_EQ(interp.outcome.status, vm::RunStatus::kTrapped);
+      EXPECT_EQ(interp.outcome.trap_kind, "pc past end of function");
+      EXPECT_EQ(interp.outcome.trap_pc, landing);
+      EXPECT_EQ(compiled_session.outcome.trap_func, guest.main);
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 // flag parsing/validation, and report fragments used by more than one tool.
 #pragma once
 
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -80,6 +82,19 @@ inline void require_positive(const CliParser& cli, const std::string& name) {
   }
 }
 
+/// Validate that a real flag holds a finite, strictly positive value: a
+/// zero, negative, nan or inf clock rate or CPI would turn every time and
+/// bandwidth figure into inf, nan or a negative number.
+inline void require_positive_real(const CliParser& cli, const std::string& name) {
+  const double value = cli.real(name);
+  if (!std::isfinite(value) || value <= 0) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%g", value);
+    TQUAD_THROW("option -" + name + " must be a positive finite number (got " +
+                text + ")");
+  }
+}
+
 inline void require_non_negative(const CliParser& cli, const std::string& name) {
   if (cli.integer(name) < 0) {
     TQUAD_THROW("option -" + name + " must not be negative (got " +
@@ -87,8 +102,22 @@ inline void require_non_negative(const CliParser& cli, const std::string& name) 
   }
 }
 
-/// Parse the `-engine` flag: `compiled` (the fused-op threaded-dispatch
-/// engine, the default) or `interp` (the reference interpreter). Reports
+/// The `-heartbeat N` flag in retired instructions (N million; 0 = off).
+/// N must not be negative, and N x 10^6 must fit in 64 bits.
+inline std::uint64_t heartbeat_interval(const CliParser& cli) {
+  constexpr std::uint64_t kPerUnit = 1'000'000;
+  constexpr std::int64_t kMax =
+      static_cast<std::int64_t>(UINT64_MAX / kPerUnit);  // 18446744073709
+  require_non_negative(cli, "heartbeat");
+  if (cli.integer("heartbeat") > kMax) {
+    TQUAD_THROW("option -heartbeat must be at most " + std::to_string(kMax) +
+                " (got " + std::to_string(cli.integer("heartbeat")) + ")");
+  }
+  return static_cast<std::uint64_t>(cli.integer("heartbeat")) * kPerUnit;
+}
+
+/// Parse the `-engine` flag: `compiled` (the threaded-dispatch engine,
+/// the default) or `interp` (the reference interpreter). Reports
 /// are byte-identical either way; unknown names are usage errors (exit 2).
 inline vm::EngineKind parse_engine(const std::string& name) {
   if (name == "compiled") return vm::EngineKind::kCompiled;

@@ -45,9 +45,9 @@ int main(int argc, char** argv) {
                  "guest-fault handling: report (emit PARTIAL reports, exit 3) "
                  "| abort (print the trap and exit 3 with no reports)");
   cli.add_string("engine", "compiled",
-                 "guest execution engine: compiled (fused-op threaded "
-                 "dispatch, default) | interp (reference interpreter); "
-                 "reports are byte-identical either way");
+                 "guest execution engine: compiled (threaded dispatch by "
+                 "straight-line runs, default) | interp (reference "
+                 "interpreter); reports are byte-identical either way");
   cli.add_string("pipeline", "serial",
                  "analysis dispatch: serial (tools run on the VM thread) | "
                  "parallel[:N] (one drain thread per event ring; N = QUAD page "
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     // Validate every flag before any file I/O or the (long) analysis run.
     cli::require_positive(cli, "budget");
     cli::require_non_negative(cli, "clusters");
-    cli::require_non_negative(cli, "heartbeat");
+    const std::uint64_t heartbeat = cli::heartbeat_interval(cli);
     cli::validate_on_trap(cli.str("on-trap"));
     const vm::EngineKind engine = cli::parse_engine(cli.str("engine"));
     const cli::MetricsSpec metrics_spec = cli::parse_metrics(cli.str("metrics"));
@@ -95,8 +95,7 @@ int main(int argc, char** argv) {
     config.engine = engine;
     config.pipeline = pipeline;
     if (metrics_spec.enabled) config.metrics = &registry;
-    config.heartbeat_interval =
-        static_cast<std::uint64_t>(cli.integer("heartbeat")) * 1'000'000;
+    config.heartbeat_interval = heartbeat;
     // Graceful ^C: the engine stops at the next run head or instruction, every
     // consumer flushes (the recorder finalizes its trace), and the reports
     // stamp INTERRUPTED.

@@ -84,7 +84,9 @@ void validate_options(const CliParser& cli) {
   (void)cli::parse_metrics(cli.str("metrics"));
   (void)cli::parse_viz(cli.str("viz"));
   cli::require_positive(cli, "viz-bucket");
-  cli::require_non_negative(cli, "heartbeat");
+  (void)cli::heartbeat_interval(cli);
+  cli::require_positive_real(cli, "cpu-ghz");
+  cli::require_positive_real(cli, "cpi");
   if (cli.flag("salvage") && cli.str("replay").empty()) {
     TQUAD_THROW("-salvage only applies to -replay");
   }
@@ -208,8 +210,7 @@ int run_profile(const CliParser& cli, const cli::ToolSet& tools) {
   config.pipeline = cli::resolve_pipeline(cli.str("pipeline"), consumer_lanes,
                                           /*has_sharded_consumer=*/tools.quad);
   if (metrics_spec.enabled) config.metrics = &registry;
-  config.heartbeat_interval =
-      static_cast<std::uint64_t>(cli.integer("heartbeat")) * 1'000'000;
+  config.heartbeat_interval = cli::heartbeat_interval(cli);
   // Graceful ^C: the engines stop at the next run head or instruction, every
   // consumer flushes (the recorder finalizes its trace), reports stamp
   // INTERRUPTED, and the tool exits 4.
@@ -395,9 +396,9 @@ int main(int argc, char** argv) {
                "with -replay: skip corrupt/truncated trace blocks instead of "
                "failing, and report what was recovered");
   cli.add_string("engine", "compiled",
-                 "guest execution engine: compiled (fused-op threaded "
-                 "dispatch, default) | interp (reference interpreter); "
-                 "reports are byte-identical either way");
+                 "guest execution engine: compiled (threaded dispatch by "
+                 "straight-line runs, default) | interp (reference "
+                 "interpreter); reports are byte-identical either way");
   cli.add_string("pipeline", "serial",
                  "analysis dispatch: serial (tools run on the VM thread) | "
                  "parallel[:N] (one drain thread per event ring; N = QUAD page "
