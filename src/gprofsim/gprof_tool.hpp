@@ -51,7 +51,7 @@ struct FlatRow {
 
 /// The profiler tool. Register with ProfileSession::add_consumer before the
 /// run (use the same library policy as the session); query afterwards.
-class GprofTool : public session::AnalysisConsumer {
+class GprofTool final : public session::AnalysisConsumer {
  public:
   GprofTool(const vm::Program& program, Options options = {});
 
@@ -105,6 +105,9 @@ class GprofTool : public session::AnalysisConsumer {
   void on_kernel_ret(const session::RetEvent& event) override;
   void on_session_end(std::uint64_t total_retired) override;
   void on_finish(const vm::RunOutcome& outcome) override { outcome_ = outcome; }
+  void on_batch(unsigned interests, const session::Batch& batch) override {
+    session::deliver(*this, interests, batch);
+  }
 
   /// How the observed run ended (kHalted for a clean run).
   /// A trapped/truncated outcome means the profile is a valid prefix.

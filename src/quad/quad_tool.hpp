@@ -83,8 +83,8 @@ struct QuadOptions {
 
 /// The QUAD tool. Register with ProfileSession::add_consumer before the run
 /// (use the same library policy as the session); query afterwards.
-class QuadTool : public session::AnalysisConsumer,
-                 public session::ShardedAccessConsumer {
+class QuadTool final : public session::AnalysisConsumer,
+                       public session::ShardedAccessConsumer {
  public:
   using Options = QuadOptions;
 
@@ -141,6 +141,9 @@ class QuadTool : public session::AnalysisConsumer,
   void on_tick_run(const session::TickRunEvent& run) override;
   void on_access(const session::AccessEvent& event) override;
   void on_finish(const vm::RunOutcome& outcome) override { outcome_ = outcome; }
+  void on_batch(unsigned interests, const session::Batch& batch) override {
+    session::deliver(*this, interests, batch);
+  }
 
   // session::ShardedAccessConsumer (parallel pipeline): the per-address
   // state partitions by page, so access accounting scales across workers

@@ -10,42 +10,6 @@ namespace tq::session {
 
 // ---- LiveEngineSource -----------------------------------------------------------
 
-namespace {
-
-/// Forwards an engine's event stream straight into the attribution service.
-/// Tick spans land on the attribution's pending-run accumulator
-/// (input_batch_tick_span), so consumers see TickRunEvents flushed at the
-/// attribution boundaries — routine entry, return, end of input — whether
-/// the engine emitted one-tick spans (interp) or batched ones (compiled).
-class AttributionSink final : public vm::EventSink {
- public:
-  explicit AttributionSink(KernelAttribution& attribution)
-      : attribution_(attribution) {}
-
-  void on_enter(std::uint32_t func, std::uint64_t retired) override {
-    attribution_.input_enter(func, retired);
-  }
-  void on_tick_span(std::uint32_t func, std::uint64_t first_retired,
-                    std::uint64_t count, std::uint64_t mem_count) override {
-    attribution_.input_batch_tick_span(func, first_retired, count, mem_count);
-  }
-  void on_access(std::uint32_t func, std::uint32_t pc, std::uint64_t retired,
-                 std::uint64_t ea, std::uint32_t size, bool is_read,
-                 bool is_stack, bool is_prefetch) override {
-    attribution_.input_access(func, pc, retired, ea, size, is_read, is_stack,
-                              is_prefetch);
-  }
-  void on_ret(std::uint32_t func, std::uint32_t pc,
-              std::uint64_t retired) override {
-    attribution_.input_ret(func, pc, retired);
-  }
-
- private:
-  KernelAttribution& attribution_;
-};
-
-}  // namespace
-
 LiveEngineSource::LiveEngineSource(const vm::Program& program, vm::HostEnv& host,
                                    std::uint64_t instruction_budget,
                                    vm::EngineKind engine)
@@ -63,8 +27,7 @@ LiveEngineSource::LiveEngineSource(const vm::Program& program, vm::HostEnv& host
 vm::RunOutcome LiveEngineSource::run(KernelAttribution& attribution) {
   TQUAD_CHECK(!ran_, "LiveEngineSource::run is single-shot; construct a fresh one");
   ran_ = true;
-  AttributionSink sink(attribution);
-  const vm::RunOutcome outcome = engine_->run(sink);
+  const vm::RunOutcome outcome = engine_->run(attribution);
   // input_finish runs after the engine returns so the structured outcome —
   // including trap details — reaches every consumer on every path.
   attribution.input_finish(outcome);
@@ -127,8 +90,7 @@ class ReplayFeeder {
 
   void emit_silent_ticks_until(std::uint64_t retired) {
     if (next_tick_ >= retired) return;
-    attribution_.input_batch_tick_span(current_func(), next_tick_,
-                                       retired - next_tick_, 0);
+    attribution_.on_tick_span(current_func(), next_tick_, retired - next_tick_, 0);
     next_tick_ = retired;
   }
 
@@ -158,27 +120,26 @@ class ReplayFeeder {
     for (const trace::Record& record : group_) {
       if (record.kind == trace::EventKind::kEnter) {
         const auto func = static_cast<std::uint32_t>(record.ea);
-        attribution_.input_enter(func, record.retired);
+        attribution_.on_enter(func, record.retired);
         func_stack_.push_back(func);
         continue;
       }
       if (!tick_emitted) {
         tick_emitted = true;
-        attribution_.input_batch_tick_span(tick_func, group_retired_, 1,
-                                           has_read_or_write ? 1 : 0);
+        attribution_.on_tick_span(tick_func, group_retired_, 1,
+                                  has_read_or_write ? 1 : 0);
         next_tick_ = group_retired_ + 1;
       }
       switch (record.kind) {
         case trace::EventKind::kRead:
         case trace::EventKind::kWrite:
-          attribution_.input_access(record.func, record.pc, record.retired,
-                                    record.ea, record.size,
-                                    record.kind == trace::EventKind::kRead,
-                                    (record.flags & trace::kFlagStackArea) != 0,
-                                    (record.flags & trace::kFlagPrefetch) != 0);
+          attribution_.on_access(record.func, record.pc, record.retired, record.ea,
+                                 record.size, record.kind == trace::EventKind::kRead,
+                                 (record.flags & trace::kFlagStackArea) != 0,
+                                 (record.flags & trace::kFlagPrefetch) != 0);
           break;
         case trace::EventKind::kRet:
-          attribution_.input_ret(record.func, record.pc, record.retired);
+          attribution_.on_ret(record.func, record.pc, record.retired);
           if (!func_stack_.empty() && func_stack_.back() == record.func) {
             func_stack_.pop_back();
           }

@@ -2,9 +2,9 @@
 //
 // Two implementations of one interface, so every tool runs online or
 // offline without code changes:
-//   * LiveEngineSource — executes the guest on either engine, forwarding its
-//     vm::EventSink stream (entries / ticks / accesses / returns, as they
-//     retire) into the attribution service;
+//   * LiveEngineSource — executes the guest on either engine, with the
+//     attribution service as the engine's vm::EventSink (entries / ticks /
+//     accesses / returns, as they retire);
 //   * TraceReplaySource — reconstructs the same event stream from a recorded
 //     TQTR v2 trace, including the per-instruction ticks the trace does not
 //     store explicitly (see event_source.cpp).
@@ -33,10 +33,11 @@ class CompiledMachine;
 
 namespace tq::session {
 
-/// A source of raw profiling events. run() drives the whole stream through
-/// `attribution` (enter/tick/access/ret in retirement order, then
-/// input_finish on every path — including guest traps and truncation) and
-/// returns the structured outcome. Only host/tool errors throw.
+/// A source of raw profiling events. run() drives the whole stream into
+/// `attribution`'s vm::EventSink overrides (enter/tick/access/ret in
+/// retirement order), calls input_finish on every path — including guest
+/// traps and truncation — and returns the structured outcome. Only host/tool
+/// errors throw.
 class EventSource {
  public:
   virtual ~EventSource() = default;
@@ -46,8 +47,8 @@ class EventSource {
   virtual void publish_metrics(metrics::Registry& /*registry*/) const {}
 };
 
-/// Executes the guest once, forwarding its vm::EventSink stream into the
-/// attribution service. Single-shot, like the engine it owns. With
+/// Executes the guest once, with the attribution service as the engine's
+/// vm::EventSink. Single-shot, like the engine it owns. With
 /// EngineKind::kCompiled (the default) the guest runs on the compiled
 /// threaded-dispatch engine, which batches ticks into spans; with
 /// EngineKind::kInterp it runs on the reference interpreter, which emits

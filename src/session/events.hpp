@@ -8,12 +8,22 @@
 // access. Tools implement AnalysisConsumer and do pure accounting — no tool
 // maintains its own CallStack or re-derives stack classification.
 //
+// The events travel as batches of 32-byte Records, encoded once by the
+// attribution and decoded by deliver() into these structs for each
+// consumer, on the VM thread (serial) or a reader thread (parallel). `tag`
+// holds the kind, the event's flags, and an access's size. A field too wide
+// for its slot (a tick run's mem_count above 32 bits, an access size above
+// 24 bits) sets kWide and rides in the `a` of one extra kExtension record,
+// which still counts as part of the one event.
+//
 // This header is intentionally self-contained (no tq_session link
 // dependency): the tool libraries implement the interface without linking
 // the session layer, and the session layer links the tools.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "tquad/callstack.hpp"
 #include "vm/run_outcome.hpp"
@@ -72,13 +82,74 @@ struct RetEvent {
   bool tracked = false;
 };
 
+// ---- the wire form ---------------------------------------------------------
+
+struct Record {
+  std::uint64_t a;       ///< retired; a tick run's first_retired; end's total
+  std::uint64_t b;       ///< an access's ea; a tick run's count
+  std::uint32_t func;
+  std::uint32_t c;       ///< pc (access, ret); caller (enter); mem_count (tick run)
+  std::uint32_t kernel;
+  std::uint32_t tag;
+};
+static_assert(sizeof(Record) == 32);
+
+/// kExtension marks the extra record of a kWide event. Decoders step over
+/// it like any kind they skip, so every loop advances one record at a time
+/// and never waits on a tag load to find the next record.
+enum RecordKind : std::uint32_t { kEnter, kTickRun, kAccess, kRet, kEnd, kExtension };
+constexpr std::uint32_t kKindMask = 0x7;
+constexpr std::uint32_t kTracked = 1u << 3;
+constexpr std::uint32_t kRead = 1u << 4;
+constexpr std::uint32_t kStack = 1u << 5;
+constexpr std::uint32_t kPrefetch = 1u << 6;
+constexpr std::uint32_t kWide = 1u << 7;
+constexpr unsigned kSizeShift = 8;
+constexpr std::uint32_t kMaxInlineSize = (1u << (32 - kSizeShift)) - 1;
+
+constexpr std::uint32_t flag(bool on, std::uint32_t bit) { return on ? bit : 0; }
+constexpr bool has(const Record& r, std::uint32_t bit) { return (r.tag & bit) != 0; }
+
+/// The event's value of a field that may have moved to the extension record.
+inline std::uint64_t wide_or(const Record* r, std::uint64_t inline_value) {
+  return has(*r, kWide) ? r[1].a : inline_value;
+}
+
+inline AccessEvent access_of(const Record* r) {
+  return {.func = r->func,
+          .pc = r->c,
+          .kernel = r->kernel,
+          .retired = r->a,
+          .ea = r->b,
+          .size = static_cast<std::uint32_t>(wide_or(r, r->tag >> kSizeShift)),
+          .is_read = has(*r, kRead),
+          .is_stack = has(*r, kStack),
+          .is_prefetch = has(*r, kPrefetch)};
+}
+
+/// A batch of records. Room for two records per event, so a batch of wide
+/// tick runs still fits. In parallel mode a full batch is shared read-only
+/// (SharedBatch) and freed by whichever reader drops the last reference.
+struct Batch {
+  explicit Batch(std::size_t events)
+      : records(std::make_unique_for_overwrite<Record[]>(2 * events)) {}
+
+  std::unique_ptr<Record[]> records;
+  std::size_t size = 0;    ///< records written
+  std::size_t events = 0;  ///< events those records hold
+};
+
+using SharedBatch = std::shared_ptr<const Batch>;
+
 /// A profiling tool: pure accounting over attributed events.
 /// Within one instruction, accesses come read before write, then the
 /// return; routine entries land after their call instruction's events.
 /// Ticks arrive batched (on_tick_run, at the next attribution boundary —
 /// possibly after the access events of the instructions it covers).
 /// Accounting that needs a per-tick stream position must come from
-/// on_access/on_kernel_* events.
+/// on_access/on_kernel_* events. The hooks run when a batch is delivered,
+/// up to one batch after the events happened, so a consumer cannot act on
+/// the run while it executes (an interrupt is the engine's to check).
 class AnalysisConsumer {
  public:
   /// Event kinds a consumer subscribes to (see event_interests()).
@@ -92,11 +163,12 @@ class AnalysisConsumer {
 
   virtual ~AnalysisConsumer() = default;
 
-  /// Which event kinds to deliver; the attribution layer skips this
-  /// consumer entirely for kinds it does not name. The ticks and accesses
-  /// of a 43M-instruction run make even an empty-body virtual call
-  /// expensive, so tools should subscribe to exactly what they account.
-  /// on_session_end is always delivered.
+  /// Which event kinds to deliver, read once at attach time. A kind that no
+  /// consumer names is never encoded, and this consumer is never called for
+  /// a kind it does not name. The ticks and accesses of a 43M-instruction
+  /// run make even an empty-body virtual call expensive, so tools should
+  /// subscribe to exactly what they account. on_session_end is always
+  /// delivered.
   virtual unsigned event_interests() const { return kAllEvents; }
 
   virtual void on_kernel_enter(const EnterEvent& event) { (void)event; }
@@ -122,6 +194,12 @@ class AnalysisConsumer {
   /// ShardedAccessConsumer facet so the parallel pipeline can fan access
   /// events out to several worker threads. Default: not shardable.
   virtual class ShardedAccessConsumer* sharded_access() { return nullptr; }
+
+  /// One batch of the stream, filtered to `interests` (this consumer's
+  /// event_interests()). The default decodes it through the hooks above
+  /// with deliver(); a final tool overrides it with the same call on
+  /// `*this`, so the decode loop calls its hooks directly.
+  virtual void on_batch(unsigned interests, const Batch& batch);
 };
 
 /// Address-sharded access accounting. The parallel pipeline routes each
@@ -149,9 +227,58 @@ class ShardedAccessConsumer {
                                   bool count_access) = 0;
 
   /// Fold all shard states back into the main accounting. Runs on the
-  /// publisher thread after every shard drained; results must be identical
+  /// VM thread after every shard drained; results must be identical
   /// to having applied the whole access stream serially.
   virtual void merge_shards() = 0;
 };
+
+/// Deliver the kinds in `interests` (and every end marker) to `target`, in
+/// stream order.
+template <typename Consumer>
+void deliver(Consumer& target, unsigned interests, const Batch& batch) {
+  const Record* const end = batch.records.get() + batch.size;
+  for (const Record* r = batch.records.get(); r != end; ++r) {
+    switch (r->tag & kKindMask) {
+      case kAccess:
+        if (interests & AnalysisConsumer::kAccessInterest) target.on_access(access_of(r));
+        break;
+      case kTickRun:
+        if (interests & AnalysisConsumer::kTickInterest) {
+          target.on_tick_run({.func = r->func,
+                              .kernel = r->kernel,
+                              .first_retired = r->a,
+                              .count = r->b,
+                              .mem_count = wide_or(r, r->c),
+                              .tracked = has(*r, kTracked)});
+        }
+        break;
+      case kEnter:
+        if (interests & AnalysisConsumer::kEnterInterest) {
+          target.on_kernel_enter({.func = r->func,
+                                  .caller = r->c,
+                                  .kernel = r->kernel,
+                                  .retired = r->a,
+                                  .tracked = has(*r, kTracked)});
+        }
+        break;
+      case kRet:
+        if (interests & AnalysisConsumer::kRetInterest) {
+          target.on_kernel_ret({.func = r->func,
+                                .pc = r->c,
+                                .kernel = r->kernel,
+                                .retired = r->a,
+                                .tracked = has(*r, kTracked)});
+        }
+        break;
+      case kEnd:
+        target.on_session_end(r->a);
+        break;
+    }
+  }
+}
+
+inline void AnalysisConsumer::on_batch(unsigned interests, const Batch& batch) {
+  deliver(*this, interests, batch);
+}
 
 }  // namespace tq::session

@@ -76,12 +76,13 @@ void HeartbeatPrinter::on_finish(const vm::RunOutcome& outcome) {
 // ProfileSession
 
 ProfileSession::ProfileSession(const vm::Program& program, SessionConfig config)
-    : config_(config), attribution_(program, config.library_policy) {}
+    : config_(config),
+      attribution_(program, config.library_policy, config.pipeline.batch_events) {}
 
 void ProfileSession::add_consumer(AnalysisConsumer& consumer) {
   TQUAD_CHECK(!ran_, "add_consumer must precede ProfileSession::run");
-  // Registration with the attribution is deferred to run(): in parallel
-  // mode the pipeline registers its publisher in the consumers' place.
+  // Registration is deferred to run(): in parallel mode the consumers
+  // attach to the pipeline's readers, not to the attribution.
   consumers_.push_back(&consumer);
 }
 
@@ -91,8 +92,9 @@ vm::RunOutcome ProfileSession::run(EventSource& source) {
               "event source built from a different program");
   ran_ = true;
   if (config_.heartbeat_interval > 0) {
-    // Inline on the VM thread in both modes: the pulse must reflect live
-    // progress, not a reader's drain position.
+    // Attached to the attribution in both modes, so it reads each batch on
+    // the VM thread as it flushes: the pulse must reflect live progress, not
+    // a reader's drain position.
     heartbeat_.arm(config_.heartbeat_interval);
     attribution_.add_consumer(heartbeat_);
   }
@@ -100,7 +102,7 @@ vm::RunOutcome ProfileSession::run(EventSource& source) {
     ParallelPipeline pipeline(config_.pipeline, config_.metrics);
     pipeline.attach(consumers_, attribution_);
     // input_finish (invoked by the source on every path, including traps)
-    // runs the publisher's drain barrier, so by the time run() returns every
+    // runs the pipeline's drain barrier, so by the time run() returns every
     // tool holds its complete, serially-ordered accounting.
     outcome_ = source.run(attribution_);
     pipeline_stats_ = pipeline.stats();

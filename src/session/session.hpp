@@ -7,10 +7,15 @@
 //
 //   EventSource (live Engine | TQTR replay)
 //        └─> KernelAttribution (one CallStack, one policy, one classifier)
+//              │  one batch of 32-byte records, each event encoded once
 //              ├─> tquad::TQuadTool
 //              ├─> quad::QuadTool
 //              ├─> gprof::GprofTool
 //              └─> trace::TraceRecorder
+//
+// Serial mode delivers each full batch to the tools on the VM thread;
+// parallel mode shares the same batch with one reader thread per tool (and
+// per QUAD page shard) through the ParallelPipeline.
 //
 // Tools are consumers only: none keeps its own call stack. Each must be
 // built with the same library policy as the session — the shared stack is
@@ -61,10 +66,11 @@ struct SessionConfig {
   const volatile std::sig_atomic_t* interrupt = nullptr;
 };
 
-/// The heartbeat consumer. Registered directly with the KernelAttribution —
-/// never behind a pipeline reader — so it observes the stream inline on the
-/// VM thread in both serial and parallel modes; its O(1) on_tick_run keeps
-/// it off the report path entirely (stderr only).
+/// The heartbeat consumer. Attached to the KernelAttribution itself — never
+/// behind a pipeline reader — so in both serial and parallel modes it is
+/// delivered at each batch flush on the VM thread: a pulse can come up to one
+/// batch late, but none is dropped. Its O(1) on_tick_run keeps it off the
+/// report path entirely (stderr only).
 class HeartbeatPrinter final : public AnalysisConsumer {
  public:
   /// Start pulsing every `every` retired instructions from now.

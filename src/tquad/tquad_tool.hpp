@@ -41,7 +41,7 @@ struct KernelActivity {
 
 /// The tool. Register with ProfileSession::add_consumer before the run;
 /// results are valid after it returns.
-class TQuadTool : public session::AnalysisConsumer {
+class TQuadTool final : public session::AnalysisConsumer {
  public:
   TQuadTool(const vm::Program& program, Options options);
 
@@ -75,6 +75,9 @@ class TQuadTool : public session::AnalysisConsumer {
   void on_access(const session::AccessEvent& event) override;
   void on_session_end(std::uint64_t total_retired) override;
   void on_finish(const vm::RunOutcome& outcome) override { outcome_ = outcome; }
+  void on_batch(unsigned interests, const session::Batch& batch) override {
+    session::deliver(*this, interests, batch);
+  }
 
   /// How the observed run ended (kHalted for a clean run).
   /// A trapped/truncated outcome means the profile is a valid prefix.

@@ -12,7 +12,7 @@
 #include <csignal>
 #include <cstdint>
 
-#include "vm/probe.hpp"
+#include "vm/event_sink.hpp"
 #include "vm/run_outcome.hpp"
 
 namespace tq::vm {

@@ -422,23 +422,52 @@ TEST(EngineRuns, EveryStopPointMatchesTheInterpreter) {
   }
 }
 
-/// Raises the interrupt flag from inside the run: at the `nth` routine
-/// entry (on a run boundary: the call ends its run), or at the first
-/// access retired at or after `access_at` (inside a run).
-class InterruptRaiser final : public AnalysisConsumer {
+/// Runs the guest as LiveEngineSource does, with the interrupt flag armed,
+/// and raises the flag from inside the run: at the `nth` routine entry (on a
+/// run boundary: the call ends its run), or at the first access retired at or
+/// after `access_at` (inside a run). The raise happens in the engine's own
+/// sink call, before the event goes on to the attribution, so it does not
+/// wait for the attribution's batch to reach a consumer.
+class InterruptRaiser final : public EventSource, public vm::EventSink {
  public:
-  InterruptRaiser(volatile std::sig_atomic_t& flag, std::uint64_t nth_enter,
+  InterruptRaiser(const vm::Program& program, vm::EngineKind engine,
+                  volatile std::sig_atomic_t& flag, std::uint64_t nth_enter,
                   std::uint64_t access_at)
-      : flag_(flag), nth_enter_(nth_enter), access_at_(access_at) {}
+      : program_(program), engine_(engine), flag_(flag), nth_enter_(nth_enter),
+        access_at_(access_at) {}
 
-  unsigned event_interests() const override {
-    return kEnterInterest | kAccessInterest;
+  const vm::Program& program() const noexcept override { return program_; }
+  vm::RunOutcome run(KernelAttribution& attribution) override {
+    vm::HostEnv host;
+    std::unique_ptr<vm::GuestEngine> engine;
+    if (engine_ == vm::EngineKind::kCompiled) {
+      engine = std::make_unique<vm::CompiledMachine>(program_, host);
+    } else {
+      engine = std::make_unique<vm::Machine>(program_, host);
+    }
+    engine->set_interrupt_flag(&flag_);
+    attribution_ = &attribution;
+    const vm::RunOutcome outcome = engine->run(*this);
+    attribution.input_finish(outcome);
+    return outcome;
   }
-  void on_kernel_enter(const EnterEvent& event) override {
-    if (++enters_ == nth_enter_) raise(event.retired);
+
+  void on_enter(std::uint32_t func, std::uint64_t retired) override {
+    if (++enters_ == nth_enter_) raise(retired);
+    attribution_->on_enter(func, retired);
   }
-  void on_access(const AccessEvent& event) override {
-    if (event.retired >= access_at_) raise(event.retired);
+  void on_tick_span(std::uint32_t func, std::uint64_t first_retired, std::uint64_t count,
+                    std::uint64_t mem_count) override {
+    attribution_->on_tick_span(func, first_retired, count, mem_count);
+  }
+  void on_access(std::uint32_t func, std::uint32_t pc, std::uint64_t retired,
+                 std::uint64_t ea, std::uint32_t size, bool is_read, bool is_stack,
+                 bool is_prefetch) override {
+    if (retired >= access_at_) raise(retired);
+    attribution_->on_access(func, pc, retired, ea, size, is_read, is_stack, is_prefetch);
+  }
+  void on_ret(std::uint32_t func, std::uint32_t pc, std::uint64_t retired) override {
+    attribution_->on_ret(func, pc, retired);
   }
 
   /// The retired stamp of the instruction during which the flag went up.
@@ -450,10 +479,13 @@ class InterruptRaiser final : public AnalysisConsumer {
     raised_at = retired;
     flag_ = 1;
   }
+  const vm::Program& program_;
+  vm::EngineKind engine_;
   volatile std::sig_atomic_t& flag_;
   std::uint64_t nth_enter_;
   std::uint64_t access_at_;
   std::uint64_t enters_ = 0;
+  KernelAttribution* attribution_ = nullptr;
 };
 
 struct InterruptedRun {
@@ -467,14 +499,10 @@ InterruptedRun run_interrupted(const vm::Program& program, vm::EngineKind engine
                                std::uint64_t nth_enter, std::uint64_t access_at,
                                bool raise_first = false) {
   volatile std::sig_atomic_t flag = raise_first ? 1 : 0;
-  SessionConfig config = engine_config(engine);
-  config.interrupt = &flag;
   InterruptedRun out;
-  out.run = std::make_unique<SessionRun>(program, config, kAllTools);
-  InterruptRaiser raiser(flag, nth_enter, access_at);
-  out.run->session.add_consumer(raiser);
-  vm::HostEnv host;
-  out.outcome = out.run->session.run_live(host);
+  out.run = std::make_unique<SessionRun>(program, engine_config(engine), kAllTools);
+  InterruptRaiser raiser(program, engine, flag, nth_enter, access_at);
+  out.outcome = out.run->session.run(raiser);
   out.raised_at = raiser.raised_at;
   out.trace = out.run->recorder->take_encoded();
   return out;

@@ -3,11 +3,13 @@
 // source's input validation.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 
 #include "session/session.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
+#include "workloads/registry.hpp"
 #include "workloads/workloads.hpp"
 
 namespace tq::session {
@@ -200,11 +202,48 @@ TEST(Session, AttributionDispatchOrderFollowsAddOrder) {
   attribution.add_consumer(first);
   attribution.add_consumer(second);
   EXPECT_EQ(attribution.consumer_count(), 2u);
-  attribution.input_batch_tick_span(0, 0, 1, 0);
-  attribution.input_end(1);  // flushes the pending run
+  attribution.on_tick_span(0, 0, 1, 0);
+  vm::RunOutcome outcome;
+  outcome.retired = 1;
+  attribution.input_finish(outcome);  // flushes the pending run
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 2);
+}
+
+// The heartbeat reads the attribution's batches as they flush, so a pulse
+// can come up to one batch late, but every pulse arrives, in order, before
+// the done line: one per full interval of retired instructions.
+TEST(Session, HeartbeatPrintsEveryPulseThenDone) {
+  constexpr std::uint64_t kInterval = 997;
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(parallel ? "parallel:2" : "serial");
+    workloads::Instance guest = workloads::find_workload("histogram").build();
+    SessionConfig config;
+    config.heartbeat_interval = kInterval;
+    config.pipeline.batch_events = 64;
+    if (parallel) {
+      config.pipeline.mode = PipelineMode::kParallel;
+      config.pipeline.workers = 2;
+    }
+    ProfileSession session(guest.program, config);
+    CapturingConsumer capture;
+    session.add_consumer(capture);
+    testing::internal::CaptureStderr();
+    const vm::RunOutcome outcome = session.run_live(guest.host);
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(outcome.status, vm::RunStatus::kHalted);
+    ASSERT_GT(outcome.retired / kInterval, 10u);
+
+    std::istringstream lines(err);
+    std::string line;
+    std::uint64_t pulses = 0;
+    while (std::getline(lines, line) && line.starts_with("heartbeat: retired=")) ++pulses;
+    EXPECT_EQ(pulses, outcome.retired / kInterval);
+    EXPECT_TRUE(line.starts_with("heartbeat: done retired=")) << line;
+    EXPECT_NE(line.find(" status=ok"), std::string::npos) << line;
+    EXPECT_FALSE(std::getline(lines, line)) << line;
+  }
 }
 
 }  // namespace

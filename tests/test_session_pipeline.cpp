@@ -379,10 +379,11 @@ TEST(PipelineShards, QuadShardedFacetSplitAccess) {
 // attribution directly, so the accesses can be placed on page boundaries
 // and given widths no guest instruction has.
 
-/// Calls input_* for a fixed script: entry into function 0, then per
-/// access one tick and the access, with a call into function 1 and its
-/// return every 64 accesses (so tick runs, enters and rets interleave with
-/// the accesses), then `extra_run` as one last tick span, and the finish.
+/// Feeds a fixed script into the attribution's vm::EventSink overrides:
+/// entry into function 0, then per access one tick and the access, with a
+/// call into function 1 and its return every 64 accesses (so tick runs,
+/// enters and rets interleave with the accesses), then `extra_run` as one
+/// last tick span, and the finish.
 class ScriptedSource final : public EventSource {
  public:
   ScriptedSource(const vm::Program& program, std::vector<AccessEvent> accesses,
@@ -392,26 +393,30 @@ class ScriptedSource final : public EventSource {
   const vm::Program& program() const noexcept override { return program_; }
 
   vm::RunOutcome run(KernelAttribution& attribution) override {
-    std::uint64_t retired = 0;
-    attribution.input_enter(0, retired);
-    for (std::size_t i = 0; i < accesses_.size(); ++i) {
-      const AccessEvent& a = accesses_[i];
-      if (i % 64 == 63) attribution.input_enter(1, retired);
-      attribution.input_batch_tick_span(a.func, retired, 1, 1);
-      attribution.input_access(a.func, a.pc, retired, a.ea, a.size, a.is_read,
-                               a.is_stack, a.is_prefetch);
-      ++retired;
-      if (i % 64 == 63) attribution.input_ret(1, 0, retired);
-    }
-    if (extra_run_.count > 0) {
-      attribution.input_batch_tick_span(0, retired, extra_run_.count,
-                                        extra_run_.mem_count);
-      retired += extra_run_.count;
-    }
     vm::RunOutcome outcome;
-    outcome.retired = retired;
+    outcome.retired = play(attribution);
     attribution.input_finish(outcome);
     return outcome;
+  }
+
+  /// Drive the script into `sink`; returns the final retired count.
+  std::uint64_t play(vm::EventSink& sink) const {
+    std::uint64_t retired = 0;
+    sink.on_enter(0, retired);
+    for (std::size_t i = 0; i < accesses_.size(); ++i) {
+      const AccessEvent& a = accesses_[i];
+      if (i % 64 == 63) sink.on_enter(1, retired);
+      sink.on_tick_span(a.func, retired, 1, 1);
+      sink.on_access(a.func, a.pc, retired, a.ea, a.size, a.is_read, a.is_stack,
+                     a.is_prefetch);
+      ++retired;
+      if (i % 64 == 63) sink.on_ret(1, 0, retired);
+    }
+    if (extra_run_.count > 0) {
+      sink.on_tick_span(0, retired, extra_run_.count, extra_run_.mem_count);
+      retired += extra_run_.count;
+    }
+    return retired;
   }
 
  private:
@@ -420,6 +425,13 @@ class ScriptedSource final : public EventSource {
   TickRunEvent extra_run_;
 };
 
+/// One event line, every field, as EventLog and ScriptOracle write it.
+std::string event_line(const char* kind, std::initializer_list<std::uint64_t> fields) {
+  std::string line = kind;
+  for (const std::uint64_t f : fields) line += " " + std::to_string(f);
+  return line;
+}
+
 /// Every event a consumer saw, with every field, one line each.
 class EventLog final : public AnalysisConsumer {
  public:
@@ -427,31 +439,111 @@ class EventLog final : public AnalysisConsumer {
   unsigned event_interests() const override { return interests_; }
 
   void on_kernel_enter(const EnterEvent& e) override {
-    log("enter", {e.func, e.caller, e.kernel, e.retired, e.tracked});
+    lines.push_back(
+        event_line("enter", {e.func, e.caller, e.kernel, e.retired, e.tracked}));
   }
   void on_access(const AccessEvent& e) override {
-    log("access", {e.func, e.pc, e.kernel, e.retired, e.ea, e.size, e.is_read,
-                   e.is_stack, e.is_prefetch});
+    lines.push_back(event_line("access", {e.func, e.pc, e.kernel, e.retired, e.ea, e.size,
+                                          e.is_read, e.is_stack, e.is_prefetch}));
   }
   void on_kernel_ret(const RetEvent& e) override {
-    log("ret", {e.func, e.pc, e.kernel, e.retired, e.tracked});
+    lines.push_back(event_line("ret", {e.func, e.pc, e.kernel, e.retired, e.tracked}));
   }
   void on_tick_run(const TickRunEvent& r) override {
-    log("run", {r.func, r.kernel, r.first_retired, r.count, r.mem_count, r.tracked});
+    lines.push_back(event_line(
+        "run", {r.func, r.kernel, r.first_retired, r.count, r.mem_count, r.tracked}));
   }
-  void on_session_end(std::uint64_t total) override { log("end", {total}); }
+  void on_session_end(std::uint64_t total) override {
+    lines.push_back(event_line("end", {total}));
+  }
 
   std::vector<std::string> lines;
 
  private:
-  void log(const char* kind, std::initializer_list<std::uint64_t> fields) {
-    std::string line = kind;
-    for (const std::uint64_t f : fields) line += " " + std::to_string(f);
-    lines.push_back(std::move(line));
-  }
-
   unsigned interests_;
 };
+
+/// The lines an EventLog subscribed to `interests` must hold after a
+/// ScriptedSource run, built from the script alone: its own call stack for
+/// the kernel stamps, and tick spans merged while the function stays the
+/// same and no enter or ret intervenes. No records, no batches.
+class ScriptOracle final : public vm::EventSink {
+ public:
+  ScriptOracle(const vm::Program& program, const ScriptedSource& script,
+               unsigned interests)
+      : stack_(program, tquad::LibraryPolicy::kExclude), interests_(interests) {
+    const std::uint64_t total = script.play(*this);
+    flush_run();
+    lines.push_back(event_line("end", {total}));
+  }
+
+  void on_enter(std::uint32_t func, std::uint64_t retired) override {
+    flush_run();
+    const std::uint32_t caller = stack_.top();
+    stack_.on_enter(func);
+    add(AnalysisConsumer::kEnterInterest,
+        event_line("enter", {func, caller, stack_.top(), retired, stack_.tracked(func)}));
+  }
+  void on_tick_span(std::uint32_t func, std::uint64_t first, std::uint64_t count,
+                    std::uint64_t mem_count) override {
+    if (run_.count != 0 && run_.func == func) {
+      run_.count += count;
+      run_.mem_count += mem_count;
+      return;
+    }
+    flush_run();
+    run_ = {.func = func, .first_retired = first, .count = count, .mem_count = mem_count};
+  }
+  void on_access(std::uint32_t func, std::uint32_t pc, std::uint64_t retired,
+                 std::uint64_t ea, std::uint32_t size, bool is_read, bool is_stack,
+                 bool is_prefetch) override {
+    add(AnalysisConsumer::kAccessInterest,
+        event_line("access", {func, pc, stack_.top(), retired, ea, size, is_read,
+                              is_stack, is_prefetch}));
+  }
+  void on_ret(std::uint32_t func, std::uint32_t pc, std::uint64_t retired) override {
+    flush_run();
+    add(AnalysisConsumer::kRetInterest,
+        event_line("ret", {func, pc, stack_.top(), retired, stack_.tracked(func)}));
+    stack_.on_ret(func);
+  }
+
+  std::vector<std::string> lines;
+
+ private:
+  void add(unsigned kind, std::string line) {
+    if (interests_ & kind) lines.push_back(std::move(line));
+  }
+  void flush_run() {
+    if (run_.count == 0) return;
+    add(AnalysisConsumer::kTickInterest,
+        event_line("run", {run_.func, stack_.top(), run_.first_retired, run_.count,
+                           run_.mem_count, stack_.tracked(run_.func)}));
+    run_.count = 0;
+  }
+
+  tquad::CallStack stack_;
+  unsigned interests_;
+  TickRunEvent run_;
+};
+
+/// Both modes, at batch sizes that put every event, and every wide record
+/// pair, on a batch boundary somewhere.
+std::vector<PipelineOptions> serial_and_parallel_options() {
+  std::vector<PipelineOptions> all;
+  for (const std::size_t batch_events : {1u, 2u, 4096u}) {
+    PipelineOptions serial;
+    serial.batch_events = batch_events;
+    all.push_back(serial);
+    all.push_back(parallel_options(/*shards=*/2, batch_events, /*ring_batches=*/1));
+  }
+  return all;
+}
+
+std::string describe(const PipelineOptions& options) {
+  return std::string(options.mode == PipelineMode::kParallel ? "parallel" : "serial") +
+         " batch_events=" + std::to_string(options.batch_events);
+}
 
 /// A ShardedAccessConsumer that records what each shard was handed.
 class ShardRecorder final : public AnalysisConsumer, public ShardedAccessConsumer {
@@ -480,30 +572,38 @@ class ShardRecorder final : public AnalysisConsumer, public ShardedAccessConsume
   unsigned merges = 0;
 };
 
-TEST(PipelineRouting, ShardPiecesTileEveryAccess) {
-  static const auto artifacts = workloads::build_stream(16, 1);
-  const vm::Program& program = artifacts.program;
-  ASSERT_GE(program.functions().size(), 2u);
-  constexpr std::uint64_t kPageBits = PagedMemory::kPageBits;
-
-  // Accesses of 1..64 bytes ending 1..63 bytes past a page boundary, on
-  // consecutive pages so every shard owns some first and some last pages.
-  // `retired` indexes the script: the source stamps access i with i.
+/// Accesses of 1..64 bytes ending 1..63 bytes past a page boundary, on
+/// consecutive pages so every shard owns some first and some last pages.
+/// `retired` indexes the script: the source stamps access i with i.
+std::vector<AccessEvent> page_crossing_script() {
   std::vector<AccessEvent> script;
   for (std::uint32_t size = 1; size <= 64; ++size) {
     for (std::uint32_t past = 1; past <= 63; ++past) {
       AccessEvent a;
       a.pc = size;
-      a.ea = ((std::uint64_t{16} + script.size()) << kPageBits) + past - size;
+      const std::uint64_t page = 16 + script.size();
+      a.ea = (page << PagedMemory::kPageBits) + past - size;
       a.size = size;
       a.is_read = script.size() % 2 == 0;
       a.retired = script.size();
       script.push_back(a);
     }
   }
+  return script;
+}
+
+TEST(PipelineRouting, ShardPiecesTileEveryAccess) {
+  static const auto artifacts = workloads::build_stream(16, 1);
+  const vm::Program& program = artifacts.program;
+  ASSERT_GE(program.functions().size(), 2u);
+  constexpr std::uint64_t kPageBits = PagedMemory::kPageBits;
+  const std::vector<AccessEvent> script = page_crossing_script();
+  const ScriptedSource source(program, script);
+  const std::vector<std::string> expected_ticks =
+      ScriptOracle(program, source, AnalysisConsumer::kTickInterest).lines;
 
   for (const unsigned shards : {2u, 3u, 4u}) {
-    for (const std::size_t batch_events : {std::size_t{1}, std::size_t{4096}}) {
+    for (const std::size_t batch_events : {1u, 2u, 4096u}) {
       SCOPED_TRACE("shards=" + std::to_string(shards) +
                    " batch_events=" + std::to_string(batch_events));
       SessionConfig config;
@@ -513,18 +613,15 @@ TEST(PipelineRouting, ShardPiecesTileEveryAccess) {
       EventLog ticks(AnalysisConsumer::kTickInterest);
       session.add_consumer(recorder);
       session.add_consumer(ticks);
-      ScriptedSource source(program, script);
-      session.run(source);
+      ScriptedSource run_source = source;
+      session.run(run_source);
 
       EXPECT_EQ(recorder.merges, 1u);
       EXPECT_EQ(recorder.unsharded_accesses, 0u);
       EXPECT_GT(recorder.control_events, 0u);
       ASSERT_EQ(recorder.pieces.size(), shards);
       // A tick-only consumer sees tick runs and the end marker, nothing else.
-      EXPECT_FALSE(ticks.lines.empty());
-      for (const std::string& line : ticks.lines) {
-        EXPECT_TRUE(line.starts_with("run ") || line.starts_with("end ")) << line;
-      }
+      EXPECT_EQ(ticks.lines, expected_ticks);
 
       // Gather the pieces per scripted access, checking where each landed.
       std::vector<std::vector<ShardRecorder::Piece>> by_access(script.size());
@@ -562,9 +659,33 @@ TEST(PipelineRouting, ShardPiecesTileEveryAccess) {
   }
 }
 
+// Every line a consumer sees equals the script's own oracle, in both modes
+// and at every batch size: the encoding is checked against the script, not
+// against another run of the same encoder.
+TEST(PipelineRouting, ScriptedStreamMatchesTheOracle) {
+  static const auto artifacts = workloads::build_stream(16, 1);
+  const vm::Program& program = artifacts.program;
+  const ScriptedSource source(program, page_crossing_script());
+  const std::vector<std::string> expected =
+      ScriptOracle(program, source, AnalysisConsumer::kAllEvents).lines;
+  for (const PipelineOptions& options : serial_and_parallel_options()) {
+    SCOPED_TRACE(describe(options));
+    SessionConfig config;
+    config.pipeline = options;
+    ProfileSession session(program, config);
+    EventLog log;
+    session.add_consumer(log);
+    ScriptedSource run_source = source;
+    session.run(run_source);
+    EXPECT_EQ(log.lines, expected);
+  }
+}
+
 // Fields too wide for the compact record's inline slots (an access size
 // above 24 bits, a tick run's mem_count above 32 bits) must still arrive
-// exactly, next to ordinary events, in serial order.
+// exactly, next to ordinary events, in stream order. At two events per
+// batch the first wide access opens a batch and the second one's extension
+// record ends one; the wide tick run opens the last batch.
 TEST(PipelineRouting, WideFieldsArriveExactly) {
   static const auto artifacts = workloads::build_stream(16, 1);
   const vm::Program& program = artifacts.program;
@@ -581,27 +702,58 @@ TEST(PipelineRouting, WideFieldsArriveExactly) {
   TickRunEvent wide_run;
   wide_run.count = std::uint64_t{1} << 40;
   wide_run.mem_count = (std::uint64_t{1} << 33) + 7;
+  const ScriptedSource source(program, script, wide_run);
+  const std::vector<std::string> expected =
+      ScriptOracle(program, source, AnalysisConsumer::kAllEvents).lines;
+  // Entry, the five accesses, then the five one-tick spans and the wide span
+  // merged into one run, the last event before the end marker.
+  ASSERT_EQ(expected.size(), 8u);
+  EXPECT_EQ(expected[2], "access 0 3 0 1 18446744069414588480 16777221 0 1 0");
+  EXPECT_EQ(expected[6], "run 0 0 0 1099511627781 8589934604 1");
 
-  const auto record = [&](const PipelineOptions& pipeline) {
+  for (const PipelineOptions& options : serial_and_parallel_options()) {
+    SCOPED_TRACE(describe(options));
     SessionConfig config;
-    config.pipeline = pipeline;
+    config.pipeline = options;
     ProfileSession session(program, config);
     EventLog log;
     session.add_consumer(log);
-    ScriptedSource source(program, script, wide_run);
-    session.run(source);
-    return log.lines;
-  };
-  const std::vector<std::string> serial = record(PipelineOptions{});
-  ASSERT_FALSE(serial.empty());
-  // The attribution merges the five one-tick spans and the wide span into
-  // one run, the last event before the end marker.
-  EXPECT_TRUE(serial.end()[-2].starts_with("run 0 0 0 1099511627781 8589934604 "))
-      << serial.end()[-2];
-  for (const std::size_t batch_events : {1u, 2u, 4096u}) {
-    SCOPED_TRACE("batch_events=" + std::to_string(batch_events));
-    EXPECT_EQ(record(parallel_options(/*shards=*/2, batch_events, /*ring_batches=*/1)),
-              serial);
+    ScriptedSource run_source = source;
+    session.run(run_source);
+    EXPECT_EQ(log.lines, expected);
+  }
+}
+
+// Kinds no consumer subscribed to are never encoded: with no access
+// subscriber, no access reaches anyone, and the attribution still counts
+// every one of them.
+TEST(PipelineRouting, UnsubscribedAccessesArriveNowhere) {
+  static const auto artifacts = workloads::build_stream(16, 1);
+  const vm::Program& program = artifacts.program;
+  const std::vector<AccessEvent> script = page_crossing_script();
+  const ScriptedSource source(program, script);
+  constexpr unsigned kNoAccesses = AnalysisConsumer::kEnterInterest |
+                                   AnalysisConsumer::kTickInterest |
+                                   AnalysisConsumer::kRetInterest;
+  const std::vector<std::string> expected =
+      ScriptOracle(program, source, kNoAccesses).lines;
+  for (const PipelineOptions& options : serial_and_parallel_options()) {
+    SCOPED_TRACE(describe(options));
+    SessionConfig config;
+    config.pipeline = options;
+    ProfileSession session(program, config);
+    EventLog controls(kNoAccesses);
+    EventLog ticks(AnalysisConsumer::kTickInterest);
+    session.add_consumer(controls);
+    session.add_consumer(ticks);
+    ScriptedSource run_source = source;
+    session.run(run_source);
+    EXPECT_EQ(controls.lines, expected);
+    for (const std::string& line : controls.lines) {
+      EXPECT_FALSE(line.starts_with("access ")) << line;
+    }
+    EXPECT_EQ(session.attribution().event_counts().accesses, script.size());
+    EXPECT_EQ(session.attribution().event_counts().ticks, script.size());
   }
 }
 
