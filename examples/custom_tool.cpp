@@ -52,6 +52,12 @@ class WorkingSetTool final : public session::AnalysisConsumer {
     }
   }
 
+  // A final tool decodes each batch itself, so the decode loop calls
+  // on_access directly instead of through one virtual call per record.
+  void on_batch(unsigned interests, const session::Batch& batch) override {
+    session::deliver(*this, interests, batch);
+  }
+
   void report() const {
     TextTable table({"kernel", "cache lines", "touches", "revisit factor", "class"});
     for (std::uint32_t k = 0; k < lines_.size(); ++k) {

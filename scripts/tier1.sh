@@ -50,7 +50,7 @@ ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
 #    analysis pipeline (one drain thread per ring, shard merge, drain
 #    barrier, push-racing-close shutdown, the abort path that closes and
 #    joins mid-run), the SPSC ring / parallel_for_blocks primitives, the
-#    metrics thread-sink fold, parallel trace replay, and the
+#    metrics registry, parallel trace replay, and the
 #    fault-injection harness whose trap path exercises the pipeline's
 #    drain sequence. The engine differential suite rides along for its
 #    compiled-engine-feeding-the-parallel-pipeline cases. Every run keeps
@@ -69,10 +69,10 @@ ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
 
 # 3b. The CLI end to end under ThreadSanitizer: a three-tool parallel run
 #     with -metrics and -trace must print, and record, exactly what the
-#     serial run does. Each reader thread folds its ThreadSink into the
-#     registry as it exits, so this leg catches a fold racing the final
-#     metrics render; the trace recorder reads every field of the shared
-#     batch records on its reader thread.
+#     serial run does. The session reads the rings' counters into the
+#     registry after the drain barrier joined every reader thread, so this
+#     leg catches a counter read racing a reader; the trace recorder reads
+#     every field of the shared batch records on its reader thread.
 cmake --build --preset tsan -j "$(nproc)" --target tquad_cli zoo_gen
 TSAN_WORK=build-tsan/cli_work
 rm -rf "$TSAN_WORK"
@@ -88,7 +88,7 @@ mkdir -p "$TSAN_WORK"
 sed "s|$TSAN_WORK/parallel.tqtr|$TSAN_WORK/serial.tqtr|" "$TSAN_WORK/parallel.txt" \
     | cmp "$TSAN_WORK/serial.txt" -
 cmp "$TSAN_WORK/serial.tqtr" "$TSAN_WORK/parallel.tqtr"
-grep -q '"pipeline.worker.batches"' "$TSAN_WORK/parallel.json"
+grep -q '"pipeline.batches_published"' "$TSAN_WORK/parallel.json"
 
 # 4. Farm smoke under ASan: the supervisor's fork/exec/waitpid plumbing and
 #    the sidecar/manifest codecs run sanitized end to end — a two-worker

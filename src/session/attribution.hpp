@@ -185,10 +185,8 @@ class KernelAttribution final : public vm::EventSink {
   /// the pipeline (and start a fresh one) or reuse it.
   [[gnu::noinline]] void flush_batch() {
     Record* const records = batch_->records.get();
-    const std::size_t events = cap_ - static_cast<std::size_t>(limit_ - next_);
-    if (events == 0) return;
+    if (next_ == records) return;
     batch_->size = static_cast<std::size_t>(next_ - records);
-    batch_->events = events;
     for (const Attached& attached : consumers_) {
       attached.consumer->on_batch(attached.interests, *batch_);
     }

@@ -50,13 +50,16 @@ namespace {
 ///
 /// A trace stores records only for event-producing instructions (entries,
 /// accesses, returns); the per-instruction ticks in between are implicit in
-/// the retired counters. The feeder buffers records sharing one retired
-/// value (one instruction plus any routine entry it triggers — groups can
-/// span block boundaries), emits the missing "silent" ticks for the gaps
-/// using a plain function stack maintained from enter/ret records, and
-/// dispatches each group in live order: the instruction's one-tick span
-/// before its first record (the span the interpreter emits), accesses and
-/// returns in record order, entries where the recorder placed them.
+/// the retired counters. The feeder dispatches each record as it arrives,
+/// emitting the missing "silent" ticks for the gaps using a plain function
+/// stack maintained from enter/ret records. A record with a new retired
+/// value starts a new instruction (which may continue into the next block).
+/// The instruction's one-tick span (the span the interpreter emits) goes out
+/// just before its first non-enter record, flagged as a memory instruction
+/// when that record is a read or a write: a live run records an
+/// instruction's accesses before its return, and a routine entry after its
+/// call's accesses (vm/event_sink.hpp, session/events.hpp). A retired value
+/// with only an entry (the program-entry kEnter) has no tick of its own.
 class ReplayFeeder {
  public:
   ReplayFeeder(KernelAttribution& attribution, std::uint32_t function_count)
@@ -66,19 +69,44 @@ class ReplayFeeder {
 
   void feed(std::span<const trace::Record> records) {
     for (const trace::Record& record : records) {
-      if (!group_.empty() && record.retired != group_retired_) flush_group();
-      if (group_.empty()) group_retired_ = record.retired;
+      const bool is_enter = record.kind == trace::EventKind::kEnter;
       if (record.func >= function_count_ ||
-          (record.kind == trace::EventKind::kEnter &&
-           record.ea >= function_count_)) {
+          (is_enter && record.ea >= function_count_)) {
         TQUAD_THROW("TQTR record function id out of range for this image");
       }
-      group_.push_back(record);
+      if (record.retired != retired_) {
+        retired_ = record.retired;
+        ticked_ = false;
+        emit_silent_ticks_until(retired_);
+      }
+      if (is_enter) {
+        const auto func = static_cast<std::uint32_t>(record.ea);
+        attribution_.on_enter(func, record.retired);
+        func_stack_.push_back(func);
+        continue;
+      }
+      const bool is_read = record.kind == trace::EventKind::kRead;
+      const bool is_access = is_read || record.kind == trace::EventKind::kWrite;
+      if (!ticked_) {
+        ticked_ = true;
+        attribution_.on_tick_span(record.func, retired_, 1, is_access ? 1 : 0);
+        next_tick_ = retired_ + 1;
+      }
+      if (is_access) {
+        attribution_.on_access(record.func, record.pc, record.retired, record.ea,
+                               record.size, is_read,
+                               (record.flags & trace::kFlagStackArea) != 0,
+                               (record.flags & trace::kFlagPrefetch) != 0);
+      } else {
+        attribution_.on_ret(record.func, record.pc, record.retired);
+        if (!func_stack_.empty() && func_stack_.back() == record.func) {
+          func_stack_.pop_back();
+        }
+      }
     }
   }
 
   void finish(const vm::RunOutcome& outcome) {
-    flush_group();
     emit_silent_ticks_until(outcome.retired);
     attribution_.input_finish(outcome);
   }
@@ -94,68 +122,11 @@ class ReplayFeeder {
     next_tick_ = retired;
   }
 
-  void flush_group() {
-    if (group_.empty()) return;
-    emit_silent_ticks_until(group_retired_);
-
-    // The group's instruction (if any record belongs to one — a group can
-    // also be a bare program-entry kEnter): its function, and whether it
-    // carried a memory operand.
-    std::uint32_t tick_func = 0;
-    bool has_instr = false;
-    bool has_read_or_write = false;
-    for (const trace::Record& record : group_) {
-      if (record.kind == trace::EventKind::kEnter) continue;
-      if (!has_instr) {
-        has_instr = true;
-        tick_func = record.func;
-      }
-      if (record.kind == trace::EventKind::kRead ||
-          record.kind == trace::EventKind::kWrite) {
-        has_read_or_write = true;
-      }
-    }
-
-    bool tick_emitted = false;
-    for (const trace::Record& record : group_) {
-      if (record.kind == trace::EventKind::kEnter) {
-        const auto func = static_cast<std::uint32_t>(record.ea);
-        attribution_.on_enter(func, record.retired);
-        func_stack_.push_back(func);
-        continue;
-      }
-      if (!tick_emitted) {
-        tick_emitted = true;
-        attribution_.on_tick_span(tick_func, group_retired_, 1,
-                                  has_read_or_write ? 1 : 0);
-        next_tick_ = group_retired_ + 1;
-      }
-      switch (record.kind) {
-        case trace::EventKind::kRead:
-        case trace::EventKind::kWrite:
-          attribution_.on_access(record.func, record.pc, record.retired, record.ea,
-                                 record.size, record.kind == trace::EventKind::kRead,
-                                 (record.flags & trace::kFlagStackArea) != 0,
-                                 (record.flags & trace::kFlagPrefetch) != 0);
-          break;
-        case trace::EventKind::kRet:
-          attribution_.on_ret(record.func, record.pc, record.retired);
-          if (!func_stack_.empty() && func_stack_.back() == record.func) {
-            func_stack_.pop_back();
-          }
-          break;
-        case trace::EventKind::kEnter:
-          break;  // handled above
-      }
-    }
-    group_.clear();
-  }
-
   KernelAttribution& attribution_;
   std::uint32_t function_count_;
-  std::vector<trace::Record> group_;
-  std::uint64_t group_retired_ = 0;
   std::vector<std::uint32_t> func_stack_;
+  std::uint64_t retired_ = 0;  ///< the current instruction's retired value
+  bool ticked_ = false;        ///< its one-tick span went out
   std::uint64_t next_tick_ = 0;
 };
 

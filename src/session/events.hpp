@@ -135,8 +135,7 @@ struct Batch {
       : records(std::make_unique_for_overwrite<Record[]>(2 * events)) {}
 
   std::unique_ptr<Record[]> records;
-  std::size_t size = 0;    ///< records written
-  std::size_t events = 0;  ///< events those records hold
+  std::size_t size = 0;  ///< records written
 };
 
 using SharedBatch = std::shared_ptr<const Batch>;
@@ -197,8 +196,10 @@ class AnalysisConsumer {
 
   /// One batch of the stream, filtered to `interests` (this consumer's
   /// event_interests()). The default decodes it through the hooks above
-  /// with deliver(); a final tool overrides it with the same call on
-  /// `*this`, so the decode loop calls its hooks directly.
+  /// with deliver(), one virtual call per record. A `final` consumer should
+  /// override it with the same call on `*this`
+  /// (`deliver(*this, interests, batch)`), so the decode loop calls its
+  /// hooks directly.
   virtual void on_batch(unsigned interests, const Batch& batch);
 };
 

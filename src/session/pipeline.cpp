@@ -4,14 +4,12 @@
 #include <chrono>
 #include <exception>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "session/attribution.hpp"
 #include "support/check.hpp"
-#include "support/metrics.hpp"
 #include "support/paged_memory.hpp"
 #include "support/spsc_ring.hpp"
 
@@ -24,29 +22,14 @@ namespace detail {
 class Reader {
  public:
   /// Start the thread: it hands every batch to `apply`, in push order,
-  /// until the ring is closed and empty. With a registry it counts the
-  /// batches in its own ThreadSink, which folds as the thread exits. If
-  /// `apply` throws, the thread keeps popping (so the VM thread never blocks
-  /// on a dead consumer) but applies nothing more, and join() returns the
-  /// error to the VM thread.
+  /// until the ring is closed and empty. If `apply` throws, the thread
+  /// keeps popping (so the VM thread never blocks on a dead consumer) but
+  /// applies nothing more, and join() returns the error to the VM thread.
   template <typename Apply>
-  Reader(std::size_t ring_batches, metrics::Registry* registry, Apply apply)
-      : ring_(ring_batches) {
-    thread_ = std::jthread([this, registry, apply = std::move(apply)] {
-      std::optional<metrics::ThreadSink> sink;
-      metrics::ThreadSink::Counter* batches = nullptr;
-      metrics::Histogram* batch_events = nullptr;
-      if (registry != nullptr) {
-        sink.emplace(*registry);
-        batches = &sink->counter("pipeline.worker.batches");
-        batch_events = &sink->histogram("pipeline.worker.batch_events");
-      }
+  Reader(std::size_t ring_batches, Apply apply) : ring_(ring_batches) {
+    thread_ = std::jthread([this, apply = std::move(apply)] {
       SharedBatch batch;
       while (ring_.pop(batch)) {
-        if (batches != nullptr) {
-          batches->add(1);
-          batch_events->observe(batch->events);
-        }
         if (!error_) {
           try {
             apply(*batch);
@@ -81,7 +64,6 @@ class Reader {
     stats.batches_published += rs.pushes;
     stats.backpressure_waits += rs.push_waits;
     stats.producer_stall_ns += rs.stall_ns;
-    stats.dropped_after_close += rs.dropped_after_close;
     stats.ring_occupancy_high_water =
         std::max(stats.ring_occupancy_high_water, rs.occupancy_high_water);
     ++stats.rings;
@@ -143,9 +125,8 @@ unsigned shard_count(const PipelineOptions& options) {
 
 }  // namespace
 
-ParallelPipeline::ParallelPipeline(const PipelineOptions& options,
-                                   metrics::Registry* metrics)
-    : options_(options), metrics_(metrics), access_shards_(shard_count(options)) {
+ParallelPipeline::ParallelPipeline(const PipelineOptions& options)
+    : options_(options), access_shards_(shard_count(options)) {
   TQUAD_CHECK(options.mode == PipelineMode::kParallel,
               "ParallelPipeline constructed in serial mode");
 }
@@ -164,7 +145,7 @@ void ParallelPipeline::attach(std::span<AnalysisConsumer* const> consumers,
 template <typename Apply>
 void ParallelPipeline::add_reader(Apply apply) {
   readers_.push_back(std::make_unique<detail::Reader>(
-      std::max<std::size_t>(options_.ring_batches, 1), metrics_, std::move(apply)));
+      std::max<std::size_t>(options_.ring_batches, 1), std::move(apply)));
 }
 
 /// Give `target` its reader(s). With more than one shard and a shardable
@@ -218,7 +199,6 @@ PipelineStats ParallelPipeline::stats() const {
   PipelineStats stats;
   for (const auto& reader : readers_) reader->add_stats(stats);
   stats.shard_fold_ns = fold_ns_;
-  stats.workers = stats.rings;
   stats.access_shards = access_shards_;
   return stats;
 }

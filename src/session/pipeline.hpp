@@ -35,10 +35,6 @@
 
 #include "session/events.hpp"
 
-namespace tq::metrics {
-class Registry;
-}  // namespace tq::metrics
-
 namespace tq::session {
 
 class KernelAttribution;
@@ -66,8 +62,7 @@ struct PipelineOptions {
 struct PipelineStats {
   std::uint64_t batches_published = 0;  ///< batch pushes, summed over rings
   std::uint64_t backpressure_waits = 0;
-  std::uint64_t producer_stall_ns = 0;    ///< VM thread wall time blocked on space
-  std::uint64_t dropped_after_close = 0;  ///< pushes refused by abort close
+  std::uint64_t producer_stall_ns = 0;  ///< VM thread wall time blocked on space
   std::uint64_t ring_occupancy_high_water = 0;  ///< max batches queued, any ring
   std::uint64_t shard_fold_ns = 0;  ///< merge_shards() time at the drain barrier
   // Always 0: the transport has a fixed batch size, a fixed ring capacity
@@ -76,8 +71,7 @@ struct PipelineStats {
   std::uint64_t batch_grows = 0;
   std::uint64_t ring_capacity_grows = 0;
   std::uint64_t freelist_hits = 0;
-  unsigned rings = 0;    ///< reader rings: one per reader thread
-  unsigned workers = 0;  ///< reader threads
+  unsigned rings = 0;  ///< reader rings: one per reader thread
   unsigned access_shards = 0;
 };
 
@@ -92,11 +86,7 @@ class Reader;
 /// ring and joins its thread. The pipeline must outlive the run.
 class ParallelPipeline {
  public:
-  /// `metrics` is optional: when set, each reader thread folds its batch
-  /// counters/size histogram into the registry through its own ThreadSink
-  /// as it exits at the drain barrier.
-  explicit ParallelPipeline(const PipelineOptions& options,
-                            metrics::Registry* metrics = nullptr);
+  explicit ParallelPipeline(const PipelineOptions& options);
   ~ParallelPipeline();
 
   ParallelPipeline(const ParallelPipeline&) = delete;
@@ -128,7 +118,6 @@ class ParallelPipeline {
   void add_reader(Apply apply);
 
   const PipelineOptions options_;
-  metrics::Registry* const metrics_;
   const unsigned access_shards_;
   unsigned interests_ = 0;
   std::vector<AnalysisConsumer*> targets_;        ///< attach order

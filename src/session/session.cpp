@@ -99,16 +99,16 @@ vm::RunOutcome ProfileSession::run(EventSource& source) {
     attribution_.add_consumer(heartbeat_);
   }
   if (config_.pipeline.mode == PipelineMode::kParallel && !consumers_.empty()) {
-    ParallelPipeline pipeline(config_.pipeline, config_.metrics);
+    ParallelPipeline pipeline(config_.pipeline);
     pipeline.attach(consumers_, attribution_);
     // input_finish (invoked by the source on every path, including traps)
     // runs the pipeline's drain barrier, so by the time run() returns every
     // tool holds its complete, serially-ordered accounting.
     outcome_ = source.run(attribution_);
     pipeline_stats_ = pipeline.stats();
-    // The drain barrier already joined every reader thread, and with it
-    // folded their per-thread metric sinks. If the run threw instead, the
-    // pipeline's destructor closes the rings and joins the threads.
+    // The drain barrier already joined every reader thread. If the run
+    // threw instead, the pipeline's destructor closes the rings and joins
+    // the threads.
   } else {
     for (AnalysisConsumer* consumer : consumers_) {
       attribution_.add_consumer(*consumer);
@@ -138,12 +138,10 @@ void ProfileSession::publish_metrics(const EventSource& source) {
   registry.add("pipeline.batches_published", stats.batches_published);
   registry.add("pipeline.backpressure_waits", stats.backpressure_waits);
   registry.add("pipeline.producer_stall_ns", stats.producer_stall_ns);
-  registry.add("pipeline.dropped_after_close", stats.dropped_after_close);
   registry.add("pipeline.shard_fold_ns", stats.shard_fold_ns);
   registry.max_gauge("pipeline.ring.occupancy_high_water",
                      stats.ring_occupancy_high_water);
   registry.set_gauge("pipeline.rings", stats.rings);
-  registry.set_gauge("pipeline.workers", stats.workers);
   registry.set_gauge("pipeline.access_shards", stats.access_shards);
 }
 

@@ -48,7 +48,7 @@ struct SessionConfig {
   vm::EngineKind engine = vm::EngineKind::kCompiled;
   PipelineOptions pipeline;              ///< serial (inline consumers) by default
   /// Optional self-observability: when set, the session publishes its event
-  /// counts (and, for parallel runs, the pipeline's ring/worker/shard
+  /// counts (and, for parallel runs, the pipeline's ring and shard
   /// telemetry) into the registry after the drain barrier. Never touches
   /// report output.
   metrics::Registry* metrics = nullptr;
@@ -81,6 +81,9 @@ class HeartbeatPrinter final : public AnalysisConsumer {
     pulse_to(run.first_retired + run.count);
   }
   void on_finish(const vm::RunOutcome& outcome) override;
+  void on_batch(unsigned interests, const Batch& batch) override {
+    deliver(*this, interests, batch);
+  }
 
  private:
   void pulse_to(std::uint64_t retired);

@@ -25,30 +25,11 @@ void Registry::max_gauge(const std::string& name, std::uint64_t value) {
   if (value > gauge.high_water) gauge.high_water = value;
 }
 
-void Registry::observe(const std::string& name, std::uint64_t value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  histograms_[name].observe(value);
-}
-
-void Registry::fold_gauge(const std::string& name, const GaugeValue& value) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  GaugeValue& gauge = gauges_[name];
-  gauge.value += value.value;
-  if (value.high_water > gauge.high_water) gauge.high_water = value.high_water;
-}
-
-void Registry::fold_histogram(const std::string& name,
-                              const Histogram& histogram) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  histograms_[name].merge(histogram);
-}
-
 Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Snapshot snap;
   snap.counters.assign(counters_.begin(), counters_.end());
   snap.gauges.assign(gauges_.begin(), gauges_.end());
-  snap.histograms.assign(histograms_.begin(), histograms_.end());
   return snap;
 }
 
@@ -74,13 +55,6 @@ std::string Registry::render_text() const {
   for (const auto& [name, gauge] : snap.gauges) {
     append_line(out, "%s %" PRIu64 " (high %" PRIu64 ")\n", name.c_str(),
                 gauge.value, gauge.high_water);
-  }
-  for (const auto& [name, hist] : snap.histograms) {
-    const std::uint64_t mean = hist.count() > 0 ? hist.sum() / hist.count() : 0;
-    append_line(out,
-                "%s count=%" PRIu64 " sum=%" PRIu64 " mean=%" PRIu64
-                " max=%" PRIu64 "\n",
-                name.c_str(), hist.count(), hist.sum(), mean, hist.max());
   }
   return out;
 }
@@ -128,70 +102,9 @@ std::string Registry::render_json() const {
     append_line(out, ": {\"value\": %" PRIu64 ", \"high_water\": %" PRIu64 "}",
                 gauge.value, gauge.high_water);
   }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, hist] : snap.histograms) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    append_json_string(out, name);
-    append_line(out, ": {\"count\": %" PRIu64 ", \"sum\": %" PRIu64
-                     ", \"max\": %" PRIu64 ", \"buckets\": [",
-                hist.count(), hist.sum(), hist.max());
-    bool first_bucket = true;
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-      if (hist.bucket(b) == 0) continue;
-      if (!first_bucket) out += ", ";
-      first_bucket = false;
-      append_line(out, "[%" PRIu64 ", %" PRIu64 "]", Histogram::bucket_limit(b),
-                  hist.bucket(b));
-    }
-    out += "]}";
-  }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";
   return out;
-}
-
-ThreadSink::Counter& ThreadSink::counter(std::string name) {
-  for (auto& [slot_name, slot] : counters_) {
-    if (slot_name == name) return slot;
-  }
-  counters_.emplace_back(std::move(name), Counter{});
-  return counters_.back().second;
-}
-
-ThreadSink::Gauge& ThreadSink::gauge(std::string name) {
-  for (auto& [slot_name, slot] : gauges_) {
-    if (slot_name == name) return slot;
-  }
-  gauges_.emplace_back(std::move(name), Gauge{});
-  return gauges_.back().second;
-}
-
-Histogram& ThreadSink::histogram(std::string name) {
-  for (auto& [slot_name, slot] : histograms_) {
-    if (slot_name == name) return slot;
-  }
-  histograms_.emplace_back(std::move(name), Histogram{});
-  return histograms_.back().second;
-}
-
-void ThreadSink::fold() {
-  for (auto& [name, slot] : counters_) {
-    if (slot.value != 0) registry_.add(name, slot.value);
-    slot.value = 0;
-  }
-  for (auto& [name, slot] : gauges_) {
-    if (slot.v.value != 0 || slot.v.high_water != 0) {
-      registry_.fold_gauge(name, slot.v);
-    }
-    slot.v = GaugeValue{};
-  }
-  for (auto& [name, slot] : histograms_) {
-    if (slot.count() != 0) registry_.fold_histogram(name, slot);
-    slot.reset();
-  }
 }
 
 }  // namespace tq::metrics

@@ -1,29 +1,20 @@
-// Self-observability primitives: a named-metric registry plus per-thread
-// sinks, so the profiler can report on its own machinery (ring backpressure,
-// worker batch sizes, shadow-memory growth, trace compression) without
-// perturbing the run it is measuring.
+// Self-observability primitives: a named-metric registry, so the profiler
+// can report on its own machinery (ring backpressure, shadow-memory growth,
+// trace compression) without perturbing the run it is measuring.
 //
-// Three metric kinds, all unsigned 64-bit:
-//   counter   — monotonic total (events seen, bytes written, stall ns)
-//   gauge     — last value plus a high-water mark (ring occupancy, pages)
-//   histogram — fixed power-of-two buckets with count and sum (batch sizes)
+// Two metric kinds, both unsigned 64-bit:
+//   counter — monotonic total (events seen, bytes written, stall ns)
+//   gauge   — last value plus a high-water mark (ring occupancy, pages)
 //
-// Thread model: the Registry itself is mutex-protected and meant for
-// post-run publication and for folding. Code on a hot path never touches
-// it — each worker thread owns a ThreadSink, accumulates into plain local
-// slots (wait-free, no atomics, no locks), and folds the whole sink into
-// the registry exactly once, at a drain barrier (worker exit). Fold
-// semantics: counters add, gauge values add with high-waters maxed
-// (per-thread gauges describe partitioned state), histograms merge
-// bucket-wise. Names are dotted lowercase paths ("pipeline.worker.batches");
-// rendering iterates std::map, so text and JSON output is sorted and
-// stable-keyed by construction.
+// Thread model: the Registry is mutex-protected and meant for post-run
+// publication only. Hot paths never touch it: they bump plain counters
+// that their owner publishes once the run is over (the pipeline's readers
+// are joined by then). Names are dotted lowercase paths
+// ("pipeline.batches_published"); rendering iterates std::map, so text and
+// JSON output is sorted and stable-keyed by construction.
 #pragma once
 
-#include <array>
-#include <bit>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -31,53 +22,6 @@
 #include <vector>
 
 namespace tq::metrics {
-
-/// Fixed-bucket size/latency histogram. Bucket 0 holds zeros; bucket b
-/// (1..64) holds values in [2^(b-1), 2^b - 1]. 65 buckets cover the full
-/// uint64 range, so observe() is a bit_width and an add — no allocation,
-/// no branching on configuration.
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 65;
-
-  void observe(std::uint64_t value) noexcept {
-    ++count_;
-    sum_ += value;
-    if (value > max_) max_ = value;
-    ++buckets_[bucket_of(value)];
-  }
-
-  void merge(const Histogram& other) noexcept {
-    count_ += other.count_;
-    sum_ += other.sum_;
-    if (other.max_ > max_) max_ = other.max_;
-    for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
-  }
-
-  void reset() noexcept { *this = Histogram{}; }
-
-  static std::size_t bucket_of(std::uint64_t value) noexcept {
-    return static_cast<std::size_t>(std::bit_width(value));
-  }
-
-  /// Inclusive upper bound of bucket `b` (0 for the zero bucket).
-  static std::uint64_t bucket_limit(std::size_t b) noexcept {
-    if (b == 0) return 0;
-    if (b >= 64) return ~std::uint64_t{0};
-    return (std::uint64_t{1} << b) - 1;
-  }
-
-  std::uint64_t count() const noexcept { return count_; }
-  std::uint64_t sum() const noexcept { return sum_; }
-  std::uint64_t max() const noexcept { return max_; }
-  std::uint64_t bucket(std::size_t b) const noexcept { return buckets_[b]; }
-
- private:
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t max_ = 0;
-  std::array<std::uint64_t, kBuckets> buckets_{};
-};
 
 struct GaugeValue {
   std::uint64_t value = 0;
@@ -88,12 +32,10 @@ struct GaugeValue {
 struct Snapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, GaugeValue>> gauges;
-  std::vector<std::pair<std::string, Histogram>> histograms;
 };
 
 /// The shared store. Every operation takes the registry mutex, so this is
-/// for publication points and fold barriers, not per-event paths — those go
-/// through a ThreadSink.
+/// for publication points, not per-event paths.
 class Registry {
  public:
   /// Counter: add `delta` to `name` (creating it at zero).
@@ -105,70 +47,19 @@ class Registry {
   /// Gauge: keep the maximum of the current and new value (and high-water).
   void max_gauge(const std::string& name, std::uint64_t value);
 
-  /// Histogram: record one observation.
-  void observe(const std::string& name, std::uint64_t value);
-
-  /// Fold helpers used by ThreadSink: gauge values *add* (each thread owns a
-  /// partition of the state), high-waters max.
-  void fold_gauge(const std::string& name, const GaugeValue& value);
-  void fold_histogram(const std::string& name, const Histogram& histogram);
-
   Snapshot snapshot() const;
 
-  /// "name value" lines (gauges append the high-water, histograms their
-  /// count/sum/mean/max), sorted by name.
+  /// "name value" lines (gauges append the high-water), sorted by name.
   std::string render_text() const;
 
-  /// One JSON object {"counters":{...},"gauges":{...},"histograms":{...}}
-  /// with sorted, stable keys. Histogram buckets render as [limit, count]
-  /// pairs for the non-empty buckets only.
+  /// One JSON object {"counters":{...},"gauges":{...}} with sorted, stable
+  /// keys.
   std::string render_json() const;
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, GaugeValue> gauges_;
-  std::map<std::string, Histogram> histograms_;
-};
-
-/// Per-thread accumulator. counter()/gauge()/histogram() hand back slots
-/// with stable addresses (the deques never relocate), so a worker resolves
-/// its names once and then updates plain memory on the hot path. fold()
-/// pushes everything into the registry and resets the local state; the
-/// destructor folds any leftovers, which is what ties a worker's metrics to
-/// its drain-barrier exit.
-class ThreadSink {
- public:
-  struct Counter {
-    std::uint64_t value = 0;
-    void add(std::uint64_t delta = 1) noexcept { value += delta; }
-  };
-  struct Gauge {
-    GaugeValue v;
-    void set(std::uint64_t value) noexcept {
-      v.value = value;
-      if (value > v.high_water) v.high_water = value;
-    }
-  };
-
-  explicit ThreadSink(Registry& registry) : registry_(registry) {}
-  ~ThreadSink() { fold(); }
-
-  ThreadSink(const ThreadSink&) = delete;
-  ThreadSink& operator=(const ThreadSink&) = delete;
-
-  Counter& counter(std::string name);
-  Gauge& gauge(std::string name);
-  Histogram& histogram(std::string name);
-
-  /// Merge everything into the registry and reset the local slots.
-  void fold();
-
- private:
-  Registry& registry_;
-  std::deque<std::pair<std::string, Counter>> counters_;
-  std::deque<std::pair<std::string, Gauge>> gauges_;
-  std::deque<std::pair<std::string, Histogram>> histograms_;
 };
 
 }  // namespace tq::metrics

@@ -52,6 +52,9 @@ class AddressMapTool final : public session::AnalysisConsumer {
 
   unsigned event_interests() const override { return kAccessInterest; }
   void on_access(const session::AccessEvent& event) override;
+  void on_batch(unsigned interests, const session::Batch& batch) override {
+    session::deliver(*this, interests, batch);
+  }
 
   const AddressMapOptions& options() const noexcept { return options_; }
   /// Per-kernel maps keyed by kernel id (kNoKernel for unattributed

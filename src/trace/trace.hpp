@@ -113,6 +113,9 @@ class TraceRecorder final : public session::AnalysisConsumer {
   void on_kernel_ret(const session::RetEvent& event) override;
   void on_session_end(std::uint64_t total_retired) override;
   void on_finish(const vm::RunOutcome& outcome) override;
+  void on_batch(unsigned interests, const session::Batch& batch) override {
+    session::deliver(*this, interests, batch);
+  }
 
   /// Seal the trace: flush the open v2 block and append the file index.
   /// Idempotent; runs on every session outcome (on_finish) — including

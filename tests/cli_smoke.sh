@@ -145,8 +145,7 @@ cmp out.wav out_m.wav
 python3 - <<'EOF'
 import json
 m = json.load(open("metrics.json"))
-for section in ("counters", "gauges", "histograms"):
-    assert section in m, section
+assert set(m) == {"counters", "gauges"}, set(m)
 c = m["counters"]
 assert c["session.events.access"] > 0, c
 assert c["trace.write.records"] > 0, c
@@ -172,15 +171,29 @@ def keys(m):
 assert keys(a) == keys(b), keys(a) ^ keys(b)
 EOF
 # Parallel run with text metrics to stdout: the metrics block comes strictly
-# after the reports (report prefix identical), ring/worker telemetry present.
+# after the reports (report prefix identical), ring telemetry present.
 "$TOOLS/tquad_cli" -image wfs.tqim -in in.wav -report all -slice 2000 \
     -pipeline parallel:2 -metrics text > tquad_pm.txt
 sed -n '1,/== metrics ==/p' tquad_pm.txt | sed '$d' > tquad_pm_body.txt
 grep -v "written to" tquad_pm_body.txt > tquad_pm_cmp.txt
 cmp tquad_body.txt tquad_pm_cmp.txt
 grep -q "pipeline.batches_published" tquad_pm.txt
-grep -q "pipeline.worker.batch_events" tquad_pm.txt
 grep -q "session.events.access" tquad_pm.txt
+# Name drift: every name a three-tool parallel run with a trace emits is
+# documented in docs/METRICS.md, and every documented pipeline.* name is
+# emitted.
+"$TOOLS/tquad_cli" -image wfs.tqim -in in.wav -slice 2000 \
+    -pipeline parallel:2 -tools tquad,quad,gprof -trace run_drift.tqtr \
+    -metrics json:drift_metrics.json > /dev/null
+python3 - "$SRCDIR/../docs/METRICS.md" <<'EOF'
+import json, re, sys
+m = json.load(open("drift_metrics.json"))
+emitted = {name for section in m.values() for name in section}
+documented = set(re.findall(r"^\| `([a-z0-9_.]+)` \|", open(sys.argv[1]).read(), re.M))
+assert emitted <= documented, sorted(emitted - documented)
+pipeline = {name for name in documented if name.startswith("pipeline.")}
+assert pipeline <= emitted, sorted(pipeline - emitted)
+EOF
 # quad_cli metrics + replay-side metrics cover the quad and trace.read names.
 "$TOOLS/quad_cli" -image wfs.tqim -in in.wav -metrics json:quad_metrics.json > /dev/null
 python3 - <<'EOF'

@@ -913,9 +913,9 @@ TEST(PipelineShutdown, ConsumerErrorReachesTheCaller) {
 
 // ---------------------------------------------------------------------------
 // Metrics parity: attaching a registry must not change any tool state, and
-// the drain-barrier fold must account for every published batch.
+// every published pipeline.* number is the PipelineStats field it names.
 
-TEST(PipelineMetrics, RegistryAttachedKeepsParityAndCountsBatches) {
+TEST(PipelineMetrics, RegistryAttachedKeepsParityAndMirrorsStats) {
   Reference ref("histogram");
   workloads::Instance guest = make_guest("histogram");
   metrics::Registry registry;
@@ -936,24 +936,33 @@ TEST(PipelineMetrics, RegistryAttachedKeepsParityAndCountsBatches) {
     ADD_FAILURE() << "missing counter " << name;
     return 0;
   };
-  EXPECT_EQ(counter("pipeline.batches_published"),
-            run.session.pipeline_stats().batches_published);
-  // Every published batch was drained and counted by some drain thread.
-  EXPECT_EQ(counter("pipeline.worker.batches"),
-            run.session.pipeline_stats().batches_published);
+  const auto gauge = [&](const std::string& name) -> std::uint64_t {
+    for (const auto& [key, value] : snap.gauges) {
+      if (key == name) return value.value;
+    }
+    ADD_FAILURE() << "missing gauge " << name;
+    return 0;
+  };
+  const PipelineStats& stats = run.session.pipeline_stats();
+  EXPECT_GT(stats.batches_published, 0u);
+  EXPECT_EQ(counter("pipeline.batches_published"), stats.batches_published);
+  EXPECT_EQ(counter("pipeline.backpressure_waits"), stats.backpressure_waits);
+  EXPECT_EQ(counter("pipeline.producer_stall_ns"), stats.producer_stall_ns);
+  EXPECT_EQ(counter("pipeline.shard_fold_ns"), stats.shard_fold_ns);
+  EXPECT_EQ(gauge("pipeline.ring.occupancy_high_water"),
+            stats.ring_occupancy_high_water);
+  EXPECT_EQ(gauge("pipeline.rings"), stats.rings);
+  EXPECT_EQ(gauge("pipeline.access_shards"), stats.access_shards);
   EXPECT_EQ(counter("session.events.access"),
             run.session.attribution().event_counts().accesses);
   EXPECT_GT(counter("session.events.tick"), 0u);
-  // Drain threads folded their sinks at the drain barrier: the batch
-  // histogram saw every drained batch.
-  bool found_hist = false;
-  for (const auto& [key, hist] : snap.histograms) {
-    if (key == "pipeline.worker.batch_events") {
-      found_hist = true;
-      EXPECT_GT(hist.count(), 0u);
-    }
+  // Names that repeated another number or could never be non-zero stay
+  // unpublished.
+  for (const char* removed : {"pipeline.worker.batches", "pipeline.worker.batch_events",
+                              "pipeline.workers", "pipeline.dropped_after_close"}) {
+    for (const auto& [key, value] : snap.counters) EXPECT_NE(key, removed);
+    for (const auto& [key, value] : snap.gauges) EXPECT_NE(key, removed);
   }
-  EXPECT_TRUE(found_hist);
 }
 
 TEST(PipelineReplay, StreamReplayParallel) {

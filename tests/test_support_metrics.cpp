@@ -2,65 +2,11 @@
 
 #include <cstdint>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "support/metrics.hpp"
 
 namespace tq::metrics {
 namespace {
-
-TEST(Histogram, BucketOfPowerOfTwoBoundaries) {
-  // Bucket 0 holds zeros; bucket b holds [2^(b-1), 2^b - 1].
-  EXPECT_EQ(Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(Histogram::bucket_of(1), 1u);
-  EXPECT_EQ(Histogram::bucket_of(2), 2u);
-  EXPECT_EQ(Histogram::bucket_of(3), 2u);
-  EXPECT_EQ(Histogram::bucket_of(4), 3u);
-  EXPECT_EQ(Histogram::bucket_of(1023), 10u);
-  EXPECT_EQ(Histogram::bucket_of(1024), 11u);
-  EXPECT_EQ(Histogram::bucket_of(~std::uint64_t{0}), 64u);
-}
-
-TEST(Histogram, BucketLimitsAreInclusiveUpperBounds) {
-  EXPECT_EQ(Histogram::bucket_limit(0), 0u);
-  EXPECT_EQ(Histogram::bucket_limit(1), 1u);
-  EXPECT_EQ(Histogram::bucket_limit(2), 3u);
-  EXPECT_EQ(Histogram::bucket_limit(10), 1023u);
-  EXPECT_EQ(Histogram::bucket_limit(64), ~std::uint64_t{0});
-  // Every value lands in the bucket whose limit is >= the value and whose
-  // predecessor's limit is < the value.
-  for (std::uint64_t v : {0ull, 1ull, 2ull, 7ull, 8ull, 4095ull, 4096ull}) {
-    const std::size_t b = Histogram::bucket_of(v);
-    EXPECT_LE(v, Histogram::bucket_limit(b)) << v;
-    if (b > 0) EXPECT_GT(v, Histogram::bucket_limit(b - 1)) << v;
-  }
-}
-
-TEST(Histogram, ObserveAndMerge) {
-  Histogram a;
-  a.observe(0);
-  a.observe(5);
-  a.observe(5);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.sum(), 10u);
-  EXPECT_EQ(a.max(), 5u);
-  EXPECT_EQ(a.bucket(0), 1u);
-  EXPECT_EQ(a.bucket(3), 2u);  // 5 is in [4,7]
-
-  Histogram b;
-  b.observe(100);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 4u);
-  EXPECT_EQ(b.sum(), 110u);
-  EXPECT_EQ(b.max(), 100u);
-  EXPECT_EQ(b.bucket(3), 2u);
-  EXPECT_EQ(b.bucket(7), 1u);  // 100 is in [64,127]
-
-  a.reset();
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.bucket(3), 0u);
-}
 
 TEST(Registry, CountersAccumulate) {
   Registry registry;
@@ -89,92 +35,6 @@ TEST(Registry, GaugeSetMaxAndHighWater) {
   EXPECT_EQ(snap.gauges[1].second.high_water, 7u);
 }
 
-TEST(Registry, FoldGaugeAddsValuesMaxesHighWater) {
-  // Per-thread gauges describe partitioned state: values add, peaks max.
-  Registry registry;
-  registry.fold_gauge("occ", GaugeValue{3, 8});
-  registry.fold_gauge("occ", GaugeValue{2, 5});
-  const Snapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].second.value, 5u);
-  EXPECT_EQ(snap.gauges[0].second.high_water, 8u);
-}
-
-TEST(ThreadSinkTest, FoldMovesEverythingAndResets) {
-  Registry registry;
-  ThreadSink sink(registry);
-  auto& c = sink.counter("t.count");
-  auto& g = sink.gauge("t.gauge");
-  auto& h = sink.histogram("t.hist");
-  c.add(4);
-  c.add();
-  g.set(9);
-  g.set(2);
-  h.observe(16);
-  sink.fold();
-  // Slot references stay valid and zeroed after fold; new updates fold again.
-  c.add(10);
-  sink.fold();
-
-  const Snapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].second, 15u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].second.value, 2u);
-  EXPECT_EQ(snap.gauges[0].second.high_water, 9u);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].second.count(), 1u);
-  EXPECT_EQ(snap.histograms[0].second.sum(), 16u);
-}
-
-TEST(ThreadSinkTest, SameNameReturnsSameSlot) {
-  Registry registry;
-  ThreadSink sink(registry);
-  EXPECT_EQ(&sink.counter("x"), &sink.counter("x"));
-  EXPECT_EQ(&sink.gauge("y"), &sink.gauge("y"));
-  EXPECT_EQ(&sink.histogram("z"), &sink.histogram("z"));
-}
-
-TEST(ThreadSinkTest, DestructorFoldsLeftovers) {
-  Registry registry;
-  {
-    ThreadSink sink(registry);
-    sink.counter("leftover").add(42);
-  }
-  const Snapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].second, 42u);
-}
-
-TEST(ThreadSinkTest, ConcurrentSinksFoldWithoutLoss) {
-  Registry registry;
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, t] {
-      ThreadSink sink(registry);
-      auto& c = sink.counter("conc.count");
-      auto& g = sink.gauge("conc.gauge");
-      auto& h = sink.histogram("conc.hist");
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        c.add();
-        h.observe(i & 0xff);
-      }
-      g.set(static_cast<std::uint64_t>(t) + 1);
-    });
-  }
-  for (auto& th : threads) th.join();
-  const Snapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].second, kThreads * kPerThread);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].second.value, 1u + 2u + 3u + 4u);
-  EXPECT_EQ(snap.gauges[0].second.high_water, 4u);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].second.count(), kThreads * kPerThread);
-}
-
 TEST(Render, TextIsSortedAndStable) {
   Registry registry;
   registry.add("z.last", 1);
@@ -191,6 +51,14 @@ TEST(Render, TextIsSortedAndStable) {
   EXPECT_LT(m, z);
 }
 
+TEST(Render, TextShowsGaugeHighWater) {
+  Registry registry;
+  registry.add("c", 5);
+  registry.set_gauge("g", 9);
+  registry.set_gauge("g", 2);
+  EXPECT_EQ(registry.render_text(), "c 5\ng 2 (high 9)\n");
+}
+
 TEST(Render, JsonKeysStableAcrossEquivalentRuns) {
   // Two registries populated in different orders with the same names must
   // render byte-identical JSON (std::map iteration sorts the keys).
@@ -198,9 +66,9 @@ TEST(Render, JsonKeysStableAcrossEquivalentRuns) {
   first.add("b", 1);
   first.add("a", 2);
   first.set_gauge("g", 3);
-  first.observe("h", 4);
+  first.max_gauge("m", 4);
   Registry second;
-  second.observe("h", 4);
+  second.max_gauge("m", 4);
   second.set_gauge("g", 3);
   second.add("a", 2);
   second.add("b", 1);
@@ -210,17 +78,23 @@ TEST(Render, JsonKeysStableAcrossEquivalentRuns) {
 TEST(Render, JsonEscapesAndStructure) {
   Registry registry;
   registry.add("plain", 7);
-  registry.observe("hist", 0);
-  registry.observe("hist", 5);
-  const std::string json = registry.render_json();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"plain\": 7"), std::string::npos);
-  // Non-empty buckets only: value 5 lands in bucket 3 (limit 7), zero in
-  // bucket 0 (limit 0).
-  EXPECT_NE(json.find("[0, 1]"), std::string::npos);
-  EXPECT_NE(json.find("[7, 1]"), std::string::npos);
+  registry.add("quo\"te", 1);
+  registry.set_gauge("g", 3);
+  EXPECT_EQ(registry.render_json(),
+            "{\n"
+            "  \"counters\": {\n"
+            "    \"plain\": 7,\n"
+            "    \"quo\\\"te\": 1\n"
+            "  },\n"
+            "  \"gauges\": {\n"
+            "    \"g\": {\"value\": 3, \"high_water\": 3}\n"
+            "  }\n"
+            "}\n");
+}
+
+TEST(Render, EmptyJsonHasBothSections) {
+  EXPECT_EQ(Registry().render_json(),
+            "{\n  \"counters\": {},\n  \"gauges\": {}\n}\n");
 }
 
 }  // namespace
