@@ -21,11 +21,11 @@ QuadTool::QuadTool(const vm::Program& program, Options options)
 
 // ---- binding store ---------------------------------------------------------------
 
-QuadTool::Edge& QuadTool::EdgeTable::at(std::uint32_t key) {
+std::uint32_t QuadTool::EdgeTable::index_of(std::uint32_t key) {
   std::size_t i = 0;
   if (!slots_.empty()) {
     for (i = home(key); slots_[i] != 0; i = (i + 1) & (slots_.size() - 1)) {
-      if (edges_[slots_[i] - 1].key == key) return edges_[slots_[i] - 1];
+      if (edges_[slots_[i] - 1].key == key) return slots_[i] - 1;
     }
   }
   edges_.emplace_back().key = key;
@@ -34,7 +34,7 @@ QuadTool::Edge& QuadTool::EdgeTable::at(std::uint32_t key) {
   } else {
     slots_[i] = static_cast<std::uint32_t>(edges_.size());
   }
-  return edges_.back();
+  return static_cast<std::uint32_t>(edges_.size() - 1);
 }
 
 const QuadTool::Edge* QuadTool::EdgeTable::find(std::uint32_t key) const noexcept {

@@ -182,21 +182,38 @@ class QuadTool final : public session::AnalysisConsumer,
   class EdgeTable {
    public:
     /// The edge for `key`, created empty on first use. The reference lives
-    /// until the next insertion.
-    Edge& at(std::uint32_t key);
+    /// until the next insertion. A repeat of the last key skips the probe:
+    /// a reader draining one producer's words asks for the same edge on
+    /// every access.
+    Edge& at(std::uint32_t key) {
+      if (key != last_key_) {
+        last_index_ = index_of(key);
+        last_key_ = key;
+      }
+      return edges_[last_index_];
+    }
     const Edge* find(std::uint32_t key) const noexcept;
     std::vector<Edge>& edges() noexcept { return edges_; }
     const std::vector<Edge>& edges() const noexcept { return edges_; }
 
    private:
+    static constexpr std::uint32_t kNoKey = ~0u;  ///< producer kNoProducer: no edge
+
     std::size_t home(std::uint32_t key) const noexcept {
       return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
     }
+    /// Probe for `key`, appending its edge on first use; its index in edges_.
+    std::uint32_t index_of(std::uint32_t key);
     void grow();
 
     std::vector<Edge> edges_;
     std::vector<std::uint32_t> slots_;  ///< edge index + 1; 0 marks empty
     unsigned shift_ = 64;               ///< 64 - log2(slots_.size())
+    /// at()'s memo of its last edge. An index, not a pointer: edges_ may
+    /// reallocate, but it never reorders (grow() re-places slots only), so
+    /// the index stays valid across appends, growth and merge_shards.
+    std::uint32_t last_key_ = kNoKey;
+    std::uint32_t last_index_ = 0;
   };
 
   static std::uint32_t edge_key(std::uint32_t producer, std::uint32_t consumer) {

@@ -43,59 +43,6 @@ void ShadowMemory::mark_write(std::uint64_t addr, std::uint32_t size,
   }
 }
 
-unsigned ShadowMemory::mark_word(std::uint64_t addr, std::uint32_t size,
-                                 ProducerId producer, bool excl) {
-  Page& page = pages_.touch(addr >> kPageBits);
-  const std::uint64_t offset = addr & (kPageSize - 1);
-  Cell& cell = page.cells[offset / kWordSize];
-  if (cell.producer == producer) {
-    // A same-kernel rewrite of a uniform word: every byte's last write was
-    // this producer's, so its incl OUT bits cover the word already.
-    const unsigned known = (cell.flags & kOutExcl) != 0
-                               ? kOutInclKnown | kOutExclKnown
-                               : kOutInclKnown;
-    if (excl && size == kWordSize) cell.flags |= kOutExcl;
-    return known;
-  }
-  if (size == kWordSize) {
-    cell = Cell{.producer = producer,
-                .flags = static_cast<std::uint8_t>(excl ? kOutExcl : 0)};
-  } else {
-    mark_partial(page, offset / kWordSize, offset % kWordSize, size, producer);
-  }
-  return 0;
-}
-
-ShadowMemory::WordRead ShadowMemory::read_word(std::uint64_t addr,
-                                               std::uint32_t size,
-                                               ProducerId reader, bool excl) {
-  Page* page = pages_.find(addr >> kPageBits);
-  if (page == nullptr) return {kNoProducer, false};
-  const std::uint64_t offset = addr & (kPageSize - 1);
-  Cell& cell = page->cells[offset / kWordSize];
-  if (cell.producer == kMixed) return {kMixed, false};
-  const auto mask = static_cast<std::uint8_t>(((1u << size) - 1) << (offset % kWordSize));
-  if (cell.reader != reader) {
-    cell.reader = reader;
-    cell.read_mask = mask;
-    cell.flags = static_cast<std::uint8_t>((cell.flags & kOutExcl) | (excl ? kReadExcl : 0));
-    return {cell.producer, false};
-  }
-  const bool excl_covered = (cell.flags & kReadExcl) != 0;
-  if ((mask & ~cell.read_mask) == 0 && (!excl || excl_covered)) {
-    return {cell.producer, true};
-  }
-  if (excl && !excl_covered) {
-    // Only this read's bytes are known to carry excl bits.
-    cell.read_mask = mask;
-    cell.flags |= kReadExcl;
-  } else {
-    cell.read_mask |= mask;
-    if (!excl) cell.flags &= static_cast<std::uint8_t>(~kReadExcl);
-  }
-  return {cell.producer, false};
-}
-
 void ShadowMemory::adopt_disjoint(ShadowMemory&& other) {
   if (this == &other) return;
   other.pages_.drain([&](std::uint64_t page_no, std::unique_ptr<Page> page) {

@@ -14,6 +14,11 @@
 // accesses already set (see read_word/mark_word). The memo is only ever
 // a claim that bits are set; the sets only grow, so the one event that can
 // falsify it is a change of producer, and every such write clears it.
+//
+// read_word and mark_word, the paths of every access inside one aligned
+// word, are defined inline below, so QuadTool's per-access accounting
+// compiles into one pass. Writes that go through the mixed-word escape
+// (mark_partial) or span words (mark_write) call into shadow.cpp.
 #pragma once
 
 #include <algorithm>
@@ -182,5 +187,60 @@ class ShadowMemory {
   PageTable<Page> pages_;
   std::size_t escapes_ = 0;  ///< escape arrays allocated across pages_
 };
+
+// ---- the word-contained paths (see the file comment) ----------------------
+
+inline unsigned ShadowMemory::mark_word(std::uint64_t addr, std::uint32_t size,
+                                        ProducerId producer, bool excl) {
+  Page& page = pages_.touch(addr >> kPageBits);
+  const std::uint64_t offset = addr & (kPageSize - 1);
+  Cell& cell = page.cells[offset / kWordSize];
+  if (cell.producer == producer) {
+    // A same-kernel rewrite of a uniform word: every byte's last write was
+    // this producer's, so its incl OUT bits cover the word already.
+    const unsigned known = (cell.flags & kOutExcl) != 0
+                               ? kOutInclKnown | kOutExclKnown
+                               : kOutInclKnown;
+    if (excl && size == kWordSize) cell.flags |= kOutExcl;
+    return known;
+  }
+  if (size == kWordSize) {
+    cell = Cell{.producer = producer,
+                .flags = static_cast<std::uint8_t>(excl ? kOutExcl : 0)};
+  } else {
+    mark_partial(page, offset / kWordSize, offset % kWordSize, size, producer);
+  }
+  return 0;
+}
+
+inline ShadowMemory::WordRead ShadowMemory::read_word(std::uint64_t addr,
+                                                      std::uint32_t size,
+                                                      ProducerId reader, bool excl) {
+  Page* page = pages_.find(addr >> kPageBits);
+  if (page == nullptr) return {kNoProducer, false};
+  const std::uint64_t offset = addr & (kPageSize - 1);
+  Cell& cell = page->cells[offset / kWordSize];
+  if (cell.producer == kMixed) return {kMixed, false};
+  const auto mask = static_cast<std::uint8_t>(((1u << size) - 1) << (offset % kWordSize));
+  if (cell.reader != reader) {
+    cell.reader = reader;
+    cell.read_mask = mask;
+    cell.flags = static_cast<std::uint8_t>((cell.flags & kOutExcl) | (excl ? kReadExcl : 0));
+    return {cell.producer, false};
+  }
+  const bool excl_covered = (cell.flags & kReadExcl) != 0;
+  if ((mask & ~cell.read_mask) == 0 && (!excl || excl_covered)) {
+    return {cell.producer, true};
+  }
+  if (excl && !excl_covered) {
+    // Only this read's bytes are known to carry excl bits.
+    cell.read_mask = mask;
+    cell.flags |= kReadExcl;
+  } else {
+    cell.read_mask |= mask;
+    if (!excl) cell.flags &= static_cast<std::uint8_t>(~kReadExcl);
+  }
+  return {cell.producer, false};
+}
 
 }  // namespace tq::quad

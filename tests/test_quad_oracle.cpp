@@ -1,12 +1,15 @@
 // QuadTool against an independent reference model: a byte-at-a-time
 // std::map / std::set transcription of QUAD's semantics. Randomized access
-// streams, plus scripted ones that walk the shadow cell's memo through its
-// edge cases, are fed serially and through the sharded pipeline entry
-// points (1-4 shards, page-split pieces routed as the pipeline routes them);
-// every observable result must match the model exactly.
+// streams, plus scripted ones that walk the shadow cell's memo and the
+// binding store's edge memo through their edge cases, are fed serially
+// (encoded as session records, through the batch decode a session uses) and
+// through the sharded pipeline entry points (1-4 shards, page-split pieces
+// routed as the pipeline routes them); every observable result must match
+// the model exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <map>
 #include <set>
@@ -216,6 +219,72 @@ std::vector<Access> scripted(std::uint64_t base) {
   return s;
 }
 
+/// The edge memo's cases, on the words from `base`: reader 19 alternates
+/// between the words of producers 1 and 2 and a word they split, so its
+/// edges repeat (memo hits) and alternate on the word and the byte paths.
+/// In between, new producer->reader pairs append edges, so the edge vector
+/// reallocates and its index grows past 16 slots (18 edges in all).
+std::vector<Access> edge_memo_stream(std::uint64_t base) {
+  std::vector<Access> s;
+  const std::uint64_t a = base;
+  const std::uint64_t b = base + 8;
+  const std::uint64_t split = base + 16;
+  s.push_back({1, a, 8, false, false});
+  s.push_back({2, b, 8, false, false});
+  s.push_back({1, split, 4, false, false});
+  s.push_back({2, split + 4, 4, false, false});
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    const bool stack = i % 3 == 0;
+    s.push_back({19, a, 8, true, stack});
+    s.push_back({19, a + 4, 4, true, !stack});
+    const std::uint64_t fresh = base + 24 + 8 * i;
+    s.push_back({3 + i % 15, fresh, 8, false, stack});
+    s.push_back({i < 8 ? 18u : 0u, fresh + (i % 2) * 4, 4, true, false});
+    s.push_back({19, b, 2, true, stack});
+    s.push_back({19, b, 8, true, false});
+    s.push_back({19, split, 8, true, stack});
+    s.push_back({19, a, 1, true, false});
+  }
+  return s;
+}
+
+/// wfs's sub-word shape, on the words from `base`: two kernels each write
+/// one aligned 4-byte half of a fresh word, and a third reads each half and
+/// the whole word, under every mix of stack and non-stack accesses; then
+/// the low half's writer takes the high half too, which makes the word
+/// uniform again. Last, a 1-byte and a 2-byte write into never-written
+/// words, each read around.
+std::vector<Access> half_word_stream(std::uint64_t base) {
+  std::vector<Access> s;
+  for (std::uint32_t v = 0; v < 8; ++v) {
+    const std::uint64_t w = base + 8 * v;
+    const bool lo_stack = (v & 1) != 0;
+    const bool hi_stack = (v & 2) != 0;
+    const bool rd_stack = (v & 4) != 0;
+    s.push_back({1, w, 4, false, lo_stack});
+    s.push_back({2, w + 4, 4, false, hi_stack});
+    s.push_back({3, w, 4, true, rd_stack});
+    s.push_back({3, w + 4, 4, true, !rd_stack});
+    s.push_back({3, w, 8, true, rd_stack});
+    s.push_back({3, w + 4, 4, true, rd_stack});
+    s.push_back({1, w + 4, 4, false, hi_stack});
+    s.push_back({3, w, 8, true, !rd_stack});
+    s.push_back({3, w, 4, true, rd_stack});
+  }
+  const std::uint64_t one = base + 64;
+  s.push_back({4, one + 3, 1, false, false});
+  s.push_back({5, one, 8, true, false});
+  s.push_back({5, one + 3, 1, true, true});
+  s.push_back({4, one + 3, 1, false, true});
+  s.push_back({5, one + 3, 1, true, false});
+  const std::uint64_t two = base + 72;
+  s.push_back({6, two + 2, 2, false, true});
+  s.push_back({5, two, 8, true, false});
+  s.push_back({5, two + 2, 2, true, false});
+  s.push_back({5, two, 4, true, true});
+  return s;
+}
+
 /// A random stream of `kernels` kernels over a small set of hot words (so
 /// memos hit and break constantly) plus the whole range, with accesses
 /// crossing words and pages. Few kernels make same-kernel rewrites and
@@ -255,23 +324,42 @@ std::vector<Access> random_stream(const World& world, std::uint32_t kernels,
   return out;
 }
 
-/// Drive `tool` with `stream`: serially (shards == 0), or through
+/// The session's wire form of one access (KernelAttribution's encoding).
+session::Record access_record(const Access& a, std::uint64_t retired) {
+  return {.a = retired,
+          .b = a.ea,
+          .func = a.kernel,
+          .c = 0,
+          .kernel = a.kernel,
+          .tag = session::kAccess | session::flag(a.is_read, session::kRead) |
+                 session::flag(a.is_stack, session::kStack) |
+                 a.size << session::kSizeShift};
+}
+
+/// Drive `tool` with `stream`: serially (shards == 0) as a session does,
+/// encoded into one batch of records that on_batch decodes; or through
 /// prepare_shards / apply_access_shard / merge_shards with page-split
 /// pieces routed to shard (page % shards), as the parallel pipeline does.
+/// A sharded feed merges before access `merge_at` and goes on serially.
 void feed(QuadTool& tool, const std::vector<Access>& stream, unsigned shards,
-          Ticks& ticks, SplitMix64& rng) {
+          std::size_t merge_at, Ticks& ticks, SplitMix64& rng) {
+  session::Batch batch(stream.size() + stream.size() / 64 + 1);
   if (shards > 0) tool.prepare_shards(shards);
   for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (shards > 0 && i == merge_at) {
+      tool.merge_shards();
+      shards = 0;
+    }
     const Access& a = stream[i];
-    session::AccessEvent event;
-    event.kernel = a.kernel;
-    event.ea = a.ea;
-    event.size = a.size;
-    event.is_read = a.is_read;
-    event.is_stack = a.is_stack;
     if (shards == 0) {
-      tool.on_access(event);
+      batch.records[batch.size++] = access_record(a, i);
     } else {
+      session::AccessEvent event;
+      event.kernel = a.kernel;
+      event.ea = a.ea;
+      event.size = a.size;
+      event.is_read = a.is_read;
+      event.is_stack = a.is_stack;
       std::uint64_t cursor = a.ea;
       std::uint64_t remaining = a.size;
       bool first = true;
@@ -291,14 +379,25 @@ void feed(QuadTool& tool, const std::vector<Access>& stream, unsigned shards,
       session::TickRunEvent run;
       run.kernel = a.kernel;
       run.func = a.kernel;
+      run.first_retired = i;
       run.count = 1 + rng.next_below(500);
       run.mem_count = rng.next_below(run.count);
-      tool.on_tick_run(run);
+      if (shards == 0) {
+        batch.records[batch.size++] = {.a = run.first_retired,
+                                       .b = run.count,
+                                       .func = run.func,
+                                       .c = static_cast<std::uint32_t>(run.mem_count),
+                                       .kernel = run.kernel,
+                                       .tag = session::kTickRun};
+      } else {
+        tool.on_tick_run(run);
+      }
       ticks.instrs[a.kernel] += run.count;
       ticks.mem_refs[a.kernel] += run.mem_count;
     }
   }
   if (shards > 0) tool.merge_shards();
+  tool.on_batch(tool.event_interests(), batch);
 }
 
 void expect_set(const AddressSet& got, const std::set<std::uint64_t>& want,
@@ -383,7 +482,10 @@ void expect_matches(const QuadTool& tool, const Reference& ref, const Ticks& tic
   }
 }
 
-void check_stream(const World& world, const std::vector<Access>& stream) {
+/// `stream` fed serially and through 1-4 shards must match the model;
+/// the sharded feeds merge before access `merge_at`.
+void check_stream(const World& world, const std::vector<Access>& stream,
+                  std::size_t merge_at = SIZE_MAX) {
   Reference ref;
   for (const Access& a : stream) ref.access(a);
   for (unsigned shards = 0; shards <= 4; ++shards) {
@@ -391,7 +493,7 @@ void check_stream(const World& world, const std::vector<Access>& stream) {
     QuadTool tool(world.program);
     Ticks ticks;
     SplitMix64 rng(shards);
-    feed(tool, stream, shards, ticks, rng);
+    feed(tool, stream, shards, merge_at, ticks, rng);
     expect_matches(tool, ref, ticks, world.program);
   }
 }
@@ -419,6 +521,25 @@ TEST(QuadOracle, ManyKernelsShareOnePage) {
       stream.push_back({(k + 1) % kKernels, word, 8, true, false});
     }
   }
+  check_stream(world, stream);
+}
+
+TEST(QuadOracle, EdgeMemoAcrossGrowthAndMerge) {
+  const World world = make_world();
+  std::vector<Access> stream = edge_memo_stream(world.lo + 512);
+  const std::vector<Access> straddling = edge_memo_stream(world.lo + kPageSize - 64);
+  stream.insert(stream.end(), straddling.begin(), straddling.end());
+  check_stream(world, stream);
+  // The sharded feeds merge halfway, and the reads go on against the
+  // merged binding store.
+  check_stream(world, stream, stream.size() / 2);
+}
+
+TEST(QuadOracle, HalfWordWrites) {
+  const World world = make_world();
+  std::vector<Access> stream = half_word_stream(world.lo + 512);
+  const std::vector<Access> straddling = half_word_stream(world.lo + kPageSize - 40);
+  stream.insert(stream.end(), straddling.begin(), straddling.end());
   check_stream(world, stream);
 }
 

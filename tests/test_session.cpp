@@ -167,6 +167,41 @@ TEST(Session, ReplayEmptyTraceYieldsSilentTicks) {
   EXPECT_TRUE(capture.accesses.empty());
 }
 
+TEST(Session, ReplayTicksCarryTheMemoryFlagOfAccessesOnly) {
+  // Instruction 1 reads; instruction 2's only record is a bare return, so
+  // its tick must not count as a memory tick. Live traces cannot show the
+  // difference: there every return follows its return-address read.
+  const auto workload = workloads::build_stream(16, 1);
+  trace::Trace trace;
+  trace.kernel_count =
+      static_cast<std::uint32_t>(workload.program.functions().size());
+  trace.total_retired = 3;
+  trace::Record enter{};
+  enter.kind = trace::EventKind::kEnter;
+  trace::Record read{};
+  read.retired = 1;
+  read.kind = trace::EventKind::kRead;
+  read.ea = 0x1000;
+  read.size = 8;
+  trace::Record ret{};
+  ret.retired = 2;
+  ret.kind = trace::EventKind::kRet;
+  trace.records = {enter, read, ret};
+  const auto bytes = trace::serialize_v2(trace);
+
+  ProfileSession session(workload.program);
+  CapturingConsumer capture;
+  session.add_consumer(capture);
+  EXPECT_EQ(session.replay(bytes).retired, 3u);
+  std::uint64_t mem_ticks = 0;
+  for (const TickRunEvent& run : capture.runs) mem_ticks += run.mem_count;
+  EXPECT_EQ(capture.tick_count(), 3u);
+  EXPECT_EQ(mem_ticks, 1u);
+  ASSERT_EQ(capture.accesses.size(), 1u);
+  ASSERT_EQ(capture.rets.size(), 1u);
+  EXPECT_EQ(capture.rets[0].retired, 2u);
+}
+
 TEST(Session, ReplayRejectsVersion1Traces) {
   // The 32-byte header of the retired flat format: "TQTR", version 1, then
   // kernel count, record size, total retired and record count, no records.
