@@ -6,6 +6,15 @@
 # Usage: scripts/tier1.sh   (from the repository root)
 set -e
 
+# 0. Layering: nothing under src/vm includes a session/ header. The compiled
+#    engine's dispatch loop is a template (vm/compiled_loop.hpp) that the
+#    session instantiates for its own sink in session/event_source.cpp; the
+#    vm library must never name that sink itself.
+if grep -rnE '#[[:space:]]*include[[:space:]]*[<"]session/' src/vm; then
+  echo "tier1: a file under src/vm includes a session/ header" >&2
+  exit 1
+fi
+
 # 1. Standard build, all tests.
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"

@@ -1,10 +1,13 @@
 #include "session/event_source.hpp"
 
+#include <type_traits>
+
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
 #include "vm/compiled.hpp"
+#include "vm/compiled_loop.hpp"
 
 namespace tq::session {
 
@@ -27,7 +30,17 @@ LiveEngineSource::LiveEngineSource(const vm::Program& program, vm::HostEnv& host
 vm::RunOutcome LiveEngineSource::run(KernelAttribution& attribution) {
   TQUAD_CHECK(!ran_, "LiveEngineSource::run is single-shot; construct a fresh one");
   ran_ = true;
-  const vm::RunOutcome outcome = engine_->run(attribution);
+  // The compiled engine's dispatch loop is instantiated here for the
+  // attribution itself, so every handler calls its input methods directly,
+  // and on_access and on_tick_span inline down to emit()'s record store.
+  // That holds only while the class is final: otherwise the compiler must
+  // keep each call virtual, and this instantiation would only duplicate
+  // the EventSink one.
+  static_assert(std::is_final_v<KernelAttribution>,
+                "the compiled engine's loop relies on KernelAttribution being final");
+  const vm::RunOutcome outcome = compiled_ != nullptr
+                                     ? compiled_->run_with(attribution)
+                                     : engine_->run(attribution);
   // input_finish runs after the engine returns so the structured outcome —
   // including trap details — reaches every consumer on every path.
   attribution.input_finish(outcome);
@@ -150,9 +163,10 @@ vm::RunOutcome TraceReplaySource::run(KernelAttribution& attribution) {
     TQUAD_THROW("trace was recorded from a different image (kernel count mismatch)");
   }
   std::size_t fed = 0;
+  std::vector<trace::Record> records;  // one buffer, reused for every block
   for (std::size_t b = 0; b < view.block_count(); ++b) {
     if (interrupt_ != nullptr && *interrupt_ != 0) break;
-    const std::vector<trace::Record> records = view.decode_block(b);
+    view.decode_block(b, records);
     feeder.feed(records);
     fed = b + 1;
   }

@@ -79,7 +79,7 @@ class LiveEngineSource final : public EventSource {
  private:
   const vm::Program& program_;
   std::unique_ptr<vm::GuestEngine> engine_;
-  const vm::CompiledMachine* compiled_ = nullptr;  ///< engine_, if compiled
+  vm::CompiledMachine* compiled_ = nullptr;  ///< engine_, if compiled
   bool ran_ = false;
 };
 

@@ -356,6 +356,7 @@ TraceV2View TraceV2View::salvage(std::span<const std::uint8_t> bytes,
 
   std::uint64_t prev_last_retired = 0;
   std::uint64_t scan_offset = kV2FileHeaderBytes;
+  std::vector<Record> trial;  // trial-decode buffer, reused per block
   for (std::size_t i = 0; have_index ? i < offsets.size()
                                      : scan_offset < blocks_end;
        ++i) {
@@ -387,7 +388,7 @@ TraceV2View TraceV2View::salvage(std::span<const std::uint8_t> bytes,
       }
       // Trial-decode so a salvaged view never throws downstream (v2.0 has
       // no CRC, and even a CRC-clean block could carry a writer-side lie).
-      (void)view.decode_payload(info);
+      view.decode_payload(info, trial);
       if (info.first_retired < prev_last_retired) {
         TQUAD_THROW("TQTR v2 block retired counts out of order");
       }
@@ -418,17 +419,24 @@ const BlockInfo& TraceV2View::block(std::size_t i) const {
 }
 
 std::vector<Record> TraceV2View::decode_block(std::size_t i) const {
+  std::vector<Record> records;
+  decode_block(i, records);
+  return records;
+}
+
+void TraceV2View::decode_block(std::size_t i, std::vector<Record>& out) const {
   const BlockInfo& info = block(i);
   if (minor_ >= kV2MinorCrc && block_crc(bytes_, info) != info.crc) {
     TQUAD_THROW("TQTR v2 block CRC mismatch");
   }
-  return decode_payload(info);
+  decode_payload(info, out);
 }
 
-std::vector<Record> TraceV2View::decode_payload(const BlockInfo& info) const {
+void TraceV2View::decode_payload(const BlockInfo& info,
+                                 std::vector<Record>& records) const {
   wire::ByteReader reader(bytes_.subspan(
       info.file_offset + block_header_bytes(minor_), info.payload_bytes));
-  std::vector<Record> records;
+  records.clear();
   records.reserve(info.record_count);
 
   std::uint64_t prev_retired = info.first_retired;
@@ -489,7 +497,6 @@ std::vector<Record> TraceV2View::decode_payload(const BlockInfo& info) const {
       records.back().retired != info.last_retired) {
     TQUAD_THROW("TQTR v2 block header retired range disagrees with its records");
   }
-  return records;
 }
 
 Trace TraceV2View::decode_all() const {
@@ -497,8 +504,9 @@ Trace TraceV2View::decode_all() const {
   trace.kernel_count = kernel_count_;
   trace.total_retired = total_retired_;
   trace.records.reserve(record_count_);
+  std::vector<Record> records;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    const std::vector<Record> records = decode_block(b);
+    decode_block(b, records);
     trace.records.insert(trace.records.end(), records.begin(), records.end());
   }
   return trace;
@@ -510,8 +518,9 @@ std::uint64_t aggregate_blocks(const TraceV2View& view, std::size_t lo,
   TQUAD_CHECK(recorder.kernel_count() == view.kernel_count(),
               "recorder kernel count differs from the trace");
   std::uint64_t decoded = 0;
+  std::vector<Record> records;
   for (std::size_t b = lo; b < hi; ++b) {
-    const std::vector<Record> records = view.decode_block(b);
+    view.decode_block(b, records);
     decoded += records.size();
     for (const Record& record : records) {
       if (record.kind != EventKind::kRead && record.kind != EventKind::kWrite) {

@@ -167,6 +167,10 @@ class TraceV2View {
   /// kernel bloom, payload byte count).
   std::vector<Record> decode_block(std::size_t i) const;
 
+  /// The same, into `out` (cleared first), so a caller that walks many
+  /// blocks reuses one buffer. After a throw `out` holds a partial block.
+  void decode_block(std::size_t i, std::vector<Record>& out) const;
+
   /// Decode every block into a flat Trace.
   Trace decode_all() const;
 
@@ -184,9 +188,9 @@ class TraceV2View {
  private:
   TraceV2View() = default;
 
-  /// Decode a block payload described by `info` (no CRC check — that is
-  /// decode_block's / salvage's job).
-  std::vector<Record> decode_payload(const BlockInfo& info) const;
+  /// Decode a block payload described by `info` into `records` (cleared
+  /// first; no CRC check — that is decode_block's / salvage's job).
+  void decode_payload(const BlockInfo& info, std::vector<Record>& records) const;
 
   std::span<const std::uint8_t> bytes_;
   std::vector<BlockInfo> blocks_;

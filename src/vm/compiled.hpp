@@ -20,9 +20,16 @@
 //     (the same handler bodies, instantiated with per-op stop checks) to the
 //     exact stop. An interrupt is therefore seen at the next run head, at
 //     most kRunCap instructions after it was raised;
-//   * batched event emission (run(EventSink&)): per-instruction ticks
-//     accumulate into spans flushed at attribution boundaries, with the
-//     SP/stack-range classification inlined at the access site.
+//   * batched event emission: per-instruction ticks accumulate into spans
+//     flushed at attribution boundaries, with the SP/stack-range
+//     classification inlined at the access site;
+//   * a loop specialised to its sink: the dispatch loop (compiled_loop.hpp)
+//     is a template over the sink type. run(EventSink&) instantiates it for
+//     the virtual vm::EventSink; a profiling session instead calls
+//     run_with(KernelAttribution&) (session/event_source.cpp), whose final
+//     input methods are called directly, the per-access and per-span ones
+//     inlined into each handler: a session run makes no virtual call per
+//     event.
 //
 // Observable behaviour is byte-identical to vm::Machine: event order,
 // instruction budgets, FaultPlan triggers, trap messages and RunOutcome all
@@ -115,8 +122,16 @@ class CompiledMachine final : public GuestEngine {
   RunOutcome run();
 
   /// Profiled run: the interpreter's event stream, with the ticks between
-  /// two attribution boundaries batched into one span.
+  /// two attribution boundaries batched into one span. Each event is one
+  /// virtual call into `sink` (run_with<EventSink>).
   RunOutcome run(EventSink& sink) override;
+
+  /// The same profiled run with the dispatch loop instantiated for `Sink`,
+  /// which provides EventSink's four methods: a final Sink's calls are
+  /// direct and inline into the handlers. Defined in
+  /// vm/compiled_loop.hpp, which the instantiating .cpp includes.
+  template <class Sink>
+  RunOutcome run_with(Sink& sink);
 
   // GuestEngine.
   void set_instruction_budget(std::uint64_t budget) noexcept override {
@@ -146,16 +161,17 @@ class CompiledMachine final : public GuestEngine {
   const LoweringStats& lowering_stats() const noexcept { return lowering_; }
 
  private:
-  enum class Mode { kNative, kSinked };
   struct Resume;
 
-  /// The dispatch loop. kChecked = false is the fast path (per-run checks);
-  /// a run that fails its head check resumes in the kChecked instantiation
-  /// (per-op checks) from `from`, which finishes the execution: that run
-  /// holds the stop point, or its first op sees the interrupt flag.
-  template <Mode M, bool kChecked>
-  RunOutcome exec(EventSink* sink, const Resume* from);
-  RunOutcome start(EventSink* sink);
+  /// The dispatch loop (compiled_loop.hpp); Sink = void is the bare run.
+  /// kChecked = false is the fast path (per-run checks); a run that fails
+  /// its head check resumes in the kChecked instantiation (per-op checks)
+  /// from `from`, which finishes the execution: that run holds the stop
+  /// point, or its first op sees the interrupt flag.
+  template <class Sink, bool kChecked>
+  RunOutcome exec(Sink* sink, const Resume* from);
+  /// The single-shot check and the data image, before either run.
+  void begin();
 
   /// Lower a routine on first entry.
   const CompiledRoutine& routine_for_entry(std::uint32_t func);

@@ -7,6 +7,13 @@
 // interpreter emits one-tick spans; the compiled engine batches the ticks
 // between two attribution boundaries into one span. Tools never see this
 // layer directly — they are session::AnalysisConsumers downstream of it.
+//
+// The interpreter always calls through this interface. The compiled engine
+// does so in run(EventSink&), but its dispatch loop is a template over the
+// sink type (vm/compiled_loop.hpp): a session run on it takes the
+// instantiation for session::KernelAttribution (LiveEngineSource, in
+// session/event_source.cpp), whose final overrides are called directly, so
+// no event costs a virtual call there.
 #pragma once
 
 #include <cstdint>
