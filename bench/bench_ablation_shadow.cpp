@@ -6,10 +6,11 @@
 // google-benchmark, the mark/lookup throughput for the access patterns the
 // wfs kernels actually exhibit — sequential streaming (wav_store), strided
 // scatter (AudioIo frames), small hot working set (fft1d), and the chaotic
-// probe/build order of a 16 MiB hash-join table (4096 random pages, so most
-// lookups miss the page directory's last-hit entry and take its probe path)
-// — plus the memory footprint of the shadow pages and UnMA bitmaps each
-// pattern costs.
+// probe/build order of a 16 MiB hash-join table (4096 random pages: the
+// shadow finds each through its flat directory of the guest arena with one
+// load, while the UnMA bitmap's page table mostly misses its last-hit entry
+// and probes) — plus the memory footprint of the shadow pages and UnMA
+// bitmaps each pattern costs.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -123,6 +124,7 @@ void print_footprints() {
   const Pattern patterns[] = {
       {"sequential stream", 1u << 20, 8, 8},
       {"strided scatter (64B)", 1u << 17, 64, 4},
+      {"strided 2-byte (64B)", 1u << 17, 64, 2},
       {"page scatter (4KiB)", 1u << 12, 4096, 4},
       {"hot 4KiB set", 1u << 20, 8, 8},
   };
@@ -153,10 +155,12 @@ void print_footprints() {
   std::fputs(table.to_ascii().c_str(), stdout);
   std::printf("\nreading: the cell layout keeps dense word-aligned patterns at ~1.1 bytes\n"
               "of shadow per distinct byte (one 8-byte cell per word + bitmap bit).\n"
-              "A sub-word write leaves its word mixed, and the word's page pays an\n"
-              "8 KiB byte-granular escape on top of its 4 KiB of cells; sparse page\n"
-              "scatter with sub-word writes pays both per touched location — the\n"
-              "worst case for QUAD.\n");
+              "A cell holds one producer per 4-byte half, so an aligned 4-byte write\n"
+              "costs no more than a full word. A write that splits a half (1 or 2\n"
+              "bytes, or unaligned) leaves it mixed, and its page pays an 8 KiB\n"
+              "byte-granular escape on top of its 4 KiB of cells; sparse page\n"
+              "scatter pays a page of cells per touched location — the worst case\n"
+              "for QUAD.\n");
 }
 
 }  // namespace

@@ -653,6 +653,10 @@ void print_quad_replay() {
 ///     per-access event cost.
 ///   * bare: the uninstrumented VM, where threaded dispatch by
 ///     straight-line runs goes free of any event traffic — the engine's raw dispatch win.
+/// Both speedups are ratios of each side's fastest rep, and the gate reads
+/// the end-to-end one. The JSON also carries the median and quartiles of
+/// the per-rep ratios (interp over compiled within one rep), which show how
+/// far a single rep moves.
 bool print_jit_speedup() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
   const tquad::Options tquad_options{.slice_interval = 5000};
@@ -681,6 +685,8 @@ bool print_jit_speedup() {
   double compiled_s = 0.0;
   double bare_interp_s = 0.0;
   double bare_compiled_s = 0.0;
+  std::vector<double> rep_speedups;
+  std::vector<double> rep_bare_speedups;
   for (int rep = 0; rep < kReps; ++rep) {
     const double interp = run_session(vm::EngineKind::kInterp);
     const double compiled = run_session(vm::EngineKind::kCompiled);
@@ -702,7 +708,11 @@ bool print_jit_speedup() {
     if (rep == 0 || compiled < compiled_s) compiled_s = compiled;
     if (rep == 0 || bare_interp < bare_interp_s) bare_interp_s = bare_interp;
     if (rep == 0 || bare_compiled < bare_compiled_s) bare_compiled_s = bare_compiled;
+    rep_speedups.push_back(interp / compiled);
+    rep_bare_speedups.push_back(bare_interp / bare_compiled);
   }
+  std::sort(rep_speedups.begin(), rep_speedups.end());
+  std::sort(rep_bare_speedups.begin(), rep_bare_speedups.end());
 
   const double speedup = interp_s / compiled_s;
   const double bare_speedup = bare_interp_s / bare_compiled_s;
@@ -717,6 +727,12 @@ bool print_jit_speedup() {
   std::printf("%-44s %10.3f s\n", "bare VM, interpreter", bare_interp_s);
   std::printf("%-44s %10.3f s\n", "bare VM, compiled", bare_compiled_s);
   std::printf("%-44s %9.2fx\n", "bare dispatch speedup", bare_speedup);
+  std::printf("%-44s %9.2fx  (quartiles %.2f-%.2f)\n", "end-to-end speedup, per-rep median",
+              quantile(rep_speedups, 0.5), quantile(rep_speedups, 0.25),
+              quantile(rep_speedups, 0.75));
+  std::printf("%-44s %9.2fx  (quartiles %.2f-%.2f)\n", "bare dispatch speedup, per-rep median",
+              quantile(rep_bare_speedups, 0.5), quantile(rep_bare_speedups, 0.25),
+              quantile(rep_bare_speedups, 0.75));
   const bool passed = speedup >= kFloor;
   const char* gate = passed ? "passed" : "failed:end_to_end_speedup<speedup_floor";
 
@@ -734,13 +750,23 @@ bool print_jit_speedup() {
                  "  \"bare_interp_seconds\": %.6f,\n"
                  "  \"bare_compiled_seconds\": %.6f,\n"
                  "  \"bare_speedup\": %.3f,\n"
+                 "  \"reps\": %d,\n"
+                 "  \"end_to_end_speedup_rep_median\": %.3f,\n"
+                 "  \"end_to_end_speedup_rep_q1\": %.3f,\n"
+                 "  \"end_to_end_speedup_rep_q3\": %.3f,\n"
+                 "  \"bare_speedup_rep_median\": %.3f,\n"
+                 "  \"bare_speedup_rep_q1\": %.3f,\n"
+                 "  \"bare_speedup_rep_q3\": %.3f,\n"
                  "  \"speedup_floor\": %.2f,\n"
                  "  \"speedup_target\": %.2f,\n"
                  "  \"gate\": \"%s\"\n"
                  "}\n",
                  static_cast<unsigned long long>(retired), interp_s, compiled_s,
-                 speedup, bare_interp_s, bare_compiled_s, bare_speedup, kFloor,
-                 kTarget, gate);
+                 speedup, bare_interp_s, bare_compiled_s, bare_speedup, kReps,
+                 quantile(rep_speedups, 0.5), quantile(rep_speedups, 0.25),
+                 quantile(rep_speedups, 0.75), quantile(rep_bare_speedups, 0.5),
+                 quantile(rep_bare_speedups, 0.25), quantile(rep_bare_speedups, 0.75),
+                 kFloor, kTarget, gate);
     std::fclose(json);
     std::printf("wrote BENCH_jit.json\n");
   }

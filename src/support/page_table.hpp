@@ -1,6 +1,9 @@
-// The one page directory behind every sparse per-address structure: guest
-// memory (PagedMemory), QUAD's last-producer shadow (quad::ShadowMemory) and
-// the UnMA bitmaps (AddressSet).
+// The page directory behind every sparse per-address structure: guest
+// memory above its flat arena (PagedMemory), the UnMA bitmaps (AddressSet)
+// and QUAD's last-producer shadow (quad::ShadowMemory). The shadow's table
+// owns all of its pages, but is the lookup only for pages at or above the
+// guest arena limit: the shadow finds the pages below it through its own
+// flat directory of page pointers.
 //
 // An open-addressing hash table from 4 KiB page number to an owned page:
 // power-of-two capacity, multiplicative (Fibonacci) hash, linear probing,

@@ -252,8 +252,9 @@ std::vector<Access> edge_memo_stream(std::uint64_t base) {
 /// one aligned 4-byte half of a fresh word, and a third reads each half and
 /// the whole word, under every mix of stack and non-stack accesses; then
 /// the low half's writer takes the high half too, which makes the word
-/// uniform again. Last, a 1-byte and a 2-byte write into never-written
-/// words, each read around.
+/// uniform again. Then the same with the high half written first, and
+/// rewritten by its own producer after the low half's write. Last, a 1-byte
+/// and a 2-byte write into never-written words, each read around.
 std::vector<Access> half_word_stream(std::uint64_t base) {
   std::vector<Access> s;
   for (std::uint32_t v = 0; v < 8; ++v) {
@@ -270,6 +271,18 @@ std::vector<Access> half_word_stream(std::uint64_t base) {
     s.push_back({1, w + 4, 4, false, hi_stack});
     s.push_back({3, w, 8, true, !rd_stack});
     s.push_back({3, w, 4, true, rd_stack});
+  }
+  for (std::uint32_t v = 0; v < 8; ++v) {
+    const std::uint64_t w = base + 80 + 8 * v;
+    const bool lo_stack = (v & 1) != 0;
+    const bool hi_stack = (v & 2) != 0;
+    const bool again_stack = (v & 4) != 0;
+    s.push_back({2, w + 4, 4, false, hi_stack});
+    s.push_back({1, w, 4, false, lo_stack});
+    s.push_back({2, w + 4, 4, false, again_stack});
+    s.push_back({1, w, 4, false, !lo_stack});
+    s.push_back({3, w + 4, 4, true, again_stack});
+    s.push_back({3, w, 8, true, lo_stack});
   }
   const std::uint64_t one = base + 64;
   s.push_back({4, one + 3, 1, false, false});
@@ -545,11 +558,22 @@ TEST(QuadOracle, HalfWordWrites) {
 
 TEST(QuadOracle, RandomStreams) {
   const World world = make_world();
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const std::uint32_t kernels = seed % 2 == 0 ? kKernels : 2;
-    SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(kernels) +
-                 " kernels");
-    check_stream(world, random_stream(world, kernels, seed, 4000));
+  // The same program, accessing two pages on each side of 2^31, where the
+  // shadow's page directory ends: both lookup paths, and accesses that
+  // cross from one to the other.
+  const World limit = [] {
+    World straddling = make_world();
+    straddling.lo = ShadowMemory::kDirectoryPages * kPageSize - 2 * kPageSize;
+    straddling.hi = straddling.lo + 4 * kPageSize;
+    return straddling;
+  }();
+  for (const World* w : {&world, &limit}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const std::uint32_t kernels = seed % 2 == 0 ? kKernels : 2;
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(kernels) +
+                   " kernels, from " + std::to_string(w->lo));
+      check_stream(*w, random_stream(*w, kernels, seed, 4000));
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "quad/shadow.hpp"
+#include "support/paged_memory.hpp"
 
 namespace tq::quad {
 namespace {
@@ -202,6 +203,127 @@ TEST(ShadowMemory, ReadMemoHitsUntilTheProducerChanges) {
   EXPECT_FALSE(shadow.read_word(0x5000, 8, 7, true).known);
 }
 
+TEST(ShadowMemory, AlignedHalfWritesStayOutOfTheEscape) {
+  constexpr unsigned kBoth = ShadowMemory::kOutInclKnown | ShadowMemory::kOutExclKnown;
+  ShadowMemory shadow;
+  EXPECT_EQ(shadow.mark_word(0x9004, 4, 2, false), 0u);
+  EXPECT_EQ(shadow.mark_word(0x9000, 4, 1, true), 0u);
+  EXPECT_EQ(shadow.resident_escapes(), 0u);
+  EXPECT_EQ(shadow.resident_bytes(), 4096u);
+  auto runs = collect_runs(shadow, 0x9000, 8);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].producer, 1);
+  EXPECT_EQ(runs[0].length, 4u);
+  EXPECT_EQ(runs[1].producer, 2);
+  EXPECT_EQ(runs[1].length, 4u);
+  // A read inside one half takes the word path; one across both halves
+  // takes the byte-wise path.
+  EXPECT_EQ(shadow.read_word(0x9000, 4, 7, true).producer, 1);
+  EXPECT_EQ(shadow.read_word(0x9006, 2, 7, true).producer, 2);
+  EXPECT_EQ(shadow.read_word(0x9002, 4, 7, true).producer, kMixed);
+  EXPECT_EQ(shadow.read_word(0x9000, 8, 7, true).producer, kMixed);
+  // A half rewritten by its own producer: its incl OUT bits are known, and
+  // its excl ones once a non-stack write of the whole half set them.
+  EXPECT_EQ(shadow.mark_word(0x9000, 4, 1, false), kBoth);
+  EXPECT_EQ(shadow.mark_word(0x9004, 4, 2, true), ShadowMemory::kOutInclKnown);
+  EXPECT_EQ(shadow.mark_word(0x9006, 2, 2, true), kBoth);
+  // The low half's producer takes the high half: one producer again.
+  EXPECT_EQ(shadow.mark_word(0x9004, 4, 1, true), 0u);
+  runs = collect_runs(shadow, 0x9000, 8);
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].producer, 1);
+  EXPECT_EQ(shadow.read_word(0x9000, 8, 7, true).producer, 1);
+  EXPECT_EQ(shadow.mark_word(0x9000, 8, 1, true), kBoth);
+  // A write that covers one half and rewrites part of a half its producer
+  // already holds, and a multi-word write that covers whole halves, stay
+  // out of the escape too.
+  shadow.mark_word(0x9008, 4, 4, false);
+  EXPECT_EQ(shadow.mark_word(0x900a, 6, 4, false), 0u);
+  EXPECT_EQ(collect_runs(shadow, 0x9008, 8).size(), 1u);
+  shadow.mark_write(0x9014, 8, 3);
+  EXPECT_EQ(shadow.producer_of(0x9013), kNoProducer);
+  EXPECT_EQ(shadow.producer_of(0x9014), 3);
+  EXPECT_EQ(shadow.producer_of(0x901b), 3);
+  EXPECT_EQ(shadow.producer_of(0x901c), kNoProducer);
+  EXPECT_EQ(shadow.resident_escapes(), 0u);
+}
+
+TEST(ShadowMemory, SubHalfWritesEscapeAndCollapseBackToHalves) {
+  ShadowMemory shadow;
+  shadow.mark_word(0xa000, 4, 1, true);
+  shadow.mark_word(0xa004, 4, 2, true);
+  EXPECT_EQ(shadow.mark_word(0xa004, 2, 3, true), 0u);  // splits the high half
+  EXPECT_EQ(shadow.resident_escapes(), 1u);
+  EXPECT_EQ(shadow.resident_bytes(), 4096u + 8192u);
+  auto runs = collect_runs(shadow, 0xa000, 8);
+  ASSERT_EQ(runs.size(), 3u);
+  EXPECT_EQ(runs[0].producer, 1);
+  EXPECT_EQ(runs[0].length, 4u);
+  EXPECT_EQ(runs[1].producer, 3);
+  EXPECT_EQ(runs[1].length, 2u);
+  EXPECT_EQ(runs[2].producer, 2);
+  EXPECT_EQ(runs[2].length, 2u);
+  EXPECT_EQ(shadow.read_word(0xa000, 4, 7, true).producer, 1);  // the low half's
+  EXPECT_EQ(shadow.read_word(0xa004, 2, 7, true).producer, kMixed);
+  // The high half agrees again: two uniform halves, read on the word path.
+  EXPECT_EQ(shadow.mark_word(0xa004, 2, 2, true), 0u);
+  runs = collect_runs(shadow, 0xa000, 8);
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[1].producer, 2);
+  EXPECT_EQ(runs[1].length, 4u);
+  EXPECT_EQ(shadow.read_word(0xa004, 4, 7, true).producer, 2);
+  EXPECT_EQ(shadow.read_word(0xa000, 8, 7, true).producer, kMixed);
+  // A collapse through the escape claims no excl OUT coverage.
+  EXPECT_EQ(shadow.mark_word(0xa004, 4, 2, true), ShadowMemory::kOutInclKnown);
+  EXPECT_EQ(shadow.resident_escapes(), 1u);  // the page keeps its escape
+}
+
+TEST(ShadowMemoryDirectory, LookupsAgreeOnBothSidesOfTheArenaLimit) {
+  constexpr unsigned kBoth = ShadowMemory::kOutInclKnown | ShadowMemory::kOutExclKnown;
+  constexpr std::uint64_t kLimit = ShadowMemory::kDirectoryPages * ShadowMemory::kPageSize;
+  static_assert(kLimit == PagedMemory::kArenaBytes && kLimit >> 12 == 0x80000);
+  const std::uint64_t below = kLimit - ShadowMemory::kPageSize;  // page 0x7ffff
+  const std::uint64_t top = 0 - ShadowMemory::kPageSize;         // the last page
+  ShadowMemory shadow;
+  const std::uint64_t bases[] = {below, kLimit, top};
+  for (ProducerId p = 0; p < 3; ++p) {
+    EXPECT_EQ(shadow.mark_word(bases[p] + 16, 8, p, true), 0u);
+  }
+  for (ProducerId p = 0; p < 3; ++p) {
+    EXPECT_EQ(shadow.mark_word(bases[p] + 16, 8, p, true), kBoth) << p;
+    const auto read = shadow.read_word(bases[p] + 16, 8, 9, false);
+    EXPECT_EQ(read.producer, p);
+    EXPECT_FALSE(read.known);
+    EXPECT_TRUE(shadow.read_word(bases[p] + 20, 4, 9, false).known);
+    EXPECT_EQ(shadow.producer_of(bases[p] + 23), p);
+    EXPECT_EQ(shadow.producer_of(bases[p] + 24), kNoProducer);
+  }
+  EXPECT_EQ(shadow.read_word(top + 8, 8, 9, false).producer, kNoProducer);
+  EXPECT_EQ(shadow.read_word(kLimit + ShadowMemory::kPageSize, 8, 9, false).producer,
+            kNoProducer);
+  EXPECT_EQ(shadow.resident_pages(), 3u);
+
+  // One write across 2^31, read back on both sides of it.
+  shadow.mark_write(kLimit - 4, 8, 4);
+  EXPECT_EQ(shadow.resident_pages(), 3u);
+  auto runs = collect_runs(shadow, kLimit - 8, 16);  // runs stop at page ends
+  ASSERT_EQ(runs.size(), 4u);
+  const ProducerId want[] = {kNoProducer, 4, 4, kNoProducer};
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].producer, want[i]) << i;
+    EXPECT_EQ(runs[i].length, 4u) << i;
+  }
+  EXPECT_EQ(shadow.read_word(kLimit - 4, 4, 9, false).producer, 4);
+  EXPECT_EQ(shadow.read_word(kLimit, 4, 9, false).producer, 4);
+
+  // The top page, up to the end of the address space.
+  runs = collect_runs(shadow, top, ShadowMemory::kPageSize);
+  ASSERT_EQ(runs.size(), 3u);
+  EXPECT_EQ(runs[1].producer, 2);
+  EXPECT_EQ(runs[1].length, 8u);
+  EXPECT_EQ(runs[2].length, ShadowMemory::kPageSize - 24);
+}
+
 TEST(ShadowMemoryAdopt, ProducersSurviveAndSourceIsEmptyAndReusable) {
   // Two shards own disjoint pages, as the sharded pipeline routes them.
   ShadowMemory mine;
@@ -238,6 +360,40 @@ TEST(ShadowMemoryAdopt, ProducersSurviveAndSourceIsEmptyAndReusable) {
   EXPECT_EQ(fresh.producer_of(theirs_last), 500);
   mine.adopt_disjoint(std::move(theirs));
   EXPECT_EQ(mine.resident_pages(), 64u);
+}
+
+TEST(ShadowMemoryAdopt, AdoptedLowPagesAreFoundThroughTheDirectory) {
+  constexpr std::uint64_t kLimit = ShadowMemory::kDirectoryPages * ShadowMemory::kPageSize;
+  ShadowMemory mine;
+  ShadowMemory theirs;
+  mine.mark_word(0x10000, 8, 1, true);
+  theirs.mark_word(0x20000, 8, 2, true);
+  theirs.mark_word(kLimit + 0x1000, 8, 3, true);
+  mine.adopt_disjoint(std::move(theirs));
+  // Looked up before any write to them touches the adopter's pages.
+  EXPECT_EQ(mine.read_word(0x20000, 8, 7, true).producer, 2);
+  EXPECT_EQ(mine.producer_of(0x20007), 2);
+  EXPECT_EQ(collect_runs(mine, 0x1fffc, 8).size(), 2u);
+  EXPECT_EQ(mine.read_word(kLimit + 0x1000, 8, 7, true).producer, 3);
+  // The adopted cells keep their flags: same-producer rewrites are known.
+  EXPECT_EQ(mine.mark_word(0x20000, 8, 2, true),
+            ShadowMemory::kOutInclKnown | ShadowMemory::kOutExclKnown);
+  EXPECT_EQ(mine.resident_pages(), 3u);
+
+  // The source is empty, and reused: its low page is a fresh one.
+  EXPECT_EQ(theirs.read_word(0x20000, 8, 7, true).producer, kNoProducer);
+  EXPECT_EQ(theirs.producer_of(0x20000), kNoProducer);
+  EXPECT_EQ(theirs.mark_word(0x20000, 8, 5, false), 0u);
+  EXPECT_EQ(theirs.producer_of(0x20000), 5);
+  EXPECT_EQ(theirs.resident_pages(), 1u);
+  EXPECT_EQ(mine.producer_of(0x20000), 2);
+
+  // An adopter with no directory yet makes one for the low pages it takes.
+  ShadowMemory fresh;
+  fresh.adopt_disjoint(std::move(theirs));
+  EXPECT_EQ(fresh.read_word(0x20000, 8, 7, true).producer, 5);
+  EXPECT_EQ(fresh.mark_word(0x20000, 8, 5, false), ShadowMemory::kOutInclKnown);
+  EXPECT_EQ(fresh.resident_pages(), 1u);
 }
 
 TEST(ShadowMemoryAdopt, EscapeArraysTravelWithTheirPages) {
