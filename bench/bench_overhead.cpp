@@ -17,10 +17,12 @@
 // on a recorded access stream (BENCH_quad.json).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gprofsim/gprof_tool.hpp"
@@ -135,6 +137,15 @@ double time_once(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// Print a gate's verdict, and a failure to stderr too. Returns false only
+/// on a failure: a skipped gate is not one.
+bool conclude(const char* name, const std::string& gate) {
+  std::printf("%-44s %s\n", (std::string(name) + " gate").c_str(), gate.c_str());
+  if (gate.rfind("failed", 0) != 0) return true;
+  std::fprintf(stderr, "%s gate %s\n", name, gate.c_str());
+  return false;
+}
+
 void print_headline_slowdowns() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
   const wfs::WavData input = wfs::make_test_signal(cfg.input_samples());
@@ -186,23 +197,19 @@ void print_headline_slowdowns() {
               tq::bench::kPaperSlowdownLow, tq::bench::kPaperSlowdownHigh);
 }
 
-/// One-shot single-pass-vs-three-pass comparison on the standard
-/// configuration, with a machine-readable BENCH_session.json for CI. Both
-/// sides run on the same (default compiled) engine: three one-tool sessions
-/// against one session feeding all three tools. Returns false if the
-/// combined session fails the 1.8x speedup floor.
+/// Single pass vs three passes on the standard configuration, with
+/// BENCH_session.json for CI. Both sides run on the same (default compiled)
+/// engine: three one-tool sessions against one session feeding all three
+/// tools, image preparation included on both sides. Gate: speedup floor
+/// 1.8x.
 bool print_session_speedup() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
   const tquad::Options tquad_options{.slice_interval = 5000};
-  // Best of a few repetitions per variant: the comparison is between two
-  // deterministic single-threaded runs, so min is the noise-robust statistic.
-  constexpr int kReps = 3;
+  const bench::RatioBound bound{"speedup", 1.8, true};
 
   std::uint64_t retired = 0;
-  double three_pass_s = 0.0;
-  double single_pass_s = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double three = time_once([&] {
+  const auto three_pass = [&] {
+    return time_once([&] {
       {
         wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
         tquad::TQuadTool tool(run.artifacts.program, tquad_options);
@@ -219,8 +226,9 @@ bool print_session_speedup() {
         profile_alone(run, tool);
       }
     });
-
-    const double single = time_once([&] {
+  };
+  const auto single_pass = [&] {
+    return time_once([&] {
       wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
       session::ProfileSession profile(run.artifacts.program);
       tquad::TQuadTool tquad_tool(run.artifacts.program, tquad_options);
@@ -231,78 +239,42 @@ bool print_session_speedup() {
       profile.add_consumer(gprof_tool);
       profile.run_live(run.host);
     });
+  };
+  const bench::PairedRuns runs = bench::run_pairs(three_pass, single_pass);
+  const std::string gate = bound.verdict(runs.ratio.median);
 
-    if (rep == 0 || three < three_pass_s) three_pass_s = three;
-    if (rep == 0 || single < single_pass_s) single_pass_s = single;
-  }
+  std::printf("\n== single-pass session vs separate runs (standard configuration, "
+              "%d pairs) ==\n", bench::kPairs);
+  bench::print_paired("tquad + quad + gprof, three executions",
+                      "tquad + quad + gprof, one ProfileSession", "speedup (floor 1.80x)",
+                      runs);
 
-  const double speedup = three_pass_s / single_pass_s;
-  std::printf("\n== single-pass session vs separate runs (standard configuration) ==\n");
-  std::printf("%-44s %10.3f s\n", "tquad + quad + gprof, three executions",
-              three_pass_s);
-  std::printf("%-44s %10.3f s\n", "tquad + quad + gprof, one ProfileSession",
-              single_pass_s);
-  std::printf("%-44s %9.2fx  (floor 1.80x)\n", "speedup", speedup);
-  const bool passed = speedup >= 1.8;
-  const char* gate = passed ? "passed" : "failed:speedup<speedup_floor";
-
-  std::FILE* json = std::fopen("BENCH_session.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    tq::bench::write_env_json_fields(json);
-    std::fprintf(json,
-                 "  \"workload\": \"wfs standard\",\n"
-                 "  \"retired_instructions\": %llu,\n"
-                 "  \"three_pass_seconds\": %.6f,\n"
-                 "  \"single_pass_seconds\": %.6f,\n"
-                 "  \"speedup\": %.3f,\n"
-                 "  \"speedup_floor\": 1.8,\n"
-                 "  \"gate\": \"%s\"\n"
-                 "}\n",
-                 static_cast<unsigned long long>(retired), three_pass_s,
-                 single_pass_s, speedup, gate);
-    std::fclose(json);
-    std::printf("wrote BENCH_session.json\n");
-  }
-  if (!passed) {
-    std::fprintf(stderr, "session speedup %.2fx below the 1.80x floor\n", speedup);
-  }
-  return passed;
+  bench::JsonWriter json;
+  json.field("workload", "wfs standard")
+      .field("tools", "tquad+quad+gprof")
+      .field("retired_instructions", retired);
+  bench::write_paired_gate(json, "three_pass_seconds", "single_pass_seconds", runs, bound,
+                           gate);
+  json.write("BENCH_session.json");
+  return conclude("session", gate);
 }
 
-/// Linear-interpolated quantile of sorted samples.
-double quantile(const std::vector<double>& sorted, double p) {
-  const double at = p * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(at);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  return sorted[lo] + (at - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
-}
-
-double median_of(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return quantile(samples, 0.5);
-}
-
-/// Serial vs parallel pipeline, with a machine-readable BENCH_pipeline.json
-/// for CI.
+/// Serial vs parallel pipeline, with BENCH_pipeline.json for CI.
 ///
 /// The gate runs at full scale: the hash join of 524,288 build rows and
 /// 1,048,576 probe rows (about 4 * 10^7 instructions, the benchmark's
 /// hashjoin_par3 input), tquad+quad+gprof, serial vs `-pipeline
-/// parallel:3`, kGateReps order-alternating reps, medians compared against
-/// the 1.2x floor. The zoo rows below it run at bench scale, where each
-/// serial run takes a few milliseconds and thread start and drain dominate;
-/// they are printed for information only.
+/// parallel:3`, against the 1.2x floor. The zoo rows below it run at bench
+/// scale, where each serial run takes a few milliseconds and thread start
+/// and drain dominate; they are recorded for information only.
 ///
 /// The gate needs >= 4 hardware threads: on smaller hosts the parallel run
 /// degenerates into context-switched serial execution plus ring traffic,
-/// and would measure the scheduler, not the pipeline. The JSON's `gate`
-/// names the result: "passed", "failed" or "skipped:hw_threads<4".
+/// and would measure the scheduler, not the pipeline. There the JSON's
+/// `gate` reads "skipped:hw_threads<4".
 bool print_pipeline_speedup() {
   const tquad::Options tquad_options{.slice_interval = 5000};
-  constexpr int kGateReps = 7;
-  constexpr int kZooReps = 3;
-  constexpr double kFloor = 1.2;
+  const bench::RatioBound bound{"speedup", 1.2, true};
   const unsigned cores = std::thread::hardware_concurrency();
 
   // Image construction stays outside the timed region: the measurement is
@@ -336,140 +308,69 @@ bool print_pipeline_speedup() {
     vm::HostEnv host;
     return run_session(hashjoin.program, host, pipeline);
   };
-  std::vector<double> serial_s;
-  std::vector<double> par3_s;
-  for (int rep = 0; rep < kGateReps; ++rep) {
-    if (rep % 2 == 0) {
-      serial_s.push_back(run_hashjoin({}));
-      par3_s.push_back(run_hashjoin(parallel(3)));
-    } else {
-      par3_s.push_back(run_hashjoin(parallel(3)));
-      serial_s.push_back(run_hashjoin({}));
-    }
-  }
+  const bench::PairedRuns runs = bench::run_pairs([&] { return run_hashjoin({}); },
+                                                  [&] { return run_hashjoin(parallel(3)); });
   const std::uint64_t hashjoin_retired = retired;
-  const double serial_median = median_of(serial_s);
-  const double par3_median = median_of(par3_s);
-  const double speedup = serial_median / par3_median;
-  const bool failed = cores >= 4 && speedup < kFloor;
-  const char* gate = cores < 4 ? "skipped:hw_threads<4" : failed ? "failed" : "passed";
+  const std::string gate =
+      cores < 4 ? "skipped:hw_threads<4" : bound.verdict(runs.ratio.median);
 
-  struct Row {
-    std::string name;
-    double serial_s = 0.0;
-    double par4_s = 0.0;
-    double speedup() const { return serial_s / par4_s; }
-  };
-  std::vector<Row> rows;
+  std::vector<std::pair<std::string, bench::PairedRuns>> rows;
   for (const workloads::Entry& entry : workloads::registry()) {
-    Row row;
-    row.name = entry.name;
     const auto run_entry = [&](const session::PipelineOptions& pipeline) {
       workloads::Instance instance = entry.build_bench();
       return run_session(instance.program, instance.host, pipeline);
     };
-    for (int rep = 0; rep < kZooReps; ++rep) {
-      double serial, par;
-      if (rep % 2 == 0) {
-        serial = run_entry({});
-        par = run_entry(parallel(4));
-      } else {
-        par = run_entry(parallel(4));
-        serial = run_entry({});
-      }
-      if (rep == 0 || serial < row.serial_s) row.serial_s = serial;
-      if (rep == 0 || par < row.par4_s) row.par4_s = par;
-    }
-    rows.push_back(row);
+    rows.emplace_back(entry.name,
+                      bench::run_pairs([&] { return run_entry({}); },
+                                       [&] { return run_entry(parallel(4)); }));
   }
 
   std::printf("\n== parallel pipeline vs serial dispatch (%u hardware threads) ==\n",
               cores);
   std::printf("gate: hashjoin 524288 x 1048576 (%s instructions), tquad+quad+gprof, "
-              "%d alternating reps, medians\n",
-              format_count(hashjoin_retired).c_str(), kGateReps);
-  std::printf("%-44s %10.3f s\n", "serial", serial_median);
-  std::printf("%-44s %10.3f s\n", "parallel:3", par3_median);
-  std::printf("%-44s %9.2fx  (floor %.2fx, gate %s)\n", "speedup", speedup, kFloor,
-              gate);
-  std::printf("zoo at bench scale, best of %d, for information only:\n", kZooReps);
-  std::printf("%-14s %12s %14s %10s\n", "workload", "serial (s)",
-              "parallel:4 (s)", "speedup");
-  for (const Row& row : rows) {
-    std::printf("%-14s %12.3f %14.3f %9.2fx\n", row.name.c_str(), row.serial_s,
-                row.par4_s, row.speedup());
-  }
-  if (cores < 4) {
-    std::fprintf(stderr,
-                 "pipeline gate skipped: %u hardware threads < 4, parallel:3 "
-                 "would measure the scheduler\n",
-                 cores);
+              "%d pairs\n",
+              format_count(hashjoin_retired).c_str(), bench::kPairs);
+  bench::print_paired("serial", "parallel:3", "speedup (floor 1.20x)", runs);
+  std::printf("zoo at bench scale, medians of %d pairs, for information only:\n",
+              bench::kPairs);
+  std::printf("%-14s %12s %14s %10s\n", "workload", "serial (s)", "parallel:4 (s)",
+              "speedup");
+  for (const auto& [name, row] : rows) {
+    std::printf("%-14s %12.3f %14.3f %9.2fx\n", name.c_str(), row.a.median, row.b.median,
+                row.ratio.median);
   }
 
-  std::FILE* json = std::fopen("BENCH_pipeline.json", "w");
-  if (json != nullptr) {
-    const auto write_samples = [json](const char* key, const std::vector<double>& v) {
-      std::fprintf(json, "  \"%s\": [", key);
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        std::fprintf(json, "%s%.6f", i > 0 ? ", " : "", v[i]);
-      }
-      std::fprintf(json, "],\n");
-    };
-    std::fprintf(json, "{\n");
-    tq::bench::write_env_json_fields(json);
-    std::fprintf(json,
-                 "  \"layer\": \"pipeline\",\n"
-                 "  \"tools\": \"tquad+quad+gprof\",\n"
-                 "  \"workload\": \"hashjoin 524288 build rows, 1048576 probe rows\",\n"
-                 "  \"retired_instructions\": %llu,\n"
-                 "  \"pipeline\": \"parallel:3\",\n"
-                 "  \"reps\": %d,\n",
-                 static_cast<unsigned long long>(hashjoin_retired), kGateReps);
-    write_samples("serial_seconds", serial_s);
-    write_samples("parallel3_seconds", par3_s);
-    std::fprintf(json,
-                 "  \"serial_seconds_median\": %.6f,\n"
-                 "  \"parallel3_seconds_median\": %.6f,\n"
-                 "  \"speedup\": %.3f,\n"
-                 "  \"speedup_floor\": %.2f,\n"
-                 "  \"gate\": \"%s\",\n"
-                 "  \"zoo_bench_scale_informational\": [\n",
-                 serial_median, par3_median, speedup, kFloor, gate);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& row = rows[i];
-      std::fprintf(json,
-                   "    {\"name\": \"%s\", \"serial_seconds\": %.6f, "
-                   "\"parallel4_seconds\": %.6f, \"speedup\": %.3f}%s\n",
-                   row.name.c_str(), row.serial_s, row.par4_s, row.speedup(),
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::printf("wrote BENCH_pipeline.json\n");
+  bench::JsonWriter json;
+  json.field("layer", "pipeline")
+      .field("tools", "tquad+quad+gprof")
+      .field("workload", "hashjoin 524288 build rows, 1048576 probe rows")
+      .field("retired_instructions", hashjoin_retired)
+      .field("pipeline", "parallel:3");
+  bench::write_paired_gate(json, "serial_seconds", "parallel3_seconds", runs, bound, gate);
+  json.begin_array("zoo_bench_scale_informational");
+  for (const auto& [name, row] : rows) {
+    json.begin_object()
+        .field("name", name)
+        .field("serial_seconds", row.a)
+        .field("parallel4_seconds", row.b)
+        .field("speedup", row.ratio)
+        .end_object();
   }
-  if (failed) {
-    std::fprintf(stderr, "pipeline speedup %.2fx below the %.2fx floor\n", speedup,
-                 kFloor);
-    return false;
-  }
-  return true;
+  json.end_array();
+  json.write("BENCH_pipeline.json");
+  return conclude("pipeline", gate);
 }
 
-/// One-shot metrics-overhead measurement, with BENCH_metrics.json for CI.
+/// Metrics-enabled overhead, with BENCH_metrics.json for CI.
 ///
 /// The self-observability contract: enabling -metrics must cost < 2% wall
 /// time, because the hot path only bumps plain always-on counters — the
-/// registry is touched once, after the run. The gate reads the median of
-/// the per-pair overheads over order-alternating pairs: a minimum per side
-/// compares the luckiest run of each, which on a noisy host can differ by
-/// more than the ceiling in either direction, while pairing cancels the
-/// drift between runs. Both sides' quartiles go into the JSON, so a reader
-/// can tell whether the overhead stands out of the spread.
+/// registry is touched once, after the run. The ratio is metrics-on over
+/// metrics-off, rendering included, and its ceiling is 1.02.
 bool print_metrics_overhead() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
   const tquad::Options tquad_options{.slice_interval = 5000};
-  constexpr int kPairs = 9;
-  constexpr double kCeiling = 0.02;  // 2%
+  const bench::RatioBound bound{"metrics_over_plain", 1.02, false};
 
   const auto run_session = [&](metrics::Registry* registry) {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
@@ -488,80 +389,26 @@ bool print_metrics_overhead() {
       benchmark::DoNotOptimize(registry->render_json());
     }
   };
+  const bench::PairedRuns runs = bench::run_pairs(
+      [&] {
+        return time_once([&] {
+          metrics::Registry registry;
+          run_session(&registry);
+        });
+      },
+      [&] { return time_once([&] { run_session(nullptr); }); });
+  const std::string gate = bound.verdict(runs.ratio.median);
 
-  std::vector<double> plain_s;
-  std::vector<double> metered_s;
-  std::vector<double> overheads;
-  for (int pair = 0; pair < kPairs; ++pair) {
-    // Alternate the order each pair: clock-frequency / load drift over the
-    // measurement window then biases both variants equally instead of
-    // always penalising whichever runs second.
-    const auto measure_plain = [&] { return time_once([&] { run_session(nullptr); }); };
-    const auto measure_metered = [&] {
-      return time_once([&] {
-        metrics::Registry registry;
-        run_session(&registry);
-      });
-    };
-    double plain, metered;
-    if (pair % 2 == 0) {
-      plain = measure_plain();
-      metered = measure_metered();
-    } else {
-      metered = measure_metered();
-      plain = measure_plain();
-    }
-    plain_s.push_back(plain);
-    metered_s.push_back(metered);
-    overheads.push_back(metered / plain - 1.0);
-  }
-  std::sort(plain_s.begin(), plain_s.end());
-  std::sort(metered_s.begin(), metered_s.end());
-  const double plain_median = quantile(plain_s, 0.5);
-  const double metered_median = quantile(metered_s, 0.5);
-  const double overhead = median_of(overheads);
   std::printf("\n== metrics-enabled overhead (standard configuration, %d pairs) ==\n",
-              kPairs);
-  std::printf("%-44s %10.3f s  (q1 %.3f, q3 %.3f)\n", "session, metrics off, median",
-              plain_median, quantile(plain_s, 0.25), quantile(plain_s, 0.75));
-  std::printf("%-44s %10.3f s  (q1 %.3f, q3 %.3f)\n",
-              "session, metrics on (incl. rendering), median", metered_median,
-              quantile(metered_s, 0.25), quantile(metered_s, 0.75));
-  std::printf("%-44s %9.2f%%  (ceiling %.0f%%)\n", "overhead, median of pairs",
-              overhead * 100.0, kCeiling * 100.0);
-  const bool passed = overhead < kCeiling;
-  const char* gate = passed ? "passed" : "failed:overhead_fraction>=overhead_ceiling";
+              bench::kPairs);
+  bench::print_paired("session, metrics on (incl. rendering)", "session, metrics off",
+                      "metrics on / off (ceiling 1.02x)", runs);
 
-  std::FILE* json = std::fopen("BENCH_metrics.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    tq::bench::write_env_json_fields(json);
-    std::fprintf(json,
-                 "  \"workload\": \"wfs standard\",\n"
-                 "  \"tools\": \"tquad+quad+gprof\",\n"
-                 "  \"pairs\": %d,\n"
-                 "  \"plain_seconds\": %.6f,\n"
-                 "  \"plain_seconds_q1\": %.6f,\n"
-                 "  \"plain_seconds_q3\": %.6f,\n"
-                 "  \"metrics_seconds\": %.6f,\n"
-                 "  \"metrics_seconds_q1\": %.6f,\n"
-                 "  \"metrics_seconds_q3\": %.6f,\n"
-                 "  \"overhead_fraction\": %.4f,\n"
-                 "  \"overhead_statistic\": \"median of per-pair overheads\",\n"
-                 "  \"overhead_ceiling\": %.2f,\n"
-                 "  \"gate\": \"%s\"\n"
-                 "}\n",
-                 kPairs, plain_median, quantile(plain_s, 0.25), quantile(plain_s, 0.75),
-                 metered_median, quantile(metered_s, 0.25), quantile(metered_s, 0.75),
-                 overhead, kCeiling, gate);
-    std::fclose(json);
-    std::printf("wrote BENCH_metrics.json\n");
-  }
-  if (!passed) {
-    std::fprintf(stderr, "metrics overhead %.2f%% at or above the %.0f%% ceiling\n",
-                 overhead * 100.0, kCeiling * 100.0);
-  }
-  return passed;
+  bench::JsonWriter json;
+  json.field("workload", "wfs standard").field("tools", "tquad+quad+gprof");
+  bench::write_paired_gate(json, "metrics_seconds", "plain_seconds", runs, bound, gate);
+  json.write("BENCH_metrics.json");
+  return conclude("metrics", gate);
 }
 
 /// One access as QuadTool accounts it (prefetches and unattributed accesses
@@ -587,17 +434,17 @@ class AccessRecorder : public session::AnalysisConsumer {
 
 /// QUAD's per-access accounting alone, with BENCH_quad.json: wfs standard's
 /// access stream is recorded once, then replayed into a fresh QuadTool per
-/// rep, so guest execution and attribution stay out of the number.
+/// rep, so guest execution and attribution stay out of the number. There is
+/// no second variant, so it has no gate.
 void print_quad_replay() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
-  constexpr int kReps = 7;
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
   AccessRecorder recorder;
   profile_alone(run, recorder);
   const std::vector<RecordedAccess>& accesses = recorder.accesses;
 
   std::vector<double> ns_per_access;
-  for (int rep = 0; rep < kReps; ++rep) {
+  for (int rep = 0; rep < bench::kPairs; ++rep) {
     quad::QuadTool tool(run.artifacts.program);
     const double seconds = time_once([&] {
       session::AccessEvent event;
@@ -613,61 +460,55 @@ void print_quad_replay() {
     benchmark::DoNotOptimize(tool.bindings());
     ns_per_access.push_back(seconds * 1e9 / static_cast<double>(accesses.size()));
   }
-  std::sort(ns_per_access.begin(), ns_per_access.end());
-  const double q1 = quantile(ns_per_access, 0.25);
-  const double median = quantile(ns_per_access, 0.5);
-  const double q3 = quantile(ns_per_access, 0.75);
+  const bench::Summary summary = bench::summarize(std::move(ns_per_access));
 
   std::printf("\n== QUAD access accounting (wfs standard, %s accesses replayed, "
-              "%d reps) ==\n", format_count(accesses.size()).c_str(), kReps);
-  std::printf("%-44s %8.2f ns  (quartiles %.2f-%.2f)\n", "per access, median",
-              median, q1, q3);
+              "%d reps) ==\n", format_count(accesses.size()).c_str(), bench::kPairs);
+  std::printf("%-44s %8.2f ns  (q1 %.2f, q3 %.2f)\n", "per access, median",
+              summary.median, summary.q1, summary.q3);
 
-  std::FILE* json = std::fopen("BENCH_quad.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    tq::bench::write_env_json_fields(json);
-    std::fprintf(json,
-                 "  \"layer\": \"quad\",\n"
-                 "  \"workload\": \"wfs standard\",\n"
-                 "  \"accesses\": %zu,\n"
-                 "  \"reps\": %d,\n"
-                 "  \"ns_per_access_median\": %.3f,\n"
-                 "  \"ns_per_access_q1\": %.3f,\n"
-                 "  \"ns_per_access_q3\": %.3f\n"
-                 "}\n",
-                 accesses.size(), kReps, median, q1, q3);
-    std::fclose(json);
-    std::printf("wrote BENCH_quad.json\n");
-  }
+  bench::JsonWriter json;
+  json.field("layer", "quad")
+      .field("workload", "wfs standard")
+      .field("accesses", accesses.size())
+      .field("reps", bench::kPairs)
+      .field("ns_per_access", summary);
+  json.write("BENCH_quad.json");
 }
 
-/// One-shot compiled-vs-interpreter comparison, with BENCH_jit.json for CI.
+/// One uninstrumented run of `cfg` on `Machine`, image preparation outside
+/// the timed region.
+template <typename Machine>
+double time_bare(const wfs::WfsConfig& cfg, std::uint64_t& retired) {
+  wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
+  return time_once([&] {
+    Machine machine(run.artifacts.program, run.host);
+    retired = machine.run().retired;
+  });
+}
+
+/// Compiled engine vs interpreter, with BENCH_jit.json for CI.
 ///
-/// Two measurements on the standard wfs configuration:
-///   * end-to-end: a full tQUAD profiling session (slice 5000) — guest
+/// Two comparisons on the standard wfs configuration:
+///   * end to end: a full tQUAD profiling session (slice 5000) — guest
 ///     execution, attribution, and tool accounting included. This is the
-///     gated number (floor 2.5x, target 3x): the compiled engine batches
+///     gated one (floor 2.5x, target 3x): the compiled engine batches
 ///     the ticks between two attribution boundaries into one span where
 ///     the interpreter emits one per instruction, but both pay the shared
 ///     per-access event cost.
-///   * bare: the uninstrumented VM, where threaded dispatch by
-///     straight-line runs goes free of any event traffic — the engine's raw dispatch win.
-/// Both speedups are ratios of each side's fastest rep, and the gate reads
-/// the end-to-end one. The JSON also carries the median and quartiles of
-/// the per-rep ratios (interp over compiled within one rep), which show how
-/// far a single rep moves.
+///   * bare: the uninstrumented VM, where threaded dispatch by straight-line
+///     runs goes free of any event traffic — the engine's raw dispatch win.
+///     Recorded for information only.
 bool print_jit_speedup() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
   const tquad::Options tquad_options{.slice_interval = 5000};
-  constexpr int kReps = 3;
-  constexpr double kFloor = 2.5;
+  const bench::RatioBound bound{"end_to_end_speedup", 2.5, true};
   constexpr double kTarget = 3.0;
 
   // Workload construction (program build + host wiring) is hoisted out of
-  // every timed region: the measurement is the profiling run itself —
-  // lowering, guest execution, attribution, and tool
-  // accounting — exactly what an -engine switch changes for a loaded image.
+  // every timed region: the measurement is the run itself — lowering, guest
+  // execution and, end to end, attribution and tool accounting — exactly
+  // what an -engine switch changes for a loaded image.
   const auto run_session = [&](vm::EngineKind kind) {
     wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
     session::SessionConfig config;
@@ -679,103 +520,36 @@ bool print_jit_speedup() {
       benchmark::DoNotOptimize(profile.run_live(run.host));
     });
   };
-
   std::uint64_t retired = 0;
-  double interp_s = 0.0;
-  double compiled_s = 0.0;
-  double bare_interp_s = 0.0;
-  double bare_compiled_s = 0.0;
-  std::vector<double> rep_speedups;
-  std::vector<double> rep_bare_speedups;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double interp = run_session(vm::EngineKind::kInterp);
-    const double compiled = run_session(vm::EngineKind::kCompiled);
-    const double bare_interp = [&] {
-      wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-      return time_once([&] {
-        vm::Machine machine(run.artifacts.program, run.host);
-        retired = machine.run().retired;
-      });
-    }();
-    const double bare_compiled = [&] {
-      wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-      return time_once([&] {
-        vm::CompiledMachine machine(run.artifacts.program, run.host);
-        benchmark::DoNotOptimize(machine.run());
-      });
-    }();
-    if (rep == 0 || interp < interp_s) interp_s = interp;
-    if (rep == 0 || compiled < compiled_s) compiled_s = compiled;
-    if (rep == 0 || bare_interp < bare_interp_s) bare_interp_s = bare_interp;
-    if (rep == 0 || bare_compiled < bare_compiled_s) bare_compiled_s = bare_compiled;
-    rep_speedups.push_back(interp / compiled);
-    rep_bare_speedups.push_back(bare_interp / bare_compiled);
-  }
-  std::sort(rep_speedups.begin(), rep_speedups.end());
-  std::sort(rep_bare_speedups.begin(), rep_bare_speedups.end());
 
-  const double speedup = interp_s / compiled_s;
-  const double bare_speedup = bare_interp_s / bare_compiled_s;
+  const bench::PairedRuns end_to_end =
+      bench::run_pairs([&] { return run_session(vm::EngineKind::kInterp); },
+                       [&] { return run_session(vm::EngineKind::kCompiled); });
+  const bench::PairedRuns bare =
+      bench::run_pairs([&] { return time_bare<vm::Machine>(cfg, retired); },
+                       [&] { return time_bare<vm::CompiledMachine>(cfg, retired); });
+  const std::string gate = bound.verdict(end_to_end.ratio.median);
+
   std::printf("\n== compiled engine vs interpreter (standard configuration, "
-              "%s instructions) ==\n", format_count(retired).c_str());
-  std::printf("%-44s %10.3f s  (%.1f Minstr/s)\n", "tQUAD session, -engine interp",
-              interp_s, static_cast<double>(retired) / 1e6 / interp_s);
-  std::printf("%-44s %10.3f s  (%.1f Minstr/s)\n", "tQUAD session, -engine compiled",
-              compiled_s, static_cast<double>(retired) / 1e6 / compiled_s);
-  std::printf("%-44s %9.2fx  (floor %.2fx, target %.2fx)\n", "end-to-end speedup",
-              speedup, kFloor, kTarget);
-  std::printf("%-44s %10.3f s\n", "bare VM, interpreter", bare_interp_s);
-  std::printf("%-44s %10.3f s\n", "bare VM, compiled", bare_compiled_s);
-  std::printf("%-44s %9.2fx\n", "bare dispatch speedup", bare_speedup);
-  std::printf("%-44s %9.2fx  (quartiles %.2f-%.2f)\n", "end-to-end speedup, per-rep median",
-              quantile(rep_speedups, 0.5), quantile(rep_speedups, 0.25),
-              quantile(rep_speedups, 0.75));
-  std::printf("%-44s %9.2fx  (quartiles %.2f-%.2f)\n", "bare dispatch speedup, per-rep median",
-              quantile(rep_bare_speedups, 0.5), quantile(rep_bare_speedups, 0.25),
-              quantile(rep_bare_speedups, 0.75));
-  const bool passed = speedup >= kFloor;
-  const char* gate = passed ? "passed" : "failed:end_to_end_speedup<speedup_floor";
+              "%s instructions, %d pairs) ==\n", format_count(retired).c_str(),
+              bench::kPairs);
+  bench::print_paired("tQUAD session, -engine interp", "tQUAD session, -engine compiled",
+                      "end-to-end speedup (floor 2.50x)", end_to_end);
+  bench::print_paired("bare VM, interpreter", "bare VM, compiled", "bare dispatch speedup",
+                      bare);
 
-  std::FILE* json = std::fopen("BENCH_jit.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    tq::bench::write_env_json_fields(json);
-    std::fprintf(json,
-                 "  \"workload\": \"wfs standard\",\n"
-                 "  \"tools\": \"tquad\",\n"
-                 "  \"retired_instructions\": %llu,\n"
-                 "  \"interp_seconds\": %.6f,\n"
-                 "  \"compiled_seconds\": %.6f,\n"
-                 "  \"end_to_end_speedup\": %.3f,\n"
-                 "  \"bare_interp_seconds\": %.6f,\n"
-                 "  \"bare_compiled_seconds\": %.6f,\n"
-                 "  \"bare_speedup\": %.3f,\n"
-                 "  \"reps\": %d,\n"
-                 "  \"end_to_end_speedup_rep_median\": %.3f,\n"
-                 "  \"end_to_end_speedup_rep_q1\": %.3f,\n"
-                 "  \"end_to_end_speedup_rep_q3\": %.3f,\n"
-                 "  \"bare_speedup_rep_median\": %.3f,\n"
-                 "  \"bare_speedup_rep_q1\": %.3f,\n"
-                 "  \"bare_speedup_rep_q3\": %.3f,\n"
-                 "  \"speedup_floor\": %.2f,\n"
-                 "  \"speedup_target\": %.2f,\n"
-                 "  \"gate\": \"%s\"\n"
-                 "}\n",
-                 static_cast<unsigned long long>(retired), interp_s, compiled_s,
-                 speedup, bare_interp_s, bare_compiled_s, bare_speedup, kReps,
-                 quantile(rep_speedups, 0.5), quantile(rep_speedups, 0.25),
-                 quantile(rep_speedups, 0.75), quantile(rep_bare_speedups, 0.5),
-                 quantile(rep_bare_speedups, 0.25), quantile(rep_bare_speedups, 0.75),
-                 kFloor, kTarget, gate);
-    std::fclose(json);
-    std::printf("wrote BENCH_jit.json\n");
-  }
-  if (!passed) {
-    std::fprintf(stderr, "compiled-engine speedup %.2fx below the %.2fx floor\n",
-                 speedup, kFloor);
-    return false;
-  }
-  return true;
+  bench::JsonWriter json;
+  json.field("workload", "wfs standard")
+      .field("tools", "tquad")
+      .field("retired_instructions", retired)
+      .field("bare_interp_seconds", bare.a)
+      .field("bare_compiled_seconds", bare.b)
+      .field("bare_speedup", bare.ratio)
+      .field("end_to_end_speedup_target", kTarget);
+  bench::write_paired_gate(json, "interp_seconds", "compiled_seconds", end_to_end, bound,
+                           gate);
+  json.write("BENCH_jit.json");
+  return conclude("jit", gate);
 }
 
 }  // namespace

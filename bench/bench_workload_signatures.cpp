@@ -199,35 +199,29 @@ int main() {
            std::to_string(workloads::find_workload("phased").expected_phases) +
            ")");
 
-  std::FILE* json = std::fopen("BENCH_zoo.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n");
-    tq::bench::write_env_json_fields(json);
-    std::fprintf(json, "  \"workloads\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const WorkloadRow& row = rows[i];
-      std::fprintf(json,
-                   "    {\"name\": \"%s\", \"shape\": \"%s\", \"retired\": "
-                   "%llu, \"accesses\": %llu, \"phases\": %zu, \"kernels\": {",
-                   row.name.c_str(), row.shape,
-                   static_cast<unsigned long long>(row.retired),
-                   static_cast<unsigned long long>(row.accesses), row.phases);
-      bool first = true;
-      for (const auto& [kernel, sig] : row.kernels) {
-        std::fprintf(json,
-                     "%s\"%s\": {\"rw_bpi\": %.4f, \"spread\": %.5f, "
-                     "\"read_bytes\": %llu, \"write_bytes\": %llu}",
-                     first ? "" : ", ", kernel.c_str(), sig.rw_bpi, sig.spread,
-                     static_cast<unsigned long long>(sig.read_bytes),
-                     static_cast<unsigned long long>(sig.write_bytes));
-        first = false;
-      }
-      std::fprintf(json, "}}%s\n", i + 1 < rows.size() ? "," : "");
+  bench::JsonWriter json;
+  json.begin_array("workloads");
+  for (const WorkloadRow& row : rows) {
+    json.begin_object()
+        .field("name", row.name)
+        .field("shape", row.shape)
+        .field("retired", row.retired)
+        .field("accesses", row.accesses)
+        .field("phases", row.phases)
+        .begin_object("kernels");
+    for (const auto& [kernel, sig] : row.kernels) {
+      json.begin_object(kernel)
+          .field("rw_bpi", sig.rw_bpi)
+          .field("spread", sig.spread)
+          .field("read_bytes", sig.read_bytes)
+          .field("write_bytes", sig.write_bytes)
+          .end_object();
     }
-    std::fprintf(json, "  ],\n  \"gate_failures\": %d\n}\n", failures);
-    std::fclose(json);
-    std::printf("\nwrote BENCH_zoo.json\n");
+    json.end_object().end_object();
   }
+  json.end_array().field("gate_failures", failures);
+  std::printf("\n");
+  json.write("BENCH_zoo.json");
 
   if (failures > 0) {
     std::printf("\n%d signature gate(s) FAILED\n", failures);

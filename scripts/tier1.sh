@@ -137,4 +137,20 @@ grep -q "fleet bandwidth" "$FARM_WORK/fleet.out"
 #    BENCH_zoo.json; fails on any gate violation.
 ./build/bench/bench_workload_signatures
 
+# 7. Every BENCH_*.json in the repository root parses as JSON and carries
+#    the host stamp (hw_threads) that makes its numbers comparable.
+python3 - BENCH_*.json <<'EOF'
+import json
+import sys
+
+for path in sys.argv[1:]:
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as err:
+        sys.exit(f"tier1: {path} does not parse: {err}")
+    if not isinstance(doc, dict) or "hw_threads" not in doc:
+        sys.exit(f"tier1: {path} has no env stamp (hw_threads)")
+EOF
+
 echo "tier1: OK"

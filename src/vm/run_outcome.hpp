@@ -53,7 +53,4 @@ struct RunOutcome {
   }
 };
 
-/// Backwards-compatible name: callers that only read `.retired` keep working.
-using RunResult = RunOutcome;
-
 }  // namespace tq::vm

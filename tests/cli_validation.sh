@@ -56,6 +56,21 @@ expect_error "cannot be combined with -replay" -- \
     "$TOOLS/tquad_cli" -replay run.tqtr -trace out.tqtr
 expect_error "needs -image" -- \
     "$TOOLS/tquad_cli" -replay run.tqtr -tools tquad
+# A flag the chosen mode would ignore is refused before any file is read:
+# the image and traces named here do not exist, and nothing is written.
+expect_error "add tquad to -tools" -- \
+    "$TOOLS/tquad_cli" -image missing.tqim -tools quad -csv ignored.csv
+expect_error "plain -replay has none" -- \
+    "$TOOLS/tquad_cli" -replay missing.tqtr -csv ignored.csv
+for mode in "" "-image missing.tqim -tools tquad"; do
+  # shellcheck disable=SC2086  # $mode is a list of flags
+  expect_error "out acts on a live run and cannot be combined with -replay" -- \
+      "$TOOLS/tquad_cli" -replay missing.tqtr $mode -out ignored.out
+  # shellcheck disable=SC2086
+  expect_error "in acts on a live run and cannot be combined with -replay" -- \
+      "$TOOLS/tquad_cli" -replay missing.tqtr $mode -in in.wav
+done
+test ! -e ignored.csv && test ! -e ignored.out
 expect_error "unknown -on-trap mode" -- \
     "$TOOLS/tquad_cli" -image wfs.tqim -on-trap retry
 expect_error "only applies to -replay" -- \

@@ -44,72 +44,11 @@
 namespace tq::session {
 namespace {
 
-constexpr std::uint64_t kSlice = 1000;
-constexpr std::uint64_t kSamplePeriod = 700;
-
-/// Which consumers ride the session (bit i of the matrix loop).
-struct ToolMask {
-  bool tquad = false;
-  bool quad = false;
-  bool gprof = false;
-  bool trace = false;
-};
-
-constexpr ToolMask kAllTools{true, true, true, true};
-
-/// One session plus the masked subset of consumers.
-struct SessionRun {
-  SessionRun(const vm::Program& program, const SessionConfig& config, ToolMask mask)
-      : session(program, config) {
-    if (mask.tquad) {
-      tquad_tool.emplace(program,
-                         tquad::Options{.slice_interval = kSlice,
-                                        .library_policy = config.library_policy});
-      session.add_consumer(*tquad_tool);
-    }
-    if (mask.quad) {
-      quad_tool.emplace(program, quad::QuadOptions{config.library_policy});
-      session.add_consumer(*quad_tool);
-    }
-    if (mask.gprof) {
-      gprof::Options options;
-      options.sample_period = kSamplePeriod;
-      options.library_policy = config.library_policy;
-      gprof_tool.emplace(program, options);
-      session.add_consumer(*gprof_tool);
-    }
-    if (mask.trace) {
-      recorder.emplace(program, config.library_policy);
-      session.add_consumer(*recorder);
-    }
-  }
-
-  ProfileSession session;
-  std::optional<tquad::TQuadTool> tquad_tool;
-  std::optional<quad::QuadTool> quad_tool;
-  std::optional<gprof::GprofTool> gprof_tool;
-  std::optional<trace::TraceRecorder> recorder;
-};
-
-void expect_matches(SessionRun& reference, const std::vector<std::uint8_t>& reference_trace,
-                    SessionRun& candidate, ToolMask mask) {
-  if (mask.tquad) {
-    testutil::expect_tquad_equal(*reference.tquad_tool, *candidate.tquad_tool);
-  }
-  if (mask.quad) {
-    testutil::expect_quad_equal(*reference.quad_tool, *candidate.quad_tool);
-  }
-  if (mask.gprof) {
-    testutil::expect_gprof_equal(*reference.gprof_tool, *candidate.gprof_tool);
-  }
-  if (mask.trace) {
-    EXPECT_EQ(reference_trace, candidate.recorder->take_encoded());
-  }
-}
-
-workloads::Instance make_guest(const std::string& name) {
-  return workloads::find_workload(name).build();
-}
+using testutil::kAllTools;
+using testutil::kProfilers;
+using testutil::make_guest;
+using testutil::SessionRun;
+using testutil::ToolMask;
 
 SessionConfig engine_config(vm::EngineKind engine) {
   SessionConfig config;
@@ -233,7 +172,7 @@ TEST_P(EngineMatrixZoo, CompiledEqualsInterp) {
     const vm::RunOutcome outcome = run.session.run_live(guest.host);
     EXPECT_EQ(outcome.status, ref.outcome.status);
     EXPECT_EQ(outcome.retired, ref.outcome.retired);
-    expect_matches(*ref.run, ref.trace, run, mask);
+    testutil::expect_tools_equal(*ref.run, ref.trace, run, mask);
   }
 
   // Every consumer (bits=15) on the session's own path, then, as one more
@@ -248,7 +187,7 @@ TEST_P(EngineMatrixZoo, CompiledEqualsInterp) {
   const std::vector<std::uint8_t> specialised_trace =
       specialised.recorder->take_encoded();
   EXPECT_EQ(ref.trace, specialised_trace);
-  expect_matches(*ref.run, ref.trace, specialised, {true, true, true, false});
+  testutil::expect_tools_equal(*ref.run, ref.trace, specialised, kProfilers);
 
   SCOPED_TRACE("compiled engine through a forwarding vm::EventSink");
   workloads::Instance generic_guest = make_guest(input.workload);
@@ -257,7 +196,7 @@ TEST_P(EngineMatrixZoo, CompiledEqualsInterp) {
   const vm::RunOutcome generic_outcome = generic.session.run(source);
   EXPECT_EQ(generic_outcome.status, outcome.status);
   EXPECT_EQ(generic_outcome.retired, outcome.retired);
-  expect_matches(specialised, specialised_trace, generic, kAllTools);
+  testutil::expect_tools_equal(specialised, specialised_trace, generic, kAllTools);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, EngineMatrixZoo, ::testing::ValuesIn(matrix_cases()),
@@ -282,7 +221,7 @@ TEST_P(EngineParallelZoo, CompiledParallelEqualsInterpSerial) {
   const vm::RunOutcome outcome = run.session.run_live(guest.host);
   EXPECT_EQ(outcome.status, ref.outcome.status);
   EXPECT_EQ(outcome.retired, ref.outcome.retired);
-  expect_matches(*ref.run, ref.trace, run, kAllTools);
+  testutil::expect_tools_equal(*ref.run, ref.trace, run, kAllTools);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, EngineParallelZoo,
@@ -319,7 +258,7 @@ TEST_P(EngineFaultZoo, TrapAtNEqualsFirstNPrefix) {
     ASSERT_EQ(outcome.status, vm::RunStatus::kTrapped);
     ASSERT_EQ(outcome.retired, cut);
     EXPECT_EQ(outcome.trap_kind, ref.outcome.trap_kind);
-    expect_matches(*ref.run, ref.trace, run, kAllTools);
+    testutil::expect_tools_equal(*ref.run, ref.trace, run, kAllTools);
   }
 
   // Compiled engine, budget-truncated at the same instruction: identical
@@ -332,11 +271,7 @@ TEST_P(EngineFaultZoo, TrapAtNEqualsFirstNPrefix) {
     const vm::RunOutcome outcome = run.session.run_live(guest.host);
     ASSERT_EQ(outcome.status, vm::RunStatus::kTruncated);
     ASSERT_EQ(outcome.retired, cut);
-    if (kAllTools.tquad) {
-      testutil::expect_tquad_equal(*ref.run->tquad_tool, *run.tquad_tool);
-    }
-    testutil::expect_quad_equal(*ref.run->quad_tool, *run.quad_tool);
-    testutil::expect_gprof_equal(*ref.run->gprof_tool, *run.gprof_tool);
+    testutil::expect_tools_equal(*ref.run, ref.trace, run, kProfilers);
     // The trace stamps the outcome status in its footer, so compare the
     // truncated run against a truncated interpreter run instead.
     workloads::Instance interp_guest = make_guest(GetParam());
@@ -457,9 +392,7 @@ StopRun run_stopped(const vm::Program& program, vm::EngineKind engine,
 /// Tool state and trace bytes of two finished runs.
 void expect_same_reports(SessionRun& reference, const std::vector<std::uint8_t>& reference_trace,
                          SessionRun& candidate, const std::vector<std::uint8_t>& candidate_trace) {
-  testutil::expect_tquad_equal(*reference.tquad_tool, *candidate.tquad_tool);
-  testutil::expect_quad_equal(*reference.quad_tool, *candidate.quad_tool);
-  testutil::expect_gprof_equal(*reference.gprof_tool, *candidate.gprof_tool);
+  testutil::expect_tools_equal(reference, reference_trace, candidate, kProfilers);
   EXPECT_EQ(reference_trace, candidate_trace);
 }
 
@@ -633,9 +566,7 @@ TEST(EngineRuns, InterruptInsideARunStopsAtTheNextRunHead) {
     StopRun truncated = run_stopped(program, vm::EngineKind::kInterp, 0, stop);
     ASSERT_EQ(truncated.outcome.status, vm::RunStatus::kTruncated);
     ASSERT_EQ(truncated.outcome.retired, stop);
-    testutil::expect_tquad_equal(*truncated.run->tquad_tool, *compiled.run->tquad_tool);
-    testutil::expect_quad_equal(*truncated.run->quad_tool, *compiled.run->quad_tool);
-    testutil::expect_gprof_equal(*truncated.run->gprof_tool, *compiled.run->gprof_tool);
+    testutil::expect_tools_equal(*truncated.run, truncated.trace, *compiled.run, kProfilers);
   }
   EXPECT_GT(last_stop, 0u);
 }

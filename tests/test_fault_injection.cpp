@@ -10,12 +10,8 @@
 #include <string>
 
 #include "gasm/builder.hpp"
-#include "gprofsim/gprof_tool.hpp"
-#include "quad/quad_tool.hpp"
 #include "session/session.hpp"
-#include "trace/trace.hpp"
 #include "trace/trace_v2.hpp"
-#include "tquad/tquad_tool.hpp"
 #include "workloads/registry.hpp"
 #include "workloads/workloads.hpp"
 
@@ -24,36 +20,9 @@
 namespace tq::session {
 namespace {
 
-constexpr std::uint64_t kSlice = 1000;
-constexpr std::uint64_t kSamplePeriod = 700;
-
-/// The three profilers plus the trace recorder riding one ProfileSession.
-struct SessionRun {
-  explicit SessionRun(const vm::Program& program, SessionConfig config)
-      : session(program, config),
-        tquad(program, tquad::Options{.slice_interval = kSlice}),
-        quad(program, quad::QuadOptions{}),
-        gprof(program,
-              [] {
-                gprof::Options options;
-                options.sample_period = kSamplePeriod;
-                return options;
-              }()),
-        recorder(program) {
-    session.add_consumer(tquad);
-    session.add_consumer(quad);
-    session.add_consumer(gprof);
-    session.add_consumer(recorder);
-  }
-
-  vm::RunOutcome run_live(vm::HostEnv& host) { return session.run_live(host); }
-
-  ProfileSession session;
-  tquad::TQuadTool tquad;
-  quad::QuadTool quad;
-  gprof::GprofTool gprof;
-  trace::TraceRecorder recorder;
-};
+using testutil::kAllTools;
+using testutil::SessionRun;
+using testutil::ToolMask;
 
 /// Fault at retired N must equal budget-truncation at N, tool for tool, and
 /// the traces both runs recorded must be identical and replayable.
@@ -64,40 +33,35 @@ void check_fault_equals_prefix(const vm::Program& program, vm::HostEnv&& fault_h
 
   SessionConfig fault_config;
   fault_config.fault_plan.trap_at_retired = cut;
-  SessionRun faulted(program, fault_config);
-  const vm::RunOutcome fault_outcome = faulted.run_live(fault_host);
+  SessionRun faulted(program, fault_config, kAllTools);
+  const vm::RunOutcome fault_outcome = faulted.session.run_live(fault_host);
   ASSERT_EQ(fault_outcome.status, vm::RunStatus::kTrapped);
   EXPECT_NE(fault_outcome.trap_kind.find("fault injection"), std::string::npos);
   ASSERT_EQ(fault_outcome.retired, cut);
 
   SessionConfig budget_config;
   budget_config.instruction_budget = cut;
-  SessionRun truncated(program, budget_config);
-  const vm::RunOutcome budget_outcome = truncated.run_live(budget_host);
+  SessionRun truncated(program, budget_config, kAllTools);
+  const vm::RunOutcome budget_outcome = truncated.session.run_live(budget_host);
   ASSERT_EQ(budget_outcome.status, vm::RunStatus::kTruncated);
   ASSERT_EQ(budget_outcome.retired, cut);
 
-  testutil::expect_tquad_equal(faulted.tquad, truncated.tquad);
-  testutil::expect_quad_equal(faulted.quad, truncated.quad);
-  testutil::expect_gprof_equal(faulted.gprof, truncated.gprof);
+  // Tool for tool, and the two traces byte for byte.
+  const std::vector<std::uint8_t> fault_trace = faulted.recorder->take_encoded();
+  testutil::expect_tools_equal(faulted, fault_trace, truncated, kAllTools);
 
   // Consumers saw the structured outcome, not just the event stream.
-  EXPECT_EQ(faulted.tquad.outcome().status, vm::RunStatus::kTrapped);
-  EXPECT_EQ(faulted.quad.outcome().status, vm::RunStatus::kTrapped);
-  EXPECT_EQ(faulted.gprof.outcome().status, vm::RunStatus::kTrapped);
-  EXPECT_EQ(truncated.tquad.outcome().status, vm::RunStatus::kTruncated);
+  EXPECT_EQ(faulted.tquad_tool->outcome().status, vm::RunStatus::kTrapped);
+  EXPECT_EQ(faulted.quad_tool->outcome().status, vm::RunStatus::kTrapped);
+  EXPECT_EQ(faulted.gprof_tool->outcome().status, vm::RunStatus::kTrapped);
+  EXPECT_EQ(truncated.tquad_tool->outcome().status, vm::RunStatus::kTruncated);
 
   // Both cut-short traces were finalized on the error path and replay to the
   // same retired count through the session machinery.
-  const std::vector<std::uint8_t> fault_trace = faulted.recorder.take_encoded();
-  EXPECT_EQ(fault_trace, truncated.recorder.take_encoded());
   ASSERT_NO_THROW((void)trace::TraceV2View::open(fault_trace));
-  ProfileSession replay_session(program, SessionConfig{});
-  tquad::TQuadTool replay_tool(program, tquad::Options{.slice_interval = kSlice});
-  replay_session.add_consumer(replay_tool);
-  const vm::RunOutcome replay_outcome = replay_session.replay(fault_trace);
-  EXPECT_EQ(replay_outcome.retired, cut);
-  testutil::expect_tquad_equal(faulted.tquad, replay_tool);
+  SessionRun replayed(program, SessionConfig{}, ToolMask{.tquad = true});
+  EXPECT_EQ(replayed.session.replay(fault_trace).retired, cut);
+  testutil::expect_tquad_equal(*faulted.tquad_tool, *replayed.tquad_tool);
 }
 
 std::uint64_t clean_total(const vm::Program& program, vm::HostEnv& host) {

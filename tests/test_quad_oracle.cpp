@@ -298,6 +298,47 @@ std::vector<Access> half_word_stream(std::uint64_t base) {
   return s;
 }
 
+/// Writes to each of `pages` pages from `lo`, then, from access `merge_at`
+/// on, reads of every page before any write touches it again, then writes
+/// and reads once more. Fed through shards, the reads after the merge hit
+/// pages the other shards owned, so they only see their producers if the
+/// merged shadow found the adopted pages. Each page gets a uniform word,
+/// a word of two half producers, a split half (the escape), a 64-byte run
+/// and a word across into the next page.
+std::vector<Access> adopted_page_stream(std::uint64_t lo, std::uint32_t pages,
+                                        std::size_t& merge_at) {
+  std::vector<Access> s;
+  const auto writer = [](std::uint32_t p) { return 1 + p % 8; };
+  const auto reader = [](std::uint32_t p) { return 10 + p % 8; };
+  for (std::uint32_t p = 0; p < pages; ++p) {
+    const std::uint64_t page = lo + p * kPageSize;
+    s.push_back({writer(p), page, 8, false, false});
+    s.push_back({writer(p), page + 8, 4, false, p % 2 == 1});
+    s.push_back({writer(p) + 1, page + 12, 4, false, false});
+    s.push_back({writer(p), page + 16, 4, false, false});
+    s.push_back({writer(p) + 1, page + 17, 1, false, p % 2 == 0});
+    s.push_back({writer(p), page + 64, 64, false, false});
+    if (p + 1 < pages) s.push_back({writer(p), page + kPageSize - 4, 8, false, false});
+  }
+  merge_at = s.size();
+  for (std::uint32_t p = 0; p < pages; ++p) {
+    const std::uint64_t page = lo + p * kPageSize;
+    s.push_back({reader(p), page, 8, true, false});
+    s.push_back({reader(p), page + 8, 8, true, p % 2 == 0});
+    s.push_back({reader(p), page + 12, 4, true, false});
+    s.push_back({reader(p), page + 16, 4, true, false});
+    s.push_back({reader(p), page + 72, 48, true, false});
+    if (p + 1 < pages) s.push_back({reader(p), page + kPageSize - 4, 8, true, false});
+  }
+  for (std::uint32_t p = 0; p < pages; ++p) {
+    const std::uint64_t page = lo + p * kPageSize;
+    s.push_back({0, page + 4, 8, false, false});
+    s.push_back({reader(p) + 1, page, 16, true, false});
+    s.push_back({reader(p) + 1, page + 16, 2, true, false});
+  }
+  return s;
+}
+
 /// A random stream of `kernels` kernels over a small set of hot words (so
 /// memos hit and break constantly) plus the whole range, with accesses
 /// crossing words and pages. Few kernels make same-kernel rewrites and
@@ -556,17 +597,30 @@ TEST(QuadOracle, HalfWordWrites) {
   check_stream(world, stream);
 }
 
+/// The same program, accessing two pages on each side of 2^31, where the
+/// shadow's page directory ends: both lookup paths, and accesses that cross
+/// from one to the other.
+World make_limit_world() {
+  World straddling = make_world();
+  straddling.lo = ShadowMemory::kDirectoryPages * kPageSize - 2 * kPageSize;
+  straddling.hi = straddling.lo + 4 * kPageSize;
+  return straddling;
+}
+
+TEST(QuadOracle, ReadsAfterMergeFindAdoptedPages) {
+  // Eight pages hold a page of every shard for 2, 3 and 4 shards, so shard
+  // 0 has a directory of its own when the others' pages are adopted.
+  for (const World& w : {make_world(), make_limit_world()}) {
+    SCOPED_TRACE("from " + std::to_string(w.lo));
+    std::size_t merge_at = 0;
+    const std::vector<Access> stream = adopted_page_stream(w.lo, 8, merge_at);
+    check_stream(w, stream, merge_at);
+  }
+}
+
 TEST(QuadOracle, RandomStreams) {
   const World world = make_world();
-  // The same program, accessing two pages on each side of 2^31, where the
-  // shadow's page directory ends: both lookup paths, and accesses that
-  // cross from one to the other.
-  const World limit = [] {
-    World straddling = make_world();
-    straddling.lo = ShadowMemory::kDirectoryPages * kPageSize - 2 * kPageSize;
-    straddling.hi = straddling.lo + 4 * kPageSize;
-    return straddling;
-  }();
+  const World limit = make_limit_world();
   for (const World* w : {&world, &limit}) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       const std::uint32_t kernels = seed % 2 == 0 ? kKernels : 2;

@@ -37,18 +37,10 @@
 namespace tq::session {
 namespace {
 
-constexpr std::uint64_t kSlice = 1000;
-constexpr std::uint64_t kSamplePeriod = 700;
-
-/// Which consumers ride the session (bit i of the matrix loop).
-struct ToolMask {
-  bool tquad = false;
-  bool quad = false;
-  bool gprof = false;
-  bool trace = false;
-};
-
-constexpr ToolMask kAllTools{true, true, true, true};
+using testutil::kAllTools;
+using testutil::make_guest;
+using testutil::SessionRun;
+using testutil::ToolMask;
 
 /// `shards` is PipelineOptions::workers: the QUAD page-shard count.
 PipelineOptions parallel_options(unsigned shards, std::size_t batch_events = 256,
@@ -59,64 +51,6 @@ PipelineOptions parallel_options(unsigned shards, std::size_t batch_events = 256
   options.batch_events = batch_events;
   options.ring_batches = ring_batches;
   return options;
-}
-
-/// One session plus the masked subset of consumers.
-struct SessionRun {
-  SessionRun(const vm::Program& program, const SessionConfig& config, ToolMask mask)
-      : session(program, config) {
-    if (mask.tquad) {
-      tquad_tool.emplace(program,
-                         tquad::Options{.slice_interval = kSlice,
-                                        .library_policy = config.library_policy});
-      session.add_consumer(*tquad_tool);
-    }
-    if (mask.quad) {
-      quad_tool.emplace(program, quad::QuadOptions{config.library_policy});
-      session.add_consumer(*quad_tool);
-    }
-    if (mask.gprof) {
-      gprof::Options options;
-      options.sample_period = kSamplePeriod;
-      options.library_policy = config.library_policy;
-      gprof_tool.emplace(program, options);
-      session.add_consumer(*gprof_tool);
-    }
-    if (mask.trace) {
-      recorder.emplace(program, config.library_policy);
-      session.add_consumer(*recorder);
-    }
-  }
-
-  ProfileSession session;
-  std::optional<tquad::TQuadTool> tquad_tool;
-  std::optional<quad::QuadTool> quad_tool;
-  std::optional<gprof::GprofTool> gprof_tool;
-  std::optional<trace::TraceRecorder> recorder;
-};
-
-/// Compare every tool the parallel run carried against the serial reference.
-/// `serial_trace` is the reference trace taken once (take_encoded consumes).
-void expect_matches_serial(SessionRun& serial, const std::vector<std::uint8_t>& serial_trace,
-                           SessionRun& parallel, ToolMask mask) {
-  if (mask.tquad) {
-    testutil::expect_tquad_equal(*serial.tquad_tool, *parallel.tquad_tool);
-  }
-  if (mask.quad) {
-    testutil::expect_quad_equal(*serial.quad_tool, *parallel.quad_tool);
-  }
-  if (mask.gprof) {
-    testutil::expect_gprof_equal(*serial.gprof_tool, *parallel.gprof_tool);
-  }
-  if (mask.trace) {
-    EXPECT_EQ(serial_trace, parallel.recorder->take_encoded());
-  }
-}
-
-/// One fresh guest execution's inputs, built from the workload registry.
-/// Each Instance is single-shot: the host accumulates guest output.
-workloads::Instance make_guest(const std::string& name) {
-  return workloads::find_workload(name).build();
 }
 
 /// Serial all-tools reference for one workload, run once per test.
@@ -155,7 +89,7 @@ TEST_P(PipelineMatrixZoo, ParallelEqualsSerial) {
     EXPECT_EQ(outcome.status, ref.outcome.status);
     EXPECT_EQ(outcome.retired, ref.outcome.retired);
     EXPECT_GT(run.session.pipeline_stats().batches_published, 0u);
-    expect_matches_serial(*ref.run, ref.trace, run, mask);
+    testutil::expect_tools_equal(*ref.run, ref.trace, run, mask);
   }
 }
 
@@ -201,7 +135,7 @@ TEST_P(PipelineFaultZoo, TrapParityUnderParallelDispatch) {
   EXPECT_EQ(parallel.quad_tool->outcome().status, vm::RunStatus::kTrapped);
   EXPECT_EQ(parallel.gprof_tool->outcome().status, vm::RunStatus::kTrapped);
 
-  expect_matches_serial(serial, serial_trace, parallel, kAllTools);
+  testutil::expect_tools_equal(serial, serial_trace, parallel, kAllTools);
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, PipelineFaultZoo,
@@ -224,7 +158,7 @@ TEST_P(PipelineBackpressureZoo, CapacityOneParity) {
   const vm::RunOutcome outcome = run.session.run_live(guest.host);
   EXPECT_EQ(outcome.status, ref.outcome.status);
   EXPECT_EQ(outcome.retired, ref.outcome.retired);
-  expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
+  testutil::expect_tools_equal(*ref.run, ref.trace, run, kAllTools);
 
   // Single-event batches in depth-1 rings: the publisher must have hit a
   // full ring at least once on any workload with thousands of events, and
@@ -263,7 +197,7 @@ TEST(PipelineBackpressure, HistogramFaultCapacityOne) {
   const vm::RunOutcome outcome = parallel.session.run_live(parallel_guest.host);
   ASSERT_EQ(outcome.status, vm::RunStatus::kTrapped);
   ASSERT_EQ(outcome.retired, cut);
-  expect_matches_serial(serial, serial_trace, parallel, kAllTools);
+  testutil::expect_tools_equal(serial, serial_trace, parallel, kAllTools);
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +214,7 @@ TEST(PipelineShards, MatmulShardSweep) {
                                        /*ring_batches=*/2);
     SessionRun run(guest.program, config, kAllTools);
     run.session.run_live(guest.host);
-    expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
+    testutil::expect_tools_equal(*ref.run, ref.trace, run, kAllTools);
   }
 }
 
@@ -295,7 +229,7 @@ TEST(PipelineShards, WorkerSweep) {
     config.pipeline = parallel_options(shards);
     SessionRun run(guest.program, config, kAllTools);
     run.session.run_live(guest.host);
-    expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
+    testutil::expect_tools_equal(*ref.run, ref.trace, run, kAllTools);
   }
 }
 
@@ -370,6 +304,7 @@ TEST(PipelineShards, QuadShardedFacetSplitAccess) {
   sharded.merge_shards();
   EXPECT_EQ(sharded.shard_count(), 1u);
   testutil::expect_quad_equal(serial, sharded);
+  testutil::expect_quad_cost_equal(serial, sharded);
   EXPECT_EQ(serial.binding_bytes(0, 1), 16u);
   EXPECT_EQ(sharded.binding_bytes(0, 1), 16u);
 }
@@ -926,7 +861,7 @@ TEST(PipelineMetrics, RegistryAttachedKeepsParityAndMirrorsStats) {
   SessionRun run(guest.program, config, kAllTools);
   const vm::RunOutcome outcome = run.session.run_live(guest.host);
   EXPECT_EQ(outcome.retired, ref.outcome.retired);
-  expect_matches_serial(*ref.run, ref.trace, run, kAllTools);
+  testutil::expect_tools_equal(*ref.run, ref.trace, run, kAllTools);
 
   const metrics::Snapshot snap = registry.snapshot();
   const auto counter = [&](const std::string& name) -> std::uint64_t {
@@ -974,7 +909,7 @@ TEST(PipelineReplay, StreamReplayParallel) {
   SessionRun replayed(ref.guest.program, config, kAllTools);
   const vm::RunOutcome outcome = replayed.session.replay(ref.trace);
   EXPECT_EQ(outcome.retired, ref.outcome.retired);
-  expect_matches_serial(*ref.run, ref.trace, replayed, kAllTools);
+  testutil::expect_tools_equal(*ref.run, ref.trace, replayed, kAllTools);
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ using gasm::SP;
 /// Run a single-function program built by `body` and return the Machine for
 /// post-mortem register/memory inspection.
 template <typename Body>
-std::pair<RunResult, std::unique_ptr<Machine>> run_program(HostEnv& host, Body&& body,
+std::pair<RunOutcome, std::unique_ptr<Machine>> run_program(HostEnv& host, Body&& body,
                                                            EventSink* sink = nullptr) {
   ProgramBuilder prog;
   auto& f = prog.begin_function("main");
@@ -31,7 +31,7 @@ std::pair<RunResult, std::unique_ptr<Machine>> run_program(HostEnv& host, Body&&
     std::unique_ptr<Program> prog;
   };
   auto machine = std::make_unique<Bundle>(std::move(program), host);
-  const RunResult result = sink ? machine->run(*sink) : machine->run();
+  const RunOutcome result = sink ? machine->run(*sink) : machine->run();
   return {result, std::unique_ptr<Machine>(machine.release())};
 }
 

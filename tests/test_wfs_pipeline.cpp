@@ -14,7 +14,7 @@ TEST(WfsPipeline, GuestRunsToCompletion) {
   WfsRun run = prepare_wfs_run(WfsConfig::tiny());
   vm::Machine machine(run.artifacts.program, run.host);
   machine.set_instruction_budget(200'000'000);
-  const vm::RunResult result = machine.run();
+  const vm::RunOutcome result = machine.run();
   EXPECT_GT(result.retired, 100'000u);
   // Output WAV must exist: header + all interleaved PCM16 samples.
   const auto& bytes = run.host.output(WfsArtifacts::kOutputFd);
@@ -94,7 +94,7 @@ TEST(WfsPipeline, MalformedInputWavAbortsGracefully) {
   host.attach_input({0xde, 0xad, 0xbe, 0xef, 0x00, 0x11});  // not a WAV
   host.create_output();
   vm::Machine machine(artifacts.program, host);
-  const vm::RunResult result = machine.run();  // must not throw
+  const vm::RunOutcome result = machine.run();  // must not throw
   // The guest stopped during wav_load: only initialisation (ldint + the two
   // ffw filter builds) ran — a tenth of the full ~716k-instruction run.
   EXPECT_LT(result.retired, 100'000u);

@@ -25,6 +25,8 @@
 // attribution (-image is only needed for kernel names); with -tools it
 // replays the trace through the same session machinery and produces the
 // full reports (requires -image). Other trace versions are rejected (exit 1).
+// -in, -out and -trace act on a live guest, so -replay refuses them; -csv
+// needs tquad in a session. Each refusal exits 1 before any file is read.
 //
 // Fault tolerance: a guest trap does not discard the run. Under the default
 // -on-trap report the tool emits every report stamped `status: PARTIAL`,
@@ -66,8 +68,9 @@ using cli::write_text;
 /// -replay starts one thread per trace block, up to -threads.
 constexpr std::int64_t kMaxReplayThreads = 256;
 
-/// Flag coherence checks, before any file I/O.
-void validate_options(const CliParser& cli) {
+/// Flag coherence checks, before any file I/O. Returns the -tools selection
+/// (tquad when none is given).
+cli::ToolSet validate_options(const CliParser& cli) {
   cli::require_positive(cli, "slice");
   cli::require_positive(cli, "sample");
   cli::require_positive(cli, "threads");
@@ -87,11 +90,14 @@ void validate_options(const CliParser& cli) {
   (void)cli::heartbeat_interval(cli);
   cli::require_positive_real(cli, "cpu-ghz");
   cli::require_positive_real(cli, "cpi");
-  if (cli.flag("salvage") && cli.str("replay").empty()) {
+  const bool replaying = !cli.str("replay").empty();
+  // A live run and -replay with -tools drive a profiling session; plain
+  // -replay only aggregates the trace's bandwidth.
+  const bool session = !replaying || !cli.str("tools").empty();
+  if (cli.flag("salvage") && !replaying) {
     TQUAD_THROW("-salvage only applies to -replay");
   }
-  if (!cli.str("viz").empty() && !cli.str("replay").empty() &&
-      cli.str("tools").empty()) {
+  if (!cli.str("viz").empty() && !session) {
     throw UsageError(
         "-viz needs a profiling session (a live run, or -replay with -tools)");
   }
@@ -101,14 +107,26 @@ void validate_options(const CliParser& cli) {
     TQUAD_THROW("unknown -report '" + report +
                 "' (flat|bandwidth|phases|series|all)");
   }
-  if (!cli.str("tools").empty()) (void)cli::parse_tools(cli.str("tools"));
-  if (!cli.str("replay").empty() && !cli.str("trace").empty()) {
-    TQUAD_THROW("-trace records a live run and cannot be combined with -replay");
+  const cli::ToolSet tools =
+      cli::parse_tools(cli.str("tools").empty() ? "tquad" : cli.str("tools"));
+  if (!cli.str("csv").empty() && !(session && tools.tquad)) {
+    TQUAD_THROW(session ? "-csv writes the tquad flat profile; add tquad to -tools"
+                        : "-csv writes the tquad flat profile of a session; plain -replay "
+                          "has none (use -replay with -tools tquad)");
   }
-  if (!cli.str("replay").empty() && !cli.str("tools").empty() &&
-      cli.str("image").empty()) {
-    TQUAD_THROW("-replay with -tools needs -image for program context");
+  if (replaying) {
+    // Flags that act on a live guest have nothing to act on in a replay.
+    for (const char* live_only : {"trace", "in", "out"}) {
+      if (!cli.str(live_only).empty()) {
+        TQUAD_THROW("-" + std::string(live_only) +
+                    " acts on a live run and cannot be combined with -replay");
+      }
+    }
+    if (!cli.str("tools").empty() && cli.str("image").empty()) {
+      TQUAD_THROW("-replay with -tools needs -image for program context");
+    }
   }
+  return tools;
 }
 
 /// Offline -replay mode: aggregate a recorded TQTR file and print a
@@ -330,7 +348,6 @@ int run_profile(const CliParser& cli, const cli::ToolSet& tools) {
                 gprof_tool->flat_profile_table().to_ascii().c_str());
   }
   if (!cli.str("csv").empty()) {
-    if (!tools.tquad) TQUAD_THROW("-csv writes the tquad flat profile; add tquad to -tools");
     write_text(cli.str("csv"), tquad::flat_profile_table(*tquad_tool).to_csv());
   }
   if (recorder.has_value()) {
@@ -418,7 +435,7 @@ int main(int argc, char** argv) {
               "instructions (0 = off; the final pulse carries the outcome)");
   try {
     cli.parse(argc, argv);
-    validate_options(cli);
+    const cli::ToolSet tools = validate_options(cli);
     // Plain -replay keeps the classic offline bandwidth aggregation;
     // -replay with -tools drives the full session machinery instead.
     if (!cli.str("replay").empty() && cli.str("tools").empty()) {
@@ -428,8 +445,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s", cli.help().c_str());
       return 2;
     }
-    const cli::ToolSet tools =
-        cli::parse_tools(cli.str("tools").empty() ? "tquad" : cli.str("tools"));
     return run_profile(cli, tools);
   } catch (const UsageError& err) {
     std::fprintf(stderr, "tquad: %s\n", err.what());
