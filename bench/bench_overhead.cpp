@@ -17,6 +17,7 @@
 // on a recorded access stream (BENCH_quad.json).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -411,66 +412,60 @@ bool print_metrics_overhead() {
   return conclude("metrics", gate);
 }
 
-/// One access as QuadTool accounts it (prefetches and unattributed accesses
-/// never reach its accounting, so they are not kept).
-struct RecordedAccess {
-  std::uint64_t ea = 0;
-  std::uint32_t size = 0;
-  std::uint16_t kernel = 0;
-  bool is_read = false;
-  bool is_stack = false;
-};
-
-class AccessRecorder : public session::AnalysisConsumer {
+/// Keeps a copy of every batch of an access-only session: stretch headers,
+/// access records and the end marker, as the attribution encoded them.
+class BatchRecorder final : public session::AnalysisConsumer {
  public:
   unsigned event_interests() const override { return kAccessInterest; }
-  void on_access(const session::AccessEvent& event) override {
-    if (event.is_prefetch || event.kernel == tquad::kNoKernel) return;
-    accesses.push_back({event.ea, event.size, static_cast<std::uint16_t>(event.kernel),
-                        event.is_read, event.is_stack});
+  void on_batch(unsigned, const session::Batch& batch) override {
+    session::Batch& copy = batches.emplace_back(batch.size);
+    std::copy_n(batch.records.get(), batch.size, copy.records.get());
+    copy.size = batch.size;
+    for (std::size_t r = 0; r < batch.size; ++r) {
+      if ((batch.records[r].tag & session::kKindMask) == session::kAccess) ++accesses;
+    }
   }
-  std::vector<RecordedAccess> accesses;
+  std::vector<session::Batch> batches;
+  std::uint64_t accesses = 0;
 };
 
-/// QUAD's per-access accounting alone, with BENCH_quad.json: wfs standard's
-/// access stream is recorded once, then replayed into a fresh QuadTool per
-/// rep, so guest execution and attribution stay out of the number. There is
-/// no second variant, so it has no gate.
+/// QUAD's access accounting alone, with BENCH_quad.json: wfs standard's
+/// access stream is recorded once as the session's batches, then each rep
+/// hands them to a fresh QuadTool's on_batch, so guest execution and
+/// attribution stay out of the number. ns_per_access divides by every access
+/// record (prefetches and unattributed ones, which QUAD skips, included).
+/// There is no second variant, so it has no gate.
 void print_quad_replay() {
   const wfs::WfsConfig cfg = wfs::WfsConfig::standard();
   wfs::WfsRun run = wfs::prepare_wfs_run(cfg);
-  AccessRecorder recorder;
+  BatchRecorder recorder;
   profile_alone(run, recorder);
-  const std::vector<RecordedAccess>& accesses = recorder.accesses;
 
   std::vector<double> ns_per_access;
   for (int rep = 0; rep < bench::kPairs; ++rep) {
     quad::QuadTool tool(run.artifacts.program);
     const double seconds = time_once([&] {
-      session::AccessEvent event;
-      for (const RecordedAccess& access : accesses) {
-        event.kernel = access.kernel;
-        event.ea = access.ea;
-        event.size = access.size;
-        event.is_read = access.is_read;
-        event.is_stack = access.is_stack;
-        tool.on_access(event);
+      for (const session::Batch& batch : recorder.batches) {
+        tool.on_batch(session::AnalysisConsumer::kAccessInterest, batch);
       }
     });
     benchmark::DoNotOptimize(tool.bindings());
-    ns_per_access.push_back(seconds * 1e9 / static_cast<double>(accesses.size()));
+    ns_per_access.push_back(seconds * 1e9 / static_cast<double>(recorder.accesses));
   }
   const bench::Summary summary = bench::summarize(std::move(ns_per_access));
 
-  std::printf("\n== QUAD access accounting (wfs standard, %s accesses replayed, "
-              "%d reps) ==\n", format_count(accesses.size()).c_str(), bench::kPairs);
+  std::printf("\n== QUAD access accounting (wfs standard, %s accesses in %zu batches "
+              "replayed, %d reps) ==\n", format_count(recorder.accesses).c_str(),
+              recorder.batches.size(), bench::kPairs);
   std::printf("%-44s %8.2f ns  (q1 %.2f, q3 %.2f)\n", "per access, median",
               summary.median, summary.q1, summary.q3);
 
   bench::JsonWriter json;
   json.field("layer", "quad")
       .field("workload", "wfs standard")
-      .field("accesses", accesses.size())
+      .field("delivery", "stretch batches through on_batch")
+      .field("accesses", recorder.accesses)
+      .field("batches", recorder.batches.size())
       .field("reps", bench::kPairs)
       .field("ns_per_access", summary);
   json.write("BENCH_quad.json");

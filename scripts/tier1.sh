@@ -42,7 +42,10 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 #    The ring / parallel_for_blocks unit suite rides along for the ring's
 #    slot storage and the per-block error capture. QUAD's unit suite and its
 #    randomized reference-model oracle ride along for the shadow's cells,
-#    escape arrays and shard adoption.
+#    escape arrays and shard adoption. The consumers walk each stretch of
+#    access records through a span of the batch, so the stretch suite (wide
+#    accesses at one event per batch), tQUAD's tool and bandwidth suites and
+#    the gprof suite run here too.
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_trace test_trace_v2_codec test_trace_offline_differential \
@@ -51,9 +54,10 @@ cmake --build --preset asan-ubsan -j "$(nproc)" --target \
     test_support_metrics test_workload_zoo test_engine_differential \
     test_support_address_set test_support_paged_memory test_quad_shadow \
     test_vm_machine test_vm_differential test_support_concurrency \
-    test_quad_tool test_quad_oracle
+    test_quad_tool test_quad_oracle test_session_stretch test_tquad_tool \
+    test_tquad_bandwidth test_gprofsim
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
-    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow|test_vm_machine|test_vm_differential|test_support_concurrency|test_quad_tool|test_quad_oracle)$'
+    -R '^(test_trace|test_trace_v2_codec|test_trace_offline_differential|test_fuzz_decoders|test_trace_salvage|test_fault_injection|test_session|test_session_replay|test_session_pipeline|test_support_metrics|test_workload_zoo|test_engine_differential|test_support_address_set|test_support_paged_memory|test_quad_shadow|test_vm_machine|test_vm_differential|test_support_concurrency|test_quad_tool|test_quad_oracle|test_session_stretch|test_tquad_tool|test_tquad_bandwidth|test_gprofsim)$'
 
 # 3. ThreadSanitizer on everything that spawns threads: the parallel
 #    analysis pipeline (one drain thread per ring, shard merge, drain

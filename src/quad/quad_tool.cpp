@@ -13,7 +13,7 @@ QuadTool::QuadTool(const vm::Program& program, Options options)
       tracked_(tquad::tracked_functions(program, options.library_policy)) {
   const std::size_t n = program.functions().size();
   TQUAD_CHECK(n < kMixed, "too many functions for 16-bit producer ids");
-  state_.init(n);
+  state_.kernels.resize(n);
   instrs_.assign(n, 0);
   calls_.assign(n, 0);
   mem_refs_.assign(n, 0);
@@ -58,17 +58,27 @@ void QuadTool::EdgeTable::grow() {
 
 // ---- per-access accounting -------------------------------------------------------
 
-void QuadTool::account_read(AddressState& state, std::uint32_t reader,
+void QuadTool::account(AddressState& state, KernelState& self, std::uint32_t kernel,
+                       std::uint64_t ea, std::uint32_t size, bool is_read,
+                       bool stack_area, bool count_access) {
+  if (is_read) {
+    account_read(state, self, kernel, ea, size, stack_area, count_access);
+  } else {
+    account_write(state, self, kernel, ea, size, stack_area, count_access);
+  }
+}
+
+void QuadTool::account_read(AddressState& state, KernelState& self, std::uint32_t reader,
                             std::uint64_t ea, std::uint32_t size,
                             bool stack_area, bool count_access) {
   // Stack-included counters always accrue.
-  KernelCounters& incl = state.incl[reader];
-  KernelCounters& excl = state.excl[reader];
+  KernelCounters& incl = self.incl;
+  KernelCounters& excl = self.excl;
   incl.in_bytes += size;
   if (!stack_area) {
     excl.in_bytes += size;
-    if (count_access) ++state.global_accesses[reader];
-    state.global_bytes[reader] += size;
+    if (count_access) ++self.global_accesses;
+    self.global_bytes += size;
   }
 
   // A read inside one word of one producer: the cell's memo says whether
@@ -79,8 +89,9 @@ void QuadTool::account_read(AddressState& state, std::uint32_t reader,
     if (word.producer != kMixed) {
       Edge* edge = nullptr;
       if (word.producer != kNoProducer) {
-        state.incl[word.producer].out_bytes += size;
-        if (!stack_area) state.excl[word.producer].out_bytes += size;
+        KernelState& producer = state.kernels[word.producer];
+        producer.incl.out_bytes += size;
+        if (!stack_area) producer.excl.out_bytes += size;
         edge = &state.edges.at(edge_key(word.producer, reader));
         edge->bytes += size;
       }
@@ -101,8 +112,8 @@ void QuadTool::account_read(AddressState& state, std::uint32_t reader,
   state.shadow.for_each_producer(
       ea, size, [&](ProducerId producer, std::uint32_t run) {
         if (producer != kNoProducer) {
-          state.incl[producer].out_bytes += run;
-          if (!stack_area) state.excl[producer].out_bytes += run;
+          state.kernels[producer].incl.out_bytes += run;
+          if (!stack_area) state.kernels[producer].excl.out_bytes += run;
           Edge& edge = state.edges.at(edge_key(producer, reader));
           edge.bytes += run;
           edge.unma.insert_range(cursor, run);
@@ -111,14 +122,14 @@ void QuadTool::account_read(AddressState& state, std::uint32_t reader,
       });
 }
 
-void QuadTool::account_write(AddressState& state, std::uint32_t writer,
+void QuadTool::account_write(AddressState& state, KernelState& self, std::uint32_t writer,
                              std::uint64_t ea, std::uint32_t size,
                              bool stack_area, bool count_access) {
-  KernelCounters& incl = state.incl[writer];
-  KernelCounters& excl = state.excl[writer];
+  KernelCounters& incl = self.incl;
+  KernelCounters& excl = self.excl;
   if (!stack_area) {
-    if (count_access) ++state.global_accesses[writer];
-    state.global_bytes[writer] += size;
+    if (count_access) ++self.global_accesses;
+    self.global_bytes += size;
   }
   const auto producer = static_cast<ProducerId>(writer);
   if (ShadowMemory::in_one_word(ea, size)) {
@@ -148,6 +159,17 @@ void QuadTool::on_access(const session::AccessEvent& event) {
   QuadTool::apply_access_shard(0, event, true);  // serial: shard 0 is state_
 }
 
+void QuadTool::on_access_stretch(std::uint32_t kernel,
+                                 std::span<const session::Record> records) {
+  if (kernel == tquad::kNoKernel) return;
+  KernelState& self = state_.kernels[kernel];
+  session::for_each_access(records, [&](const session::Record& r, std::uint32_t size) {
+    if (session::has(r, session::kPrefetch)) return;  // QUAD never traces prefetch touches
+    account(state_, self, kernel, r.b, size, session::has(r, session::kRead),
+            session::has(r, session::kStack), true);
+  });
+}
+
 // ---- sharded access accounting (parallel pipeline) ------------------------------
 
 void QuadTool::prepare_shards(unsigned shards) {
@@ -157,7 +179,7 @@ void QuadTool::prepare_shards(unsigned shards) {
   shards_.reserve(shards - 1);
   for (unsigned s = 1; s < shards; ++s) {
     auto state = std::make_unique<AddressState>();
-    state->init(kernel_count());
+    state->kernels.resize(kernel_count());
     shards_.push_back(std::move(state));
   }
 }
@@ -169,29 +191,26 @@ void QuadTool::apply_access_shard(unsigned shard,
   if (event.kernel == tquad::kNoKernel) return;
   TQUAD_DCHECK(shard < shards_.size() + 1, "shard id out of range");
   AddressState& state = shard == 0 ? state_ : *shards_[shard - 1];
-  if (event.is_read) {
-    account_read(state, event.kernel, event.ea, event.size, event.is_stack,
-                 count_access);
-  } else {
-    account_write(state, event.kernel, event.ea, event.size, event.is_stack,
-                  count_access);
-  }
+  account(state, state.kernels[event.kernel], event.kernel, event.ea, event.size,
+          event.is_read, event.is_stack, count_access);
 }
 
 void QuadTool::merge_shards() {
   for (auto& shard : shards_) {
     state_.shadow.adopt_disjoint(std::move(shard->shadow));
-    for (std::size_t k = 0; k < state_.incl.size(); ++k) {
-      state_.incl[k].in_bytes += shard->incl[k].in_bytes;
-      state_.incl[k].out_bytes += shard->incl[k].out_bytes;
-      state_.incl[k].in_unma.merge(std::move(shard->incl[k].in_unma));
-      state_.incl[k].out_unma.merge(std::move(shard->incl[k].out_unma));
-      state_.excl[k].in_bytes += shard->excl[k].in_bytes;
-      state_.excl[k].out_bytes += shard->excl[k].out_bytes;
-      state_.excl[k].in_unma.merge(std::move(shard->excl[k].in_unma));
-      state_.excl[k].out_unma.merge(std::move(shard->excl[k].out_unma));
-      state_.global_accesses[k] += shard->global_accesses[k];
-      state_.global_bytes[k] += shard->global_bytes[k];
+    for (std::size_t k = 0; k < state_.kernels.size(); ++k) {
+      KernelState& mine = state_.kernels[k];
+      KernelState& theirs = shard->kernels[k];
+      for (const bool incl : {true, false}) {
+        KernelCounters& to = incl ? mine.incl : mine.excl;
+        KernelCounters& from = incl ? theirs.incl : theirs.excl;
+        to.in_bytes += from.in_bytes;
+        to.out_bytes += from.out_bytes;
+        to.in_unma.merge(std::move(from.in_unma));
+        to.out_unma.merge(std::move(from.out_unma));
+      }
+      mine.global_accesses += theirs.global_accesses;
+      mine.global_bytes += theirs.global_bytes;
     }
     for (Edge& edge : shard->edges.edges()) {
       Edge& mine = state_.edges.at(edge.key);
@@ -229,15 +248,14 @@ std::uint64_t QuadTool::binding_bytes(std::uint32_t producer,
 std::uint64_t QuadTool::instrumented_cost(std::uint32_t kernel,
                                           const CostModel& model) const {
   TQUAD_CHECK(kernel < instrs_.size(), "kernel id out of range");
-  const std::uint64_t working_set = state_.excl[kernel].in_unma.count() +
-                                    state_.excl[kernel].out_unma.count();
+  const KernelState& state = state_.kernels[kernel];
+  const std::uint64_t working_set =
+      state.excl.in_unma.count() + state.excl.out_unma.count();
   const double trace_scale =
       working_set <= model.hot_set_bytes ? model.hot_discount : 1.0;
   const double trace_cost =
-      trace_scale * (static_cast<double>(state_.global_accesses[kernel] *
-                                         model.per_global_trace) +
-                     static_cast<double>(state_.global_bytes[kernel] *
-                                         model.per_global_byte));
+      trace_scale * (static_cast<double>(state.global_accesses * model.per_global_trace) +
+                     static_cast<double>(state.global_bytes * model.per_global_byte));
   return instrs_[kernel] * model.per_instruction +
          mem_refs_[kernel] * model.per_memory_stub +
          static_cast<std::uint64_t>(trace_cost);
@@ -247,11 +265,11 @@ void QuadTool::publish_metrics(metrics::Registry& registry) const {
   registry.set_gauge("quad.shadow.pages", state_.shadow.resident_pages());
   registry.set_gauge("quad.shadow.bytes", state_.shadow.resident_bytes());
   std::uint64_t in_incl = 0, out_incl = 0, in_excl = 0, out_excl = 0;
-  for (std::size_t k = 0; k < state_.incl.size(); ++k) {
-    in_incl += state_.incl[k].in_unma.count();
-    out_incl += state_.incl[k].out_unma.count();
-    in_excl += state_.excl[k].in_unma.count();
-    out_excl += state_.excl[k].out_unma.count();
+  for (const KernelState& kernel : state_.kernels) {
+    in_incl += kernel.incl.in_unma.count();
+    out_incl += kernel.incl.out_unma.count();
+    in_excl += kernel.excl.in_unma.count();
+    out_excl += kernel.excl.out_unma.count();
   }
   registry.set_gauge("quad.unma.in_incl", in_incl);
   registry.set_gauge("quad.unma.out_incl", out_incl);

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,7 +94,7 @@ class QuadTool final : public session::AnalysisConsumer,
   QuadTool(const QuadTool&) = delete;
   QuadTool& operator=(const QuadTool&) = delete;
 
-  std::size_t kernel_count() const noexcept { return state_.incl.size(); }
+  std::size_t kernel_count() const noexcept { return state_.kernels.size(); }
   const std::string& kernel_name(std::uint32_t kernel) const {
     return program_.functions()[kernel].name;
   }
@@ -101,12 +102,12 @@ class QuadTool final : public session::AnalysisConsumer,
 
   /// Counters with stack accesses included / excluded.
   const KernelCounters& including_stack(std::uint32_t kernel) const {
-    TQUAD_CHECK(kernel < state_.incl.size(), "kernel id out of range");
-    return state_.incl[kernel];
+    TQUAD_CHECK(kernel < kernel_count(), "kernel id out of range");
+    return state_.kernels[kernel].incl;
   }
   const KernelCounters& excluding_stack(std::uint32_t kernel) const {
-    TQUAD_CHECK(kernel < state_.excl.size(), "kernel id out of range");
-    return state_.excl[kernel];
+    TQUAD_CHECK(kernel < kernel_count(), "kernel id out of range");
+    return state_.kernels[kernel].excl;
   }
 
   /// Producer→consumer bindings (stack-included classification), sorted by
@@ -140,6 +141,8 @@ class QuadTool final : public session::AnalysisConsumer,
   void on_kernel_enter(const session::EnterEvent& event) override;
   void on_tick_run(const session::TickRunEvent& run) override;
   void on_access(const session::AccessEvent& event) override;
+  /// The accesses of one stretch, with the kernel's state looked up once.
+  void on_access_stretch(std::uint32_t kernel, std::span<const session::Record> records);
   void on_finish(const vm::RunOutcome& outcome) override { outcome_ = outcome; }
   void on_batch(unsigned interests, const session::Batch& batch) override {
     session::deliver(*this, interests, batch);
@@ -220,39 +223,42 @@ class QuadTool final : public session::AnalysisConsumer,
     return producer << 16 | consumer;
   }
 
-  /// Every piece of state keyed (directly or transitively) by guest address:
-  /// the shadow memory, the Table II counters, the per-kernel global-access
-  /// cost counters, and the binding store. The serial path owns exactly one
-  /// (state_); the parallel pipeline replicates it per address shard and
-  /// folds the replicas back in merge_shards(). A shadow cell's memo speaks
-  /// about the sets of the state that owns its page.
-  struct AddressState {
-    ShadowMemory shadow;
-    std::vector<KernelCounters> incl;
-    std::vector<KernelCounters> excl;
-    std::vector<std::uint64_t> global_accesses;
-    std::vector<std::uint64_t> global_bytes;
-    EdgeTable edges;
-
-    void init(std::size_t kernels) {
-      incl.resize(kernels);
-      excl.resize(kernels);
-      global_accesses.assign(kernels, 0);
-      global_bytes.assign(kernels, 0);
-    }
+  /// One kernel's address-keyed counters: Table II under both stack
+  /// classifications, and the global-access cost counters.
+  struct KernelState {
+    KernelCounters incl;
+    KernelCounters excl;
+    std::uint64_t global_accesses = 0;
+    std::uint64_t global_bytes = 0;
   };
 
-  // Per-address accounting into one shard's state. `count_access` is false
-  // for the continuation pieces of a page-split access, so the per-access
-  // counter increments exactly once per original access. An access inside
-  // one aligned word always bumps the byte counters but skips the UnMA
-  // inserts its shadow cell proves redundant (ShadowMemory::read_word and
-  // mark_word); every other access takes the byte-run path, which only
-  // ever clears cell memos.
-  static void account_read(AddressState& state, std::uint32_t reader,
+  /// Every piece of state keyed (directly or transitively) by guest address:
+  /// the shadow memory, the per-kernel counters, and the binding store. The
+  /// serial path owns exactly one (state_); the parallel pipeline replicates
+  /// it per address shard and folds the replicas back in merge_shards(). A
+  /// shadow cell's memo speaks about the sets of the state that owns its
+  /// page.
+  struct AddressState {
+    ShadowMemory shadow;
+    std::vector<KernelState> kernels;
+    EdgeTable edges;
+  };
+
+  // Per-address accounting of one access by `kernel` (whose counters are
+  // `self`, resolved by the caller) into one shard's state. `count_access`
+  // is false for the continuation pieces of a page-split access, so the
+  // per-access counter increments exactly once per original access. An
+  // access inside one aligned word always bumps the byte counters but
+  // skips the UnMA inserts its shadow cell proves redundant
+  // (ShadowMemory::read_word and mark_word); every other access takes the
+  // byte-run path, which only ever clears cell memos.
+  static void account(AddressState& state, KernelState& self, std::uint32_t kernel,
+                      std::uint64_t ea, std::uint32_t size, bool is_read,
+                      bool stack_area, bool count_access);
+  static void account_read(AddressState& state, KernelState& self, std::uint32_t reader,
                            std::uint64_t ea, std::uint32_t size,
                            bool stack_area, bool count_access);
-  static void account_write(AddressState& state, std::uint32_t writer,
+  static void account_write(AddressState& state, KernelState& self, std::uint32_t writer,
                             std::uint64_t ea, std::uint32_t size,
                             bool stack_area, bool count_access);
 

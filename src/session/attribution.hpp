@@ -5,7 +5,9 @@
 // enter/tick/access/ret stream in through the vm::EventSink overrides;
 // KernelAttribution stamps each event with the current attribution state and
 // encodes it once, as a 32-byte Record (events.hpp), into a batch — only the
-// kinds some consumer subscribed to. A full batch, and the tail at
+// kinds some consumer subscribed to. Accesses go into stretches: one header
+// in front of each run of access records, closed at every entry, return,
+// other emitted record and batch flush. A full batch, and the tail at
 // input_finish, goes to every attached consumer in attach order on the VM
 // thread, and in parallel mode is then shared with the ParallelPipeline's
 // readers. The input methods are inline and the class is final: they sit on
@@ -81,6 +83,7 @@ class KernelAttribution final : public vm::EventSink {
 
   void on_enter(std::uint32_t func, std::uint64_t retired) override {
     flush_run();
+    close_stretch();
     const std::uint32_t caller = top_;
     stack_.on_enter(func);
     top_ = stack_.top();
@@ -120,14 +123,22 @@ class KernelAttribution final : public vm::EventSink {
                  bool is_prefetch) override {
     ++counts_.accesses;
     if (!(interests_ & AnalysisConsumer::kAccessInterest)) return;
+    if (next_ == limit_) [[unlikely]] flush_batch();
+    if (stretch_ == nullptr) [[unlikely]] {
+      // The header is no event: like an extension record, it widens limit_.
+      stretch_ = next_++;
+      *stretch_ = {0, 0, 0, 0, top_, kStretch};
+      ++limit_;
+    }
     const bool wide = size > kMaxInlineSize;
-    emit(kAccess | flag(is_read, kRead) | flag(is_stack, kStack) |
-             flag(is_prefetch, kPrefetch) | (wide ? kWide : size << kSizeShift),
-         retired, ea, func, pc, top_, size);
+    append(kAccess | flag(is_read, kRead) | flag(is_stack, kStack) |
+               flag(is_prefetch, kPrefetch) | (wide ? kWide : size << kSizeShift),
+           retired, ea, func, pc, top_, size);
   }
 
   void on_ret(std::uint32_t func, std::uint32_t pc, std::uint64_t retired) override {
     flush_run();
+    close_stretch();
     ++counts_.rets;
     if (interests_ & AnalysisConsumer::kRetInterest) {
       emit(kRet | flag(tracked_[func] != 0, kTracked), retired, 0, func, pc, top_);
@@ -169,11 +180,19 @@ class KernelAttribution final : public vm::EventSink {
     run_count_ = 0;
   }
 
-  /// The one encoder: append an event's record (and, when `tag` has kWide,
-  /// the extension record carrying `wide`), delivering a full batch first.
+  /// Encode a non-access event: it closes the open stretch, and a full
+  /// batch is delivered first.
   void emit(std::uint32_t tag, std::uint64_t a, std::uint64_t b, std::uint32_t func,
             std::uint32_t c, std::uint32_t kernel, std::uint64_t wide = 0) {
+    close_stretch();
     if (next_ == limit_) [[unlikely]] flush_batch();
+    append(tag, a, b, func, c, kernel, wide);
+  }
+
+  /// The one record writer: an event's record and, when `tag` has kWide,
+  /// the extension record carrying `wide`. The caller made room.
+  void append(std::uint32_t tag, std::uint64_t a, std::uint64_t b, std::uint32_t func,
+              std::uint32_t c, std::uint32_t kernel, std::uint64_t wide) {
     *next_++ = {a, b, func, c, kernel, tag};
     if (tag & kWide) [[unlikely]] {
       *next_++ = {wide, 0, 0, 0, 0, kExtension};
@@ -181,9 +200,17 @@ class KernelAttribution final : public vm::EventSink {
     }
   }
 
+  /// Write the open stretch's record count into its header.
+  void close_stretch() {
+    if (stretch_ == nullptr) return;
+    stretch_->b = static_cast<std::uint64_t>(next_ - stretch_ - 1);
+    stretch_ = nullptr;
+  }
+
   /// Deliver the batch to the attached consumers, then either share it with
   /// the pipeline (and start a fresh one) or reuse it.
   [[gnu::noinline]] void flush_batch() {
+    close_stretch();
     Record* const records = batch_->records.get();
     if (next_ == records) return;
     batch_->size = static_cast<std::size_t>(next_ - records);
@@ -213,8 +240,9 @@ class KernelAttribution final : public vm::EventSink {
   std::shared_ptr<Batch> batch_ = std::make_shared<Batch>(cap_);
   Record* next_ = batch_->records.get();  ///< next free record of batch_
   /// next_ once batch_ holds cap_ events: one record per event, plus one
-  /// per wide event's extension.
+  /// per wide event's extension and one per stretch header.
   Record* limit_ = next_ + cap_;
+  Record* stretch_ = nullptr;  ///< header of the open stretch, if any
 
   // Pending tick run (see on_tick_span).
   std::uint32_t run_func_ = 0;

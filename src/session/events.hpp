@@ -16,6 +16,15 @@
 // 24 bits) sets kWide and rides in the `a` of one extra kExtension record,
 // which still counts as part of the one event.
 //
+// Access records travel only inside stretches. A kStretch header record
+// precedes each run of consecutive access records; it holds their kernel
+// and the number of records that follow it (extension records included).
+// The attribution closes a stretch at every routine
+// entry and return, every other record it emits, and every batch flush, so
+// a stretch never spans a change of the attribution top. Decoders jump
+// over a whole stretch they do not want in O(1), and a consumer with an
+// on_access_stretch hook does its per-kernel lookups once per stretch.
+//
 // This header is intentionally self-contained (no tq_session link
 // dependency): the tool libraries implement the interface without linking
 // the session layer, and the session layer links the tools.
@@ -24,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "tquad/callstack.hpp"
 #include "vm/run_outcome.hpp"
@@ -86,7 +96,7 @@ struct RetEvent {
 
 struct Record {
   std::uint64_t a;       ///< retired; a tick run's first_retired; end's total
-  std::uint64_t b;       ///< an access's ea; a tick run's count
+  std::uint64_t b;       ///< an access's ea; a tick run's count; a stretch's records
   std::uint32_t func;
   std::uint32_t c;       ///< pc (access, ret); caller (enter); mem_count (tick run)
   std::uint32_t kernel;
@@ -94,10 +104,14 @@ struct Record {
 };
 static_assert(sizeof(Record) == 32);
 
-/// kExtension marks the extra record of a kWide event. Decoders step over
-/// it like any kind they skip, so every loop advances one record at a time
-/// and never waits on a tag load to find the next record.
-enum RecordKind : std::uint32_t { kEnter, kTickRun, kAccess, kRet, kEnd, kExtension };
+/// kExtension marks the extra record of a kWide event; it follows its event
+/// directly. kStretch is the header of a run of access records (see the top
+/// of this file): `kernel` is their kernel, `b` the count of records after
+/// the header that belong to it. Outside a stretch, decoders step over
+/// every kind they skip one record at a time.
+enum RecordKind : std::uint32_t {
+  kEnter, kTickRun, kAccess, kRet, kEnd, kExtension, kStretch
+};
 constexpr std::uint32_t kKindMask = 0x7;
 constexpr std::uint32_t kTracked = 1u << 3;
 constexpr std::uint32_t kRead = 1u << 4;
@@ -115,24 +129,47 @@ inline std::uint64_t wide_or(const Record* r, std::uint64_t inline_value) {
   return has(*r, kWide) ? r[1].a : inline_value;
 }
 
-inline AccessEvent access_of(const Record* r) {
-  return {.func = r->func,
-          .pc = r->c,
-          .kernel = r->kernel,
-          .retired = r->a,
-          .ea = r->b,
-          .size = static_cast<std::uint32_t>(wide_or(r, r->tag >> kSizeShift)),
-          .is_read = has(*r, kRead),
-          .is_stack = has(*r, kStack),
-          .is_prefetch = has(*r, kPrefetch)};
+/// The records of the stretch whose header is `header`.
+inline std::span<const Record> stretch_of(const Record* header) {
+  return {header + 1, static_cast<std::size_t>(header->b)};
 }
 
-/// A batch of records. Room for two records per event, so a batch of wide
-/// tick runs still fits. In parallel mode a full batch is shared read-only
+/// Call `fn(record, size)` for each access record of a stretch, in order,
+/// stepping over a wide access's extension record.
+template <typename Fn>
+inline void for_each_access(std::span<const Record> stretch, Fn&& fn) {
+  const Record* const end = stretch.data() + stretch.size();
+  for (const Record* r = stretch.data(); r != end; ++r) {
+    if (has(*r, kWide)) [[unlikely]] {
+      fn(*r, static_cast<std::uint32_t>(r[1].a));
+      ++r;
+    } else {
+      fn(*r, r->tag >> kSizeShift);
+    }
+  }
+}
+
+/// The event of an access record whose size for_each_access decoded.
+inline AccessEvent access_of(const Record& r, std::uint32_t size) {
+  return {.func = r.func,
+          .pc = r.c,
+          .kernel = r.kernel,
+          .retired = r.a,
+          .ea = r.b,
+          .size = size,
+          .is_read = has(r, kRead),
+          .is_stack = has(r, kStack),
+          .is_prefetch = has(r, kPrefetch)};
+}
+
+/// A batch of records. Room for three records per event: an access may
+/// open a stretch and carry an extension record. Neither header nor
+/// extension counts as an event, so the batch holds `events` events
+/// whatever their kinds. In parallel mode a full batch is shared read-only
 /// (SharedBatch) and freed by whichever reader drops the last reference.
 struct Batch {
   explicit Batch(std::size_t events)
-      : records(std::make_unique_for_overwrite<Record[]>(2 * events)) {}
+      : records(std::make_unique_for_overwrite<Record[]>(3 * events)) {}
 
   std::unique_ptr<Record[]> records;
   std::size_t size = 0;  ///< records written
@@ -199,7 +236,10 @@ class AnalysisConsumer {
   /// with deliver(), one virtual call per record. A `final` consumer should
   /// override it with the same call on `*this`
   /// (`deliver(*this, interests, batch)`), so the decode loop calls its
-  /// hooks directly.
+  /// hooks directly. Such a consumer may also declare a non-virtual
+  /// `on_access_stretch(std::uint32_t kernel, std::span<const Record>)`,
+  /// which then receives each stretch of accesses whole (see deliver()) and
+  /// walks it with for_each_access, instead of on_access per access.
   virtual void on_batch(unsigned interests, const Batch& batch);
 };
 
@@ -234,15 +274,29 @@ class ShardedAccessConsumer {
 };
 
 /// Deliver the kinds in `interests` (and every end marker) to `target`, in
-/// stream order.
+/// stream order. A stretch goes to `target.on_access_stretch(kernel,
+/// records)` when the consumer has that (non-virtual) hook, and otherwise
+/// to on_access one access at a time; without kAccessInterest it is
+/// skipped whole.
 template <typename Consumer>
 void deliver(Consumer& target, unsigned interests, const Batch& batch) {
   const Record* const end = batch.records.get() + batch.size;
   for (const Record* r = batch.records.get(); r != end; ++r) {
     switch (r->tag & kKindMask) {
-      case kAccess:
-        if (interests & AnalysisConsumer::kAccessInterest) target.on_access(access_of(r));
+      case kStretch: {
+        const std::span<const Record> stretch = stretch_of(r);
+        if (interests & AnalysisConsumer::kAccessInterest) {
+          if constexpr (requires { target.on_access_stretch(r->kernel, stretch); }) {
+            target.on_access_stretch(r->kernel, stretch);
+          } else {
+            for_each_access(stretch, [&](const Record& access, std::uint32_t size) {
+              target.on_access(access_of(access, size));
+            });
+          }
+        }
+        r += stretch.size();
         break;
+      }
       case kTickRun:
         if (interests & AnalysisConsumer::kTickInterest) {
           target.on_tick_run({.func = r->func,

@@ -82,14 +82,12 @@ void apply_shard(ShardedAccessConsumer& sharded, unsigned shard, unsigned shards
                  const Batch& batch) {
   constexpr unsigned kPageBits = PagedMemory::kPageBits;
   const auto mine = [&](std::uint64_t ea) { return (ea >> kPageBits) % shards == shard; };
-  const Record* const end = batch.records.get() + batch.size;
-  for (const Record* r = batch.records.get(); r != end; ++r) {
-    if ((r->tag & kKindMask) != kAccess) continue;
-    const AccessEvent event = access_of(r);
+  const auto apply = [&](const Record& record, std::uint32_t size) {
+    const AccessEvent event = access_of(record, size);
     const std::uint64_t last = event.ea + (event.size > 0 ? event.size - 1 : 0);
     if ((event.ea >> kPageBits) == (last >> kPageBits)) {
       if (mine(event.ea)) sharded.apply_access_shard(shard, event, true);
-      continue;
+      return;
     }
     AccessEvent piece = event;
     std::uint64_t cursor = event.ea;
@@ -107,6 +105,13 @@ void apply_shard(ShardedAccessConsumer& sharded, unsigned shard, unsigned shards
       cursor += in_page;
       remaining -= in_page;
     }
+  };
+  const Record* const end = batch.records.get() + batch.size;
+  for (const Record* r = batch.records.get(); r != end; ++r) {
+    if ((r->tag & kKindMask) != kStretch) continue;
+    const std::span<const Record> stretch = stretch_of(r);
+    for_each_access(stretch, apply);
+    r += stretch.size();
   }
 }
 

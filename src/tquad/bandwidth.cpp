@@ -1,5 +1,6 @@
 #include "tquad/bandwidth.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace tq::tquad {
@@ -34,43 +35,23 @@ BandwidthRecorder::BandwidthRecorder(std::size_t kernel_count,
   TQUAD_CHECK(slice_interval_ > 0, "slice interval must be positive");
 }
 
-void BandwidthRecorder::on_access(std::uint32_t kernel, std::uint64_t retired,
-                                  std::uint32_t bytes, bool is_read, bool is_stack) {
-  TQUAD_DCHECK(kernel < kernels_.size(), "kernel id out of range");
-  TQUAD_DCHECK(!finished_, "access after finish()");
-  if (retired < cached_lo_ || retired > cached_last_) [[unlikely]] {
-    // Accesses arrive in retired order live and in block ranges from the
-    // farm; either way most land in the previous access's slice.
-    cached_slice_ = retired / slice_interval_;
-    cached_lo_ = cached_slice_ * slice_interval_;
-    const std::uint64_t span = slice_interval_ - 1;
-    cached_last_ = span > ~0ull - cached_lo_ ? ~0ull : cached_lo_ + span;
-    max_slice_ = std::max(max_slice_, cached_slice_);
-  }
-  const std::uint64_t slice = cached_slice_;
+void BandwidthRecorder::move_window(std::uint64_t retired) {
+  // Accesses arrive in retired order live and in block ranges from the
+  // farm; either way most land in the previous access's slice.
+  window_slice_ = retired / slice_interval_;
+  window_lo_ = window_slice_ * slice_interval_;
+  const std::uint64_t span = slice_interval_ - 1;
+  window_last_ = span > ~0ull - window_lo_ ? ~0ull : window_lo_ + span;
+  max_slice_ = std::max(max_slice_, window_slice_);
+}
+
+void BandwidthRecorder::switch_slice(std::uint32_t kernel, std::uint64_t slice) {
   Open& open = open_[kernel];
-  if (open.slice != slice) {
-    if (!open.counters.empty()) {
-      kernels_[kernel].series.push_back(SliceSample{open.slice, open.counters});
-    }
-    open.slice = slice;
-    open.counters.clear();
+  if (!open.counters.empty()) {
+    kernels_[kernel].series.push_back(SliceSample{open.slice, open.counters});
   }
-  if (is_read) {
-    open.counters.read_incl += bytes;
-    if (!is_stack) open.counters.read_excl += bytes;
-  } else {
-    open.counters.write_incl += bytes;
-    if (!is_stack) open.counters.write_excl += bytes;
-  }
-  auto& totals = kernels_[kernel].totals;
-  if (is_read) {
-    totals.read_incl += bytes;
-    if (!is_stack) totals.read_excl += bytes;
-  } else {
-    totals.write_incl += bytes;
-    if (!is_stack) totals.write_excl += bytes;
-  }
+  open.slice = slice;
+  open.counters.clear();
 }
 
 void BandwidthRecorder::finish() {

@@ -32,6 +32,16 @@ struct SliceCounters {
     return read_incl == 0 && write_incl == 0;
   }
   void clear() noexcept { *this = SliceCounters{}; }
+  /// Count one access of `bytes`.
+  void add(std::uint64_t bytes, bool is_read, bool is_stack) noexcept {
+    const std::uint64_t read = is_read ? bytes : 0;
+    const std::uint64_t write = bytes - read;
+    const std::uint64_t global = is_stack ? 0 : ~0ull;
+    read_incl += read;
+    read_excl += read & global;
+    write_incl += write;
+    write_excl += write & global;
+  }
   void merge(const SliceCounters& other) noexcept {
     read_incl += other.read_incl;
     read_excl += other.read_excl;
@@ -77,10 +87,35 @@ class BandwidthRecorder {
 
   std::uint64_t slice_interval() const noexcept { return slice_interval_; }
 
-  /// Account a memory access of `bytes` by `kernel` at instruction-time
+  /// The slice holding instruction-time `retired`. The recorder keeps the
+  /// last slice's retired window, so a time in it skips the 64-bit divide;
+  /// a time outside moves the window and raises max_slice().
+  std::uint64_t slice_of(std::uint64_t retired) {
+    if (retired < window_lo_ || retired > window_last_) [[unlikely]] move_window(retired);
+    return window_slice_;
+  }
+
+  /// Account `bytes` to `kernel` in `slice` (from slice_of): the kernel's
+  /// open slice switches to `slice` first, even when `bytes` is empty.
+  /// Adding the sum of several accesses in one slice is the same as adding
+  /// each of them.
+  void add(std::uint32_t kernel, std::uint64_t slice, const SliceCounters& bytes) {
+    TQUAD_DCHECK(kernel < kernels_.size(), "kernel id out of range");
+    TQUAD_DCHECK(!finished_, "access after finish()");
+    Open& open = open_[kernel];
+    if (open.slice != slice) [[unlikely]] switch_slice(kernel, slice);
+    open.counters.merge(bytes);
+    kernels_[kernel].totals.merge(bytes);
+  }
+
+  /// Account one memory access of `bytes` by `kernel` at instruction-time
   /// `retired`. `is_stack` follows the SP-relative classification.
   void on_access(std::uint32_t kernel, std::uint64_t retired, std::uint32_t bytes,
-                 bool is_read, bool is_stack);
+                 bool is_read, bool is_stack) {
+    SliceCounters counters;
+    counters.add(bytes, is_read, is_stack);
+    add(kernel, slice_of(retired), counters);
+  }
 
   /// Flush all open slice buffers; call once at program end.
   void finish();
@@ -102,16 +137,21 @@ class BandwidthRecorder {
     SliceCounters counters;
   };
 
+  void move_window(std::uint64_t retired);
+  /// Flush `kernel`'s open slice into its series (when it holds bytes) and
+  /// open `slice`.
+  void switch_slice(std::uint32_t kernel, std::uint64_t slice);
+
   std::vector<KernelBandwidth> kernels_;
   std::vector<Open> open_;
   std::uint64_t slice_interval_;
   std::uint64_t max_slice_ = 0;
-  /// The slice of the last access and its retired window [lo, last], so
-  /// an access in the same slice skips the 64-bit divide. `last` saturates
-  /// at 2^64 - 1 for a slice reaching past it. Starts empty (lo > last).
-  std::uint64_t cached_slice_ = 0;
-  std::uint64_t cached_lo_ = 1;
-  std::uint64_t cached_last_ = 0;
+  /// The last slice_of() slice and its retired window [lo, last]. `last`
+  /// saturates at 2^64 - 1 for a slice reaching past it. Starts empty
+  /// (lo > last).
+  std::uint64_t window_slice_ = 0;
+  std::uint64_t window_lo_ = 1;
+  std::uint64_t window_last_ = 0;
   bool finished_ = false;
 };
 

@@ -28,6 +28,26 @@ void TQuadTool::on_access(const session::AccessEvent& event) {
                       event.is_stack);
 }
 
+void TQuadTool::on_access_stretch(std::uint32_t kernel,
+                                  std::span<const session::Record> records) {
+  if (kernel == kNoKernel) return;
+  SliceCounters window;  // the bytes of `slice` not yet added
+  std::uint64_t slice = 0;
+  bool pending = false;
+  session::for_each_access(records, [&](const session::Record& r, std::uint32_t size) {
+    if (session::has(r, session::kPrefetch)) return;
+    const std::uint64_t now = recorder_.slice_of(r.a);
+    if (pending && now != slice) [[unlikely]] {
+      recorder_.add(kernel, slice, window);
+      window.clear();
+    }
+    slice = now;
+    pending = true;
+    window.add(size, session::has(r, session::kRead), session::has(r, session::kStack));
+  });
+  if (pending) recorder_.add(kernel, slice, window);
+}
+
 void TQuadTool::on_session_end(std::uint64_t total_retired) {
   total_retired_ = total_retired;
   recorder_.finish();

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,9 @@ class TQuadTool final : public session::AnalysisConsumer {
   void on_kernel_enter(const session::EnterEvent& event) override;
   void on_tick_run(const session::TickRunEvent& run) override;
   void on_access(const session::AccessEvent& event) override;
+  /// The accesses of one stretch: the bytes of each slice window are summed
+  /// in registers and added to the recorder once.
+  void on_access_stretch(std::uint32_t kernel, std::span<const session::Record> records);
   void on_session_end(std::uint64_t total_retired) override;
   void on_finish(const vm::RunOutcome& outcome) override { outcome_ = outcome; }
   void on_batch(unsigned interests, const session::Batch& batch) override {

@@ -21,6 +21,7 @@
 #include "quad/buffer_report.hpp"
 #include "quad/quad_tool.hpp"
 #include "support/rng.hpp"
+#include "stretch_batch.hpp"
 
 namespace tq::quad {
 namespace {
@@ -378,26 +379,15 @@ std::vector<Access> random_stream(const World& world, std::uint32_t kernels,
   return out;
 }
 
-/// The session's wire form of one access (KernelAttribution's encoding).
-session::Record access_record(const Access& a, std::uint64_t retired) {
-  return {.a = retired,
-          .b = a.ea,
-          .func = a.kernel,
-          .c = 0,
-          .kernel = a.kernel,
-          .tag = session::kAccess | session::flag(a.is_read, session::kRead) |
-                 session::flag(a.is_stack, session::kStack) |
-                 a.size << session::kSizeShift};
-}
-
 /// Drive `tool` with `stream`: serially (shards == 0) as a session does,
-/// encoded into one batch of records that on_batch decodes; or through
+/// encoded into one batch of records (accesses in stretches) that on_batch
+/// decodes; or through
 /// prepare_shards / apply_access_shard / merge_shards with page-split
 /// pieces routed to shard (page % shards), as the parallel pipeline does.
 /// A sharded feed merges before access `merge_at` and goes on serially.
 void feed(QuadTool& tool, const std::vector<Access>& stream, unsigned shards,
           std::size_t merge_at, Ticks& ticks, SplitMix64& rng) {
-  session::Batch batch(stream.size() + stream.size() / 64 + 1);
+  testutil::BatchEncoder batch(stream.size() + stream.size() / 64 + 1);
   if (shards > 0) tool.prepare_shards(shards);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     if (shards > 0 && i == merge_at) {
@@ -405,15 +395,16 @@ void feed(QuadTool& tool, const std::vector<Access>& stream, unsigned shards,
       shards = 0;
     }
     const Access& a = stream[i];
+    const session::AccessEvent event{.func = a.kernel,
+                                     .kernel = a.kernel,
+                                     .retired = i,
+                                     .ea = a.ea,
+                                     .size = a.size,
+                                     .is_read = a.is_read,
+                                     .is_stack = a.is_stack};
     if (shards == 0) {
-      batch.records[batch.size++] = access_record(a, i);
+      batch.access(event);
     } else {
-      session::AccessEvent event;
-      event.kernel = a.kernel;
-      event.ea = a.ea;
-      event.size = a.size;
-      event.is_read = a.is_read;
-      event.is_stack = a.is_stack;
       std::uint64_t cursor = a.ea;
       std::uint64_t remaining = a.size;
       bool first = true;
@@ -437,12 +428,7 @@ void feed(QuadTool& tool, const std::vector<Access>& stream, unsigned shards,
       run.count = 1 + rng.next_below(500);
       run.mem_count = rng.next_below(run.count);
       if (shards == 0) {
-        batch.records[batch.size++] = {.a = run.first_retired,
-                                       .b = run.count,
-                                       .func = run.func,
-                                       .c = static_cast<std::uint32_t>(run.mem_count),
-                                       .kernel = run.kernel,
-                                       .tag = session::kTickRun};
+        batch.tick_run(run);
       } else {
         tool.on_tick_run(run);
       }
@@ -451,7 +437,7 @@ void feed(QuadTool& tool, const std::vector<Access>& stream, unsigned shards,
     }
   }
   if (shards > 0) tool.merge_shards();
-  tool.on_batch(tool.event_interests(), batch);
+  tool.on_batch(tool.event_interests(), batch.batch());
 }
 
 void expect_set(const AddressSet& got, const std::set<std::uint64_t>& want,

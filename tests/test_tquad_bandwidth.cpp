@@ -281,12 +281,36 @@ struct Access {
   bool is_stack;
 };
 
+/// Feed `stream` as TQuadTool's stretch loop does: the bytes of each run of
+/// consecutive accesses with one kernel and one slice summed, then one add().
+void add_windowed(BandwidthRecorder& rec, const std::vector<Access>& stream) {
+  for (std::size_t i = 0; i < stream.size();) {
+    const std::uint32_t kernel = stream[i].kernel;
+    const std::uint64_t slice = rec.slice_of(stream[i].retired);
+    SliceCounters window;
+    for (; i < stream.size() && stream[i].kernel == kernel &&
+           rec.slice_of(stream[i].retired) == slice;
+         ++i) {
+      window.add(stream[i].bytes, stream[i].is_read, stream[i].is_stack);
+    }
+    rec.add(kernel, slice, window);
+  }
+}
+
+/// The recorder, fed one access at a time (on_access) or by window sums
+/// (`windowed`), against DivideReference.
 void expect_same_as_reference(std::uint64_t interval, std::uint32_t kernels,
-                              const std::vector<Access>& stream) {
+                              const std::vector<Access>& stream, bool windowed = false) {
   BandwidthRecorder rec(kernels, interval);
   DivideReference ref(kernels, interval);
+  if (windowed) {
+    add_windowed(rec, stream);
+  } else {
+    for (const Access& a : stream) {
+      rec.on_access(a.kernel, a.retired, a.bytes, a.is_read, a.is_stack);
+    }
+  }
   for (const Access& a : stream) {
-    rec.on_access(a.kernel, a.retired, a.bytes, a.is_read, a.is_stack);
     ref.on_access(a.kernel, a.retired, a.bytes, a.is_read, a.is_stack);
   }
   rec.finish();
@@ -347,6 +371,11 @@ TEST_P(BandwidthSliceCacheProperty, MatchesDivideReference) {
     }
   }
   expect_same_as_reference(interval, kKernels, stream);
+  expect_same_as_reference(interval, kKernels, stream, /*windowed=*/true);
+  // Zero-size accesses still switch their kernel's open slice.
+  for (std::size_t i = 0; i < stream.size(); i += 7) stream[i].bytes = 0;
+  expect_same_as_reference(interval, kKernels, stream);
+  expect_same_as_reference(interval, kKernels, stream, /*windowed=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(
